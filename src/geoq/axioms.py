@@ -35,17 +35,8 @@ def check_TQ3(oq):
 
 
 def check_TQ2prime(oq):
-    """(TQ2'): orbit members inside a residue lie in one stabilizer orbit.
-
-    Also decided through the equivalent formulation (flags with equal
-    projection are conjugate); the two answers are cross-checked."""
-    direct = _tq2prime_direct(oq)
-    conj = _tq2prime_conjugacy(oq)
-    assert direct[0] == conj, "TQ2' formulations disagree"
-    return direct
-
-
-def _tq2prime_direct(oq):
+    """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
+    the witness is a failing flag and two members it splits."""
     for flag in flags_by_rank_lex(oq.geom):
         if not flag:
             continue
@@ -62,30 +53,6 @@ def _tq2prime_direct(oq):
                 if x not in base:
                     return False, (flag, xs[0], x)
     return True, None
-
-
-def _tq2prime_conjugacy(oq):
-    classes = {}
-    for flag in flags_by_rank_lex(oq.geom):
-        key = frozenset(oq.proj.block_of[x] for x in flag)
-        classes.setdefault(key, []).append(frozenset(flag))
-    for flags in classes.values():
-        if len(flags) < 2:
-            continue
-        seen = {flags[0]}
-        frontier = [flags[0]]
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for g in oq.group.gens:
-                    img = frozenset(g[x] for x in f)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        if any(f not in seen for f in flags):
-            return False
-    return True
 
 
 def check_TQ2doubleprime(oq):

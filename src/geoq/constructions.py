@@ -308,7 +308,8 @@ class ShadowLift:
         self.vsets = tuple(vsets)
         self.parent_of = tuple(parent_of)
         self._vset_index = {(etype[x], vsets[x]): x for x in range(len(names))}
-        assert len(self._vset_index) == len(names)
+        if len(self._vset_index) != len(names):
+            raise RuntimeError("two lifted elements share a type and vertex set")
 
     def _perm_from_vertex_map(self, vmap):
         images = []

@@ -63,9 +63,6 @@ class FiniteGroup:
     def index(self, name):
         return self._index[name]
 
-    def op(self, x, y):
-        return self.mul[x][y]
-
     def is_abelian(self):
         n = len(self.names)
         return all(self.mul[x][y] == self.mul[y][x]
@@ -185,16 +182,9 @@ def product_condition(G, pivot, others):
 
 
 def rank3_ft_condition(G, G1, G2, G3):
-    """Rank-3 flag-transitivity criterion; the two equivalent product
-    formulations are both computed and must agree."""
-    a = product_condition(G, G1, [G2, G3])
-    inter12 = frozenset(set(G1.members) & set(G2.members))
-    inter13 = frozenset(set(G1.members) & set(G3.members))
-    lhs = set_product(G, inter12, inter13)
-    rhs = frozenset(G1.members) & set_product(G, G2.members, G3.members)
-    b = lhs == rhs
-    assert a == b, "the two rank-3 product formulations disagree"
-    return a
+    """Rank-3 flag-transitivity criterion: the product condition with
+    pivot G1, G1G2 & G1G3 == G1(G2 & G3)."""
+    return product_condition(G, G1, [G2, G3])
 
 
 class CosetGeometry:
@@ -289,14 +279,9 @@ def coset_pregeometry(G, subgroups):
 
 def rank2_connectivity(G, Gi, Gj):
     """The rank-2 truncation on two cosets types is connected iff the two
-    subgroups generate the whole group; both sides are computed."""
+    subgroups generate the whole group."""
     generated = G.subgroup_generated(set(Gi.members) | set(Gj.members))
-    algebraic = len(generated) == len(G)
-    from .geometry import is_connected
-    cg = CosetGeometry(G, [Gi.named("A"), Gj.named("B")])
-    graphwise = is_connected(cg.geometry)
-    assert algebraic == graphwise, "generation test disagrees with connectivity"
-    return algebraic
+    return len(generated) == len(G)
 
 
 class CosetExampleFamily:

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import (extensions, flags_of_type, is_generalized_digon,
-                       is_geometry, is_residually_connected, residue)
+from .geometry import (_per_geometry, extensions, flags_of_type,
+                       is_generalized_digon, is_geometry,
+                       is_residually_connected, residue)
 
 
 @dataclass(frozen=True)
@@ -72,9 +73,11 @@ class Diagram:
         return not self.has_cycle()
 
 
+@_per_geometry
 def basic_diagram(geom):
     """Exhaustive over all corank-2 flags per type pair; pairs with no
-    cotype-{i,j} flags get no edge and are recorded separately."""
+    cotype-{i,j} flags get no edge and are recorded separately.  Computed
+    once per geometry; the Diagram returned is shared."""
     ok, w = is_geometry(geom)
     if not ok:
         raise ValueError("basic diagram requires a geometry (witness %r)"
@@ -185,13 +188,16 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
                     break
             if beta_l is not None:
                 break
-        assert beta_l is not None, "incident blocks with no incident members"
+        if beta_l is None:
+            raise RuntimeError("incident blocks with no incident members")
         a = oq.group.element_mapping(beta_l, placed[ell])
-        assert a is not None, "block is not a single orbit"
+        if a is None:
+            raise RuntimeError("block is not a single orbit")
         placed[i] = a[beta_i]
     for e in edges:
         i, j = sorted(e)
-        assert geom.incident(placed[i], placed[j]), "tree placement failed"
+        if not geom.incident(placed[i], placed[j]):
+            raise RuntimeError("tree placement failed")
     return placed
 
 

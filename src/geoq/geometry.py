@@ -6,13 +6,19 @@ elements; all derived sets are ordered by index so every query is
 deterministic.  Incidence is kept as an irreflexive edge set (reflexivity
 is implicit).  Flags are sorted tuples of element indices.
 
-Flag enumeration backtracks over types in fixed index order; the flag
-count is exponential in the rank in the worst case, so everything here is
-meant for desk scale (a few hundred elements, rank at most ~6).
+`all_flags` is the one flag backtracker: it extends by increasing element
+index, so it yields flags lazily in lexicographic order.  A pregeometry
+never changes, so its full flag list, in (rank, lexicographic) order, is
+built once on first use and kept with it (`flags_by_rank_lex`); per-type
+flag lists and chamber counts are filters over that list, and the
+geometry and residual-connectivity verdicts are computed once too.  The
+flag count is exponential in the rank in the worst case, so everything
+here is meant for desk scale (a few hundred elements, rank at most ~6).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -23,7 +29,7 @@ class Pregeometry:
     """Immutable element set with a type map and incidence edges."""
 
     __slots__ = ("type_names", "elem_names", "elem_type", "pairs", "adj",
-                 "by_type", "_elem_index", "_type_index")
+                 "by_type", "_elem_index", "_memo")
 
     def __init__(self, type_names, elem_names, elem_type, pairs):
         self.type_names = tuple(type_names)
@@ -57,7 +63,7 @@ class Pregeometry:
             by_type[t].append(x)
         self.by_type = tuple(tuple(v) for v in by_type)
         self._elem_index = {name: i for i, name in enumerate(self.elem_names)}
-        self._type_index = {name: i for i, name in enumerate(self.type_names)}
+        self._memo = None  # see _per_geometry
 
     @classmethod
     def build(cls, types, elems, incs):
@@ -88,9 +94,6 @@ class Pregeometry:
 
     def elem(self, name):
         return self._elem_index[name]
-
-    def type_id(self, name):
-        return self._type_index[name]
 
     def incident(self, a, b):
         return a == b or (min(a, b), max(a, b)) in self.pairs
@@ -162,9 +165,26 @@ def extensions(geom, flag):
     return sorted(out)
 
 
+def _per_geometry(fn):
+    """Memoize fn(geom) on the geometry object itself: a pregeometry never
+    changes, so the value is kept for as long as the geometry lives.
+    Exceptions are not kept; they are raised again on the next call."""
+    @functools.wraps(fn)
+    def cached(geom):
+        memo = geom._memo
+        if memo is None:
+            memo = geom._memo = {}
+        try:
+            return memo[fn]
+        except KeyError:
+            memo[fn] = value = fn(geom)
+            return value
+    return cached
+
+
 def all_flags(geom):
     """Yield every flag (including the empty flag), each exactly once,
-    extending by increasing element index."""
+    extending by increasing element index, i.e. in lexicographic order."""
     def rec(flag, cand):
         yield tuple(flag)
         for i, x in enumerate(cand):
@@ -175,61 +195,38 @@ def all_flags(geom):
     yield from rec([], list(range(geom.size)))
 
 
+@_per_geometry
 def flags_by_rank_lex(geom):
-    """All flags sorted by (rank, lexicographic), for minimal witnesses."""
-    return sorted(all_flags(geom), key=lambda f: (len(f), f))
+    """All flags sorted by (rank, lexicographic), for minimal witnesses.
+    Enumerated once per geometry; the tuple returned is shared."""
+    return tuple(sorted(all_flags(geom), key=lambda f: (len(f), f)))
 
 
 def flags_of_type(geom, types):
-    """All flags whose type set is exactly the given set of type ids,
-    by backtracking over types in index order."""
-    J = sorted(set(types))
-    for t in J:
+    """All flags whose type set is exactly the given set of type ids, in
+    lexicographic order."""
+    J = set(types)
+    for t in sorted(J):
         if not 0 <= t < geom.rank:
             raise ValueError("unknown type id %r" % (t,))
-    out = []
-
-    def rec(k, flag):
-        if k == len(J):
-            out.append(tuple(sorted(flag)))
-            return
-        for x in geom.by_type[J[k]]:
-            if all(x in geom.adj[y] for y in flag):
-                flag.append(x)
-                rec(k + 1, flag)
-                flag.pop()
-
-    rec(0, [])
-    return sorted(out)
-
-
-def chambers(geom):
-    return flags_of_type(geom, range(geom.rank))
+    et = geom.elem_type
+    return [f for f in flags_by_rank_lex(geom)
+            if len(f) == len(J) and all(et[x] in J for x in f)]
 
 
 def chamber_count_through(geom, flag):
-    """Number of chambers containing the flag."""
-    missing = sorted(set(range(geom.rank)) - set(flag_type(geom, flag)))
-    count = 0
-
-    def rec(k, cur):
-        nonlocal count
-        if k == len(missing):
-            count += 1
-            return
-        for x in geom.by_type[missing[k]]:
-            if all(x in geom.adj[y] for y in cur):
-                cur.append(x)
-                rec(k + 1, cur)
-                cur.pop()
-
-    rec(0, list(flag))
-    return count
+    """Number of chambers containing the given elements; 0 when they do
+    not form a flag."""
+    inside = set(flag)
+    return sum(1 for c in flags_of_type(geom, range(geom.rank))
+               if inside.issubset(c))
 
 
+@_per_geometry
 def is_geometry(geom):
-    """True iff every maximal flag is a chamber; on failure returns a
-    maximal flag of rank below the rank of the geometry."""
+    """True iff every maximal flag is a chamber; on failure returns the
+    lexicographically least maximal flag of rank below the rank of the
+    geometry.  The scan stops at that flag."""
     for flag in all_flags(geom):
         if len(flag) < geom.rank and not extensions(geom, flag):
             return False, flag
@@ -248,8 +245,9 @@ def is_firm(geom):
 
 
 def corank1_chambers_at_least(geom, bound):
-    """Chamber-count test over corank-1 flags, usable on pregeometries."""
-    for flag in all_flags(geom):
+    """Chamber-count test over corank-1 flags, usable on pregeometries;
+    the witness flag is the lexicographically least failing one."""
+    for flag in flags_by_rank_lex(geom):
         if len(flag) != geom.rank - 1:
             continue
         ext = extensions(geom, flag)
@@ -346,6 +344,7 @@ def is_connected(geom):
     return len(components(geom)) <= 1
 
 
+@_per_geometry
 def is_residually_connected(geom):
     """Every flag of corank >= 2 must have a nonempty connected residue;
     the witness is a minimal failing flag."""

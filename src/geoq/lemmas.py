@@ -401,7 +401,8 @@ def suite_shadowable_quotient(rng, count=200):
         v = rng.choice([3, 4, 5])
         k = rng.randint(2, min(3, v - 1))
         geom, action = ssg_symmetric_action(v, k)
-        assert is_shadowable(geom)[0]
+        if not is_shadowable(geom)[0]:
+            raise RuntimeError("ssg(%d, %d) is not shadowable" % (v, k))
         sub = random_subgroup(rng, action)
         res.checked += 1
         res.nonvacuous += 1

@@ -159,21 +159,6 @@ class PermGroup:
     def __iter__(self):
         return iter(sorted(self.elements()))
 
-    def is_trivial(self):
-        return not self.gens or self.order() == 1
-
-    def small_generating_set(self):
-        """Greedy generating subset of the enumerated elements."""
-        gens = []
-        have = {Perm.identity(self.degree)}
-        for g in sorted(self.elements()):
-            if g not in have:
-                gens.append(g)
-                have = mulclose(gens, self.cap)
-                if len(have) == self.order():
-                    break
-        return gens
-
     def orbit(self, x):
         seen = {x}
         frontier = [x]

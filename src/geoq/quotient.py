@@ -300,8 +300,9 @@ def total_order_flagslift(proj, order):
                                                     proj.block_of[b]):
                     return False
     ok, witness = check_flagslift(proj)
-    assert ok, ("total-order criterion held but a quotient flag failed "
-                "to lift: %r" % (witness,))
+    if not ok:
+        raise RuntimeError("total-order criterion held but a quotient flag "
+                           "failed to lift: %r" % (witness,))
     return True
 
 

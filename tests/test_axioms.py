@@ -87,3 +87,43 @@ def test_axioms_report_keys():
                         "is-cover"}
     assert rep["tq2prime"][0] is True
     assert rep["flagslift"][0] is False
+
+
+def _tq2prime_by_conjugacy(oq):
+    # the equivalent formulation: flags with equal projection are
+    # conjugate under the group (one orbit search per projection class)
+    from geoq.geometry import all_flags
+    classes = {}
+    for flag in all_flags(oq.geom):
+        key = frozenset(oq.proj.block_of[x] for x in flag)
+        classes.setdefault(key, []).append(frozenset(flag))
+    for flags in classes.values():
+        seen = {flags[0]}
+        frontier = [flags[0]]
+        while frontier:
+            nxt = []
+            for f in frontier:
+                for g in oq.group.gens:
+                    img = frozenset(g[x] for x in f)
+                    if img not in seen:
+                        seen.add(img)
+                        nxt.append(img)
+            frontier = nxt
+        if any(f not in seen for f in flags):
+            return False
+    return True
+
+
+def test_tq2prime_agrees_with_conjugacy_formulation(rng):
+    from geoq.lemmas import random_orbit_quotient
+    seen = {True: 0, False: 0}
+    draws = 0
+    while draws < 120:
+        oq = random_orbit_quotient(rng)
+        if oq is None:
+            continue
+        draws += 1
+        ok = check_TQ2prime(oq)[0]
+        assert ok == _tq2prime_by_conjugacy(oq)
+        seen[ok] += 1
+    assert seen[True] >= 10 and seen[False] >= 10

@@ -187,3 +187,41 @@ def test_action_is_automorphism_group():
     from geoq.perms import is_automorphism
     assert all(is_automorphism(fam.geometry, g) for g in act.gens)
     assert act.order() == 8
+
+
+def _random_subgroups(rng, G, k):
+    return [G.subgroup_generated([rng.randrange(len(G))
+                                  for _ in range(rng.randint(0, 2))])
+            for _ in range(k)]
+
+
+def test_rank3_condition_agrees_with_intersection_formulation(rng):
+    # the equivalent formulation (G1 & G2)(G1 & G3) == G1 & G2G3
+    from geoq.lemmas import _small_groups
+    seen = set()
+    for _ in range(150):
+        G = rng.choice(_small_groups())
+        g1, g2, g3 = _random_subgroups(rng, G, 3)
+        inter12 = set(g1.members) & set(g2.members)
+        inter13 = set(g1.members) & set(g3.members)
+        oracle = (set_product(G, inter12, inter13)
+                  == frozenset(g1.members) & set_product(G, g2.members,
+                                                         g3.members))
+        got = rank3_ft_condition(G, g1, g2, g3)
+        assert got == oracle
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_rank2_connectivity_agrees_with_coset_graph(rng):
+    from geoq.geometry import is_connected
+    from geoq.lemmas import _small_groups
+    seen = set()
+    for _ in range(150):
+        G = rng.choice(_small_groups())
+        gi, gj = _random_subgroups(rng, G, 2)
+        geom, _ = coset_pregeometry(G, [gi.named("A"), gj.named("B")])
+        got = rank2_connectivity(G, gi, gj)
+        assert got == is_connected(geom)
+        seen.add(got)
+    assert seen == {True, False}

@@ -290,6 +290,95 @@ def test_chamber_count_through():
     assert chamber_count_through(geom, ()) == 6
     f = (geom.elem("{1}"),)
     assert chamber_count_through(geom, f) == 2
+    # two points are not a flag, so no chamber contains them
+    assert chamber_count_through(geom, (geom.elem("{1}"), geom.elem("{2}"))) == 0
+
+
+def _backtrack_flags_of_type(geom, types):
+    # reference: backtrack over the types in index order
+    J = sorted(set(types))
+    out = []
+
+    def rec(k, flag):
+        if k == len(J):
+            out.append(tuple(sorted(flag)))
+            return
+        for x in geom.by_type[J[k]]:
+            if all(x in geom.adj[y] for y in flag):
+                flag.append(x)
+                rec(k + 1, flag)
+                flag.pop()
+
+    rec(0, [])
+    return sorted(out)
+
+
+def _backtrack_chamber_count_through(geom, flag):
+    # reference: complete the flag type by type and count completions
+    missing = sorted(set(range(geom.rank))
+                     - {geom.elem_type[x] for x in flag})
+    count = 0
+
+    def rec(k, cur):
+        nonlocal count
+        if k == len(missing):
+            count += 1
+            return
+        for x in geom.by_type[missing[k]]:
+            if all(x in geom.adj[y] for y in cur):
+                cur.append(x)
+                rec(k + 1, cur)
+                cur.pop()
+
+    rec(0, list(flag))
+    return count
+
+
+def test_flag_filters_agree_with_backtracking_oracles(rng):
+    from geoq.lemmas import random_pregeometry
+    nongeometries = 0
+    for i in range(60):
+        if i % 2:
+            geom = random_geometry(rng, max_rank=4, max_per_type=3)
+        else:
+            geom = random_pregeometry(rng, max_rank=4, max_per_type=3)
+            nongeometries += not is_geometry(geom)[0]
+        for k in range(geom.rank + 1):
+            for J in combinations(range(geom.rank), k):
+                assert flags_of_type(geom, J) == _backtrack_flags_of_type(geom, J)
+        for flag in all_flags(geom):
+            assert (chamber_count_through(geom, flag)
+                    == _backtrack_chamber_count_through(geom, flag))
+    assert nongeometries >= 10
+
+
+def test_flags_are_enumerated_once_per_geometry(monkeypatch):
+    import geoq.geometry
+    from geoq.diagram import basic_diagram
+    enumerations = []
+    backtrack = geoq.geometry.all_flags
+
+    def counting_all_flags(geom):
+        enumerations.append(geom)
+        return backtrack(geom)
+
+    monkeypatch.setattr(geoq.geometry, "all_flags", counting_all_flags)
+    for decider in (geoq.geometry.flags_by_rank_lex, is_geometry,
+                    is_residually_connected, basic_diagram):
+        geom = ssg(4, 3)
+        first = decider(geom)
+        assert enumerations
+        del enumerations[:]
+        assert decider(geom) is first
+        assert not enumerations, decider.__name__
+    geom = ssg(4, 3)
+    geoq.geometry.flags_by_rank_lex(geom)
+    is_geometry(geom)
+    del enumerations[:]
+    assert len(flags_of_type(geom, range(3))) == 24
+    assert chamber_count_through(geom, (geom.elem("{1}"),)) == 6
+    assert is_firm(geom) == (True, None)
+    assert not enumerations
 
 
 def test_extensions_exclude_flag_types():
