@@ -1,14 +1,17 @@
 """
 Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3).
 
-All deciders are exhaustive over enumerated flags and orbits; witnesses
-are minimal under (flag rank, lexicographic) ordering.
+All deciders are exhaustive over enumerated flags; witnesses are minimal
+under (flag rank, lexicographic) ordering.  Orbits come from
+perms.orbits_on over generators: (TQ1) and (TQ2') take the flag
+stabilizer's orbits on the residue (perms.stabilizer still scans G), and
+(TQ2'') works on the G-orbits of incident pairs without listing G.
 """
 
 from __future__ import annotations
 
 from .geometry import extensions, flags_by_rank_lex
-from .perms import orbit_partition, stabilizer
+from .perms import Perm, orbit_partition, orbits_on, stabilizer
 from .quotient import Projection, min_block_distance
 
 
@@ -40,48 +43,53 @@ def check_TQ2prime(oq):
     for flag in flags_by_rank_lex(oq.geom):
         if not flag:
             continue
-        stab = stabilizer(oq.group, flag)
         members = extensions(oq.geom, flag)
+        orbit_of = {x: k for k, orbit in
+                    enumerate(_residue_orbits(oq.group, flag, members))
+                    for x in orbit}
         per_block = {}
         for x in members:
             per_block.setdefault(oq.proj.block_of[x], []).append(x)
         for k, xs in sorted(per_block.items()):
-            if len(xs) < 2:
-                continue
-            base = set(stab.orbit(xs[0]))
             for x in xs[1:]:
-                if x not in base:
+                if orbit_of[x] != orbit_of[xs[0]]:
                     return False, (flag, xs[0], x)
     return True, None
 
 
+def _residue_orbits(group, flag, members):
+    """Orbits of the flag stabilizer on the residue members, in members
+    order."""
+    return orbits_on(stabilizer(group, flag).gens, members, Perm.__getitem__)
+
+
+def _pair_image(g, pair):
+    a, b = g[pair[0]], g[pair[1]]
+    return (a, b) if a < b else (b, a)
+
+
 def check_TQ2doubleprime(oq):
     """(TQ2''): when a flag is incident to the orbits of both ends of an
-    incident pair, some single group element brings both ends onto it."""
-    geom, group = oq.geom, oq.group
-    reach = {}  # flag -> elements incident with all of it (reflexively)
+    incident pair, some single group element brings both ends onto it.
 
-    def inc_all(flag):
-        if flag not in reach:
-            if not flag:
-                out = set(range(geom.size))
-            else:
-                out = set.intersection(*({y for y in geom.adj[x]} | {x}
-                                         for x in flag))
-            reach[flag] = out
-        return reach[flag]
-
-    orbit_of = {}
-    for block in oq.partition.blocks:
-        for x in block:
-            orbit_of[x] = set(block)
-    elements = sorted(group.elements())
+    Equivalently, the flag's reflexive residue contains a pair from the
+    G-orbit of the incident pair.  The pair orbits are computed once from
+    the generators; whether a pair fails at a flag depends only on its
+    orbit, so scanning the orbits by least member finds the same first
+    failing pair as a scan of the sorted pairs."""
+    geom, block_of = oq.geom, oq.proj.block_of
+    pair_orbits = orbits_on(oq.group.gens, sorted(geom.pairs), _pair_image)
+    orbit_of = {p: k for k, orbit in enumerate(pair_orbits) for p in orbit}
     for flag in flags_by_rank_lex(geom):
-        touch = inc_all(flag)
-        for a, b in sorted(geom.pairs):
-            if not (orbit_of[a] & touch and orbit_of[b] & touch):
-                continue
-            if not any(g[a] in touch and g[b] in touch for g in elements):
+        touch = set(range(geom.size))
+        for x in flag:
+            touch &= geom.adj[x] | {x}
+        met = {block_of[x] for x in touch}
+        hit = {orbit_of[(a, b)] for a in touch for b in geom.adj[a]
+               if a < b and b in touch}
+        for k, orbit in enumerate(pair_orbits):
+            a, b = orbit[0]
+            if k not in hit and block_of[a] in met and block_of[b] in met:
                 return False, (flag, a, b)
     return True, None
 
@@ -92,17 +100,7 @@ def check_TQ1(oq):
     projected flag in the quotient."""
     geom, q = oq.geom, oq.quotient
     for flag in flags_by_rank_lex(geom):
-        stab = stabilizer(oq.group, flag)
-        members = extensions(geom, flag)
-        member_set = set(members)
-        seen = set()
-        orbits = []
-        for x in members:
-            if x in seen:
-                continue
-            orb = tuple(y for y in stab.orbit(x) if y in member_set)
-            seen.update(orb)
-            orbits.append(orb)
+        orbits = _residue_orbits(oq.group, flag, extensions(geom, flag))
         qflag = oq.proj.project_flag(flag)
         target = set(extensions(q, qflag))
         image = [oq.proj.block_of[orb[0]] for orb in orbits]

@@ -6,7 +6,6 @@ they intersect, with the right-multiplication action.
 
 from __future__ import annotations
 
-import random
 from itertools import permutations, product
 
 from .geometry import Pregeometry
@@ -46,16 +45,18 @@ class FiniteGroup:
             self._check_associativity()
 
     def _check_associativity(self):
+        """Light's test: the elements s with (x*s)*y == x*(s*y) for all x, y
+        are closed under products, so checking the generators, from which
+        right multiplication reaches every element, is exact."""
+        mul = self.mul
         n = len(self.names)
-        if n <= 48:
-            triples = product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(2000))
-        for x, y, z in triples:
-            if self.mul[self.mul[x][y]][z] != self.mul[x][self.mul[y][z]]:
-                raise ValueError("multiplication table is not associative")
+        for s in self.generators():
+            for x in range(n):
+                xs = mul[x][s]
+                for y in range(n):
+                    if mul[xs][y] != mul[x][mul[s][y]]:
+                        raise ValueError(
+                            "multiplication table is not associative")
 
     def __len__(self):
         return len(self.names)
@@ -101,7 +102,10 @@ class FiniteGroup:
         mul = [[index[g * h] for h in elems] for g in elems]
         return cls(names, mul, check=False), elems
 
-    def subgroup_generated(self, seed):
+    def _closure(self, seed):
+        """Everything reached from the identity by right multiplication by
+        seed elements; in a finite group that is the subgroup they generate,
+        as inverses are positive powers."""
         members = {self.id}
         frontier = [self.id]
         seed = sorted(set(seed))
@@ -113,22 +117,23 @@ class FiniteGroup:
                     if y not in members:
                         members.add(y)
                         nxt.append(y)
-                    y = self.mul[x][self.inv[s]]
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
             frontier = nxt
-        return Subgroup(self, members)
+        return members
 
-    def generators(self):
-        """A small generating set, chosen greedily over element order."""
+    def subgroup_generated(self, seed):
+        return Subgroup(self, self._closure(seed))
+
+    def generators(self, members=None):
+        """A small generating set of the subgroup on the given members
+        (default: the whole group), chosen greedily in index order."""
+        members = range(len(self.names)) if members is None else sorted(members)
         gens = []
         have = {self.id}
-        for x in range(len(self.names)):
+        for x in members:
             if x not in have:
                 gens.append(x)
-                have = set(self.subgroup_generated(gens).members)
-                if len(have) == len(self.names):
+                have = self._closure(gens)
+                if len(have) == len(members):
                     break
         return gens
 
@@ -249,24 +254,9 @@ class CosetGeometry:
     def action_group(self, members=None):
         """Right-multiplication action of the whole group (or of the given
         member subset, which must be a subgroup) as a permutation group."""
-        if members is None:
-            gens = self.group.generators()
-        else:
-            gens = _generators_within(self.group, sorted(members))
-        return PermGroup([self.action_of(g) for g in gens],
+        return PermGroup([self.action_of(g)
+                          for g in self.group.generators(members)],
                          degree=self.geometry.size)
-
-
-def _generators_within(G, members):
-    gens = []
-    have = {G.id}
-    for x in members:
-        if x not in have:
-            gens.append(x)
-            have = set(G.subgroup_generated(gens).members)
-            if len(have) == len(members):
-                break
-    return gens
 
 
 def coset_pregeometry(G, subgroups):

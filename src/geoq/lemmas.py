@@ -202,16 +202,18 @@ def _hex_or_cycle(rng):
 
 
 def _draw(rng, maker, count):
-    out = []
-    guard = 0
-    while len(out) < count:
+    """Yield count instances of maker(rng), each as soon as it is drawn;
+    a draw of None is retried.  The checks on an instance use no
+    randomness, so the draws do not depend on when the caller checks."""
+    made = guard = 0
+    while made < count:
         guard += 1
         if guard > count * 60:
             raise RuntimeError("instance pool exhausted")
         inst = maker(rng)
         if inst is not None:
-            out.append(inst)
-    return out
+            made += 1
+            yield inst
 
 
 # ------------------------------------------------------------------- suites
@@ -369,21 +371,18 @@ def suite_coset_quotient(rng, count=200):
     """Quotients of coset pregeometries by invariant partitions are coset
     pregeometries."""
     res = SuiteResult("coset-quotient-closed")
-    made = 0
-    guard = 0
-    while made < count:
-        guard += 1
-        if guard > count * 60:
-            raise RuntimeError("instance pool exhausted")
+
+    def maker(rng):
         geom, action = random_coset_instance(rng)
         if geom.size > 30 or action.order() > 30:
-            continue
-        sub = random_subgroup(rng, action)
+            return None
+        return geom, action, random_subgroup(rng, action)
+
+    for geom, action, sub in _draw(rng, maker, count):
         n = normal_closure(action, sub)
         part = orbit_partition(n, geom)
         proj = Projection(geom, part)
         induced = induced_quotient_group(proj, action)
-        made += 1
         res.checked += 1
         res.nonvacuous += 1
         ok, detail = is_coset_pregeometry(proj.quotient, induced)
@@ -424,20 +423,15 @@ def suite_chamber_lift(rng, count=200):
     """Forest-diagram chamber lifting succeeds on every quotient chamber
     and agrees with the exhaustive lift oracle."""
     res = SuiteResult("forest-chamber-lift")
-    made = 0
-    guard = 0
-    while made < count:
-        guard += 1
-        if guard > count * 60:
-            raise RuntimeError("instance pool exhausted")
+
+    def maker(rng):
         oq = random_orbit_quotient(rng, need_geometry=True)
-        if oq is None:
-            continue
-        if not is_residually_connected(oq.geom)[0]:
-            continue
-        if not basic_diagram(oq.geom).is_forest():
-            continue
-        made += 1
+        if (oq is None or not is_residually_connected(oq.geom)[0]
+                or not basic_diagram(oq.geom).is_forest()):
+            return None
+        return oq
+
+    for oq in _draw(rng, maker, count):
         res.checked += 1
         chams = flags_of_type(oq.quotient, range(oq.quotient.rank))
         for cham in chams:

@@ -3,7 +3,9 @@ Permutation groups acting on a pregeometry.
 
 Groups are given by generators and enumerated by plain breadth-first
 closure (no strong generating sets; desk scale, with a configurable cap).
-Orbits use union-find over generator images.
+Every orbit question -- on points, flags, incident pairs or ordered
+tuples -- goes through orbits_on, a union-find over generator images that
+never enumerates the group.
 """
 
 from __future__ import annotations
@@ -92,6 +94,37 @@ class Perm:
         return "Perm(%s)" % "".join("(%s)" % " ".join(map(str, c)) for c in cyc)
 
 
+def orbits_on(gens, items, act):
+    """Orbits of the group generated by gens on the distinct hashable
+    items, where act(g, item) is the image of item under g.  Union-find
+    over generator images; each orbit is a tuple in items order, and the
+    orbits are listed by their first member.  Raises ValueError when an
+    image is not among the items."""
+    index = {x: i for i, x in enumerate(items)}
+    parent = list(range(len(index)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g in gens:
+        for x, i in index.items():
+            j = index.get(act(g, x))
+            if j is None:
+                raise ValueError("image of %r under %r is not among the items"
+                                 % (x, g))
+            if j != i:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    orbits = {}
+    for x, i in index.items():
+        orbits.setdefault(find(i), []).append(x)
+    return [tuple(orbit) for orbit in orbits.values()]
+
+
 def mulclose(gens, cap=DEFAULT_CAP):
     """Breadth-first closure of a generator set under composition."""
     if not gens:
@@ -159,39 +192,9 @@ class PermGroup:
     def __iter__(self):
         return iter(sorted(self.elements()))
 
-    def orbit(self, x):
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in self.gens:
-                    z = g[y]
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return tuple(sorted(seen))
-
     def orbits(self):
-        """All orbits on 0..degree-1, by union-find over generator images."""
-        parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.gens:
-            for x in range(self.degree):
-                rx, ry = find(x), find(g[x])
-                if rx != ry:
-                    parent[ry] = rx
-        groups = {}
-        for x in range(self.degree):
-            groups.setdefault(find(x), []).append(x)
-        return sorted(tuple(sorted(v)) for v in groups.values())
+        """All orbits on 0..degree-1, each sorted, listed by least point."""
+        return orbits_on(self.gens, range(self.degree), Perm.__getitem__)
 
     def orbit_transversal(self, x):
         """Map y -> group element sending x to y, for y in the orbit of x."""
@@ -269,32 +272,8 @@ def normal_closure(group, sub):
     return out
 
 
-def _flag_orbit_count(group, flags):
-    """Number of orbits of the group on a collection of flags."""
-    index = {frozenset(f): i for i, f in enumerate(flags)}
-    parent = list(range(len(flags)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in group.gens:
-        for f, i in index.items():
-            j = index[frozenset(g[x] for x in f)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    roots = {find(i) for i in range(len(flags))}
-    witness = None
-    if len(roots) > 1:
-        by_root = {}
-        for i in range(len(flags)):
-            by_root.setdefault(find(i), i)
-        picks = sorted(by_root.values())[:2]
-        witness = (flags[picks[0]], flags[picks[1]])
-    return len(roots), witness
+def _flag_image(g, flag):
+    return tuple(sorted(g[x] for x in flag))
 
 
 def transitivity(group, geom, kind, types=None):
@@ -311,8 +290,10 @@ def transitivity(group, geom, kind, types=None):
         flags = flags_of_type(geom, J)
         if not flags:
             return True, None
-        count, witness = _flag_orbit_count(group, flags)
-        return count == 1, witness
+        orbits = orbits_on(group.gens, flags, _flag_image)
+        if len(orbits) == 1:
+            return True, None
+        return False, (orbits[0][0], orbits[1][0])
 
     if kind == "jflags":
         if types is None:

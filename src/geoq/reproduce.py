@@ -24,7 +24,7 @@ from .geometry import (Pregeometry, chamber_count_through, components,
                        is_generalized_digon, is_geometry,
                        is_residually_connected, truncation, validate)
 from .perms import (Perm, PermGroup, induced_quotient_group, orbit_partition,
-                    stabilizer, transitivity)
+                    orbits_on, stabilizer, transitivity)
 from .quotient import (Projection, check_flagslift, is_cover,
                        is_incidence_graph_cover, min_block_distance,
                        residual_surjectivity, total_order_flagslift)
@@ -256,24 +256,10 @@ def scenario_lemma_suites(count=200, seed=None):
 
 
 def _ordered_clique_transitive(graph, group, size):
-    tuples = set()
-    for c in graph.cliques_of_size(size):
-        tuples.update(permutations(c))
-    if not tuples:
-        return True
-    tuples = sorted(tuples)
-    seen = {tuples[0]}
-    frontier = [tuples[0]]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in group.gens:
-                img = tuple(g[x] for x in t)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(seen) == len(tuples)
+    tuples = sorted({t for c in graph.cliques_of_size(size)
+                     for t in permutations(c)})
+    return len(orbits_on(group.gens, tuples,
+                         lambda g, t: tuple(g[x] for x in t))) <= 1
 
 
 def scenario_blowup():
@@ -379,8 +365,8 @@ def scenario_tq1_vs_ressurj():
     rep.expect("residue-size", len(res_members), 2)
     rep.expect("residue-single-block",
                len({oq.proj.block_of[x] for x in res_members}), 1)
-    stab_orbits = {tuple(stab.orbit(x)) for x in res_members}
-    rep.expect("stabilizer-orbits-in-residue", len(stab_orbits), 2)
+    rep.expect("stabilizer-orbits-in-residue",
+               len(orbits_on(stab.gens, res_members, Perm.__getitem__)), 2)
     return rep
 
 

@@ -1,7 +1,7 @@
 from geoq.axioms import (OrbitQuotient, axioms_report, check_TQ1,
                          check_TQ2doubleprime, check_TQ2prime, check_TQ3)
 from geoq.constructions import eight_cycle, hexagon, ssg
-from geoq.perms import PermGroup
+from geoq.perms import Perm, PermGroup, orbits_on
 from geoq.quotient import residual_surjectivity
 from geoq.reproduce import tq1_counterexample
 
@@ -38,7 +38,7 @@ def test_counterexample_tq2prime_fails_at_type12_flag():
     members = extensions(geom, flag)
     assert len(members) == 2
     assert len({oq.proj.block_of[x] for x in members}) == 1
-    assert len({tuple(stab.orbit(x)) for x in members}) == 2
+    assert len(orbits_on(stab.gens, members, Perm.__getitem__)) == 2
 
 
 def test_witnesses_are_deterministic_and_rank_lex_minimal():
@@ -127,3 +127,55 @@ def test_tq2prime_agrees_with_conjugacy_formulation(rng):
         assert ok == _tq2prime_by_conjugacy(oq)
         seen[ok] += 1
     assert seen[True] >= 10 and seen[False] >= 10
+
+
+def _tq2doubleprime_by_sweep(oq):
+    # the direct quantifier sweep: for each flag and each incident pair
+    # whose end orbits both meet the flag's reflexive residue, look for
+    # one element of G bringing both ends into it
+    from geoq.geometry import flags_by_rank_lex
+    geom = oq.geom
+    orbit_of = {x: set(block) for block in oq.partition.blocks
+                for x in block}
+    elements = sorted(oq.group.elements())
+    for flag in flags_by_rank_lex(geom):
+        touch = set(range(geom.size))
+        for x in flag:
+            touch &= {x} | set(geom.adj[x])
+        for a, b in sorted(geom.pairs):
+            if not (orbit_of[a] & touch and orbit_of[b] & touch):
+                continue
+            if not any(g[a] in touch and g[b] in touch for g in elements):
+                return False, (flag, a, b)
+    return True, None
+
+
+def test_tq2doubleprime_agrees_with_sweep(rng):
+    from geoq.lemmas import random_orbit_quotient
+    seen = {True: 0, False: 0}
+    draws = 0
+    while draws < 300:
+        oq = random_orbit_quotient(rng)
+        if oq is None:
+            continue
+        draws += 1
+        got = check_TQ2doubleprime(oq)
+        assert got == _tq2doubleprime_by_sweep(oq)
+        seen[got[0]] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
+
+
+def test_tq2doubleprime_never_enumerates_the_group():
+    # the wreath lift's group has order 1296; a cap below it would stop
+    # any decider that lists G
+    import pytest
+    from geoq.constructions import shadowable_lift, ssg_symmetric_action
+    from geoq.perms import CapExceeded
+    parent, sym = ssg_symmetric_action(3, 2)
+    lift = shadowable_lift(parent, 3, 2)
+    wreath = lift.wreath_group(sym)
+    capped = PermGroup(wreath.gens, degree=wreath.degree, cap=1000)
+    oq = OrbitQuotient(lift.geometry, capped)
+    assert check_TQ2doubleprime(oq) == (True, None)
+    with pytest.raises(CapExceeded):
+        capped.order()

@@ -25,6 +25,17 @@ def test_bad_table_rejected():
         FiniteGroup(["e", "a"], [[0, 1], [1, 1]])  # a has no inverse
 
 
+def test_non_associative_table_rejected_exactly():
+    # Z_60 with one product changed keeps its identity and inverses; the
+    # associativity check must find the fault however large the table
+    z60 = FiniteGroup.cyclic(60)
+    FiniteGroup(z60.names, z60.mul)
+    mul = [list(row) for row in z60.mul]
+    mul[1][8] = 10
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(z60.names, mul)
+
+
 def test_subgroup_verification():
     z6 = FiniteGroup.cyclic(6)
     Subgroup(z6, {0, 2, 4})
@@ -40,6 +51,10 @@ def test_subgroup_generated_and_generators():
     assert len(whole) == 24
     gens = s4.generators()
     assert len(s4.subgroup_generated(gens)) == 24
+    sub = s4.subgroup_generated([5, 9])
+    within = s4.generators(sub.members)
+    assert set(within) <= set(sub.members)
+    assert s4.subgroup_generated(within).members == sub.members
 
 
 def test_coset_pregeometry_z2():

@@ -7,8 +7,8 @@ from geoq.lemmas import random_orbit_quotient
 from geoq.perms import (CapExceeded, Perm, PermGroup, automorphism_group,
                         induced_quotient_group, is_automorphism,
                         is_semiregular, mulclose, multicover_array,
-                        normal_closure, orbit_partition, stabilizer,
-                        transitivity)
+                        normal_closure, orbit_partition, orbits_on,
+                        stabilizer, transitivity)
 from geoq.quotient import Projection, check_jflags_lift
 
 
@@ -204,3 +204,57 @@ def test_incidence_transitivity_descends(rng):
         if transitivity(oq.group, oq.geom, "incidence")[0]:
             induced = induced_quotient_group(oq.proj, oq.group)
             assert transitivity(induced, oq.quotient, "incidence")[0]
+
+
+def _orbits_by_bfs(gens, items, act):
+    # reference: one breadth-first search per orbit, in items order
+    out = []
+    seen = set()
+    for x in items:
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            frontier = [y for z in frontier for g in gens
+                        for y in [act(g, z)] if y not in orbit]
+            orbit.update(frontier)
+        seen |= orbit
+        out.append(tuple(y for y in items if y in orbit))
+    return out
+
+
+def test_orbits_on_agrees_with_bfs(rng):
+    from itertools import permutations
+    from geoq.geometry import all_flags
+
+    def on_flags(g, f):
+        return tuple(sorted(g[x] for x in f))
+
+    def on_tuples(g, t):
+        return tuple(g[x] for x in t)
+
+    tried = 0
+    while tried < 40:
+        oq = random_orbit_quotient(rng)
+        if oq is None:
+            continue
+        tried += 1
+        gens, geom = oq.group.gens, oq.geom
+        points = list(range(geom.size))
+        rng.shuffle(points)
+        flags = sorted(all_flags(geom), key=lambda f: (len(f), f))
+        ordered = [t for f in flags if len(f) == 2 for t in permutations(f)]
+        for items, act in ((points, Perm.__getitem__), (flags, on_flags),
+                           (ordered, on_tuples)):
+            assert orbits_on(gens, items, act) == _orbits_by_bfs(gens, items,
+                                                                 act)
+        assert oq.group.orbits() == sorted(oq.partition.blocks)
+
+
+def test_orbits_on_rejects_image_outside_items():
+    g = Perm.from_cycles(4, [(0, 1, 2, 3)])
+    assert orbits_on([g], [0, 1, 2, 3], Perm.__getitem__) == [(0, 1, 2, 3)]
+    assert orbits_on([], [3, 1], Perm.__getitem__) == [(3,), (1,)]
+    with pytest.raises(ValueError):
+        orbits_on([g], [0, 1], Perm.__getitem__)

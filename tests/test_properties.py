@@ -38,3 +38,19 @@ def test_suites_are_deterministic():
     a = lemmas.run_all_suites(seed=SEED, count=15)
     b = lemmas.run_all_suites(seed=SEED, count=15)
     assert [r.line() for r in a] == [r.line() for r in b]
+
+
+def test_draws_are_streamed():
+    # each instance reaches its check before the next is drawn, so a
+    # suite holds one instance at a time; None draws are retried
+    made = []
+
+    def maker(rng):
+        made.append(rng.random())
+        return None if len(made) % 2 else len(made)
+
+    draws = lemmas._draw(random.Random(0), maker, 3)
+    assert next(draws) == 2 and len(made) == 2
+    assert list(draws) == [4, 6] and len(made) == 6
+    with pytest.raises(RuntimeError):
+        list(lemmas._draw(random.Random(0), lambda rng: None, 2))
