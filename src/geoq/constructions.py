@@ -1,15 +1,21 @@
 """
 Example generators and lifting constructions: subset geometries, shadows
 and shadowable lifts, graph blow-ups, affine spaces with their translation
-groups, the bespoke example catalogue, and isomorphism search.
+groups, the bespoke example catalogue, and isomorphism testing.
+
+SimpleGraph searches nothing itself except its bipartite test: its
+cliques, connectivity and automorphisms come from geometry.all_flags,
+geometry.is_connected and perms.automorphism_group, and isomorphic
+returns the first map found by the incidence-map search of geoq.perms.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
-from .geometry import Pregeometry, is_geometry
-from .perms import Perm, PermGroup
+from .geometry import Pregeometry, all_flags, is_connected, is_geometry
+from .perms import (Perm, PermGroup, _incidence_maps, _profile,
+                    automorphism_group)
 from .quotient import Partition, Projection
 
 
@@ -63,39 +69,19 @@ class SimpleGraph:
                    [(2 * i, 2 * i + 1) for i in range(k)])
 
     def cliques_of_size(self, r):
-        """All r-cliques, as sorted tuples (the empty clique for r=0)."""
-        if r == 0:
-            return [()]
-        out = []
-
-        def rec(cur, cand):
-            if len(cur) == r:
-                out.append(tuple(cur))
-                return
-            for i, x in enumerate(cand):
-                rec(cur + [x], [y for y in cand[i + 1:] if y in self.adj[x]])
-
-        rec([], list(range(self.size)))
-        return out
+        """All r-cliques, as sorted tuples in lexicographic order (the
+        empty clique for r=0): the cliques are the flags of the graph
+        read as a one-type geometry, and all_flags needs only size and
+        adj."""
+        return [c for c in all_flags(self) if len(c) == r]
 
     def is_matching(self):
         """Every vertex has exactly one neighbour."""
         return all(len(self.adj[x]) == 1 for x in range(self.size))
 
     def is_connected(self):
-        if self.size == 0:
-            return True
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self.adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return len(seen) == self.size
+        """The empty graph is connected."""
+        return is_connected(self)
 
     def is_bipartite(self):
         colour = {}
@@ -117,13 +103,11 @@ class SimpleGraph:
         return True
 
     def automorphisms(self):
-        """Brute force; meant for the tiny parameter graphs only."""
-        perms = []
-        for images in permutations(range(self.size)):
-            if all((min(images[a], images[b]), max(images[a], images[b]))
-                   in self.edges for a, b in self.edges):
-                perms.append(Perm(images))
-        return PermGroup.from_elements(perms, degree=self.size)
+        """The automorphism group of the graph read as a one-type
+        pregeometry."""
+        n = self.size
+        return automorphism_group(Pregeometry(
+            ["vertex"], [str(x) for x in range(n)], [0] * n, self.edges))
 
 
 def ssg(v, k):
@@ -588,46 +572,16 @@ def example_generators():
 
 
 def isomorphic(ga, gb):
-    """Type-respecting incidence isomorphism by backtracking with
-    (type, degree profile) invariants; returns (found, mapping)."""
+    """Type-respecting incidence isomorphism; returns (found, mapping),
+    the mapping being the first one the incidence-map search finds."""
     if ga.rank != gb.rank or ga.size != gb.size:
         return False, None
     if tuple(len(v) for v in ga.by_type) != tuple(len(v) for v in gb.by_type):
         return False, None
     if len(ga.pairs) != len(gb.pairs):
         return False, None
-
-    def profile(g, x):
-        nbr = sorted((g.elem_type[y], len(g.adj[y])) for y in g.adj[x])
-        return (g.elem_type[x], len(g.adj[x]), tuple(nbr))
-
-    pa = [profile(ga, x) for x in range(ga.size)]
-    pb = [profile(gb, x) for x in range(gb.size)]
-    if sorted(pa) != sorted(pb):
+    if (sorted(_profile(ga, x) for x in range(ga.size))
+            != sorted(_profile(gb, y) for y in range(gb.size))):
         return False, None
-    cands = {x: [y for y in range(gb.size) if pb[y] == pa[x]]
-             for x in range(ga.size)}
-    order = sorted(range(ga.size), key=lambda x: (len(cands[x]), x))
-    images = [None] * ga.size
-    used = [False] * gb.size
-
-    def rec(k):
-        if k == ga.size:
-            return True
-        x = order[k]
-        for y in cands[x]:
-            if used[y]:
-                continue
-            if all(ga.incident(x, z) == gb.incident(y, images[z])
-                   for z in order[:k]):
-                images[x] = y
-                used[y] = True
-                if rec(k + 1):
-                    return True
-                used[y] = False
-                images[x] = None
-        return False
-
-    if rec(0):
-        return True, tuple(images)
-    return False, None
+    mapping = next(_incidence_maps(ga, gb), None)
+    return mapping is not None, mapping

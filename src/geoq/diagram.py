@@ -50,27 +50,13 @@ class Diagram:
             left -= comp
         return out
 
-    def has_cycle(self):
-        """Cycle detection treating the diagram as a simple graph."""
-        seen = set()
-        for start in range(self.rank):
-            if start in seen:
-                continue
-            stack = [(start, None)]
-            comp_seen = set()
-            while stack:
-                x, par = stack.pop()
-                if x in comp_seen:
-                    return True
-                comp_seen.add(x)
-                for y in self.neighbours(x):
-                    if y != par:
-                        stack.append((y, x))
-            seen |= comp_seen
-        return False
-
     def is_forest(self):
-        return not self.has_cycle()
+        """A simple graph is a forest iff its edge count is its vertex
+        count (the rank) minus its component count."""
+        return len(self.edges) == self.rank - len(self.components())
+
+    def has_cycle(self):
+        return not self.is_forest()
 
 
 @_per_geometry

@@ -5,7 +5,15 @@ Groups are given by generators and enumerated by plain breadth-first
 closure (no strong generating sets; desk scale, with a configurable cap).
 Every orbit question -- on points, flags, incident pairs or ordered
 tuples -- goes through orbits_on, a union-find over generator images that
-never enumerates the group.
+never enumerates the group.  Products and inverses are built without
+re-checking that they are permutations; every Perm made from outside
+data is checked.
+
+_incidence_maps is the one incidence-map search: invariant-pruned
+backtracking (McKay & Piperno, "Practical graph isomorphism, II", 2014,
+without orbit pruning) over the type- and incidence-preserving
+bijections between two pregeometries.  automorphism_group collects all of
+them from a geometry to itself; constructions.isomorphic takes the first.
 """
 
 from __future__ import annotations
@@ -50,14 +58,26 @@ class Perm:
     def __getitem__(self, x):
         return self.images[x]
 
+    @classmethod
+    def _trusted(cls, images):
+        """A Perm from an images tuple that is a permutation by
+        construction (products, inverses), skipping the check."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
+
     def __mul__(self, other):
-        return Perm(other.images[x] for x in self.images)
+        images = other.images
+        if len(images) != len(self.images):
+            raise ValueError("degree mismatch: %d and %d"
+                             % (len(self.images), len(images)))
+        return Perm._trusted(tuple([images[x] for x in self.images]))
 
     def inv(self):
         images = [0] * len(self.images)
         for x, y in enumerate(self.images):
             images[y] = x
-        return Perm(images)
+        return Perm._trusted(tuple(images))
 
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
@@ -339,27 +359,32 @@ def is_semiregular(group, geom=None, types=None):
     return True
 
 
-def automorphism_group(geom, cap=DEFAULT_CAP):
-    """All type- and incidence-preserving permutations, by backtracking
-    with (type, degree profile) invariants.  Desk scale only."""
-    n = geom.size
+def _profile(geom, x):
+    """The search invariant of x: its type, its degree and the sorted
+    (type, degree) pairs of its neighbours."""
+    nbr = sorted((geom.elem_type[y], len(geom.adj[y])) for y in geom.adj[x])
+    return (geom.elem_type[x], len(geom.adj[x]), tuple(nbr))
 
-    def invariant(x):
-        nbr = sorted((geom.elem_type[y], len(geom.adj[y])) for y in geom.adj[x])
-        return (geom.elem_type[x], len(geom.adj[x]), tuple(nbr))
 
-    inv = [invariant(x) for x in range(n)]
-    cands = {x: [y for y in range(n) if inv[y] == inv[x]] for x in range(n)}
+def _incidence_maps(ga, gb):
+    """Yield every type- and incidence-preserving bijection ga -> gb as a
+    tuple of images, by backtracking with _profile invariants.  Each
+    element of ga is a candidate for the elements of gb with its profile,
+    in index order; elements are placed fewest candidates first (ties by
+    index), and each placement is checked against every earlier one.
+    The callers guarantee equal sizes.  Desk scale only."""
+    n = ga.size
+    pa = [_profile(ga, x) for x in range(n)]
+    pb = [_profile(gb, y) for y in range(gb.size)]
+    cands = {x: [y for y in range(gb.size) if pb[y] == pa[x]]
+             for x in range(n)}
     order = sorted(range(n), key=lambda x: (len(cands[x]), x))
-    found = []
     images = [None] * n
-    used = [False] * n
+    used = [False] * gb.size
 
     def rec(k):
         if k == n:
-            found.append(Perm(list(images)))
-            if cap is not None and len(found) > cap:
-                raise CapExceeded("automorphism count exceeds cap %d" % cap)
+            yield tuple(images)
             return
         x = order[k]
         for y in cands[x]:
@@ -367,19 +392,28 @@ def automorphism_group(geom, cap=DEFAULT_CAP):
                 continue
             ok = True
             for z in order[:k]:
-                if geom.incident(x, z) != geom.incident(y, images[z]):
+                if ga.incident(x, z) != gb.incident(y, images[z]):
                     ok = False
                     break
             if ok:
                 images[x] = y
                 used[y] = True
-                rec(k + 1)
+                yield from rec(k + 1)
                 used[y] = False
                 images[x] = None
 
-    rec(0)
-    group = PermGroup.from_elements(found, degree=n, cap=cap)
-    return group
+    return rec(0)
+
+
+def automorphism_group(geom, cap=DEFAULT_CAP):
+    """All type- and incidence-preserving permutations, one search leaf
+    per automorphism (_incidence_maps from geom to itself)."""
+    found = []
+    for images in _incidence_maps(geom, geom):
+        found.append(Perm._trusted(images))
+        if cap is not None and len(found) > cap:
+            raise CapExceeded("automorphism count exceeds cap %d" % cap)
+    return PermGroup.from_elements(found, degree=geom.size, cap=cap)
 
 
 def multicover_array(geom, group):

@@ -239,14 +239,7 @@ def is_cover(proj):
 def is_incidence_graph_cover(proj):
     """The weaker graph-cover notion: neighbour sets map bijectively,
     with no requirement on incidences inside the residue."""
-    q = proj.quotient
-    for x in range(proj.source.size):
-        image = [proj.block_of[y] for y in proj.source.adj[x]]
-        if len(set(image)) != len(image):
-            return False
-        if set(image) != set(q.adj[proj.block_of[x]]):
-            return False
-    return True
+    return corank1_injective(proj) and corank1_surjective(proj)
 
 
 def check_PQ1(proj):

@@ -131,6 +131,23 @@ def test_iso_command(tmp_path, capsys):
     assert code == 1
 
 
+def test_iso_prints_the_first_map_found(tmp_path, capsys):
+    # the eight-cycle with its element lines shuffled; the search order
+    # fixes which of its 8 isomorphisms is printed
+    gen_file(tmp_path, capsys, "catalogue", "eightcycle")
+    shuffled = tmp_path / "shuffled.geo"
+    shuffled.write_text(
+        "type even\ntype odd\n"
+        + "".join("elem %d %s\n" % (x, ("even", "odd")[x % 2])
+                  for x in (3, 6, 1, 5, 7, 0, 4, 2))
+        + "".join("inc %d %d\n" % (x, (x + 1) % 8) for x in range(8)))
+    code, out, _ = run(capsys, "iso", str(tmp_path / "eightcycle.geo"),
+                       str(shuffled))
+    assert code == 0
+    assert out.splitlines()[0] == ("isomorphic  true   witness: 0->6 1->5 "
+                                   "2->4 3->3 4->2 5->1 6->0 7->7")
+
+
 def test_gen_all_kinds(tmp_path, capsys):
     gen_file(tmp_path, capsys, "affine", "2", "2")
     assert (tmp_path / "affine-2-2.geo").exists()

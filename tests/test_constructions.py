@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from geoq.constructions import (SimpleGraph, affine_geometry, blowup,
@@ -9,7 +11,8 @@ from geoq.constructions import (SimpleGraph, affine_geometry, blowup,
                                 shadowable_lift, ssg)
 from geoq.geometry import (Pregeometry, chamber_count_through, flags_of_type,
                            is_connected, is_geometry, validate)
-from geoq.perms import PermGroup, orbit_partition
+from geoq.lemmas import random_geometry, random_pregeometry
+from geoq.perms import Perm, PermGroup, automorphism_group, orbit_partition
 from geoq.quotient import Projection
 
 
@@ -223,3 +226,181 @@ def test_conneg_and_flnotpq1_ship_valid():
     geom, part = flnotpq1_witness()
     assert validate(geom) is None
     assert len(part.blocks) == 2
+
+
+# Reference implementations that share no code with the library's
+# searches: a scan over all n! vertex permutations, a clique recursion, a
+# breadth-first search, and a standalone isomorphism backtracker that
+# stops at its first leaf.
+
+def brute_force_graph_automorphisms(graph):
+    return {Perm(images) for images in permutations(range(graph.size))
+            if all((min(images[a], images[b]), max(images[a], images[b]))
+                   in graph.edges for a, b in graph.edges)}
+
+
+def recursive_cliques(graph, r):
+    if r == 0:
+        return [()]
+    out = []
+
+    def rec(cur, cand):
+        if len(cur) == r:
+            out.append(tuple(cur))
+            return
+        for i, x in enumerate(cand):
+            rec(cur + [x], [y for y in cand[i + 1:] if y in graph.adj[x]])
+
+    rec([], list(range(graph.size)))
+    return out
+
+
+def bfs_connected(graph):
+    if graph.size == 0:
+        return True
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in graph.adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen) == graph.size
+
+
+def old_isomorphic(ga, gb):
+    if ga.rank != gb.rank or ga.size != gb.size:
+        return False, None
+    if tuple(len(v) for v in ga.by_type) != tuple(len(v) for v in gb.by_type):
+        return False, None
+    if len(ga.pairs) != len(gb.pairs):
+        return False, None
+
+    def profile(g, x):
+        nbr = sorted((g.elem_type[y], len(g.adj[y])) for y in g.adj[x])
+        return (g.elem_type[x], len(g.adj[x]), tuple(nbr))
+
+    pa = [profile(ga, x) for x in range(ga.size)]
+    pb = [profile(gb, x) for x in range(gb.size)]
+    if sorted(pa) != sorted(pb):
+        return False, None
+    cands = {x: [y for y in range(gb.size) if pb[y] == pa[x]]
+             for x in range(ga.size)}
+    order = sorted(range(ga.size), key=lambda x: (len(cands[x]), x))
+    images = [None] * ga.size
+    used = [False] * gb.size
+
+    def rec(k):
+        if k == ga.size:
+            return True
+        x = order[k]
+        for y in cands[x]:
+            if used[y]:
+                continue
+            if all(ga.incident(x, z) == gb.incident(y, images[z])
+                   for z in order[:k]):
+                images[x] = y
+                used[y] = True
+                if rec(k + 1):
+                    return True
+                used[y] = False
+                images[x] = None
+        return False
+
+    if rec(0):
+        return True, tuple(images)
+    return False, None
+
+
+def builder_graphs():
+    """Every SimpleGraph builder at every size with at most 6 vertices."""
+    return ([SimpleGraph.complete(n) for n in range(7)]
+            + [SimpleGraph.cycle(n) for n in range(3, 7)]
+            + [SimpleGraph.path(n) for n in range(1, 7)]
+            + [SimpleGraph.matching(k) for k in range(4)])
+
+
+def graphs_on_five_vertices():
+    """All 1,024 labelled simple graphs on 5 vertices."""
+    pairs = list(combinations(range(5), 2))
+    for mask in range(1 << len(pairs)):
+        yield SimpleGraph([str(x) for x in range(5)],
+                          [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def test_graph_automorphisms_agree_with_brute_force():
+    for graph in builder_graphs() + list(graphs_on_five_vertices()):
+        want = brute_force_graph_automorphisms(graph)
+        assert graph.automorphisms().elements() == want
+        n = graph.size
+        one_type = Pregeometry(["v"], [str(x) for x in range(n)], [0] * n,
+                               graph.edges)
+        assert automorphism_group(one_type).elements() == want
+
+
+def test_graph_cliques_and_connectivity_agree_with_old_searches():
+    five = list(graphs_on_five_vertices())
+    for graph in builder_graphs() + five:
+        for r in range(graph.size + 2):
+            assert graph.cliques_of_size(r) == recursive_cliques(graph, r)
+        assert graph.is_connected() == bfs_connected(graph)
+    # the number of connected labelled graphs on 5 vertices
+    assert sum(graph.is_connected() for graph in five) == 728
+
+
+def relabel(geom, rng):
+    order = list(range(geom.size))
+    rng.shuffle(order)
+    new = {old: k for k, old in enumerate(order)}
+    return Pregeometry(geom.type_names,
+                       [geom.elem_names[x] for x in order],
+                       [geom.elem_type[x] for x in order],
+                       [(new[a], new[b]) for a, b in geom.pairs])
+
+
+def test_isomorphic_agrees_with_old_search(rng):
+    moved = 0
+    for i in range(300):
+        draw = random_geometry if i % 2 else random_pregeometry
+        geom = draw(rng, max_rank=3, max_per_type=3)
+        other = relabel(geom, rng)
+        got = isomorphic(geom, other)
+        assert got[0] and got == old_isomorphic(geom, other)
+        moved += got[1] != tuple(range(geom.size))
+    assert moved > 200
+    outcomes = set()
+    for _ in range(300):
+        ga = random_pregeometry(rng, max_rank=2, max_per_type=3)
+        gb = random_pregeometry(rng, max_rank=2, max_per_type=3)
+        got = isomorphic(ga, gb)
+        assert got == old_isomorphic(ga, gb)
+        outcomes.add(got[0])
+    assert outcomes == {False, True}
+    # 2-regular bipartite pairs share every invariant the search checks
+    # (unions of cycles of even length), so the search itself decides
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(4, 5)
+        ga, gb = two_regular_bipartite(rng, n), two_regular_bipartite(rng, n)
+        got = isomorphic(ga, gb)
+        assert got == old_isomorphic(ga, gb)
+        outcomes.add(got[0])
+    assert outcomes == {False, True}
+
+
+def two_regular_bipartite(rng, n):
+    """n points and n lines, each point on two lines: a random union of
+    two disjoint perfect matchings."""
+    while True:
+        first, second = list(range(n)), list(range(n))
+        rng.shuffle(first)
+        rng.shuffle(second)
+        if all(a != b for a, b in zip(first, second)):
+            break
+    pairs = [(x, n + first[x]) for x in range(n)]
+    pairs += [(x, n + second[x]) for x in range(n)]
+    return Pregeometry(["P", "L"], ["e%d" % x for x in range(2 * n)],
+                       [0] * n + [1] * n, pairs)

@@ -5,7 +5,7 @@ import pytest
 from geoq.axioms import OrbitQuotient
 from geoq.constructions import (affine_geometry, eight_cycle, grid_complement,
                                 hexagon, ssg, ssg_symmetric_action)
-from geoq.diagram import (basic_diagram, direct_sum_check, is_pure,
+from geoq.diagram import (Diagram, basic_diagram, direct_sum_check, is_pure,
                           lift_chamber_forest, no_triangle_check,
                           place_tree_flag, star_transitive_on_paths)
 from geoq.geometry import Pregeometry, flags_of_type, is_geometry, residue
@@ -265,3 +265,38 @@ def test_rank3_noncycle_flag_transitive_quotient_is_ft_geometry():
         induced = induced_quotient_group(proj, action)
         assert is_geometry(proj.quotient)[0]
         assert transitivity(induced, proj.quotient, "flag")[0]
+
+
+def dfs_has_cycle(diag):
+    """The depth-first cycle search Diagram.has_cycle ran before the
+    forest test became an edge count."""
+    seen = set()
+    for start in range(diag.rank):
+        if start in seen:
+            continue
+        stack = [(start, None)]
+        comp_seen = set()
+        while stack:
+            x, par = stack.pop()
+            if x in comp_seen:
+                return True
+            comp_seen.add(x)
+            for y in diag.neighbours(x):
+                if y != par:
+                    stack.append((y, x))
+        seen |= comp_seen
+    return False
+
+
+def test_forest_test_agrees_with_dfs_on_all_graphs_on_five_vertices():
+    pairs = list(combinations(range(5), 2))
+    forests = 0
+    for mask in range(1 << len(pairs)):
+        edges = frozenset(frozenset(p) for i, p in enumerate(pairs)
+                          if mask >> i & 1)
+        diag = Diagram(5, edges, {})
+        cyclic = dfs_has_cycle(diag)
+        assert diag.has_cycle() == cyclic
+        assert diag.is_forest() == (not cyclic)
+        forests += not cyclic
+    assert forests == 291  # labelled forests on 5 vertices

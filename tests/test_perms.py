@@ -1,9 +1,12 @@
+from itertools import permutations, product
+
 import pytest
 
 from geoq.constructions import (affine_geometry, hexagon, ssg,
                                 ssg_symmetric_action)
 from geoq.geometry import Pregeometry, flags_of_type
-from geoq.lemmas import random_orbit_quotient
+from geoq.lemmas import (random_geometry, random_orbit_quotient,
+                         random_pregeometry)
 from geoq.perms import (CapExceeded, Perm, PermGroup, automorphism_group,
                         induced_quotient_group, is_automorphism,
                         is_semiregular, mulclose, multicover_array,
@@ -19,6 +22,30 @@ def test_perm_basics():
     assert p.cycles() == [(0, 1, 2)]
     with pytest.raises(ValueError):
         Perm([0, 0, 1])
+
+
+def test_product_of_different_degrees_raises():
+    p = Perm.from_cycles(2, [(0, 1)])
+    q = Perm.from_cycles(3, [(0, 1)])
+    # p * q would read as the permutation (0, 1) if the degrees were
+    # not compared, and q * p would index past the end of p
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(ValueError):
+            a * b
+
+
+def test_products_and_inverses_are_checked_permutations(rng):
+    # products and inverses skip the check in Perm(...); they must still
+    # be exactly the permutations the checked constructor accepts
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        a, b = list(range(n)), list(range(n))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        p, q = Perm(a), Perm(b)
+        assert p * q == Perm([q[p[x]] for x in range(n)])
+        assert p.inv() == Perm([a.index(x) for x in range(n)])
+        assert (p * p.inv()).is_identity() and (p.inv() * p).is_identity()
 
 
 def test_mul_is_right_action():
@@ -140,6 +167,43 @@ def test_automorphism_group_single_chamber():
     geom = Pregeometry(["A", "B", "C"], ["a", "b", "c"], [0, 1, 2],
                        [(0, 1), (0, 2), (1, 2)])
     assert automorphism_group(geom).order() == 1
+
+
+def brute_force_automorphisms(geom):
+    """Every product of per-type permutations that maps incident pairs to
+    incident pairs: the n!-permutation scan, restricted to types."""
+    found = set()
+    for parts in product(*(permutations(v) for v in geom.by_type)):
+        images = [None] * geom.size
+        for members, targets in zip(geom.by_type, parts):
+            for x, y in zip(members, targets):
+                images[x] = y
+        if all((min(images[a], images[b]), max(images[a], images[b]))
+               in geom.pairs for a, b in geom.pairs):
+            found.add(Perm(images))
+    return found
+
+
+def test_automorphism_group_agrees_with_brute_force(rng):
+    orders = set()
+    for i in range(240):
+        draw = random_geometry if i % 2 else random_pregeometry
+        max_rank, max_per_type = ((3, 3), (4, 2))[i % 4 // 2]
+        geom = draw(rng, max_rank=max_rank, max_per_type=max_per_type)
+        assert geom.size <= 9
+        got = automorphism_group(geom)
+        want = brute_force_automorphisms(geom)
+        assert got.elements() == want
+        assert got.gens == tuple(sorted(want - {Perm.identity(geom.size)}))
+        orders.add(len(want))
+    assert len(orders) > 5  # not only trivial or tiny groups
+
+
+def test_automorphism_group_cap():
+    geom = ssg(3, 2)  # its automorphisms are the 6 of S3
+    assert automorphism_group(geom, cap=6).order() == 6
+    with pytest.raises(CapExceeded):
+        automorphism_group(geom, cap=5)
 
 
 def test_multicover_array():

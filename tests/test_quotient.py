@@ -107,22 +107,48 @@ def test_check_jflags_lift():
     assert not ok and witness == (0, 1, 2)
 
 
+def neighbour_bijection_oracle(proj):
+    """The incidence-graph cover test as one loop: at every element the
+    neighbours map one to one onto the neighbours of its block."""
+    q = proj.quotient
+    for x in range(proj.source.size):
+        image = [proj.block_of[y] for y in proj.source.adj[x]]
+        if len(set(image)) != len(image):
+            return False
+        if set(image) != set(q.adj[proj.block_of[x]]):
+            return False
+    return True
+
+
+def assert_graph_cover_is_corank1_bijection(proj):
+    want = neighbour_bijection_oracle(proj)
+    assert is_incidence_graph_cover(proj) == want
+    assert (corank1_injective(proj) and corank1_surjective(proj)) == want
+    return want
+
+
 def test_corank1_surjective_on_orbit_quotients(rng):
+    covers = set()
     for _ in range(30):
         oq = random_orbit_quotient(rng)
         if oq is None:
             continue
         assert corank1_surjective(oq.proj)
+        covers.add(assert_graph_cover_is_corank1_bijection(oq.proj))
+    assert covers == {False, True}
 
 
 def test_corank1_injective_distance3(rng):
     # same-block distance >= 3 forces injectivity on element residues
+    covers = set()
     for _ in range(40):
         geom = random_geometry(rng, max_rank=3, max_per_type=3)
         part = random_partition(rng, geom)
         proj = Projection(geom, part)
         if min_block_distance(geom, part) >= 3:
             assert corank1_injective(proj)
+        covers.add(assert_graph_cover_is_corank1_bijection(proj))
+    assert covers == {False, True}
 
 
 def test_residual_surjectivity_counterexample_true():

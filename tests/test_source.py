@@ -40,3 +40,34 @@ def test_one_union_find_and_no_group_listing_in_axioms():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "elements"]
     assert not calls, calls
+
+
+def test_three_recursive_searches_and_no_permutation_scans():
+    # all_flags, the incidence-map search and lift_flag are the only
+    # recursive searches: a nested function that calls itself anywhere
+    # else is a new backtracker
+    recursive = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if (inner is not outer and isinstance(inner, ast.FunctionDef)
+                        and any(isinstance(n, ast.Name) and n.id == inner.name
+                                for n in ast.walk(inner))):
+                    recursive.add((path.name, outer.name, inner.name))
+    assert recursive == {("geometry.py", "all_flags", "rec"),
+                         ("perms.py", "_incidence_maps", "rec"),
+                         ("quotient.py", "lift_flag", "rec")}
+    # no scan over all n! permutations in the group and search modules
+    for path in SOURCES:
+        if path.name not in ("constructions.py", "perms.py"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module == "itertools" for a in node.names}
+        attrs = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        assert "permutations" not in names | attrs, path.name
