@@ -3,16 +3,17 @@ Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3).
 
 All deciders are exhaustive over enumerated flags; witnesses are minimal
 under (flag rank, lexicographic) ordering.  Orbits come from
-perms.orbits_on over generators: (TQ1) and (TQ2') take the flag
-stabilizer's orbits on the residue (perms.stabilizer still scans G), and
-(TQ2'') works on the G-orbits of incident pairs without listing G.
+perms.orbits_on over generators, and no decider lists the elements of G:
+(TQ1) and (TQ2') read the flag stabilizer's orbits on each residue from
+the G-orbits of incident (flag, residue member) pairs, and (TQ2'') works
+on the G-orbits of incident pairs.
 """
 
 from __future__ import annotations
 
 from .geometry import extensions, flags_by_rank_lex
-from .perms import Perm, orbit_partition, orbits_on, stabilizer
-from .quotient import Projection, min_block_distance
+from .perms import orbit_partition, orbits_on
+from .quotient import Projection, _residue_map_failure, min_block_distance
 
 
 class OrbitQuotient:
@@ -40,27 +41,34 @@ def check_TQ3(oq):
 def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
+    orbit_of = _residue_orbit_index(oq)
     for flag in flags_by_rank_lex(oq.geom):
         if not flag:
             continue
-        members = extensions(oq.geom, flag)
-        orbit_of = {x: k for k, orbit in
-                    enumerate(_residue_orbits(oq.group, flag, members))
-                    for x in orbit}
         per_block = {}
-        for x in members:
+        for x in extensions(oq.geom, flag):
             per_block.setdefault(oq.proj.block_of[x], []).append(x)
         for k, xs in sorted(per_block.items()):
             for x in xs[1:]:
-                if orbit_of[x] != orbit_of[xs[0]]:
+                if orbit_of[flag, x] != orbit_of[flag, xs[0]]:
                     return False, (flag, xs[0], x)
     return True, None
 
 
-def _residue_orbits(group, flag, members):
-    """Orbits of the flag stabilizer on the residue members, in members
-    order."""
-    return orbits_on(stabilizer(group, flag).gens, members, Perm.__getitem__)
+def _flag_member_image(g, item):
+    flag, x = item
+    return tuple(sorted(g[y] for y in flag)), g[x]
+
+
+def _residue_orbit_index(oq):
+    """Map each (flag F, x in the residue of F) to its G-orbit index.  Some
+    g in G_F maps x to y exactly when (F, x) and (F, y) share a G-orbit:
+    an automorphism mapping F onto itself keeps types, so fixes F."""
+    geom = oq.geom
+    items = [(flag, x) for flag in flags_by_rank_lex(geom)
+             for x in extensions(geom, flag)]
+    orbits = orbits_on(oq.group.gens, items, _flag_member_image)
+    return {item: k for k, orbit in enumerate(orbits) for item in orbit}
 
 
 def _pair_image(g, pair):
@@ -94,27 +102,24 @@ def check_TQ2doubleprime(oq):
     return True, None
 
 
+_TQ1_REASON = {"not injective": "orbit map not injective",
+               "not surjective": "orbit map not onto the quotient residue"}
+
+
 def check_TQ1(oq):
     """(TQ1): for every flag, quotienting the residue by the flag
     stabilizer is isomorphic (via orbit -> block) to the residue of the
     projected flag in the quotient."""
     geom, q = oq.geom, oq.quotient
+    orbit_of = _residue_orbit_index(oq)
     for flag in flags_by_rank_lex(geom):
-        orbits = _residue_orbits(oq.group, flag, extensions(geom, flag))
-        qflag = oq.proj.project_flag(flag)
-        target = set(extensions(q, qflag))
-        image = [oq.proj.block_of[orb[0]] for orb in orbits]
-        if len(set(image)) != len(image):
-            return False, (flag, "orbit map not injective")
-        if set(image) != target:
-            return False, (flag, "orbit map not onto the quotient residue")
-        for i in range(len(orbits)):
-            for j in range(i + 1, len(orbits)):
-                have = any(geom.incident(x, y)
-                           for x in orbits[i] for y in orbits[j])
-                want = q.incident(image[i], image[j])
-                if have != want:
-                    return False, (flag, "incidence not matched")
+        orbits = {}
+        for x in extensions(geom, flag):
+            orbits.setdefault(orbit_of[flag, x], []).append(x)
+        target = set(extensions(q, oq.proj.project_flag(flag)))
+        reason = _residue_map_failure(oq.proj, list(orbits.values()), target)
+        if reason is not None:
+            return False, (flag, _TQ1_REASON.get(reason, reason))
     return True, None
 
 

@@ -32,10 +32,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 
 
-class Cap(Exception):
-    pass
-
-
 def _read(path):
     try:
         return Path(path).read_text()
@@ -48,12 +44,17 @@ def _load_geometry(path):
 
 
 def _count_flags_capped(geom, cap):
-    n = 0
-    for _ in all_flags(geom):
-        n += 1
+    for n, _ in enumerate(all_flags(geom), 1):
         if n > cap:
-            raise Cap("flag count exceeds --max-flags %d" % cap)
-    return n
+            raise CapExceeded("flag count exceeds --max-flags %d" % cap)
+
+
+def _load_group(path, geom, cap):
+    """Parse a group file and enumerate the group once, so that a group
+    larger than --max-group-order is refused before any work is done."""
+    group = gio.parse_group(_read(path), geom, cap=cap)
+    group.order()
+    return group
 
 
 def _emit(rows, notes, machine, elapsed=None):
@@ -125,10 +126,9 @@ def _load_projection(args, geom):
     if args.partition:
         part = gio.parse_partition(_read(args.partition), geom)
         return Projection(geom, part), None
-    group = gio.parse_group(_read(args.orbits), geom, cap=args.max_group_order)
+    group = _load_group(args.orbits, geom, args.max_group_order)
     if args.normal_closure:
-        over = gio.parse_group(_read(args.normal_closure), geom,
-                               cap=args.max_group_order)
+        over = _load_group(args.normal_closure, geom, args.max_group_order)
         group = normal_closure(over, group)
     part = orbit_partition(group, geom)
     return Projection(geom, part), group
@@ -169,7 +169,7 @@ def cmd_quotient(args):
 def cmd_axioms(args):
     geom = _load_geometry(args.geometry)
     _count_flags_capped(geom, args.max_flags)
-    group = gio.parse_group(_read(args.group), geom, cap=args.max_group_order)
+    group = _load_group(args.group, geom, args.max_group_order)
     t0 = time.time()
     oq = OrbitQuotient(geom, group)
     rows = []
@@ -393,9 +393,6 @@ def main(argv=None):
     except gio.ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except Cap as exc:
-        print("cap exceeded: %s" % exc, file=sys.stderr)
-        return EXIT_CAP
     except CapExceeded as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return EXIT_CAP

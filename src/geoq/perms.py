@@ -275,18 +275,16 @@ def normal_closure(group, sub):
         if g not in group:
             raise ValueError("subgroup generator outside the group")
     gens = list(sub.gens)
-    els = mulclose(gens, group.cap) or {Perm.identity(group.degree)}
-    changed = True
-    while changed:
-        changed = False
-        for g in group.gens:
-            ginv = g.inv()
-            for h in sorted(els):
-                c = ginv * h * g
-                if c not in els:
-                    gens.append(c)
-                    els = mulclose(gens, group.cap)
-                    changed = True
+    els = set(sub.elements())
+    conjugators = [(g.inv(), g) for g in group.gens]
+    # one pass over the growing generator list of N: once h^g lies in N
+    # for every generator h of N and g of G, N^g is inside N
+    for h in gens:
+        for ginv, g in conjugators:
+            c = ginv * h * g
+            if c not in els:
+                gens.append(c)
+                els = mulclose(gens, group.cap)
     out = PermGroup(gens, degree=group.degree, cap=group.cap)
     out._elements = frozenset(els)
     return out

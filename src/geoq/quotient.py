@@ -191,24 +191,32 @@ def min_block_distance(geom, partition):
     return best
 
 
-def _residue_isomorphic_onto(proj, flag):
-    """Is the projection, restricted to the residue of the flag, an
-    isomorphism onto the quotient residue?  Returns (ok, reason)."""
-    src, q = proj.source, proj.quotient
-    members = extensions(src, flag)
-    qflag = proj.project_flag(flag)
-    target = set(extensions(q, qflag))
-    image = [proj.block_of[x] for x in members]
+def _residue_map_failure(proj, classes, target):
+    """The one residue-map test.  Each class of source elements (a
+    singleton, or a stabilizer orbit) maps to the block of its members,
+    and two classes are incident when some of their members are.  Returns
+    why the map is not an isomorphism onto the target blocks (injectivity,
+    surjectivity, then incidence over class pairs in order), or None."""
+    src, q, block_of = proj.source, proj.quotient, proj.block_of
+    image = [block_of[c[0]] for c in classes]
     if len(set(image)) != len(image):
-        return False, "not injective"
+        return "not injective"
     if set(image) != target:
-        return False, "not surjective"
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            qa, qb = proj.block_of[a], proj.block_of[b]
-            if src.incident(a, b) != q.incident(qa, qb):
-                return False, "incidence not matched"
-    return True, None
+        return "not surjective"
+    for i, a in enumerate(classes):
+        for j in range(i + 1, len(classes)):
+            have = any(src.incident(x, y) for x in a for y in classes[j])
+            if have != q.incident(image[i], image[j]):
+                return "incidence not matched"
+    return None
+
+
+def _residue_isomorphic_onto(proj, flag):
+    """Why the projection, restricted to the residue of the flag, is not
+    an isomorphism onto the quotient residue; None when it is."""
+    target = set(extensions(proj.quotient, proj.project_flag(flag)))
+    return _residue_map_failure(
+        proj, [(x,) for x in extensions(proj.source, flag)], target)
 
 
 def is_m_cover(proj, m):
@@ -221,19 +229,16 @@ def is_m_cover(proj, m):
     for flag in flags_by_rank_lex(proj.source):
         if len(flag) != want:
             continue
-        ok, reason = _residue_isomorphic_onto(proj, flag)
-        if not ok:
+        reason = _residue_isomorphic_onto(proj, flag)
+        if reason is not None:
             return False, (flag, reason)
     return True, None
 
 
 def is_cover(proj):
     """A covering restricts to residue isomorphisms at every element."""
-    for x in range(proj.source.size):
-        ok, _ = _residue_isomorphic_onto(proj, (x,))
-        if not ok:
-            return False
-    return True
+    return all(_residue_isomorphic_onto(proj, (x,)) is None
+               for x in range(proj.source.size))
 
 
 def is_incidence_graph_cover(proj):
@@ -281,17 +286,11 @@ def total_order_flagslift(proj, order):
     pos = {t: i for i, t in enumerate(order)}
     for x in range(src.size):
         px = pos[src.elem_type[x]]
-        up = [y for y in sorted(src.adj[x]) if pos[src.elem_type[y]] > px]
+        up = [(y,) for y in sorted(src.adj[x]) if pos[src.elem_type[y]] > px]
         target = {k for k in q.adj[proj.block_of[x]]
                   if pos[q.elem_type[k]] > px}
-        image = [proj.block_of[y] for y in up]
-        if len(set(image)) != len(image) or set(image) != target:
+        if _residue_map_failure(proj, up, target) is not None:
             return False
-        for i, a in enumerate(up):
-            for b in up[i + 1:]:
-                if src.incident(a, b) != q.incident(proj.block_of[a],
-                                                    proj.block_of[b]):
-                    return False
     ok, witness = check_flagslift(proj)
     if not ok:
         raise RuntimeError("total-order criterion held but a quotient flag "

@@ -167,7 +167,8 @@ def test_tq2doubleprime_agrees_with_sweep(rng):
 
 def test_tq2doubleprime_never_enumerates_the_group():
     # the wreath lift's group has order 1296; a cap below it would stop
-    # any decider that lists G
+    # any decider that lists G, so the whole table must come out as it
+    # does with the uncapped group
     import pytest
     from geoq.constructions import shadowable_lift, ssg_symmetric_action
     from geoq.perms import CapExceeded
@@ -177,5 +178,80 @@ def test_tq2doubleprime_never_enumerates_the_group():
     capped = PermGroup(wreath.gens, degree=wreath.degree, cap=1000)
     oq = OrbitQuotient(lift.geometry, capped)
     assert check_TQ2doubleprime(oq) == (True, None)
+    assert axioms_report(oq) == axioms_report(OrbitQuotient(lift.geometry,
+                                                            wreath))
+    assert wreath.order() == 1296
     with pytest.raises(CapExceeded):
         capped.order()
+
+
+def _stabilizer_residue_orbits(group, flag, members):
+    from geoq.perms import stabilizer
+    return orbits_on(stabilizer(group, flag).gens, members, Perm.__getitem__)
+
+
+def _tq2prime_by_stabilizers(oq):
+    # the per-flag formulation: list G, keep the flag stabilizer and take
+    # its orbits on the residue
+    from geoq.geometry import extensions, flags_by_rank_lex
+    for flag in flags_by_rank_lex(oq.geom):
+        if not flag:
+            continue
+        members = extensions(oq.geom, flag)
+        orbit_of = {x: k for k, orbit in enumerate(
+                        _stabilizer_residue_orbits(oq.group, flag, members))
+                    for x in orbit}
+        per_block = {}
+        for x in members:
+            per_block.setdefault(oq.proj.block_of[x], []).append(x)
+        for k, xs in sorted(per_block.items()):
+            for x in xs[1:]:
+                if orbit_of[x] != orbit_of[xs[0]]:
+                    return False, (flag, xs[0], x)
+    return True, None
+
+
+def _tq1_by_stabilizers(oq):
+    from geoq.geometry import extensions, flags_by_rank_lex
+    geom, q = oq.geom, oq.quotient
+    for flag in flags_by_rank_lex(geom):
+        orbits = _stabilizer_residue_orbits(oq.group, flag,
+                                            extensions(geom, flag))
+        qflag = oq.proj.project_flag(flag)
+        target = set(extensions(q, qflag))
+        image = [oq.proj.block_of[orb[0]] for orb in orbits]
+        if len(set(image)) != len(image):
+            return False, (flag, "orbit map not injective")
+        if set(image) != target:
+            return False, (flag, "orbit map not onto the quotient residue")
+        for i in range(len(orbits)):
+            for j in range(i + 1, len(orbits)):
+                have = any(geom.incident(x, y)
+                           for x in orbits[i] for y in orbits[j])
+                want = q.incident(image[i], image[j])
+                if have != want:
+                    return False, (flag, "incidence not matched")
+    return True, None
+
+
+def test_tq1_and_tq2prime_agree_with_stabilizer_scans(rng):
+    from geoq.lemmas import random_orbit_quotient
+    seen = {("tq1", True): 0, ("tq1", False): 0,
+            ("tq2prime", True): 0, ("tq2prime", False): 0}
+    reasons = set()
+    draws = 0
+    while draws < 300:
+        oq = random_orbit_quotient(rng)
+        if oq is None:
+            continue
+        draws += 1
+        tq1 = check_TQ1(oq)
+        assert tq1 == _tq1_by_stabilizers(oq)
+        tq2p = check_TQ2prime(oq)
+        assert tq2p == _tq2prime_by_stabilizers(oq)
+        seen["tq1", tq1[0]] += 1
+        seen["tq2prime", tq2p[0]] += 1
+        if not tq1[0]:
+            reasons.add(tq1[1][1])
+    assert min(seen.values()) >= 10, seen
+    assert len(reasons) >= 2, reasons

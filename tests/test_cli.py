@@ -48,7 +48,7 @@ def test_check_flag_cap(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(tmp_path / "ssg-4-3.geo"),
                        "--max-flags", "5")
     assert code == 3
-    assert "cap" in err
+    assert err.strip() == "cap exceeded: flag count exceeds --max-flags 5"
 
 
 def test_group_order_cap(tmp_path, capsys):
@@ -57,6 +57,20 @@ def test_group_order_cap(tmp_path, capsys):
                        str(tmp_path / "coseteg-2.grp"),
                        "--max-group-order", "3")
     assert code == 3
+
+
+def test_quotient_group_order_cap(tmp_path, capsys):
+    # the group is enumerated once, before any work or file output
+    gen_file(tmp_path, capsys, "coseteg", "2")
+    out = tmp_path / "q.geo"
+    code, stdout, err = run(capsys, "quotient",
+                            str(tmp_path / "coseteg-2.geo"),
+                            "--orbits", str(tmp_path / "coseteg-2.grp"),
+                            "-o", str(out), "--max-group-order", "3")
+    assert code == 3
+    assert err.strip() == "cap exceeded: group order exceeds cap 3"
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_quotient_with_orbits(tmp_path, capsys):

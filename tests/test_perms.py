@@ -123,6 +123,44 @@ def test_normal_closure_grows():
     assert clo.order() == 24  # conjugates of a transposition generate S4
 
 
+def _normal_closure_by_elements(group, sub):
+    # conjugate every element of N by each generator of G and close
+    # again, until nothing new appears
+    gens = list(sub.gens)
+    els = mulclose(gens) or {Perm.identity(group.degree)}
+    changed = True
+    while changed:
+        changed = False
+        for g in group.gens:
+            ginv = g.inv()
+            for h in sorted(els):
+                c = ginv * h * g
+                if c not in els:
+                    gens.append(c)
+                    els = mulclose(gens)
+                    changed = True
+    return els
+
+
+def test_normal_closure_agrees_with_element_conjugation(rng):
+    from geoq.lemmas import random_coset_instance, random_subgroup
+    seen = {"proper": 0, "whole": 0}
+    for i in range(320):
+        if i % 2:
+            _, group = random_coset_instance(rng)
+        else:
+            v = rng.choice([3, 4, 5])
+            _, group = ssg_symmetric_action(v, rng.randint(2, min(3, v - 1)))
+        sub = random_subgroup(rng, group)
+        clo = normal_closure(group, sub)
+        els = _normal_closure_by_elements(group, sub)
+        assert clo.elements() == els
+        assert (mulclose(list(clo.gens))
+                or {Perm.identity(group.degree)}) == els
+        seen["whole" if len(els) == group.order() else "proper"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
 def test_transitivity_kinds():
     geom, action = ssg_symmetric_action(4, 3)
     assert transitivity(action, geom, "vertex")[0]

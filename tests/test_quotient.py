@@ -352,3 +352,87 @@ def test_blowup_matching_gives_cover_rank2():
     big, proj = blowup_projection(base, SimpleGraph.matching(2))
     assert is_cover(proj)
     assert check_flagslift(proj)[0]
+
+
+def _residue_isomorphic_by_pairs(proj, flag):
+    # the residue loop of is_cover and is_m_cover, one member pair at a time
+    from geoq.geometry import extensions
+    src, q = proj.source, proj.quotient
+    members = extensions(src, flag)
+    target = set(extensions(q, proj.project_flag(flag)))
+    image = [proj.block_of[x] for x in members]
+    if len(set(image)) != len(image):
+        return False, "not injective"
+    if set(image) != target:
+        return False, "not surjective"
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            qa, qb = proj.block_of[a], proj.block_of[b]
+            if src.incident(a, b) != q.incident(qa, qb):
+                return False, "incidence not matched"
+    return True, None
+
+
+def _m_cover_by_pairs(proj, m):
+    from geoq.geometry import flags_by_rank_lex
+    for flag in flags_by_rank_lex(proj.source):
+        if len(flag) == proj.source.rank - m:
+            ok, reason = _residue_isomorphic_by_pairs(proj, flag)
+            if not ok:
+                return False, (flag, reason)
+    return True, None
+
+
+def _total_order_criterion_by_pairs(proj, order):
+    # the upward-residue loop of total_order_flagslift
+    src, q = proj.source, proj.quotient
+    pos = {t: i for i, t in enumerate(order)}
+    for x in range(src.size):
+        px = pos[src.elem_type[x]]
+        up = [y for y in sorted(src.adj[x]) if pos[src.elem_type[y]] > px]
+        target = {k for k in q.adj[proj.block_of[x]]
+                  if pos[q.elem_type[k]] > px}
+        image = [proj.block_of[y] for y in up]
+        if len(set(image)) != len(image) or set(image) != target:
+            return False
+        for i, a in enumerate(up):
+            for b in up[i + 1:]:
+                if src.incident(a, b) != q.incident(proj.block_of[a],
+                                                    proj.block_of[b]):
+                    return False
+    return True
+
+
+def test_residue_maps_agree_with_pairwise_loops(rng):
+    from itertools import permutations
+    from geoq.lemmas import random_pregeometry
+    seen = {}
+    draws = 0
+    while draws < 240:
+        if draws % 2:
+            geom = random_pregeometry(rng, max_rank=3, max_per_type=3)
+            proj = Projection(geom, random_partition(rng, geom))
+        else:
+            oq = random_orbit_quotient(rng, need_geometry=True)
+            if oq is None:
+                continue
+            proj = oq.proj
+        draws += 1
+        cover = is_cover(proj)
+        assert cover == all(_residue_isomorphic_by_pairs(proj, (x,))[0]
+                            for x in range(proj.source.size))
+        seen["cover", cover] = seen.get(("cover", cover), 0) + 1
+        for m in range(1, proj.source.rank):
+            got = is_m_cover(proj, m)
+            assert got == _m_cover_by_pairs(proj, m)
+            key = ("m-cover", got[1][1] if got[1] else None)
+            seen[key] = seen.get(key, 0) + 1
+        for order in permutations(range(proj.source.rank)):
+            got = total_order_flagslift(proj, list(order))
+            assert got == _total_order_criterion_by_pairs(proj, order)
+            seen["order", got] = seen.get(("order", got), 0) + 1
+    assert {("cover", True), ("cover", False), ("order", True),
+            ("order", False), ("m-cover", None), ("m-cover", "not injective"),
+            ("m-cover", "not surjective"),
+            ("m-cover", "incidence not matched")} <= set(seen), seen
+    print(seen)
