@@ -20,13 +20,14 @@ class OrbitQuotient:
     """A pregeometry together with an automorphism group, its orbit
     partition and the projection onto the orbit quotient."""
 
-    __slots__ = ("geom", "group", "partition", "proj")
+    __slots__ = ("geom", "group", "partition", "proj", "_residue_orbits")
 
     def __init__(self, geom, group):
         self.geom = geom
         self.group = group
         self.partition = orbit_partition(group, geom)
         self.proj = Projection(geom, self.partition)
+        self._residue_orbits = None  # see _residue_orbit_index
 
     @property
     def quotient(self):
@@ -63,12 +64,16 @@ def _flag_member_image(g, item):
 def _residue_orbit_index(oq):
     """Map each (flag F, x in the residue of F) to its G-orbit index.  Some
     g in G_F maps x to y exactly when (F, x) and (F, y) share a G-orbit:
-    an automorphism mapping F onto itself keeps types, so fixes F."""
-    geom = oq.geom
-    items = [(flag, x) for flag in flags_by_rank_lex(geom)
-             for x in extensions(geom, flag)]
-    orbits = orbits_on(oq.group.gens, items, _flag_member_image)
-    return {item: k for k, orbit in enumerate(orbits) for item in orbit}
+    an automorphism mapping F onto itself keeps types, so fixes F.  Built
+    once per orbit-quotient, on first use, and shared by (TQ1) and (TQ2')."""
+    if oq._residue_orbits is None:
+        geom = oq.geom
+        items = [(flag, x) for flag in flags_by_rank_lex(geom)
+                 for x in extensions(geom, flag)]
+        orbits = orbits_on(oq.group.gens, items, _flag_member_image)
+        oq._residue_orbits = {item: k for k, orbit in enumerate(orbits)
+                              for item in orbit}
+    return oq._residue_orbits
 
 
 def _pair_image(g, pair):

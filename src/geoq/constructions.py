@@ -3,17 +3,19 @@ Example generators and lifting constructions: subset geometries, shadows
 and shadowable lifts, graph blow-ups, affine spaces with their translation
 groups, the bespoke example catalogue, and isomorphism testing.
 
-SimpleGraph searches nothing itself except its bipartite test: its
-cliques, connectivity and automorphisms come from geometry.all_flags,
-geometry.is_connected and perms.automorphism_group, and isomorphic
-returns the first map found by the incidence-map search of geoq.perms.
+SimpleGraph searches nothing itself: its cliques, connectivity,
+bipartite test and automorphisms come from geometry.all_flags,
+geometry.is_connected, geometry.bfs and perms.automorphism_group, and
+isomorphic returns the first map found by the incidence-map search of
+geoq.perms.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .geometry import Pregeometry, all_flags, is_connected, is_geometry
+from .geometry import (Pregeometry, all_flags, bfs, components, is_connected,
+                       is_geometry)
 from .perms import (Perm, PermGroup, _incidence_maps, _profile,
                     automorphism_group)
 from .quotient import Partition, Projection
@@ -84,23 +86,10 @@ class SimpleGraph:
         return is_connected(self)
 
     def is_bipartite(self):
-        colour = {}
-        for start in range(self.size):
-            if start in colour:
-                continue
-            colour[start] = 0
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for y in self.adj[x]:
-                        if y not in colour:
-                            colour[y] = 1 - colour[x]
-                            nxt.append(y)
-                        elif colour[y] == colour[x]:
-                            return False
-                frontier = nxt
-        return True
+        """No edge joins two vertices whose distances from the least
+        vertex of their component have equal parity."""
+        dist = bfs(self.adj, [comp[0] for comp in components(self)])
+        return all((dist[a][0] - dist[b][0]) % 2 for a, b in self.edges)
 
     def automorphisms(self):
         """The automorphism group of the graph read as a one-type

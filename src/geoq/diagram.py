@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import (_per_geometry, extensions, flags_of_type,
-                       is_generalized_digon, is_geometry,
+from .geometry import (_per_geometry, components, extensions,
+                       flags_of_type, is_generalized_digon, is_geometry,
                        is_residually_connected, residue)
 
 
@@ -28,35 +28,19 @@ class Diagram:
         return sorted(j for j in range(self.rank)
                       if j != i and self.adjacent(i, j))
 
-    def component_of(self, i):
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self.neighbours(x):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+    @property
+    def adj(self):
+        """Neighbour lists indexed by type."""
+        return [self.neighbours(i) for i in range(self.rank)]
 
     def components(self):
-        out = []
-        left = set(range(self.rank))
-        while left:
-            comp = self.component_of(min(left))
-            out.append(tuple(sorted(comp)))
-            left -= comp
-        return out
+        """Connected components of the diagram, listed by least type."""
+        return components(self)
 
     def is_forest(self):
         """A simple graph is a forest iff its edge count is its vertex
         count (the rank) minus its component count."""
         return len(self.edges) == self.rank - len(self.components())
-
-    def has_cycle(self):
-        return not self.is_forest()
 
 
 @_per_geometry

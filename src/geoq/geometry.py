@@ -14,6 +14,11 @@ flag lists and chamber counts are filters over that list, and the
 geometry and residual-connectivity verdicts are computed once too.  The
 flag count is exponential in the rank in the worst case, so everything
 here is meant for desk scale (a few hundred elements, rank at most ~6).
+
+`bfs` is the one graph search: a multi-source breadth-first search that
+labels each reached vertex with its distance and nearest source.
+Distances, components, diagram components, the bipartite test and the
+same-block distance of quotient.min_block_distance all go through it.
 """
 
 from __future__ import annotations
@@ -297,46 +302,44 @@ def truncation(geom, types):
         pairs)
 
 
-def incidence_distance(geom, a, b):
-    """Shortest-path length in the incidence graph, INF when unreachable."""
-    if a == b:
-        return 0
-    seen = {a}
-    frontier = [a]
+def bfs(adj, sources):
+    """The one breadth-first search: from all sources at once, map each
+    reached vertex to (distance, nearest source).  A vertex at equal
+    distance from several sources takes the label that reaches it first,
+    so the labels depend on the order of sources and of adj's entries,
+    while the distances do not."""
+    reach = {s: (0, s) for s in sources}
+    frontier = list(reach)
     d = 0
     while frontier:
         d += 1
         nxt = []
         for x in frontier:
-            for y in geom.adj[x]:
-                if y == b:
-                    return d
-                if y not in seen:
-                    seen.add(y)
+            label = reach[x][1]
+            for y in adj[x]:
+                if y not in reach:
+                    reach[y] = (d, label)
                     nxt.append(y)
         frontier = nxt
-    return INF
+    return reach
 
 
-def components(geom):
-    """Connected components of the incidence graph, each sorted."""
+def incidence_distance(geom, a, b):
+    """Shortest-path length in the incidence graph, INF when unreachable."""
+    return bfs(geom.adj, [a]).get(b, (INF,))[0]
+
+
+def components(graph):
+    """Connected components of a graph given by its adjacency (`adj`,
+    indexed 0..n-1), each sorted, listed by least member."""
+    adj = graph.adj
     seen = set()
     out = []
-    for start in range(geom.size):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in geom.adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        seen |= comp
-        out.append(tuple(sorted(comp)))
+    for start in range(len(adj)):
+        if start not in seen:
+            comp = bfs(adj, [start])
+            seen.update(comp)
+            out.append(tuple(sorted(comp)))
     return out
 
 

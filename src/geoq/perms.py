@@ -343,18 +343,14 @@ def transitivity(group, geom, kind, types=None):
 
 def is_semiregular(group, geom=None, types=None):
     """True iff every point stabilizer is trivial.  With types given, only
-    stabilizers of elements of those types are required trivial."""
-    if types is None:
-        domain = range(group.degree)
-    else:
-        allowed = set(types)
-        domain = [x for x in range(geom.size) if geom.elem_type[x] in allowed]
-    for g in group.elements():
-        if g.is_identity():
-            continue
-        if any(g[x] == x for x in domain):
-            return False
-    return True
+    stabilizers of elements of those types are required trivial.  Since
+    |orbit(x)| = |G : G_x|, that is: every orbit meeting the domain has
+    length |G|."""
+    allowed = None if types is None else set(types)
+    order = group.order()
+    return all(len(orbit) == order for orbit in group.orbits()
+               if allowed is None
+               or any(geom.elem_type[x] in allowed for x in orbit))
 
 
 def _profile(geom, x):

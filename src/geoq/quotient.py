@@ -8,8 +8,8 @@ witnesses are minimal under (rank, lexicographic) ordering.
 
 from __future__ import annotations
 
-from .geometry import (INF, Pregeometry, as_flag, all_flags, extensions,
-                       flag_type, flags_by_rank_lex, incidence_distance)
+from .geometry import (INF, Pregeometry, as_flag, all_flags, bfs,
+                       extensions, flag_type, flags_by_rank_lex)
 
 
 class Partition:
@@ -180,14 +180,25 @@ def corank1_injective(proj):
 
 def min_block_distance(geom, partition):
     """Minimum incidence-graph distance over distinct same-block pairs;
-    INF when every block is a singleton (or pairs are unreachable)."""
+    INF when every block is a singleton (or pairs are unreachable).
+
+    One breadth-first search per block, from all its members at once,
+    labels each reached element u with a nearest member s(u) at distance
+    d(u).  An incidence u * v with s(u) != s(v) gives a walk of length
+    d(u) + 1 + d(v) between two members; along a shortest path between
+    the closest two members the label changes on some incidence whose
+    sum is at most their distance, so the least sum is exact (the
+    nearest-source regions of Mehlhorn, IPL 27, 1988)."""
     best = INF
     for block in partition.blocks:
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                d = incidence_distance(geom, a, b)
-                if d < best:
-                    best = d
+        if len(block) < 2:
+            continue
+        reach = bfs(geom.adj, block)
+        for u, (du, su) in reach.items():
+            for v in geom.adj[u]:
+                dv, sv = reach[v]
+                if sv != su and du + 1 + dv < best:
+                    best = du + 1 + dv
     return best
 
 

@@ -185,6 +185,26 @@ def test_tq2doubleprime_never_enumerates_the_group():
         capped.order()
 
 
+def test_residue_orbit_map_is_built_once_per_orbit_quotient(monkeypatch):
+    # (TQ1) and (TQ2') share one residue orbit map per orbit-quotient
+    import geoq.axioms as axioms
+    builds = []
+
+    def counting_orbits_on(gens, items, act):
+        builds.append(act is axioms._flag_member_image)
+        return orbits_on(gens, items, act)
+
+    monkeypatch.setattr(axioms, "orbits_on", counting_orbits_on)
+    for geom, group in (hexagon(), eight_cycle(), tq1_counterexample()):
+        oq = OrbitQuotient(geom, group)
+        builds.clear()
+        report = axioms_report(oq)
+        assert builds.count(True) == 1
+        assert (check_TQ1(oq), check_TQ2prime(oq)) == (report["tq1"],
+                                                       report["tq2prime"])
+        assert builds.count(True) == 1
+
+
 def _stabilizer_residue_orbits(group, flag, members):
     from geoq.perms import stabilizer
     return orbits_on(stabilizer(group, flag).gens, members, Perm.__getitem__)

@@ -271,6 +271,28 @@ def bfs_connected(graph):
     return len(seen) == graph.size
 
 
+def two_colouring_bipartite(graph):
+    """The 2-colouring search SimpleGraph.is_bipartite ran before it read
+    distance parities from geometry.bfs."""
+    colour = {}
+    for start in range(graph.size):
+        if start in colour:
+            continue
+        colour[start] = 0
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in graph.adj[x]:
+                    if y not in colour:
+                        colour[y] = 1 - colour[x]
+                        nxt.append(y)
+                    elif colour[y] == colour[x]:
+                        return False
+            frontier = nxt
+    return True
+
+
 def old_isomorphic(ga, gb):
     if ga.rank != gb.rank or ga.size != gb.size:
         return False, None
@@ -347,8 +369,10 @@ def test_graph_cliques_and_connectivity_agree_with_old_searches():
         for r in range(graph.size + 2):
             assert graph.cliques_of_size(r) == recursive_cliques(graph, r)
         assert graph.is_connected() == bfs_connected(graph)
-    # the number of connected labelled graphs on 5 vertices
+        assert graph.is_bipartite() == two_colouring_bipartite(graph)
+    # the numbers of connected and of bipartite labelled graphs on 5 vertices
     assert sum(graph.is_connected() for graph in five) == 728
+    assert sum(graph.is_bipartite() for graph in five) == 376
 
 
 def relabel(geom, rng):

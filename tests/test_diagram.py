@@ -181,7 +181,7 @@ def test_lift_chamber_forest_affine():
 
 def test_lift_chamber_forest_rejects_cyclic_diagram():
     geom, part = grid_complement()
-    assert basic_diagram(geom).has_cycle()
+    assert not basic_diagram(geom).is_forest()
     swap = Perm([geom.elem("(%d,%d)" % (r, {1: 2, 2: 1}.get(c, c)))
                  for r in range(1, 4) for c in range(1, 4)])
     oq = OrbitQuotient(geom, PermGroup([swap]))
@@ -253,7 +253,7 @@ def test_rank3_noncycle_flag_transitive_quotient_is_ft_geometry():
     # normal quotient is again a flag-transitive geometry
     geom, action = ssg_symmetric_action(4, 3)
     diag = basic_diagram(geom)
-    assert geom.rank == 3 and not diag.has_cycle()
+    assert geom.rank == 3 and diag.is_forest()
     assert transitivity(action, geom, "flag")[0]
     import random
     rng = random.Random(77)
@@ -268,8 +268,8 @@ def test_rank3_noncycle_flag_transitive_quotient_is_ft_geometry():
 
 
 def dfs_has_cycle(diag):
-    """The depth-first cycle search Diagram.has_cycle ran before the
-    forest test became an edge count."""
+    """The depth-first cycle search the diagram ran before its forest
+    test became an edge count."""
     seen = set()
     for start in range(diag.rank):
         if start in seen:
@@ -296,7 +296,6 @@ def test_forest_test_agrees_with_dfs_on_all_graphs_on_five_vertices():
                           if mask >> i & 1)
         diag = Diagram(5, edges, {})
         cyclic = dfs_has_cycle(diag)
-        assert diag.has_cycle() == cyclic
         assert diag.is_forest() == (not cyclic)
         forests += not cyclic
     assert forests == 291  # labelled forests on 5 vertices

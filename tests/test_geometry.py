@@ -155,6 +155,28 @@ def test_incidence_distance():
     assert len(components(two)) == 2
 
 
+def early_exit_distance(geom, a, b):
+    """The single-pair search incidence_distance ran before it became a
+    lookup in geometry.bfs: stop at the first layer that reaches b."""
+    if a == b:
+        return 0
+    seen = {a}
+    frontier = [a]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for y in geom.adj[x]:
+                if y == b:
+                    return d
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return INF
+
+
 def test_distance_is_metric_on_components(rng):
     for _ in range(10):
         geom = random_geometry(rng, max_rank=3, max_per_type=3)
@@ -163,6 +185,7 @@ def test_distance_is_metric_on_components(rng):
         for a in range(n):
             assert d[a][a] == 0
             for b in range(n):
+                assert d[a][b] == early_exit_distance(geom, a, b)
                 assert d[a][b] == d[b][a]
                 for c in range(n):
                     if d[a][b] is not INF and d[b][c] is not INF:

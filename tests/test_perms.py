@@ -190,6 +190,43 @@ def test_is_semiregular():
     assert is_semiregular(PermGroup.trivial(geom.size))
 
 
+def semiregular_by_elements(group, geom=None, types=None):
+    """The scan is_semiregular ran before it read orbit lengths: no
+    non-identity element fixes a point of the domain."""
+    if types is None:
+        domain = range(group.degree)
+    else:
+        allowed = set(types)
+        domain = [x for x in range(geom.size) if geom.elem_type[x] in allowed]
+    for g in group.elements():
+        if g.is_identity():
+            continue
+        if any(g[x] == x for x in domain):
+            return False
+    return True
+
+
+def test_is_semiregular_agrees_with_element_scan(rng):
+    seen = {}
+    draws = 0
+    while draws < 300:
+        oq = random_orbit_quotient(rng)
+        if oq is None:
+            continue
+        draws += 1
+        geom, group = oq.geom, oq.group
+        got = is_semiregular(group)
+        assert got == semiregular_by_elements(group)
+        seen["all", got] = seen.get(("all", got), 0) + 1
+        for t in range(geom.rank):
+            got = is_semiregular(group, geom, [t])
+            assert got == semiregular_by_elements(group, geom, [t])
+            seen["type", got] = seen.get(("type", got), 0) + 1
+    keys = [(scope, ok) for scope in ("all", "type") for ok in (False, True)]
+    assert all(seen.get(key, 0) >= 30 for key in keys), seen
+    print(seen)
+
+
 def test_automorphism_group_hexagon():
     geom, _ = hexagon()
     assert automorphism_group(geom).order() == 2

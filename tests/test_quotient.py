@@ -3,7 +3,7 @@ import pytest
 from geoq.constructions import (blowup_projection, eight_cycle,
                                 flnotpq1_witness, hexagon, isomorphic,
                                 SimpleGraph, ssg)
-from geoq.geometry import (INF, all_flags, is_connected,
+from geoq.geometry import (INF, all_flags, incidence_distance, is_connected,
                            is_generalized_digon, is_geometry)
 from geoq.lemmas import (random_geometry, random_orbit_quotient,
                          random_partition)
@@ -164,6 +164,39 @@ def test_min_block_distance():
     assert min_block_distance(geom, singleton_partition(geom)) == INF
     g8, grp8 = eight_cycle()
     assert min_block_distance(g8, orbit_partition(grp8, g8)) == 4
+
+
+def pairwise_block_distance(geom, partition):
+    """The sweep min_block_distance ran before its one search per block:
+    a distance for every same-block pair."""
+    best = INF
+    for block in partition.blocks:
+        for i, a in enumerate(block):
+            for b in block[i + 1:]:
+                best = min(best, incidence_distance(geom, a, b))
+    return best
+
+
+def test_min_block_distance_agrees_with_pairwise_loop(rng):
+    from geoq.lemmas import random_pregeometry
+    seen = {}
+    orbit_draws = 0
+    while orbit_draws < 300:
+        oq = random_orbit_quotient(rng)
+        if oq is None:
+            continue
+        orbit_draws += 1
+        got = min_block_distance(oq.geom, oq.partition)
+        assert got == pairwise_block_distance(oq.geom, oq.partition)
+        seen[got] = seen.get(got, 0) + 1
+    for _ in range(200):
+        geom = random_pregeometry(rng, max_rank=4, max_per_type=4)
+        part = random_partition(rng, geom)
+        got = min_block_distance(geom, part)
+        assert got == pairwise_block_distance(geom, part)
+        seen[got] = seen.get(got, 0) + 1
+    assert {2, 3, 4, INF} <= set(seen), seen
+    print(seen)
 
 
 def test_is_m_cover():

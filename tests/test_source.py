@@ -84,3 +84,22 @@ def test_three_recursive_searches_and_no_permutation_scans():
         attrs = {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)}
         assert "permutations" not in names | attrs, path.name
+
+
+def test_one_breadth_first_search():
+    # geometry.bfs is the only graph search; a `while frontier` loop
+    # anywhere else is a new one, except the three closures that grow a
+    # group or an orbit by generators
+    allowed = {("geometry.py", "bfs"), ("perms.py", "mulclose"),
+               ("perms.py", "orbit_transversal"), ("cosets.py", "_closure")}
+    loops = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            loops += [(path.name, fn.name) for node in ast.walk(fn)
+                      if isinstance(node, ast.While)
+                      and isinstance(node.test, ast.Name)
+                      and node.test.id == "frontier"]
+    assert sorted(loops) == sorted(allowed), loops
