@@ -121,7 +121,7 @@ def check_TQ1(oq):
         orbits = {}
         for x in extensions(geom, flag):
             orbits.setdefault(orbit_of[flag, x], []).append(x)
-        target = set(extensions(q, oq.proj.project_flag(flag)))
+        target = set(extensions(q, oq.proj._project(flag)))
         reason = _residue_map_failure(oq.proj, list(orbits.values()), target)
         if reason is not None:
             return False, (flag, _TQ1_REASON.get(reason, reason))

@@ -50,7 +50,7 @@ def _count_flags_capped(geom, cap):
 
 
 def _load_group(path, geom, cap):
-    """Parse a group file and enumerate the group once, so that a group
+    """Parse a group file and read its order, so that a group
     larger than --max-group-order is refused before any work is done."""
     group = gio.parse_group(_read(path), geom, cap=cap)
     group.order()

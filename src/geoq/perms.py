@@ -1,11 +1,16 @@
 """
 Permutation groups acting on a pregeometry.
 
-Groups are given by generators and enumerated by plain breadth-first
-closure (no strong generating sets; desk scale, with a configurable cap).
-Every orbit question -- on points, flags, incident pairs or ordered
-tuples -- goes through orbits_on, a union-find over generator images that
-never enumerates the group.  Products and inverses are built without
+A group is given by generators.  Its order, membership, point
+stabilizers and normal closures come from one deterministic
+Schreier-Sims chain (_Chain: a base, strong generators per level and
+transversals; Sims 1970, Seress, *Permutation Group Algorithms*, 2003,
+ch. 4), built on first use without listing the group.  Only elements()
+lists G, by plain breadth-first closure under a configurable cap; the
+chain refuses a group above that cap with the same CapExceeded.  Every
+orbit question -- on points, flags, incident pairs or ordered tuples --
+goes through orbits_on, a union-find over generator images that never
+enumerates the group.  Products and inverses are built without
 re-checking that they are permutations; every Perm made from outside
 data is checked.
 
@@ -25,6 +30,13 @@ DEFAULT_CAP = 200_000
 
 class CapExceeded(Exception):
     """Raised when a group enumeration grows past its configured cap."""
+
+
+def _inverse(images):
+    out = [0] * len(images)
+    for x, y in enumerate(images):
+        out[y] = x
+    return tuple(out)
 
 
 class Perm:
@@ -74,10 +86,7 @@ class Perm:
         return Perm._trusted(tuple([images[x] for x in self.images]))
 
     def inv(self):
-        images = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            images[y] = x
-        return Perm._trusted(tuple(images))
+        return Perm._trusted(_inverse(self.images))
 
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
@@ -166,9 +175,118 @@ def mulclose(gens, cap=DEFAULT_CAP):
     return els
 
 
+class _Chain:
+    """A base and strong generating set, on images tuples.  Level i has
+    the base point base[i], the strong generators gens[i] fixing
+    base[:i], the orbit of base[i] under them (in discovery order) and a
+    transversal trans[i] mapping each orbit point y to (u, u^-1) with
+    base[i]^u == y.  Every element of the group is u_m...u_1 u_0 with
+    one u from each level, in exactly one way, so the order is size, the
+    product of the orbit lengths; the chain is complete (sifting decides
+    membership) whenever add returns.  Exact: every Schreier generator
+    is sifted, none sampled.  Deterministic: new base points are the
+    least point a residue moves, after the given prefix."""
+
+    def __init__(self, degree, base=()):
+        self.identity = tuple(range(degree))
+        self.base, self.gens, self.trans, self.orbit = [], [], [], []
+        self.done = []  # done[i][k]: gens[i] applied to orbit[i][k]
+        self.size = 1
+        for b in base:
+            self._new_level(b)
+
+    def _new_level(self, b):
+        self.base.append(b)
+        self.gens.append([])
+        self.trans.append({b: (self.identity, self.identity)})
+        self.orbit.append([b])
+        self.done.append([0])
+
+    def strong_gens(self, level=0):
+        """The strong generators fixing base[:level]; they generate the
+        pointwise stabilizer of those points."""
+        return self.gens[level] if level < len(self.base) else []
+
+    def sift(self, h, level=0):
+        """Strip h by the transversals from the given level down; returns
+        the level where it left the orbit (or len(base)) and the rest."""
+        base, trans = self.base, self.trans
+        for i in range(level, len(base)):
+            t = trans[i].get(h[base[i]])
+            if t is None:
+                return i, h
+            uinv = t[1]
+            h = tuple([uinv[x] for x in h])
+        return len(base), h
+
+    def __contains__(self, h):
+        return self.sift(h)[1] == self.identity
+
+    def add(self, g, order=None):
+        """Extend the group by the generator g; False when g is already
+        in it.  With the order of a group known to contain g and every
+        earlier generator, stop once the chain reaches that order: its
+        products of transversal elements are then the whole group."""
+        level, h = self.sift(g)
+        if h == self.identity:
+            return False
+        self._insert(level, h)
+        i = level
+        while i >= 0 and self.size != order:
+            j = self._schreier(i, order)
+            i = i - 1 if j is None else j
+        return True
+
+    def _insert(self, level, h):
+        if level == len(self.base):
+            self._new_level(next(x for x, y in enumerate(h) if x != y))
+        for i in range(level + 1):
+            self.gens[i].append(h)
+
+    def _schreier(self, i, order):
+        """Close level i's orbit under its generators and sift every new
+        Schreier generator u_y s u_{y^s}^-1 into the levels below
+        (Schreier's lemma: they generate the stabilizer of base[i]).  On
+        a residue, insert it and return its level; else None.  A pair
+        (y, s) that reaches a new point is a tree edge, u_y s == u_{y^s},
+        and is not sifted."""
+        gens, trans, orbit, done = (self.gens[i], self.trans[i],
+                                    self.orbit[i], self.done[i])
+        identity = self.identity
+        k = 0
+        while k < len(orbit):
+            y = orbit[k]
+            uy = trans[y][0]
+            while done[k] < len(gens):
+                s = gens[done[k]]
+                done[k] += 1
+                z = s[y]
+                t = trans.get(z)
+                if t is None:
+                    u = tuple([s[x] for x in uy])
+                    trans[z] = (u, _inverse(u))
+                    self.size = self.size // len(orbit) * (len(orbit) + 1)
+                    orbit.append(z)
+                    done.append(0)
+                    if self.size == order:
+                        return None
+                    continue
+                uzinv = t[1]
+                h = tuple([uzinv[s[x]] for x in uy])
+                if h == identity:
+                    continue
+                level, h = self.sift(h, i + 1)
+                if h != identity:
+                    self._insert(level, h)
+                    return level
+            k += 1
+        return None
+
+
 class PermGroup:
-    """Generators plus a lazily enumerated element set (construct, then
-    freeze; all queries after enumeration are pure)."""
+    """Generators, a Schreier-Sims chain built on first use, and an
+    element set listed only when asked for (construct, then freeze; all
+    queries after construction are pure)."""
 
     def __init__(self, gens, degree=None, cap=DEFAULT_CAP):
         gens = [g for g in gens if not g.is_identity()]
@@ -183,6 +301,7 @@ class PermGroup:
         self.degree = degree
         self.cap = cap
         self._elements = None
+        self._sims = None
 
     @classmethod
     def trivial(cls, degree):
@@ -195,6 +314,19 @@ class PermGroup:
         group._elements = frozenset(elems) | {Perm.identity(group.degree)}
         return group
 
+    def _chain(self):
+        """The group's chain; raises CapExceeded when the order is above
+        the cap, with the message listing the group would raise."""
+        chain = self._sims
+        if chain is None:
+            chain = _Chain(self.degree)
+            for g in self.gens:
+                chain.add(g.images)
+            self._sims = chain  # only once complete
+        if self.cap is not None and chain.size > self.cap:
+            raise CapExceeded("group order exceeds cap %d" % self.cap)
+        return chain
+
     def elements(self):
         if self._elements is None:
             els = mulclose(list(self.gens), self.cap)
@@ -204,10 +336,13 @@ class PermGroup:
         return self._elements
 
     def order(self):
-        return len(self.elements())
+        if self._elements is not None:
+            return len(self._elements)
+        return self._chain().size
 
     def __contains__(self, perm):
-        return perm in self.elements()
+        return (isinstance(perm, Perm) and perm.degree == self.degree
+                and perm.images in self._chain())
 
     def __iter__(self):
         return iter(sorted(self.elements()))
@@ -262,11 +397,19 @@ def orbit_partition(group, geom):
 
 
 def stabilizer(group, flag):
-    """Setwise flag stabilizer; type preservation makes it pointwise."""
+    """Pointwise flag stabilizer (type preservation makes the setwise one
+    pointwise): the strong generators below the flag's points in a chain
+    for G whose base starts with them, built from G's strong generators
+    until it reaches |G|."""
     flag = tuple(flag)
-    members = [g for g in group.elements()
-               if all(g[x] == x for x in flag)]
-    return PermGroup.from_elements(members, degree=group.degree, cap=group.cap)
+    full = group._chain()
+    chain = _Chain(group.degree, flag)
+    for g in full.strong_gens():
+        if chain.size == full.size:
+            break
+        chain.add(g, full.size)
+    return PermGroup([Perm._trusted(h) for h in chain.strong_gens(len(flag))],
+                     degree=group.degree, cap=group.cap)
 
 
 def normal_closure(group, sub):
@@ -275,18 +418,19 @@ def normal_closure(group, sub):
         if g not in group:
             raise ValueError("subgroup generator outside the group")
     gens = list(sub.gens)
-    els = set(sub.elements())
+    chain = _Chain(group.degree)
+    for h in gens:
+        chain.add(h.images)
     conjugators = [(g.inv(), g) for g in group.gens]
     # one pass over the growing generator list of N: once h^g lies in N
     # for every generator h of N and g of G, N^g is inside N
     for h in gens:
         for ginv, g in conjugators:
             c = ginv * h * g
-            if c not in els:
+            if chain.add(c.images):
                 gens.append(c)
-                els = mulclose(gens, group.cap)
     out = PermGroup(gens, degree=group.degree, cap=group.cap)
-    out._elements = frozenset(els)
+    out._sims = chain
     return out
 
 

@@ -85,7 +85,13 @@ class Projection:
         return self.partition.block_of
 
     def project_flag(self, flag):
-        flag = as_flag(self.source, flag)
+        """The quotient flag of a source flag; raises ValueError when the
+        argument is not a flag."""
+        return self._project(as_flag(self.source, flag))
+
+    def _project(self, flag):
+        """project_flag without the flag check, for flags taken from the
+        flag enumeration (or singletons)."""
         return tuple(sorted({self.block_of[x] for x in flag}))
 
     def fiber(self, k):
@@ -146,7 +152,7 @@ def residual_surjectivity(proj):
     for every flag of the source."""
     q = proj.quotient
     for flag in all_flags(proj.source):
-        qflag = proj.project_flag(flag)
+        qflag = proj._project(flag)
         image = {proj.block_of[x] for x in extensions(proj.source, flag)}
         target = {k for k in extensions(q, qflag)
                   if q.elem_type[k] not in flag_type(q, qflag)}
@@ -225,7 +231,7 @@ def _residue_map_failure(proj, classes, target):
 def _residue_isomorphic_onto(proj, flag):
     """Why the projection, restricted to the residue of the flag, is not
     an isomorphism onto the quotient residue; None when it is."""
-    target = set(extensions(proj.quotient, proj.project_flag(flag)))
+    target = set(extensions(proj.quotient, proj._project(flag)))
     return _residue_map_failure(
         proj, [(x,) for x in extensions(proj.source, flag)], target)
 
@@ -265,7 +271,7 @@ def check_PQ1(proj):
     for flag in flags_by_rank_lex(proj.source):
         if not flag:
             continue  # the empty flag extends by any member of any block
-        qflag = proj.project_flag(flag)
+        qflag = proj._project(flag)
         ext = set(extensions(proj.source, flag))
         for k in extensions(q, qflag):
             if not any(x in ext for x in proj.fiber(k)):

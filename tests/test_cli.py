@@ -227,3 +227,53 @@ def test_reproduce_detects_corruption(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "-inc 0 1" in out and "+inc 0 3" in out
+
+
+def write_symmetric_action(tmp_path, v):
+    # S_v acting on ssg(v, 2), written as the CLI reads it
+    from geoq import io
+    from geoq.constructions import ssg_symmetric_action
+    geom, group = ssg_symmetric_action(v, 2)
+    geo, grp = tmp_path / ("s%d.geo" % v), tmp_path / ("s%d.grp" % v)
+    geo.write_text(io.format_geometry(geom))
+    grp.write_text(io.format_group(group, geom))
+    return str(geo), str(grp)
+
+
+def count_listings(monkeypatch):
+    import geoq.perms
+    calls = []
+    real = geoq.perms.mulclose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geoq.perms, "mulclose", counted)
+    return calls
+
+
+def test_large_group_axioms_without_listing(tmp_path, capsys, monkeypatch):
+    # |S_9| = 362,880: the order comes from the Schreier-Sims chain, and
+    # no decider lists the group
+    geo, grp = write_symmetric_action(tmp_path, 9)
+    listings = count_listings(monkeypatch)
+    code, out, err = run(capsys, "--machine", "axioms", geo, grp,
+                         "--max-group-order", "400000")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "flagslift=true", "is-cover=false", "pq1=true", "pq2=false",
+        "residually-surjective=true", "tq1=true", "tq2doubleprime=true",
+        "tq2prime=true", "tq3=false"]
+    assert listings == []
+
+
+def test_large_group_refused_at_default_cap(tmp_path, capsys, monkeypatch):
+    # |S_10| = 3,628,800 is above the default cap of 200,000
+    geo, grp = write_symmetric_action(tmp_path, 10)
+    listings = count_listings(monkeypatch)
+    code, out, err = run(capsys, "--machine", "axioms", geo, grp)
+    assert code == 3
+    assert err.strip() == "cap exceeded: group order exceeds cap 200000"
+    assert out == ""
+    assert listings == []

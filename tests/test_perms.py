@@ -67,8 +67,13 @@ def test_closure_orders():
 def test_closure_cap():
     a = Perm.from_cycles(5, [(0, 1, 2, 3, 4)])
     b = Perm.from_cycles(5, [(0, 1)])
-    with pytest.raises(CapExceeded):
-        PermGroup([a, b], cap=30).elements()
+    # the chain refuses what listing refuses, with the same message
+    for query in (lambda g: g.elements(), lambda g: g.order(),
+                  lambda g: a in g, lambda g: stabilizer(g, (0,))):
+        with pytest.raises(CapExceeded) as err:
+            query(PermGroup([a, b], cap=30))
+        assert str(err.value) == "group order exceeds cap 30"
+    assert PermGroup([a, b], cap=120).order() == 120
 
 
 def test_orbit_partition_translations():
@@ -113,6 +118,78 @@ def test_stabilizer_and_normal_closure():
                    * Perm.from_cycles(6, [(0, 1), (4, 5)])])
     clo = normal_closure(group, n)
     assert clo.elements() == mulclose(list(n.gens))
+
+
+def stabilizer_by_elements(group, flag):
+    """The scan stabilizer ran before the chain: every listed element
+    fixing each point of the flag."""
+    return {g for g in group.elements() if all(g[x] == x for x in flag)}
+
+
+def _chain_test_groups(rng):
+    from geoq.constructions import shadowable_lift
+    from geoq.lemmas import random_coset_instance, random_subgroup
+    for v in (3, 4, 5):
+        for k in range(2, v):
+            geom, action = ssg_symmetric_action(v, k)
+            yield geom, action
+            yield geom, random_subgroup(rng, action)
+    parent, sym = ssg_symmetric_action(3, 2)
+    lift = shadowable_lift(parent, 3, 2)
+    yield lift.geometry, lift.wreath_group(sym)
+    yield lift.geometry, lift.base_group()
+    for _ in range(150):
+        geom, action = random_coset_instance(rng)
+        yield geom, action
+        yield geom, random_subgroup(rng, action)
+
+
+def test_chain_agrees_with_listing(rng):
+    # order and membership from the Schreier-Sims chain against the
+    # listed group, on groups whose chain has never seen the list
+    groups = orders = outside = 0
+    for geom, group in _chain_test_groups(rng):
+        els = mulclose(list(group.gens)) or {Perm.identity(group.degree)}
+        fresh = PermGroup(group.gens, degree=group.degree)
+        assert fresh.order() == len(els)
+        assert fresh._elements is None  # answered without listing
+        assert all(g in fresh for g in els)
+        points = list(range(group.degree))
+        for _ in range(20):
+            rng.shuffle(points)
+            p = Perm(points)
+            assert (p in fresh) == (p in els)
+            outside += p not in els
+        assert Perm.identity(group.degree + 1) not in fresh
+        groups += 1
+        orders += len(els) > 1
+    assert groups >= 300 and orders >= 250 and outside >= 3000, (
+        groups, orders, outside)
+
+
+def test_stabilizer_agrees_with_element_scan(rng):
+    from geoq.constructions import shadowable_lift
+    from geoq.geometry import all_flags
+    from geoq.lemmas import random_coset_instance, random_subgroup
+    from geoq.reproduce import tq1_counterexample
+    parent, sym = ssg_symmetric_action(3, 2)
+    lift = shadowable_lift(parent, 3, 2)
+    instances = [tq1_counterexample(), ssg_symmetric_action(4, 2),
+                 ssg_symmetric_action(5, 3),
+                 (lift.geometry, lift.wreath_group(sym))]
+    for _ in range(4):
+        geom, action = random_coset_instance(rng)
+        instances += [(geom, action), (geom, random_subgroup(rng, action))]
+    sizes = set()
+    for geom, group in instances:
+        for flag in all_flags(geom):
+            want = stabilizer_by_elements(group, flag)
+            stab = stabilizer(group, flag)
+            assert stab.order() == len(want)
+            assert (mulclose(list(stab.gens))
+                    or {Perm.identity(group.degree)}) == want
+            sizes.add(len(want))
+    assert len(sizes) > 8, sizes
 
 
 def test_normal_closure_grows():

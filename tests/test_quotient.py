@@ -70,6 +70,16 @@ def test_project_flag_is_flag():
         qflag = proj.project_flag(flag)
         assert is_flag(proj.quotient, qflag)
         assert len(qflag) == len(flag)
+        assert proj._project(flag) == qflag
+    # the public projection still checks its argument; the deciders use
+    # the unchecked one on enumerated flags only
+    same_type = tuple(geom.by_type[0][:2])
+    apart = next((a, b) for a in range(geom.size) for b in range(a)
+                 if geom.elem_type[a] != geom.elem_type[b]
+                 and not geom.incident(a, b))
+    for bad in (same_type, apart):
+        with pytest.raises(ValueError):
+            proj.project_flag(bad)
 
 
 def test_lift_flag_hexagon_chamber_none():

@@ -103,3 +103,46 @@ def test_one_breadth_first_search():
                       and isinstance(node.test, ast.Name)
                       and node.test.id == "frontier"]
     assert sorted(loops) == sorted(allowed), loops
+
+
+def _calls_by_function(path):
+    """(enclosing function name, called name) for every call in a file;
+    methods are named Class.method, module-level calls by ''."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, (where if where.endswith(".") else "")
+                      + child.name)
+            else:
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = (func.attr if isinstance(func, ast.Attribute)
+                            else getattr(func, "id", None))
+                    out.append((where.rstrip("."), name))
+                visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return out
+
+
+def test_only_elements_lists_a_group():
+    # order, membership, stabilizers, normal closures and semiregularity
+    # come from the Schreier-Sims chain; mulclose runs only inside
+    # PermGroup.elements, and the cap path never lists G
+    by_name = {path.name: _calls_by_function(path) for path in SOURCES}
+    listing = ["%s:%s" % (name, fn) for name, calls in by_name.items()
+               for fn, called in calls if called == "mulclose"]
+    assert listing == ["perms.py:PermGroup.elements"], listing
+    chain_only = {"stabilizer", "normal_closure", "is_semiregular",
+                  "PermGroup.order", "PermGroup.__contains__"}
+    hits = ["%s:%s" % (name, fn) for name, calls in by_name.items()
+            for fn, called in calls if called == "elements"
+            and (name in ("cli.py", "axioms.py")
+                 or name == "perms.py" and fn in chain_only)]
+    assert not hits, hits
+    assert ("perms.py", "stabilizer") in {
+        (name, fn) for name, calls in by_name.items() for fn, _ in calls}
