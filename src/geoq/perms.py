@@ -222,18 +222,16 @@ class _Chain:
     def __contains__(self, h):
         return self.sift(h)[1] == self.identity
 
-    def add(self, g, order=None):
+    def add(self, g):
         """Extend the group by the generator g; False when g is already
-        in it.  With the order of a group known to contain g and every
-        earlier generator, stop once the chain reaches that order: its
-        products of transversal elements are then the whole group."""
+        in it."""
         level, h = self.sift(g)
         if h == self.identity:
             return False
         self._insert(level, h)
         i = level
-        while i >= 0 and self.size != order:
-            j = self._schreier(i, order)
+        while i >= 0:
+            j = self._schreier(i)
             i = i - 1 if j is None else j
         return True
 
@@ -243,7 +241,7 @@ class _Chain:
         for i in range(level + 1):
             self.gens[i].append(h)
 
-    def _schreier(self, i, order):
+    def _schreier(self, i):
         """Close level i's orbit under its generators and sift every new
         Schreier generator u_y s u_{y^s}^-1 into the levels below
         (Schreier's lemma: they generate the stabilizer of base[i]).  On
@@ -268,8 +266,6 @@ class _Chain:
                     self.size = self.size // len(orbit) * (len(orbit) + 1)
                     orbit.append(z)
                     done.append(0)
-                    if self.size == order:
-                        return None
                     continue
                 uzinv = t[1]
                 h = tuple([uzinv[s[x]] for x in uy])
@@ -399,15 +395,11 @@ def orbit_partition(group, geom):
 def stabilizer(group, flag):
     """Pointwise flag stabilizer (type preservation makes the setwise one
     pointwise): the strong generators below the flag's points in a chain
-    for G whose base starts with them, built from G's strong generators
-    until it reaches |G|."""
+    for G, built from G's strong generators, whose base starts with them."""
     flag = tuple(flag)
-    full = group._chain()
     chain = _Chain(group.degree, flag)
-    for g in full.strong_gens():
-        if chain.size == full.size:
-            break
-        chain.add(g, full.size)
+    for g in group._chain().strong_gens():
+        chain.add(g)
     return PermGroup([Perm._trusted(h) for h in chain.strong_gens(len(flag))],
                      degree=group.degree, cap=group.cap)
 
