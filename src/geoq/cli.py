@@ -181,6 +181,7 @@ def cmd_axioms(args):
 
 def cmd_diagram(args):
     geom = _load_geometry(args.geometry)
+    _count_flags_capped(geom, args.max_flags)
     t0 = time.time()
     diag = basic_diagram(geom)
     rows = []
@@ -313,9 +314,12 @@ def build_parser():
                      help="stable line-oriented key=value output")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def flag_cap(p):
+        p.add_argument("--max-flags", type=int, default=2_000_000)
+
     def common(p):
         p.add_argument("--max-group-order", type=int, default=200_000)
-        p.add_argument("--max-flags", type=int, default=2_000_000)
+        flag_cap(p)
 
     p = sub.add_parser("check", help="validate a geometry file and run the "
                                      "structural checks")
@@ -344,6 +348,7 @@ def build_parser():
 
     p = sub.add_parser("diagram", help="basic diagram with witnesses")
     p.add_argument("geometry")
+    flag_cap(p)  # reads no group, so no --max-group-order
     p.set_defaults(func=cmd_diagram)
 
     p = sub.add_parser("iso", help="type-respecting isomorphism test")

@@ -3,10 +3,22 @@ Randomized implication suites: each suite draws seed-fixed desk-scale
 instances (random repaired geometries, coset pregeometries, cycles,
 blow-ups, subset geometries with random subgroups) and checks one of the
 quotient implications on every instance, reporting any violation.
+
+The fixed instances the draws pick from are built once per process and
+shared: the cycles and their rotations, the symmetric actions on
+ssg(v, k), multipartite_geometry(2, 3, 2), the hexagon, the eight-cycle
+and the pool of small groups.  So each keeps its flag list, verdicts and
+Schreier-Sims chain across draws, and each fixed group is listed and
+sorted once (PermGroup.__iter__).  Only what is built from the drawn
+arguments is shared, never a draw itself: every rng call is made exactly
+as before, so the draws are unchanged.  No check changes a pregeometry
+or a group, so a shared instance answers as a fresh one would.  The
+public constructors stay uncached.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 from dataclasses import dataclass, field
@@ -14,8 +26,9 @@ from dataclasses import dataclass, field
 from .axioms import (OrbitQuotient, check_TQ1, check_TQ2doubleprime,
                      check_TQ2prime, check_TQ3)
 from .cosets import FiniteGroup, CosetGeometry, is_coset_pregeometry
-from .constructions import (SimpleGraph, blowup_projection, is_shadowable,
-                            multipartite_geometry, ssg, ssg_symmetric_action)
+from .constructions import (SimpleGraph, blowup_projection, eight_cycle,
+                            hexagon, is_shadowable, multipartite_geometry,
+                            ssg, ssg_symmetric_action)
 from .diagram import basic_diagram, lift_chamber_forest
 from .geometry import (Pregeometry, all_flags, flags_of_type,
                        is_connected, is_firm, is_geometry,
@@ -115,23 +128,27 @@ def cycle_rotation(two_m, s):
                      degree=two_m)
 
 
-_GROUP_POOL = None
+# The suites' fixed instances, built once per process (module docstring).
+_cycle_geometry = functools.cache(cycle_geometry)
+_cycle_rotation = functools.cache(cycle_rotation)
+_ssg_symmetric_action = functools.cache(ssg_symmetric_action)
+_multipartite_geometry = functools.cache(multipartite_geometry)
+_hexagon = functools.cache(hexagon)
+_eight_cycle = functools.cache(eight_cycle)
 
 
+@functools.cache
 def _small_groups():
-    global _GROUP_POOL
-    if _GROUP_POOL is None:
-        z = FiniteGroup.cyclic
-        _GROUP_POOL = [
-            z(4), z(6), z(8),
-            FiniteGroup.direct_product(z(2), z(2)),
-            FiniteGroup.direct_product(z(2), z(4)),
-            FiniteGroup.direct_product(z(2), z(2), z(2)),
-            FiniteGroup.symmetric(3),
-            FiniteGroup.symmetric(4),
-            FiniteGroup.direct_product(FiniteGroup.symmetric(3), z(2)),
-        ]
-    return _GROUP_POOL
+    z = FiniteGroup.cyclic
+    return (
+        z(4), z(6), z(8),
+        FiniteGroup.direct_product(z(2), z(2)),
+        FiniteGroup.direct_product(z(2), z(4)),
+        FiniteGroup.direct_product(z(2), z(2), z(2)),
+        FiniteGroup.symmetric(3),
+        FiniteGroup.symmetric(4),
+        FiniteGroup.direct_product(FiniteGroup.symmetric(3), z(2)),
+    )
 
 
 def random_coset_instance(rng, max_types=4):
@@ -151,7 +168,7 @@ def random_coset_instance(rng, max_types=4):
 
 
 def random_subgroup(rng, group, max_gens=2):
-    elems = sorted(group.elements())
+    elems = list(group)  # sorted, and listed once per group
     gens = [rng.choice(elems) for _ in range(rng.randint(1, max_gens))]
     return PermGroup([g for g in gens if not g.is_identity()],
                      degree=group.degree)
@@ -164,9 +181,9 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
     try:
         if kind == 0:
             two_m = rng.choice([6, 8, 10, 12])
-            geom = cycle_geometry(two_m)
+            geom = _cycle_geometry(two_m)
             divisors = [s for s in range(2, two_m + 1, 2) if two_m % s == 0]
-            group = cycle_rotation(two_m, rng.choice(divisors))
+            group = _cycle_rotation(two_m, rng.choice(divisors))
         elif kind == 1:
             geom, action = random_coset_instance(rng)
             if geom.size > 40:
@@ -178,12 +195,12 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
             group = random_subgroup(rng, auts)
         elif kind == 3:
             v = rng.choice([3, 4])
-            geom, action = ssg_symmetric_action(v, rng.randint(2, v - 1))
+            geom, action = _ssg_symmetric_action(v, rng.randint(2, v - 1))
             group = random_subgroup(rng, action)
         elif kind == 4:
             geom, group = _hex_or_cycle(rng)
         else:
-            geom, n_group, g_group = multipartite_geometry(2, 3, 2)
+            geom, n_group, g_group = _multipartite_geometry(2, 3, 2)
             group = random_subgroup(rng, n_group)
     except CapExceeded:
         return None
@@ -197,8 +214,7 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
 
 
 def _hex_or_cycle(rng):
-    from .constructions import eight_cycle, hexagon
-    return rng.choice([hexagon, eight_cycle])()
+    return rng.choice([_hexagon, _eight_cycle])()
 
 
 def _draw(rng, maker, count):
@@ -252,8 +268,8 @@ def _cover_instances(rng):
     kind = rng.randrange(4)
     if kind == 0:
         two_m = rng.choice([8, 12, 16])
-        geom = cycle_geometry(two_m)
-        part = orbit_partition(cycle_rotation(two_m, two_m // 2), geom)
+        geom = _cycle_geometry(two_m)
+        part = orbit_partition(_cycle_rotation(two_m, two_m // 2), geom)
         return Projection(geom, part)
     if kind == 1:
         geom = random_geometry(rng, max_rank=2, max_per_type=4)
@@ -399,7 +415,7 @@ def suite_shadowable_quotient(rng, count=200):
     for _ in range(count):
         v = rng.choice([3, 4, 5])
         k = rng.randint(2, min(3, v - 1))
-        geom, action = ssg_symmetric_action(v, k)
+        geom, action = _ssg_symmetric_action(v, k)
         if not is_shadowable(geom)[0]:
             raise RuntimeError("ssg(%d, %d) is not shadowable" % (v, k))
         sub = random_subgroup(rng, action)

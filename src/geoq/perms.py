@@ -297,6 +297,7 @@ class PermGroup:
         self.degree = degree
         self.cap = cap
         self._elements = None
+        self._sorted = None  # the elements as a sorted tuple, see __iter__
         self._sims = None
 
     @classmethod
@@ -341,7 +342,10 @@ class PermGroup:
                 and perm.images in self._chain())
 
     def __iter__(self):
-        return iter(sorted(self.elements()))
+        """The elements in increasing order, sorted once per group."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.elements()))
+        return iter(self._sorted)
 
     def orbits(self):
         """All orbits on 0..degree-1, each sorted, listed by least point."""

@@ -51,6 +51,15 @@ def test_check_flag_cap(tmp_path, capsys):
     assert err.strip() == "cap exceeded: flag count exceeds --max-flags 5"
 
 
+def test_diagram_flag_cap(tmp_path, capsys):
+    gen_file(tmp_path, capsys, "ssg", "5", "3")
+    code, out, err = run(capsys, "diagram", str(tmp_path / "ssg-5-3.geo"),
+                         "--max-flags", "5")
+    assert code == 3
+    assert out == ""
+    assert err.strip() == "cap exceeded: flag count exceeds --max-flags 5"
+
+
 def test_group_order_cap(tmp_path, capsys):
     gen_file(tmp_path, capsys, "coseteg", "2")
     code, _, err = run(capsys, "axioms", str(tmp_path / "coseteg-2.geo"),

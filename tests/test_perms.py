@@ -192,6 +192,38 @@ def test_stabilizer_agrees_with_element_scan(rng):
     assert len(sizes) > 8, sizes
 
 
+def test_listing_is_sorted_once(monkeypatch):
+    # iteration is the sorted element list, sorted once per group: on
+    # every group the lemma suites list (the regular action of each
+    # group of the coset pool, and the fixed instances' groups)
+    import geoq.perms
+    from geoq.constructions import eight_cycle, multipartite_geometry
+    from geoq.cosets import CosetGeometry
+    from geoq.lemmas import _small_groups, cycle_rotation
+    groups = [CosetGeometry(G, [G.subgroup_generated([]).named("G1")])
+              .action_group() for G in _small_groups()]
+    groups += [ssg_symmetric_action(v, k)[1]
+               for v, k in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3))]
+    groups += list(multipartite_geometry(2, 3, 2)[1:])
+    groups += [hexagon()[1], eight_cycle()[1], cycle_rotation(12, 2)]
+    assert [len(list(g)) for g in groups[:len(_small_groups())]] == [
+        len(G) for G in _small_groups()]
+    sorts = []
+
+    def counted(items):
+        sorts.append(1)
+        return sorted(items)
+
+    monkeypatch.setattr(geoq.perms, "sorted", counted, raising=False)
+    for group in groups:
+        first = list(group)
+        assert first == sorted(group.elements())
+        assert len(first) == group.order()
+        del sorts[:]
+        assert list(group) == first
+        assert sorts == []  # the second iteration does not sort again
+
+
 def test_normal_closure_grows():
     geom, action = ssg_symmetric_action(4, 2)
     transposition = sorted(action.elements())[1]

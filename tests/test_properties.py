@@ -54,3 +54,62 @@ def test_draws_are_streamed():
     assert list(draws) == [4, 6] and len(made) == 6
     with pytest.raises(RuntimeError):
         list(lemmas._draw(random.Random(0), lambda rng: None, 2))
+
+
+
+def _shared_instances():
+    """Each shared constructor of the suites with the finite argument
+    set the draws can give it."""
+    cycles = [(m, s) for m in (6, 8, 10, 12)
+              for s in range(2, m + 1, 2) if m % s == 0]
+    cycles += [(m, m // 2) for m in (8, 12, 16)]
+    return [
+        (lemmas._cycle_geometry, [(m,) for m in (6, 8, 10, 12, 16)]),
+        (lemmas._cycle_rotation, sorted(set(cycles))),
+        (lemmas._ssg_symmetric_action,
+         [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]),
+        (lemmas._multipartite_geometry, [(2, 3, 2)]),
+        (lemmas._hexagon, [()]),
+        (lemmas._eight_cycle, [()]),
+        (lemmas._small_groups, [()]),
+    ]
+
+
+def _same_instance(shared, fresh):
+    from geoq.cosets import FiniteGroup
+    from geoq.geometry import Pregeometry
+    from geoq.perms import PermGroup
+    if isinstance(shared, tuple):
+        return (len(shared) == len(fresh)
+                and all(map(_same_instance, shared, fresh)))
+    if isinstance(shared, PermGroup):
+        return ((shared.degree, [g.images for g in shared.gens])
+                == (fresh.degree, [g.images for g in fresh.gens]))
+    if isinstance(shared, FiniteGroup):
+        return (shared.names, shared.mul) == (fresh.names, fresh.mul)
+    assert isinstance(shared, Pregeometry)
+    return shared == fresh
+
+
+def test_warm_draws_equal_cold_draws():
+    # the suites share their fixed instances for the whole process; a
+    # run on cold caches and a run on warm ones must draw and decide the
+    # same, and no suite may change a shared instance
+    shared = _shared_instances()
+    for cached, _ in shared:
+        cached.cache_clear()
+    seed = lemmas.DEFAULT_SEED
+
+    def outcome():
+        return [(r.name, r.checked, r.nonvacuous, r.violations)
+                for r in lemmas.run_all_suites(seed=seed, count=30)]
+
+    cold = outcome()
+    assert outcome() == cold
+    for cached, args in shared:
+        info = cached.cache_info()
+        assert info.hits > 0 and 0 < info.currsize <= len(args), (
+            cached, info)
+        for a in args:  # __wrapped__ is the uncached constructor
+            assert _same_instance(cached(*a), cached.__wrapped__(*a)), (
+                cached, a)
