@@ -1,18 +1,23 @@
 """
 Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3).
 
-All deciders are exhaustive over enumerated flags; witnesses are minimal
-under (flag rank, lexicographic) ordering.  Orbits come from
-perms.orbits_on over generators, and no decider lists the elements of G:
-(TQ1) and (TQ2') read the flag stabilizer's orbits on each residue from
-the G-orbits of incident (flag, residue member) pairs, and (TQ2'') works
-on the G-orbits of incident pairs.
+All deciders are exhaustive; witnesses are minimal under (flag rank,
+lexicographic) ordering.  No decider lists the elements of G.  One
+perms.orbits_on call per orbit-quotient, over generator images, splits
+the flags into G-orbits (_flag_orbit_index); the orbits come in the
+order of their least flags.  The blocks are the G-orbits, so every
+per-flag condition decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1)
+and residual surjectivity in axioms_report -- has the same verdict at F
+and at every gF, and the failing flags form a union of orbits.  So each
+decider scans only the least flag of each orbit: the first failing one
+is the least failing flag, and the rest of a witness is a function of
+that flag alone, so the witnesses are those of a scan of every flag.
 """
 
 from __future__ import annotations
 
 from .geometry import extensions, flags_by_rank_lex
-from .perms import orbit_partition, orbits_on
+from .perms import _flag_image, orbit_partition, orbits_on
 from .quotient import Projection, _residue_map_failure, min_block_distance
 
 
@@ -20,18 +25,41 @@ class OrbitQuotient:
     """A pregeometry together with an automorphism group, its orbit
     partition and the projection onto the orbit quotient."""
 
-    __slots__ = ("geom", "group", "partition", "proj", "_residue_orbits")
+    __slots__ = ("geom", "group", "partition", "proj", "_flag_orbits")
 
     def __init__(self, geom, group):
         self.geom = geom
         self.group = group
         self.partition = orbit_partition(group, geom)
         self.proj = Projection(geom, self.partition)
-        self._residue_orbits = None  # see _residue_orbit_index
+        self._flag_orbits = None  # see _flag_orbit_index
 
     @property
     def quotient(self):
         return self.proj.quotient
+
+
+def _flag_orbit_index(oq):
+    """The G-orbits on flags, listed by least member in (rank, lex) order
+    (each a tuple in that order), and the map from flag to orbit index.
+    Built once per orbit-quotient, on first use, from the generators.
+
+    It also gives each flag stabilizer's orbits on the residue: for x, y
+    in the residue of F, some g in G_F maps x to y exactly when the flags
+    F + {x} and F + {y} share a G-orbit.  G keeps types, so a g taking
+    F + {x} onto F + {y} maps x, the one member of its type, to y and F
+    onto F; conversely any g in G_F with x -> y does."""
+    if oq._flag_orbits is None:
+        orbits = orbits_on(oq.group.gens, flags_by_rank_lex(oq.geom),
+                           _flag_image)
+        orbit_of = {f: k for k, orbit in enumerate(orbits) for f in orbit}
+        oq._flag_orbits = orbits, orbit_of
+    return oq._flag_orbits
+
+
+def _representatives(oq):
+    """The least flag of each G-orbit, in (rank, lex) order."""
+    return [orbit[0] for orbit in _flag_orbit_index(oq)[0]]
 
 
 def check_TQ3(oq):
@@ -42,43 +70,19 @@ def check_TQ3(oq):
 def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
-    orbit_of = _residue_orbit_index(oq)
-    for flag in flags_by_rank_lex(oq.geom):
+    orbit_of = _flag_orbit_index(oq)[1]
+    for flag in _representatives(oq):
         if not flag:
             continue
         per_block = {}
         for x in extensions(oq.geom, flag):
             per_block.setdefault(oq.proj.block_of[x], []).append(x)
         for k, xs in sorted(per_block.items()):
+            first = orbit_of[tuple(sorted(flag + (xs[0],)))]
             for x in xs[1:]:
-                if orbit_of[flag, x] != orbit_of[flag, xs[0]]:
+                if orbit_of[tuple(sorted(flag + (x,)))] != first:
                     return False, (flag, xs[0], x)
     return True, None
-
-
-def _flag_member_image(g, item):
-    flag, x = item
-    return tuple(sorted(g[y] for y in flag)), g[x]
-
-
-def _residue_orbit_index(oq):
-    """Map each (flag F, x in the residue of F) to its G-orbit index.  Some
-    g in G_F maps x to y exactly when (F, x) and (F, y) share a G-orbit:
-    an automorphism mapping F onto itself keeps types, so fixes F.  Built
-    once per orbit-quotient, on first use, and shared by (TQ1) and (TQ2')."""
-    if oq._residue_orbits is None:
-        geom = oq.geom
-        items = [(flag, x) for flag in flags_by_rank_lex(geom)
-                 for x in extensions(geom, flag)]
-        orbits = orbits_on(oq.group.gens, items, _flag_member_image)
-        oq._residue_orbits = {item: k for k, orbit in enumerate(orbits)
-                              for item in orbit}
-    return oq._residue_orbits
-
-
-def _pair_image(g, pair):
-    a, b = g[pair[0]], g[pair[1]]
-    return (a, b) if a < b else (b, a)
 
 
 def check_TQ2doubleprime(oq):
@@ -86,22 +90,23 @@ def check_TQ2doubleprime(oq):
     incident pair, some single group element brings both ends onto it.
 
     Equivalently, the flag's reflexive residue contains a pair from the
-    G-orbit of the incident pair.  The pair orbits are computed once from
-    the generators; whether a pair fails at a flag depends only on its
-    orbit, so scanning the orbits by least member finds the same first
-    failing pair as a scan of the sorted pairs."""
+    G-orbit of the incident pair.  The incident pairs are the rank-2
+    flags, so their orbits are the rank-2 flag orbits, in the order of
+    their least pairs; whether a pair fails at a flag depends only on its
+    orbit, so scanning them finds the same first failing pair as a scan
+    of the sorted pairs."""
     geom, block_of = oq.geom, oq.proj.block_of
-    pair_orbits = orbits_on(oq.group.gens, sorted(geom.pairs), _pair_image)
-    orbit_of = {p: k for k, orbit in enumerate(pair_orbits) for p in orbit}
-    for flag in flags_by_rank_lex(geom):
+    orbits, orbit_of = _flag_orbit_index(oq)
+    pair_orbits = [(k, orbit[0]) for k, orbit in enumerate(orbits)
+                   if len(orbit[0]) == 2]
+    for flag in _representatives(oq):
         touch = set(range(geom.size))
         for x in flag:
             touch &= geom.adj[x] | {x}
         met = {block_of[x] for x in touch}
         hit = {orbit_of[(a, b)] for a in touch for b in geom.adj[a]
                if a < b and b in touch}
-        for k, orbit in enumerate(pair_orbits):
-            a, b = orbit[0]
+        for k, (a, b) in pair_orbits:
             if k not in hit and block_of[a] in met and block_of[b] in met:
                 return False, (flag, a, b)
     return True, None
@@ -116,11 +121,12 @@ def check_TQ1(oq):
     stabilizer is isomorphic (via orbit -> block) to the residue of the
     projected flag in the quotient."""
     geom, q = oq.geom, oq.quotient
-    orbit_of = _residue_orbit_index(oq)
-    for flag in flags_by_rank_lex(geom):
+    orbit_of = _flag_orbit_index(oq)[1]
+    for flag in _representatives(oq):
         orbits = {}
         for x in extensions(geom, flag):
-            orbits.setdefault(orbit_of[flag, x], []).append(x)
+            orbits.setdefault(orbit_of[tuple(sorted(flag + (x,)))],
+                              []).append(x)
         target = set(extensions(q, oq.proj._project(flag)))
         reason = _residue_map_failure(oq.proj, list(orbits.values()), target)
         if reason is not None:
@@ -163,8 +169,9 @@ def axioms_report(oq):
     name -> (bool, witness-or-None)."""
     from .quotient import (check_flagslift, check_PQ1, check_PQ2, is_cover,
                            residual_surjectivity)
+    reps = _representatives(oq)
     fl = check_flagslift(oq.proj)
-    pq1 = check_PQ1(oq.proj)
+    pq1 = check_PQ1(oq.proj, reps)
     pq2 = check_PQ2(oq.proj)
     tq1 = check_TQ1(oq)
     tq2p = check_TQ2prime(oq)
@@ -177,6 +184,7 @@ def axioms_report(oq):
         "tq2prime": tq2p,
         "tq2doubleprime": tq2pp,
         "tq3": (check_TQ3(oq), None),
-        "residually-surjective": (residual_surjectivity(oq.proj), None),
+        "residually-surjective": (residual_surjectivity(oq.proj, reps),
+                                  None),
         "is-cover": (is_cover(oq.proj), None),
     }

@@ -7,9 +7,10 @@ quotient implications on every instance, reporting any violation.
 The fixed instances the draws pick from are built once per process and
 shared: the cycles and their rotations, the symmetric actions on
 ssg(v, k), multipartite_geometry(2, 3, 2), the hexagon, the eight-cycle
-and the pool of small groups.  So each keeps its flag list, verdicts and
-Schreier-Sims chain across draws, and each fixed group is listed and
-sorted once (PermGroup.__iter__).  Only what is built from the drawn
+and the pool of small groups.  So each keeps its flag list, verdicts,
+verified automorphisms and Schreier-Sims chain across draws, each fixed
+group is listed and sorted once (PermGroup.__iter__), and each ssg(v, k)
+is checked shadowable once.  Only what is built from the drawn
 arguments is shared, never a draw itself: every rng call is made exactly
 as before, so the draws are unchanged.  No check changes a pregeometry
 or a group, so a shared instance answers as a fresh one would.  The
@@ -135,6 +136,16 @@ _ssg_symmetric_action = functools.cache(ssg_symmetric_action)
 _multipartite_geometry = functools.cache(multipartite_geometry)
 _hexagon = functools.cache(hexagon)
 _eight_cycle = functools.cache(eight_cycle)
+
+
+@functools.cache
+def _shadowable_ssg_action(v, k):
+    """_ssg_symmetric_action(v, k), whose geometry is checked shadowable
+    once per (v, k)."""
+    geom, action = _ssg_symmetric_action(v, k)
+    if not is_shadowable(geom)[0]:
+        raise RuntimeError("ssg(%d, %d) is not shadowable" % (v, k))
+    return geom, action
 
 
 @functools.cache
@@ -415,9 +426,7 @@ def suite_shadowable_quotient(rng, count=200):
     for _ in range(count):
         v = rng.choice([3, 4, 5])
         k = rng.randint(2, min(3, v - 1))
-        geom, action = _ssg_symmetric_action(v, k)
-        if not is_shadowable(geom)[0]:
-            raise RuntimeError("ssg(%d, %d) is not shadowable" % (v, k))
+        geom, action = _shadowable_ssg_action(v, k)
         sub = random_subgroup(rng, action)
         res.checked += 1
         res.nonvacuous += 1

@@ -12,7 +12,8 @@ orbit question -- on points, flags, incident pairs or ordered tuples --
 goes through orbits_on, a union-find over generator images that never
 enumerates the group.  Products and inverses are built without
 re-checking that they are permutations; every Perm made from outside
-data is checked.
+data is checked.  Whether a generator is an automorphism is decided
+once per geometry and kept in the geometry's memo (check_automorphisms).
 
 _incidence_maps is the one incidence-map search: invariant-pruned
 backtracking (McKay & Piperno, "Practical graph isomorphism, II", 2014,
@@ -23,6 +24,7 @@ them from a geometry to itself; constructions.isomorphic takes the first.
 
 from __future__ import annotations
 
+from .geometry import _per_geometry
 from .quotient import Partition
 
 DEFAULT_CAP = 200_000
@@ -384,10 +386,24 @@ def is_automorphism(geom, perm):
                for a, b in geom.pairs)
 
 
+@_per_geometry
+def _verified_automorphisms(geom):
+    """The images of the generators already found to be automorphisms of
+    the geometry, kept with it."""
+    return set()
+
+
 def check_automorphisms(geom, group):
+    """Raise ValueError unless every generator is an automorphism of the
+    geometry.  A (geometry, generator) pair is checked once; a failure is
+    never kept and is raised again on every call."""
+    verified = _verified_automorphisms(geom)
     for g in group.gens:
+        if g.images in verified:
+            continue
         if not is_automorphism(geom, g):
             raise ValueError("generator %r is not an automorphism" % (g,))
+        verified.add(g.images)
 
 
 def orbit_partition(group, geom):
@@ -431,7 +447,9 @@ def normal_closure(group, sub):
 
 
 def _flag_image(g, flag):
-    return tuple(sorted(g[x] for x in flag))
+    """The image of a flag (a sorted tuple) under g, as a sorted tuple."""
+    images = g.images
+    return tuple(sorted([images[x] for x in flag]))
 
 
 def transitivity(group, geom, kind, types=None):

@@ -147,11 +147,13 @@ def check_jflags_lift(proj, types):
     return True, None
 
 
-def residual_surjectivity(proj):
+def residual_surjectivity(proj, flags=None):
     """True iff projecting a residue gives the whole quotient residue,
-    for every flag of the source."""
+    for every flag of the source.  A caller that knows the verdict is
+    the same on whole classes of flags (an orbit-quotient's G-orbits)
+    passes one flag of each class; the default scans every flag."""
     q = proj.quotient
-    for flag in all_flags(proj.source):
+    for flag in all_flags(proj.source) if flags is None else flags:
         qflag = proj._project(flag)
         image = {proj.block_of[x] for x in extensions(proj.source, flag)}
         target = {k for k in extensions(q, qflag)
@@ -264,11 +266,15 @@ def is_incidence_graph_cover(proj):
     return corank1_injective(proj) and corank1_surjective(proj)
 
 
-def check_PQ1(proj):
+def check_PQ1(proj, flags=None):
     """(PQ1): whenever the projection of a flag extends by a block in the
-    quotient, the flag itself extends by an element of that block."""
+    quotient, the flag itself extends by an element of that block.  The
+    flags scanned default to all of them in (rank, lex) order; a caller
+    may pass a sublist in that order that contains the least failing
+    flag whenever one exists (an orbit-quotient's least flag per
+    G-orbit), and gets the same answer."""
     q = proj.quotient
-    for flag in flags_by_rank_lex(proj.source):
+    for flag in flags_by_rank_lex(proj.source) if flags is None else flags:
         if not flag:
             continue  # the empty flag extends by any member of any block
         qflag = proj._project(flag)

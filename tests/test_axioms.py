@@ -186,12 +186,15 @@ def test_tq2doubleprime_never_enumerates_the_group():
 
 
 def test_residue_orbit_map_is_built_once_per_orbit_quotient(monkeypatch):
-    # (TQ1) and (TQ2') share one residue orbit map per orbit-quotient
+    # (TQ1), (TQ2') and (TQ2'') share one flag-orbit index per
+    # orbit-quotient: the whole report makes one orbits_on call, on
+    # flags, and later deciders on the same orbit-quotient make none
     import geoq.axioms as axioms
+    import geoq.perms as perms
     builds = []
 
     def counting_orbits_on(gens, items, act):
-        builds.append(act is axioms._flag_member_image)
+        builds.append(act)
         return orbits_on(gens, items, act)
 
     monkeypatch.setattr(axioms, "orbits_on", counting_orbits_on)
@@ -199,10 +202,11 @@ def test_residue_orbit_map_is_built_once_per_orbit_quotient(monkeypatch):
         oq = OrbitQuotient(geom, group)
         builds.clear()
         report = axioms_report(oq)
-        assert builds.count(True) == 1
-        assert (check_TQ1(oq), check_TQ2prime(oq)) == (report["tq1"],
-                                                       report["tq2prime"])
-        assert builds.count(True) == 1
+        assert builds == [perms._flag_image]
+        assert ((check_TQ1(oq), check_TQ2prime(oq), check_TQ2doubleprime(oq))
+                == (report["tq1"], report["tq2prime"],
+                    report["tq2doubleprime"]))
+        assert builds == [perms._flag_image]
 
 
 def _stabilizer_residue_orbits(group, flag, members):
@@ -275,3 +279,119 @@ def test_tq1_and_tq2prime_agree_with_stabilizer_scans(rng):
             reasons.add(tq1[1][1])
     assert min(seen.values()) >= 10, seen
     assert len(reasons) >= 2, reasons
+
+
+# The sweeps over every flag that decided these axioms before the
+# flag-orbit index, kept as the oracle for the scans over one flag per
+# G-orbit: (TQ1) and (TQ2') on the G-orbits of incident (flag, residue
+# member) pairs, (TQ2'') on the G-orbits of incident pairs, and (PQ1)
+# and residual surjectivity by their default full scan.
+
+def _member_image(g, item):
+    flag, x = item
+    return tuple(sorted(g[y] for y in flag)), g[x]
+
+
+def _pair_image(g, pair):
+    a, b = g[pair[0]], g[pair[1]]
+    return (a, b) if a < b else (b, a)
+
+
+def _sweep_report(oq):
+    from geoq.geometry import extensions, flags_by_rank_lex
+    from geoq.quotient import (_residue_map_failure, check_flagslift,
+                               check_PQ1, check_PQ2, is_cover)
+    geom, q, block_of = oq.geom, oq.quotient, oq.proj.block_of
+    flags = flags_by_rank_lex(geom)
+    items = [(f, x) for f in flags for x in extensions(geom, f)]
+    member_orbit = {item: k for k, orbit in enumerate(
+                        orbits_on(oq.group.gens, items, _member_image))
+                    for item in orbit}
+
+    def tq2prime():
+        for flag in flags[1:]:
+            per_block = {}
+            for x in extensions(geom, flag):
+                per_block.setdefault(block_of[x], []).append(x)
+            for k, xs in sorted(per_block.items()):
+                for x in xs[1:]:
+                    if member_orbit[flag, x] != member_orbit[flag, xs[0]]:
+                        return False, (flag, xs[0], x)
+        return True, None
+
+    def tq1():
+        reasons = {"not injective": "orbit map not injective",
+                   "not surjective": "orbit map not onto the quotient "
+                                     "residue"}
+        for flag in flags:
+            classes = {}
+            for x in extensions(geom, flag):
+                classes.setdefault(member_orbit[flag, x], []).append(x)
+            target = set(extensions(q, oq.proj._project(flag)))
+            reason = _residue_map_failure(oq.proj, list(classes.values()),
+                                          target)
+            if reason is not None:
+                return False, (flag, reasons.get(reason, reason))
+        return True, None
+
+    def tq2doubleprime():
+        pair_orbits = orbits_on(oq.group.gens, sorted(geom.pairs),
+                                _pair_image)
+        orbit_of = {p: k for k, orbit in enumerate(pair_orbits)
+                    for p in orbit}
+        for flag in flags:
+            touch = set(range(geom.size))
+            for x in flag:
+                touch &= geom.adj[x] | {x}
+            met = {block_of[x] for x in touch}
+            hit = {orbit_of[(a, b)] for a in touch for b in geom.adj[a]
+                   if a < b and b in touch}
+            for k, orbit in enumerate(pair_orbits):
+                a, b = orbit[0]
+                if k not in hit and block_of[a] in met and block_of[b] in met:
+                    return False, (flag, a, b)
+        return True, None
+
+    return {
+        "flagslift": check_flagslift(oq.proj),
+        "pq1": check_PQ1(oq.proj),
+        "pq2": check_PQ2(oq.proj),
+        "tq1": tq1(),
+        "tq2prime": tq2prime(),
+        "tq2doubleprime": tq2doubleprime(),
+        "tq3": (check_TQ3(oq), None),
+        "residually-surjective": (residual_surjectivity(oq.proj), None),
+        "is-cover": (is_cover(oq.proj), None),
+    }
+
+
+def _fixed_orbit_quotients():
+    from geoq.constructions import shadowable_lift, ssg_symmetric_action
+    from geoq.cosets import FiniteGroup, coseteg_family
+    for n in (2, 5, 7):
+        fam = coseteg_family(FiniteGroup.cyclic(n))
+        yield fam.geometry, fam.action_group()
+    parent, sym = ssg_symmetric_action(3, 2)
+    lift = shadowable_lift(parent, 3, 2)
+    yield lift.geometry, lift.wreath_group(sym)
+    yield hexagon()
+    yield eight_cycle()
+    yield tq1_counterexample()
+
+
+def test_orbit_representatives_agree_with_full_sweep(rng):
+    from geoq.lemmas import random_orbit_quotient
+    names = ("tq1", "tq2prime", "tq2doubleprime", "pq1",
+             "residually-surjective")
+    seen = {(name, v): 0 for name in names for v in (True, False)}
+    oqs = [OrbitQuotient(g, grp) for g, grp in _fixed_orbit_quotients()]
+    while len(oqs) < 307:
+        oq = random_orbit_quotient(rng)
+        if oq is not None:
+            oqs.append(oq)
+    for oq in oqs:
+        report = axioms_report(oq)
+        assert report == _sweep_report(oq)
+        for name in names:
+            seen[name, report[name][0]] += 1
+    assert min(seen.values()) >= 10, seen

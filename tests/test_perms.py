@@ -98,6 +98,38 @@ def test_orbit_partition_rejects_nonautomorphism():
         orbit_partition(bad, geom)
 
 
+def test_automorphism_check_is_kept_per_geometry_and_stays_exact(
+        monkeypatch):
+    # a verified generator is not checked again on the same geometry, but
+    # a group that mixes it with a non-automorphism is still refused, as
+    # often as it is asked, and a fresh equal geometry is checked anew
+    import geoq.perms as perms
+    calls = []
+
+    def counting(geom, perm):
+        calls.append(perm.images)
+        return is_automorphism(geom, perm)
+
+    monkeypatch.setattr(perms, "is_automorphism", counting)
+    geom, group = hexagon()
+    orbit_partition(group, geom)
+    assert calls == [g.images for g in group.gens]
+    orbit_partition(group, geom)
+    transitivity(group, geom, "vertex")
+    assert len(calls) == len(group.gens)
+    bad = PermGroup(list(group.gens) + [Perm.from_cycles(6, [(0, 1)])])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            orbit_partition(bad, geom)
+        with pytest.raises(ValueError):
+            transitivity(bad, geom, "vertex")
+    assert len(calls) == len(group.gens) + 4
+    calls.clear()
+    fresh, _ = hexagon()
+    orbit_partition(group, fresh)
+    assert calls == [g.images for g in group.gens]
+
+
 def test_enumerated_elements_are_automorphisms(rng):
     for _ in range(10):
         oq = random_orbit_quotient(rng)

@@ -68,6 +68,8 @@ def _shared_instances():
         (lemmas._cycle_rotation, sorted(set(cycles))),
         (lemmas._ssg_symmetric_action,
          [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]),
+        (lemmas._shadowable_ssg_action,
+         [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]),
         (lemmas._multipartite_geometry, [(2, 3, 2)]),
         (lemmas._hexagon, [()]),
         (lemmas._eight_cycle, [()]),
