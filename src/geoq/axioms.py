@@ -6,12 +6,14 @@ lexicographic) ordering.  No decider lists the elements of G.  One
 perms.orbits_on call per orbit-quotient, over generator images, splits
 the flags into G-orbits (_flag_orbit_index); the orbits come in the
 order of their least flags.  The blocks are the G-orbits, so every
-per-flag condition decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1)
-and residual surjectivity in axioms_report -- has the same verdict at F
-and at every gF, and the failing flags form a union of orbits.  So each
-decider scans only the least flag of each orbit: the first failing one
-is the least failing flag, and the rest of a witness is a function of
-that flag alone, so the witnesses are those of a scan of every flag.
+per-flag condition decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1),
+(PQ2) and residual surjectivity in axioms_report -- has the same verdict
+at F and at every gF, and the failing flags form a union of orbits.  So
+each decider scans only the least flag of each orbit: the first failing
+one is the least failing flag, and the rest of a witness is a function
+of that flag alone, so the witnesses are those of a scan of every flag.
+For the same reason axioms_report tests the cover condition at the least
+member of each block only.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def axioms_report(oq):
     reps = _representatives(oq)
     fl = check_flagslift(oq.proj)
     pq1 = check_PQ1(oq.proj, reps)
-    pq2 = check_PQ2(oq.proj)
+    pq2 = check_PQ2(oq.proj, reps)
     tq1 = check_TQ1(oq)
     tq2p = check_TQ2prime(oq)
     tq2pp = check_TQ2doubleprime(oq)
@@ -186,5 +188,7 @@ def axioms_report(oq):
         "tq3": (check_TQ3(oq), None),
         "residually-surjective": (residual_surjectivity(oq.proj, reps),
                                   None),
-        "is-cover": (is_cover(oq.proj), None),
+        "is-cover": (is_cover(oq.proj,
+                              [block[0] for block in oq.partition.blocks]),
+                     None),
     }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 from . import io as gio
@@ -20,7 +21,7 @@ from .constructions import (affine_geometry, blowup, example_generators,
                             isomorphic, shadowable_lift, ssg)
 from .diagram import basic_diagram
 from .geometry import (all_flags, is_connected, is_firm, is_geometry,
-                       is_residually_connected, validate)
+                       is_residually_connected, keep_flags, validate)
 from .lemmas import seed_from_env
 from .perms import CapExceeded, normal_closure, orbit_partition
 from .quotient import (Projection, check_flagslift, check_PQ1, check_PQ2,
@@ -44,9 +45,12 @@ def _load_geometry(path):
 
 
 def _count_flags_capped(geom, cap):
-    for n, _ in enumerate(all_flags(geom), 1):
-        if n > cap:
-            raise CapExceeded("flag count exceeds --max-flags %d" % cap)
+    """Refuse a geometry with more than cap flags; otherwise keep the
+    flags walked as its flag list, so that they are walked only once."""
+    flags = list(islice(all_flags(geom), cap + 1))
+    if len(flags) > cap:
+        raise CapExceeded("flag count exceeds --max-flags %d" % cap)
+    keep_flags(geom, flags)
 
 
 def _load_group(path, geom, cap):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .geometry import (Pregeometry, all_flags, bfs, components, is_connected,
-                       is_geometry)
+from .geometry import (Pregeometry, all_flags, bfs, components,
+                       incidence_sets, is_connected, is_geometry)
 from .perms import (Perm, PermGroup, _incidence_maps, _profile,
                     automorphism_group)
 from .quotient import Partition, Projection
@@ -24,7 +24,7 @@ from .quotient import Partition, Projection
 class SimpleGraph:
     """Undirected loop-free graph on named vertices."""
 
-    __slots__ = ("names", "edges", "adj")
+    __slots__ = ("names", "edges", "adj", "masks")
 
     def __init__(self, names, edges):
         self.names = tuple(names)
@@ -37,11 +37,7 @@ class SimpleGraph:
                 raise ValueError("vertex index out of range")
             norm.add((min(a, b), max(a, b)))
         self.edges = frozenset(norm)
-        adj = [set() for _ in range(n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.adj, self.masks = incidence_sets(n, self.edges)
 
     @property
     def size(self):
@@ -74,7 +70,7 @@ class SimpleGraph:
         """All r-cliques, as sorted tuples in lexicographic order (the
         empty clique for r=0): the cliques are the flags of the graph
         read as a one-type geometry, and all_flags needs only size and
-        adj."""
+        masks."""
         return [c for c in all_flags(self) if len(c) == r]
 
     def is_matching(self):

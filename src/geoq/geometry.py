@@ -4,12 +4,19 @@ Finite pregeometries: typed elements with a symmetric incidence relation.
 A pregeometry is stored with dense integer indices for both types and
 elements; all derived sets are ordered by index so every query is
 deterministic.  Incidence is kept as an irreflexive edge set (reflexivity
-is implicit).  Flags are sorted tuples of element indices.
+is implicit), and for each element x as its neighbour set `adj[x]` and
+as a mask `masks[x]`, an int with bit y set when x * y.  Flags are
+sorted tuples of element indices.
 
-`all_flags` is the one flag backtracker: it extends by increasing element
-index, so it yields flags lazily in lexicographic order.  A pregeometry
+The flag layer works on the masks: a flag's common neighbours are the
+AND of its members' masks, and incidence is one bit.  `all_flags` is the
+one flag backtracker: it passes the candidates of a flag down as a mask,
+takes them lowest bit first, so it yields flags lazily in lexicographic
+order.  `extensions` and the maximality test of `is_geometry` AND masks,
+and quotient.lift_flag and the residue-map test do the same.  A pregeometry
 never changes, so its full flag list, in (rank, lexicographic) order, is
-built once on first use and kept with it (`flags_by_rank_lex`); per-type
+built once on first use and kept with it (`flags_by_rank_lex`), or
+taken from a caller that has walked them already (`keep_flags`); per-type
 flag lists and chamber counts are filters over that list, and the
 geometry and residual-connectivity verdicts are computed once too.  The
 flag count is exponential in the rank in the worst case, so everything
@@ -25,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations
 
 INF = math.inf
 
@@ -34,7 +40,7 @@ class Pregeometry:
     """Immutable element set with a type map and incidence edges."""
 
     __slots__ = ("type_names", "elem_names", "elem_type", "pairs", "adj",
-                 "by_type", "_elem_index", "_memo")
+                 "masks", "by_type", "_elem_index", "_memo")
 
     def __init__(self, type_names, elem_names, elem_type, pairs):
         self.type_names = tuple(type_names)
@@ -56,13 +62,9 @@ class Pregeometry:
                 raise ValueError("element index out of range: (%r, %r)" % (a, b))
             if a == b:
                 continue  # self-incidence is implicit
-            norm.add((min(a, b), max(a, b)))
+            norm.add((a, b) if a < b else (b, a))
         self.pairs = frozenset(norm)
-        adj = [set() for _ in range(n)]
-        for a, b in self.pairs:
-            adj[a].add(b)
-            adj[b].add(a)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.adj, self.masks = incidence_sets(n, self.pairs)
         by_type = [[] for _ in self.type_names]
         for x, t in enumerate(self.elem_type):
             by_type[t].append(x)
@@ -101,7 +103,7 @@ class Pregeometry:
         return self._elem_index[name]
 
     def incident(self, a, b):
-        return a == b or (min(a, b), max(a, b)) in self.pairs
+        return a == b or self.masks[a] >> b & 1 == 1
 
     def flag_names(self, flag):
         return tuple(self.elem_names[x] for x in flag)
@@ -138,11 +140,15 @@ def validate(geom):
 
 def is_flag(geom, elems):
     """True iff elems are pairwise incident with pairwise distinct types."""
-    elems = sorted(set(elems))
+    elems = set(elems)
     types = [geom.elem_type[x] for x in elems]
     if len(set(types)) != len(types):
         return False
-    return all(geom.incident(a, b) for a, b in combinations(elems, 2))
+    want = 0
+    for x in elems:
+        want |= 1 << x
+    masks = geom.masks
+    return all((masks[x] | 1 << x) & want == want for x in elems)
 
 
 def as_flag(geom, elems):
@@ -163,11 +169,17 @@ def extensions(geom, flag):
     pregeometry, so the result automatically avoids the flag's types.
     """
     if not flag:
-        return sorted(range(geom.size))
-    out = set(geom.adj[flag[0]])
+        return list(range(geom.size))
+    masks = geom.masks
+    common = masks[flag[0]]
     for x in flag[1:]:
-        out &= geom.adj[x]
-    return sorted(out)
+        common &= masks[x]
+    out = []
+    while common:  # the set bits, lowest first
+        low = common & -common
+        out.append(low.bit_length() - 1)
+        common ^= low
+    return out
 
 
 def _per_geometry(fn):
@@ -176,9 +188,7 @@ def _per_geometry(fn):
     Exceptions are not kept; they are raised again on the next call."""
     @functools.wraps(fn)
     def cached(geom):
-        memo = geom._memo
-        if memo is None:
-            memo = geom._memo = {}
+        memo = _memo(geom)
         try:
             return memo[fn]
         except KeyError:
@@ -187,24 +197,50 @@ def _per_geometry(fn):
     return cached
 
 
+def _memo(geom):
+    if geom._memo is None:
+        geom._memo = {}
+    return geom._memo
+
+
 def all_flags(geom):
     """Yield every flag (including the empty flag), each exactly once,
-    extending by increasing element index, i.e. in lexicographic order."""
+    extending by increasing element index, i.e. in lexicographic order.
+    The candidates of a flag are a mask: the later elements incident
+    with all of it."""
+    masks = geom.masks
+
     def rec(flag, cand):
-        yield tuple(flag)
-        for i, x in enumerate(cand):
-            nxt = [y for y in cand[i + 1:] if y in geom.adj[x]]
-            flag.append(x)
-            yield from rec(flag, nxt)
-            flag.pop()
-    yield from rec([], list(range(geom.size)))
+        yield flag
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            yield from rec(flag + (x,), cand & masks[x])
+    yield from rec((), (1 << geom.size) - 1)
 
 
 @_per_geometry
 def flags_by_rank_lex(geom):
     """All flags sorted by (rank, lexicographic), for minimal witnesses.
     Enumerated once per geometry; the tuple returned is shared."""
-    return tuple(sorted(all_flags(geom), key=lambda f: (len(f), f)))
+    return _by_rank(all_flags(geom))
+
+
+# flags_by_rank_lex's memo key, taken before a profiler can rebind the name
+_FLAG_LIST = flags_by_rank_lex.__wrapped__
+
+
+def _by_rank(flags):
+    # a stable sort by rank keeps the lexicographic order within a rank
+    return tuple(sorted(flags, key=len))
+
+
+def keep_flags(geom, flags):
+    """Keep flags, every flag of geom in the order all_flags yields them,
+    as geom's flags_by_rank_lex, for a caller that has walked them
+    already."""
+    _memo(geom).setdefault(_FLAG_LIST, _by_rank(flags))
 
 
 def flags_of_type(geom, types):
@@ -232,9 +268,15 @@ def is_geometry(geom):
     """True iff every maximal flag is a chamber; on failure returns the
     lexicographically least maximal flag of rank below the rank of the
     geometry.  The scan stops at that flag."""
+    masks, rank = geom.masks, geom.rank
+    everything = (1 << geom.size) - 1
     for flag in all_flags(geom):
-        if len(flag) < geom.rank and not extensions(geom, flag):
-            return False, flag
+        if len(flag) < rank:
+            common = everything
+            for x in flag:
+                common &= masks[x]
+            if not common:
+                return False, flag
     return True, None
 
 
@@ -300,6 +342,19 @@ def truncation(geom, types):
         [geom.elem_names[x] for x in members],
         [tmap[geom.elem_type[x]] for x in members],
         pairs)
+
+
+def incidence_sets(n, pairs):
+    """The neighbours of each of 0..n-1 under an edge set, both as a
+    frozenset and as a mask, an int with bit y set for each neighbour y."""
+    adj = [set() for _ in range(n)]
+    masks = [0] * n
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return tuple(frozenset(s) for s in adj), tuple(masks)
 
 
 def bfs(adj, sources):

@@ -23,6 +23,7 @@ import functools
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .axioms import (OrbitQuotient, check_TQ1, check_TQ2doubleprime,
                      check_TQ2prime, check_TQ3)
@@ -217,8 +218,8 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
         return None
     if need_geometry and not is_geometry(geom)[0]:
         return None
-    if sum(1 for _ in all_flags(geom)) > max_flags:
-        return None
+    if next(islice(all_flags(geom), max_flags, None), None) is not None:
+        return None  # a (max_flags+1)-th flag exists
     if group.order() > 60:
         return None
     return OrbitQuotient(geom, group)

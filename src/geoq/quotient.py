@@ -112,19 +112,20 @@ def lift_flag(proj, qflag):
     returned lift is least under that choice order."""
     qflag = as_flag(proj.quotient, qflag)
     blocks = [proj.fiber(k) for k in qflag]
-    src = proj.source
+    masks = proj.source.masks
 
-    def rec(i, chosen):
+    def rec(i, chosen, common):
+        # common: the elements incident with every chosen one, as a mask
         if i == len(blocks):
             return tuple(sorted(chosen))
         for x in blocks[i]:
-            if all(x in src.adj[y] for y in chosen):
-                got = rec(i + 1, chosen + [x])
+            if common >> x & 1:
+                got = rec(i + 1, chosen + [x], common & masks[x])
                 if got is not None:
                     return got
         return None
 
-    return rec(0, [])
+    return rec(0, [], (1 << proj.source.size) - 1)
 
 
 def check_flagslift(proj):
@@ -216,16 +217,25 @@ def _residue_map_failure(proj, classes, target):
     and two classes are incident when some of their members are.  Returns
     why the map is not an isomorphism onto the target blocks (injectivity,
     surjectivity, then incidence over class pairs in order), or None."""
-    src, q, block_of = proj.source, proj.quotient, proj.block_of
+    masks, q, block_of = proj.source.masks, proj.quotient, proj.block_of
     image = [block_of[c[0]] for c in classes]
     if len(set(image)) != len(image):
         return "not injective"
     if set(image) != target:
         return "not surjective"
-    for i, a in enumerate(classes):
+    inside = []  # each class's members, as a mask
+    near = []  # the elements incident with some member, as a mask
+    for c in classes:
+        mask = 0
+        for x in c:
+            mask |= 1 << x
+        inside.append(mask)
+        for x in c:
+            mask |= masks[x]
+        near.append(mask)
+    for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
-            have = any(src.incident(x, y) for x in a for y in classes[j])
-            if have != q.incident(image[i], image[j]):
+            if bool(near[i] & inside[j]) != q.incident(image[i], image[j]):
                 return "incidence not matched"
     return None
 
@@ -254,10 +264,14 @@ def is_m_cover(proj, m):
     return True, None
 
 
-def is_cover(proj):
-    """A covering restricts to residue isomorphisms at every element."""
+def is_cover(proj, elements=None):
+    """A covering restricts to residue isomorphisms at every element.
+    The elements tested default to all of them; a caller that knows the
+    verdict is the same on each block (an orbit-quotient, whose blocks
+    are the G-orbits) may pass one member of each block."""
     return all(_residue_isomorphic_onto(proj, (x,)) is None
-               for x in range(proj.source.size))
+               for x in (range(proj.source.size) if elements is None
+                         else elements))
 
 
 def is_incidence_graph_cover(proj):
@@ -285,10 +299,11 @@ def check_PQ1(proj, flags=None):
     return True, None
 
 
-def check_PQ2(proj):
+def check_PQ2(proj, flags=None):
     """(PQ2): every rank-1 residue (of a corank-1 flag) meets at least
-    two blocks of the partition."""
-    for flag in flags_by_rank_lex(proj.source):
+    two blocks of the partition.  The flags scanned, and the caller's
+    promise about them, are those of check_PQ1."""
+    for flag in flags_by_rank_lex(proj.source) if flags is None else flags:
         if len(flag) != proj.source.rank - 1:
             continue
         met = {proj.block_of[x] for x in extensions(proj.source, flag)}

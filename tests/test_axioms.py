@@ -284,8 +284,9 @@ def test_tq1_and_tq2prime_agree_with_stabilizer_scans(rng):
 # The sweeps over every flag that decided these axioms before the
 # flag-orbit index, kept as the oracle for the scans over one flag per
 # G-orbit: (TQ1) and (TQ2') on the G-orbits of incident (flag, residue
-# member) pairs, (TQ2'') on the G-orbits of incident pairs, and (PQ1)
-# and residual surjectivity by their default full scan.
+# member) pairs, (TQ2'') on the G-orbits of incident pairs, and (PQ1),
+# (PQ2), residual surjectivity and the cover test by their default full
+# scan.
 
 def _member_image(g, item):
     flag, x = item
@@ -381,8 +382,8 @@ def _fixed_orbit_quotients():
 
 def test_orbit_representatives_agree_with_full_sweep(rng):
     from geoq.lemmas import random_orbit_quotient
-    names = ("tq1", "tq2prime", "tq2doubleprime", "pq1",
-             "residually-surjective")
+    names = ("tq1", "tq2prime", "tq2doubleprime", "pq1", "pq2",
+             "residually-surjective", "is-cover")
     seen = {(name, v): 0 for name in names for v in (True, False)}
     oqs = [OrbitQuotient(g, grp) for g, grp in _fixed_orbit_quotients()]
     while len(oqs) < 307:

@@ -60,6 +60,36 @@ def test_diagram_flag_cap(tmp_path, capsys):
     assert err.strip() == "cap exceeded: flag count exceeds --max-flags 5"
 
 
+def test_flag_cap_walk_is_the_only_flag_walk(tmp_path, capsys, monkeypatch):
+    # the --max-flags count keeps the flags it walks as the geometry's
+    # flag list, so axioms and quotient walk the source's flags once; a
+    # cap equal to the flag count is accepted
+    import geoq.cli
+    import geoq.geometry
+    walked = []
+    real = geoq.geometry.all_flags
+
+    def counted(geom):
+        walked.append(geom.size)
+        return real(geom)
+
+    monkeypatch.setattr(geoq.cli, "all_flags", counted)
+    monkeypatch.setattr(geoq.geometry, "all_flags", counted)
+    gen_file(tmp_path, capsys, "catalogue", "eightcycle")
+    geo = str(tmp_path / "eightcycle.geo")
+    grp = str(tmp_path / "eightcycle.grp")
+    for argv in (["axioms", geo, grp],
+                 ["quotient", geo, "--orbits", grp,
+                  "-o", str(tmp_path / "q.geo")]):
+        del walked[:]
+        code, _, err = run(capsys, "--machine", *argv, "--max-flags", "17")
+        assert (code, err) == (0, "")
+        assert walked.count(8) == 1, (argv, walked)
+    code, _, err = run(capsys, "diagram", geo, "--max-flags", "16")
+    assert code == 3
+    assert err.strip() == "cap exceeded: flag count exceeds --max-flags 16"
+
+
 def test_group_order_cap(tmp_path, capsys):
     gen_file(tmp_path, capsys, "coseteg", "2")
     code, _, err = run(capsys, "axioms", str(tmp_path / "coseteg-2.geo"),

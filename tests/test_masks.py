@@ -1,0 +1,181 @@
+"""The incidence layer on masks against the set-based code it replaced.
+
+The oracles below are the flag backtracker, extension sets, maximality
+test, lift search and residue-map loop as they were before incidence was
+kept as integer masks: lists filtered by the frozenset neighbourhoods,
+`set &` and `sorted` per flag, and incidence read from the pair set.
+"""
+
+from pathlib import Path
+
+import geoq
+from geoq import io as gio
+from geoq.constructions import (SimpleGraph, affine_geometry,
+                                example_generators, ssg)
+from geoq.cosets import FiniteGroup, coseteg_family
+from geoq.geometry import (Pregeometry, all_flags, extensions,
+                           flags_by_rank_lex, is_flag, is_geometry)
+from geoq.lemmas import random_geometry, random_partition, random_pregeometry
+from geoq.quotient import Projection, _residue_map_failure, lift_flag
+
+
+def _set_all_flags(geom):
+    def rec(flag, cand):
+        yield tuple(flag)
+        for i, x in enumerate(cand):
+            nxt = [y for y in cand[i + 1:] if y in geom.adj[x]]
+            flag.append(x)
+            yield from rec(flag, nxt)
+            flag.pop()
+    yield from rec([], list(range(geom.size)))
+
+
+def _set_extensions(geom, flag):
+    if not flag:
+        return sorted(range(geom.size))
+    out = set(geom.adj[flag[0]])
+    for x in flag[1:]:
+        out &= geom.adj[x]
+    return sorted(out)
+
+
+def _set_is_geometry(geom):
+    for flag in _set_all_flags(geom):
+        if len(flag) < geom.rank and not _set_extensions(geom, flag):
+            return False, flag
+    return True, None
+
+
+def _pair_incident(geom, a, b):
+    return a == b or (min(a, b), max(a, b)) in geom.pairs
+
+
+def _set_lift_flag(proj, qflag):
+    blocks = [proj.fiber(k) for k in qflag]
+    src = proj.source
+
+    def rec(i, chosen):
+        if i == len(blocks):
+            return tuple(sorted(chosen))
+        for x in blocks[i]:
+            if all(x in src.adj[y] for y in chosen):
+                got = rec(i + 1, chosen + [x])
+                if got is not None:
+                    return got
+        return None
+
+    return rec(0, [])
+
+
+def _set_residue_map_failure(proj, classes, target):
+    src, q, block_of = proj.source, proj.quotient, proj.block_of
+    image = [block_of[c[0]] for c in classes]
+    if len(set(image)) != len(image):
+        return "not injective"
+    if set(image) != target:
+        return "not surjective"
+    for i, a in enumerate(classes):
+        for j in range(i + 1, len(classes)):
+            have = any(_pair_incident(src, x, y)
+                       for x in a for y in classes[j])
+            if have != _pair_incident(q, image[i], image[j]):
+                return "incidence not matched"
+    return None
+
+
+def _bundled_geometries():
+    data = Path(geoq.__file__).parent / "data"
+    for path in sorted(data.glob("*.geo")):
+        yield gio.parse_geometry(path.read_text())
+    for make in example_generators().values():
+        made = make()
+        yield made[0] if isinstance(made, tuple) else made
+    # masks wider than a machine word
+    yield ssg(5, 3)
+    yield coseteg_family(FiniteGroup.cyclic(5)).geometry
+    yield affine_geometry(3, 3)[0]
+
+
+def _check_flag_layer(geom):
+    flags = list(all_flags(geom))
+    assert flags == list(_set_all_flags(geom))
+    for flag in flags:
+        assert extensions(geom, flag) == _set_extensions(geom, flag)
+    assert is_geometry(geom) == _set_is_geometry(geom)
+    for a in range(geom.size):
+        for b in range(geom.size):
+            assert geom.incident(a, b) == _pair_incident(geom, a, b)
+    return flags
+
+
+def _check_projection(proj, reasons):
+    src, q = proj.source, proj.quotient
+    for qflag in flags_by_rank_lex(q):
+        assert lift_flag(proj, qflag) == _set_lift_flag(proj, qflag)
+    for flag in flags_by_rank_lex(src):
+        ext = extensions(src, flag)
+        target = set(extensions(q, proj._project(flag)))
+        by_block = {}
+        for x in ext:
+            by_block.setdefault(proj.block_of[x], []).append(x)
+        for classes in ([(x,) for x in ext], list(by_block.values())):
+            got = _residue_map_failure(proj, classes, target)
+            assert got == _set_residue_map_failure(proj, classes, target)
+            reasons.add(got)
+
+
+def test_mask_layer_agrees_with_set_layer(rng):
+    reasons = set()
+    verdicts = set()
+    for i in range(520):
+        if i % 2:
+            geom = random_geometry(rng, max_rank=4, max_per_type=3)
+        else:
+            geom = random_pregeometry(rng, max_rank=4, max_per_type=4)
+        _check_flag_layer(geom)
+        verdicts.add(is_geometry(geom)[0])
+        _check_projection(Projection(geom, random_partition(rng, geom)),
+                          reasons)
+    assert verdicts == {True, False}
+    assert reasons == {None, "not injective", "not surjective",
+                       "incidence not matched"}, reasons
+
+
+def test_mask_layer_agrees_on_bundled_geometries(rng):
+    seen = 0
+    for geom in _bundled_geometries():
+        _check_flag_layer(geom)
+        _check_projection(Projection(geom, random_partition(rng, geom)),
+                          set())
+        seen += 1
+    assert seen == 16
+
+
+def test_cliques_agree_with_set_backtracker(rng):
+    graphs = [SimpleGraph.complete(5), SimpleGraph.cycle(7),
+              SimpleGraph.path(4), SimpleGraph.matching(3),
+              SimpleGraph([], [])]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        graphs.append(SimpleGraph(
+            [str(x) for x in range(n)],
+            [(a, b) for a in range(n) for b in range(a + 1, n)
+             if rng.random() < 0.5]))
+    for graph in graphs:
+        assert list(all_flags(graph)) == list(_set_all_flags(graph))
+        for r in range(4):
+            assert graph.cliques_of_size(r) == [
+                c for c in _set_all_flags(graph) if len(c) == r]
+
+
+def test_is_flag_reads_masks():
+    geom = ssg(4, 2)
+    p, l = geom.elem("{1}"), geom.elem("{1,2}")
+    assert is_flag(geom, [p, l]) and is_flag(geom, [l, p, l])
+    assert not is_flag(geom, [geom.elem("{3}"), l])
+    assert not is_flag(geom, [p, geom.elem("{2}")])  # same type
+    assert is_flag(geom, []) and is_flag(geom, [p])
+    empty = Pregeometry(["a"], [], [], [])
+    assert list(all_flags(empty)) == [()]
+    assert is_geometry(empty) == (False, ())
+
