@@ -172,19 +172,13 @@ def axioms_report(oq):
     from .quotient import (check_flagslift, check_PQ1, check_PQ2, is_cover,
                            residual_surjectivity)
     reps = _representatives(oq)
-    fl = check_flagslift(oq.proj)
-    pq1 = check_PQ1(oq.proj, reps)
-    pq2 = check_PQ2(oq.proj, reps)
-    tq1 = check_TQ1(oq)
-    tq2p = check_TQ2prime(oq)
-    tq2pp = check_TQ2doubleprime(oq)
-    return {
-        "flagslift": fl,
-        "pq1": pq1,
-        "pq2": pq2,
-        "tq1": tq1,
-        "tq2prime": tq2p,
-        "tq2doubleprime": tq2pp,
+    return {  # the deciders run in this order
+        "flagslift": check_flagslift(oq.proj),
+        "pq1": check_PQ1(oq.proj, reps),
+        "pq2": check_PQ2(oq.proj, reps),
+        "tq1": check_TQ1(oq),
+        "tq2prime": check_TQ2prime(oq),
+        "tq2doubleprime": check_TQ2doubleprime(oq),
         "tq3": (check_TQ3(oq), None),
         "residually-surjective": (residual_surjectivity(oq.proj, reps),
                                   None),

@@ -4,6 +4,12 @@ Command-line front end.
 Exit codes: 0 when every requested check holds, 1 when some reported
 check is false or a comparison fails, 2 for parse/usage errors, 3 when a
 size cap is exceeded (a refusal, never a wrong answer).
+
+Each command imports only the modules it runs.  Every command loads io
+and the core (geometry, quotient, perms, axioms); on top of that `check`
+and `diagram` load diagram, `iso` loads constructions, `gen` loads
+constructions and cosets, and `reproduce` loads all of them with lemmas
+and reproduce.  `axioms` and `quotient` load nothing more.
 """
 
 from __future__ import annotations
@@ -16,16 +22,12 @@ from pathlib import Path
 
 from . import io as gio
 from .axioms import OrbitQuotient, axioms_report, format_witness
-from .cosets import FiniteGroup, coseteg_family
-from .constructions import (affine_geometry, blowup, example_generators,
-                            isomorphic, shadowable_lift, ssg)
-from .diagram import basic_diagram
 from .geometry import (all_flags, is_connected, is_firm, is_geometry,
                        is_residually_connected, keep_flags, validate)
-from .lemmas import seed_from_env
-from .perms import CapExceeded, normal_closure, orbit_partition
-from .quotient import (Projection, check_flagslift, check_PQ1, check_PQ2,
-                       is_cover, min_block_distance)
+from .perms import (CapExceeded, PermGroup, normal_closure,
+                    orbit_partition)
+from .quotient import (Partition, Projection, check_flagslift, check_PQ1,
+                       check_PQ2, is_cover, min_block_distance)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,6 +105,7 @@ def _witness_names(geom, flag):
 
 
 def cmd_check(args):
+    from .diagram import basic_diagram
     geom = _load_geometry(args.geometry)
     _count_flags_capped(geom, args.max_flags)
     t0 = time.time()
@@ -184,6 +187,7 @@ def cmd_axioms(args):
 
 
 def cmd_diagram(args):
+    from .diagram import basic_diagram
     geom = _load_geometry(args.geometry)
     _count_flags_capped(geom, args.max_flags)
     t0 = time.time()
@@ -201,6 +205,7 @@ def cmd_diagram(args):
 
 
 def cmd_iso(args):
+    from .constructions import isomorphic
     ga = _load_geometry(args.first)
     gb = _load_geometry(args.second)
     found, mapping = isomorphic(ga, gb)
@@ -212,78 +217,64 @@ def cmd_iso(args):
     return EXIT_OK if found else EXIT_CHECK_FAILED
 
 
-def _write_outputs(prefix, outputs, directory):
-    base = Path(directory or ".")
-    base.mkdir(parents=True, exist_ok=True)
-    for suffix, text in outputs:
-        path = base / (prefix + suffix)
-        path.write_text(text)
-        print("wrote %s" % path)
-    return EXIT_OK
-
-
 def cmd_gen(args):
+    from .constructions import (affine_geometry, blowup, example_generators,
+                                shadowable_lift, ssg)
+    from .cosets import FiniteGroup, coseteg_family
     kind = args.what
+    extras = []  # (suffix, group or partition) written beside the geometry
     if kind == "ssg":
-        geom = ssg(args.a, args.b)
-        return _write_outputs(args.output or "ssg-%d-%d" % (args.a, args.b),
-                              [(".geo", gio.format_geometry(geom))], args.dir)
-    if kind == "affine":
+        prefix, geom = "ssg-%d-%d" % (args.a, args.b), ssg(args.a, args.b)
+    elif kind == "affine":
+        prefix = "affine-%d-%d" % (args.a, args.b)
         geom, trans = affine_geometry(args.a, args.b)
-        prefix = args.output or "affine-%d-%d" % (args.a, args.b)
-        return _write_outputs(prefix,
-                              [(".geo", gio.format_geometry(geom)),
-                               (".grp", gio.format_group(trans, geom))],
-                              args.dir)
-    if kind == "coseteg":
+        extras = [(".grp", trans)]
+    elif kind == "coseteg":
+        prefix = "coseteg-%d" % args.a
         fam = coseteg_family(FiniteGroup.cyclic(args.a))
         geom = fam.geometry
-        prefix = args.output or "coseteg-%d" % args.a
-        return _write_outputs(
-            prefix,
-            [(".geo", gio.format_geometry(geom)),
-             (".grp", gio.format_group(fam.action_group(), geom)),
-             ("-n.grp", gio.format_group(fam.n_action_group(), geom))],
-            args.dir)
-    if kind == "blowup":
-        geom = _load_geometry(args.geometry)
-        graph = gio.parse_graph(_read(args.graph))
-        big = blowup(geom, graph)
-        return _write_outputs(args.output or "blowup",
-                              [(".geo", gio.format_geometry(big))], args.dir)
-    if kind == "lift":
-        geom = _load_geometry(args.geometry)
-        lift = shadowable_lift(geom, args.a, args.b)
-        prefix = args.output or "lift-%d-%d" % (args.a, args.b)
-        return _write_outputs(prefix,
-                              [(".geo", gio.format_geometry(lift.geometry))],
-                              args.dir)
-    if kind == "catalogue":
+        extras = [(".grp", fam.action_group()),
+                  ("-n.grp", fam.n_action_group())]
+    elif kind == "blowup":
+        prefix = "blowup"
+        geom = blowup(_load_geometry(args.geometry),
+                      gio.parse_graph(_read(args.graph)))
+    elif kind == "lift":
+        prefix = "lift-%d-%d" % (args.a, args.b)
+        geom = shadowable_lift(_load_geometry(args.geometry),
+                               args.a, args.b).geometry
+    else:  # catalogue
         gens = example_generators()
         if args.name not in gens:
             print("unknown catalogue entry %r; have: %s"
                   % (args.name, ", ".join(sorted(gens))), file=sys.stderr)
             return EXIT_PARSE
         made = gens[args.name]()
-        prefix = args.output or args.name
-        items = made if isinstance(made, tuple) else (made,)
-        geom = items[0]
-        outputs = [(".geo", gio.format_geometry(geom))]
-        from .perms import PermGroup
-        from .quotient import Partition
+        prefix = args.name
+        geom, *rest = made if isinstance(made, tuple) else (made,)
         groups = 0
-        for extra in items[1:]:
+        for extra in rest:
             if isinstance(extra, PermGroup):
-                suffix = ".grp" if groups == 0 else "-%d.grp" % (groups + 1)
-                outputs.append((suffix, gio.format_group(extra, geom)))
                 groups += 1
+                extras.append((".grp" if groups == 1 else "-%d.grp" % groups,
+                               extra))
             elif isinstance(extra, Partition):
-                outputs.append((".part", gio.format_partition(extra, geom)))
-        return _write_outputs(prefix, outputs, args.dir)
-    raise AssertionError(kind)
+                extras.append((".part", extra))
+    outputs = [(".geo", gio.format_geometry(geom))]
+    outputs += [(suffix, gio.format_partition(x, geom)
+                 if isinstance(x, Partition) else gio.format_group(x, geom))
+                for suffix, x in extras]
+    base = Path(args.dir or ".")
+    base.mkdir(parents=True, exist_ok=True)
+    for suffix, text in outputs:
+        path = base / ((args.output or prefix) + suffix)
+        path.write_text(text)
+        print("wrote %s" % path)
+    return EXIT_OK
 
 
 def cmd_reproduce(args):
+    from .lemmas import seed_from_env
     from .reproduce import run_scenarios, SCENARIOS
     try:
         reports = run_scenarios(args.names or None, count=args.count,

@@ -95,6 +95,34 @@ class SimpleGraph:
             ["vertex"], [str(x) for x in range(n)], [0] * n, self.edges))
 
 
+def _inclusion_pairs(sets, etype):
+    """Incidence by inclusion: the pairs a < b of elements of distinct
+    types whose sets are nested."""
+    return [(a, b) for a in range(len(sets)) for b in range(a + 1, len(sets))
+            if etype[a] != etype[b]
+            and (sets[a] <= sets[b] or sets[b] <= sets[a])]
+
+
+def _induced_perm(sets, etype, index, vmap):
+    """The permutation that a map of points induces on elements given by
+    their type and point set; index maps (type, set) to the element."""
+    return Perm([index[(t, frozenset(map(vmap, s)))]
+                 for t, s in zip(etype, sets)])
+
+
+def _part_symmetric_gens(perm, parts, n):
+    """Generators of the product of one symmetric group per part on the
+    points (part, slot), slot in 0..n-1: a transposition and an n-cycle
+    of each part's slots, each as perm(map of points)."""
+    gens = []
+    for c in parts:
+        gens.append(perm(lambda cs, c=c: (c, {0: 1, 1: 0}.get(cs[1], cs[1]))
+                         if cs[0] == c else cs))
+        gens.append(perm(lambda cs, c=c: (c, (cs[1] + 1) % n)
+                         if cs[0] == c else cs))
+    return gens
+
+
 def ssg(v, k):
     """The subset geometry: all subsets of sizes 1..k of a v-set under
     (symmetrized) inclusion, typed by cardinality minus one."""
@@ -111,10 +139,8 @@ def ssg(v, k):
             elems.append("{%s}" % ",".join(map(str, s)))
             sets.append(frozenset(s))
             etype.append(i)
-    pairs = [(a, b) for a in range(len(sets)) for b in range(a + 1, len(sets))
-             if etype[a] != etype[b] and (sets[a] < sets[b] or sets[b] < sets[a])]
-    geom = Pregeometry([str(i) for i in range(k)], elems, etype, pairs)
-    return geom
+    return Pregeometry([str(i) for i in range(k)], elems, etype,
+                       _inclusion_pairs(sets, etype))
 
 
 def ssg_symmetric_action(v, k):
@@ -130,11 +156,8 @@ def ssg_symmetric_action(v, k):
             images.append(index["{%s}" % ",".join(map(str, s))])
         return Perm(images)
 
-    gens = []
-    if v >= 2:
-        swap = list(range(v)); swap[0], swap[1] = 1, 0
-        gens.append(induced(swap))
-        gens.append(induced([(i + 1) % v for i in range(v)]))
+    swap = list(range(v)); swap[0], swap[1] = 1, 0  # ssg needs v >= 2
+    gens = [induced(swap), induced([(i + 1) % v for i in range(v)])]
     return geom, PermGroup(gens, degree=geom.size)
 
 
@@ -266,14 +289,8 @@ class ShadowLift:
                     etype.append(t)
                     vsets.append(vset)
                     parent_of.append(alpha)
-        pairs = []
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                if etype[a] == etype[b]:
-                    continue
-                if vsets[a] <= vsets[b] or vsets[b] <= vsets[a]:
-                    pairs.append((a, b))
-        self.geometry = Pregeometry(parent.type_names, names, etype, pairs)
+        self.geometry = Pregeometry(parent.type_names, names, etype,
+                                    _inclusion_pairs(vsets, etype))
         self.vsets = tuple(vsets)
         self.parent_of = tuple(parent_of)
         self._vset_index = {(etype[x], vsets[x]): x for x in range(len(names))}
@@ -281,24 +298,14 @@ class ShadowLift:
             raise RuntimeError("two lifted elements share a type and vertex set")
 
     def _perm_from_vertex_map(self, vmap):
-        images = []
-        for x in range(self.geometry.size):
-            target = frozenset(vmap(cs) for cs in self.vsets[x])
-            images.append(self._vset_index[(self.geometry.elem_type[x], target)])
-        return Perm(images)
+        return _induced_perm(self.vsets, self.geometry.elem_type,
+                             self._vset_index, vmap)
 
     def base_group(self):
         """The product of one symmetric group per part, acting on slots."""
-        gens = []
-        for c in self.classes:
-            swap = self._perm_from_vertex_map(
-                lambda cs, c=c: (cs[0], {0: 1, 1: 0}.get(cs[1], cs[1]))
-                if cs[0] == c else cs)
-            cyc = self._perm_from_vertex_map(
-                lambda cs, c=c: (cs[0], (cs[1] + 1) % self.n)
-                if cs[0] == c else cs)
-            gens.extend([swap, cyc])
-        return PermGroup(gens, degree=self.geometry.size)
+        return PermGroup(_part_symmetric_gens(self._perm_from_vertex_map,
+                                              self.classes, self.n),
+                         degree=self.geometry.size)
 
     def lift_parent_perm(self, g):
         """Push a parent automorphism up: parts move with their labels."""
@@ -368,23 +375,17 @@ def affine_geometry(d, q):
             else:
                 elems.append("{%s}" % ",".join(pname[pindex[p]]
                                                for p in sorted(flat)))
-    pairs = [(a, b) for a in range(len(flats)) for b in range(a + 1, len(flats))
-             if etype[a] != etype[b]
-             and (flats[a] <= flats[b] or flats[b] <= flats[a])]
-    geom = Pregeometry([str(i) for i in range(d)], elems, etype, pairs)
+    geom = Pregeometry([str(i) for i in range(d)], elems, etype,
+                       _inclusion_pairs(flats, etype))
 
     flat_index = {(etype[x], flats[x]): x for x in range(len(flats))}
     gens = []
     for t in range(d):
         e = tuple(1 if i == t else 0 for i in range(d))
-        images = []
-        for x in range(len(flats)):
-            moved = frozenset(tuple((p[i] + e[i]) % q for i in range(d))
-                              for p in flats[x])
-            images.append(flat_index[(etype[x], moved)])
-        gens.append(Perm(images))
-    translations = PermGroup(gens, degree=geom.size)
-    return geom, translations
+        gens.append(_induced_perm(
+            flats, etype, flat_index,
+            lambda p, e=e: tuple((p[i] + e[i]) % q for i in range(d))))
+    return geom, PermGroup(gens, degree=geom.size)
 
 
 def fano_plane():
@@ -446,30 +447,14 @@ def multipartite_geometry(m, n, i):
                     ",".join(vname[(c2, s)] for s in sub2)))
                 etype.append(2)
                 vsets.append(vset)
-    pairs = []
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            if etype[a] != etype[b] and (vsets[a] <= vsets[b]
-                                         or vsets[b] <= vsets[a]):
-                pairs.append((a, b))
     geom = Pregeometry(["vertex", "edge", "K%d%d" % (i, i)],
-                       names, etype, pairs)
+                       names, etype, _inclusion_pairs(vsets, etype))
     index = {(etype[x], vsets[x]): x for x in range(len(names))}
 
     def vertex_perm(vmap):
-        images = []
-        for x in range(len(names)):
-            target = frozenset(vmap(cs) for cs in vsets[x])
-            images.append(index[(etype[x], target)])
-        return Perm(images)
+        return _induced_perm(vsets, etype, index, vmap)
 
-    ngens = []
-    for c in range(m):
-        ngens.append(vertex_perm(
-            lambda cs, c=c: (cs[0], {0: 1, 1: 0}.get(cs[1], cs[1]))
-            if cs[0] == c else cs))
-        ngens.append(vertex_perm(
-            lambda cs, c=c: (cs[0], (cs[1] + 1) % n) if cs[0] == c else cs))
+    ngens = _part_symmetric_gens(vertex_perm, range(m), n)
     n_group = PermGroup(ngens, degree=geom.size)
     ggens = list(ngens)
     ggens.append(vertex_perm(
@@ -497,26 +482,30 @@ def grid_complement():
     return geom, part
 
 
+def cycle_geometry(n, type_names=("even", "odd")):
+    """The n-cycle x * x+1 (mod n) on elements named 0..n-1, element x of
+    type x mod the number of types."""
+    k = len(type_names)
+    return Pregeometry(type_names, [str(x) for x in range(n)],
+                       [x % k for x in range(n)],
+                       [(x, (x + 1) % n) for x in range(n)])
+
+
+def cycle_rotation(n, s):
+    """The group generated by the shift x -> x+s (mod n)."""
+    return PermGroup([Perm([(x + s) % n for x in range(n)])], degree=n)
+
+
 def hexagon():
     """Six elements in a cycle, antipodal pairs sharing a type, with the
     antipodal automorphism of order two."""
-    names = [str(x) for x in range(6)]
-    etype = [x % 3 for x in range(6)]
-    pairs = [(x, (x + 1) % 6) for x in range(6)]
-    geom = Pregeometry(["T0", "T1", "T2"], names, etype, pairs)
-    group = PermGroup([Perm([(x + 3) % 6 for x in range(6)])], degree=6)
-    return geom, group
+    return cycle_geometry(6, ("T0", "T1", "T2")), cycle_rotation(6, 3)
 
 
 def eight_cycle():
     """The cycle of length eight as a rank-2 geometry, with the shift by
     four."""
-    names = [str(x) for x in range(8)]
-    etype = [x % 2 for x in range(8)]
-    pairs = [(x, (x + 1) % 8) for x in range(8)]
-    geom = Pregeometry(["even", "odd"], names, etype, pairs)
-    group = PermGroup([Perm([(x + 4) % 8 for x in range(8)])], degree=8)
-    return geom, group
+    return cycle_geometry(8), cycle_rotation(8, 4)
 
 
 def conneg_witness():

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from .geometry import Pregeometry
-from .perms import Perm, PermGroup
+from .geometry import Pregeometry, flags_of_type
+from .perms import Perm, PermGroup, transitivity
 
 
 class FiniteGroup:
@@ -331,8 +331,6 @@ def is_coset_pregeometry(geom, group):
     group is vertex- and incidence-transitive.  On success the chamber
     stabilizers are extracted and the coset model is rebuilt and matched
     element by element."""
-    from .geometry import flags_of_type
-    from .perms import transitivity
     chams = flags_of_type(geom, range(geom.rank))
     if not chams:
         return False, "no chamber"

@@ -7,19 +7,19 @@ diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import (_per_geometry, components, extensions,
-                       flags_of_type, is_generalized_digon, is_geometry,
-                       is_residually_connected, residue)
+from .geometry import (_FrozenRecord, _per_geometry, components,
+                       extensions, flags_of_type, is_generalized_digon,
+                       is_geometry, is_residually_connected, residue)
 
 
-@dataclass(frozen=True)
-class Diagram:
-    rank: int
-    edges: frozenset          # frozensets {i, j}
-    evidence: dict            # (i, j) -> ("edge", flag) | ("digons", None) | ("no-flags", None)
+class Diagram(_FrozenRecord):
+    """rank; edges, a frozenset of frozensets {i, j}; evidence, mapping
+    (i, j) to ("edge", flag), ("digons", None) or ("no-flags", None)."""
+
+    def __init__(self, rank, edges, evidence):
+        vars(self).update(rank=rank, edges=edges, evidence=evidence)
 
     def adjacent(self, i, j):
         return frozenset((i, j)) in self.edges
@@ -87,11 +87,9 @@ def is_pure(geom):
     return True
 
 
-@dataclass(frozen=True)
-class DirectSumResult:
-    applicable: bool
-    ok: bool
-    detail: object
+class DirectSumResult(_FrozenRecord):
+    def __init__(self, applicable, ok, detail):
+        vars(self).update(applicable=applicable, ok=ok, detail=detail)
 
 
 def direct_sum_check(geom):

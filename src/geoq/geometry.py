@@ -16,8 +16,8 @@ order.  `extensions` and the maximality test of `is_geometry` AND masks,
 and quotient.lift_flag and the residue-map test do the same.  A pregeometry
 never changes, so its full flag list, in (rank, lexicographic) order, is
 built once on first use and kept with it (`flags_by_rank_lex`), or
-taken from a caller that has walked them already (`keep_flags`); per-type
-flag lists and chamber counts are filters over that list, and the
+taken from a caller that has walked them already (`keep_flags`); the
+flags of each type set come from one index over that list, and the
 geometry and residual-connectivity verdicts are computed once too.  The
 flag count is exponential in the rank in the worst case, so everything
 here is meant for desk scale (a few hundred elements, rank at most ~6).
@@ -182,6 +182,36 @@ def extensions(geom, flag):
     return out
 
 
+class _Record:
+    """A plain record: repr and equality over the attributes __init__
+    sets, in order, as @dataclass makes them; unhashable unless frozen."""
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in vars(self).items()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+class _FrozenRecord(_Record):
+    """A record whose __init__ fills vars(self); it hashes by value, and
+    its attributes cannot be set or deleted afterwards."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
 def _per_geometry(fn):
     """Memoize fn(geom) on the geometry object itself: a pregeometry never
     changes, so the value is kept for as long as the geometry lives.
@@ -246,13 +276,26 @@ def keep_flags(geom, flags):
 def flags_of_type(geom, types):
     """All flags whose type set is exactly the given set of type ids, in
     lexicographic order."""
-    J = set(types)
-    for t in sorted(J):
+    key = 0
+    for t in sorted(set(types)):
         if not 0 <= t < geom.rank:
             raise ValueError("unknown type id %r" % (t,))
+        key |= 1 << t
+    return list(_flags_by_type(geom).get(key, ()))
+
+
+@_per_geometry
+def _flags_by_type(geom):
+    """flags_by_rank_lex split by type set, keyed by the type set as a
+    mask (bit t for type t); each list stays in lexicographic order."""
     et = geom.elem_type
-    return [f for f in flags_by_rank_lex(geom)
-            if len(f) == len(J) and all(et[x] in J for x in f)]
+    index = {}
+    for flag in flags_by_rank_lex(geom):
+        key = 0
+        for x in flag:
+            key |= 1 << et[x]
+        index.setdefault(key, []).append(flag)
+    return index
 
 
 def chamber_count_through(geom, flag):
@@ -287,8 +330,7 @@ def is_firm(geom):
     if not ok:
         raise ValueError("is_firm requires a geometry (witness %r)"
                          % (geom.flag_names(w),))
-    ok, w = corank1_chambers_at_least(geom, 2)
-    return ok, w
+    return corank1_chambers_at_least(geom, 2)
 
 
 def corank1_chambers_at_least(geom, bound):
@@ -311,17 +353,8 @@ def residue(geom, flag):
     flag = as_flag(geom, flag)
     ftypes = set(flag_type(geom, flag))
     cotypes = [t for t in range(geom.rank) if t not in ftypes]
-    tmap = {t: k for k, t in enumerate(cotypes)}
     members = extensions(geom, flag)
-    emap = {x: k for k, x in enumerate(members)}
-    pairs = [(emap[a], emap[b]) for a, b in geom.pairs
-             if a in emap and b in emap]
-    res = Pregeometry(
-        [geom.type_names[t] for t in cotypes],
-        [geom.elem_names[x] for x in members],
-        [tmap[geom.elem_type[x]] for x in members],
-        pairs)
-    return res, tuple(members)
+    return _restriction(geom, cotypes, members), tuple(members)
 
 
 def truncation(geom, types):
@@ -332,13 +365,19 @@ def truncation(geom, types):
     for t in J:
         if not 0 <= t < geom.rank:
             raise ValueError("unknown type id %r" % (t,))
-    tmap = {t: k for k, t in enumerate(J)}
-    members = [x for x in range(geom.size) if geom.elem_type[x] in tmap]
+    members = [x for x in range(geom.size) if geom.elem_type[x] in J]
+    return _restriction(geom, J, members)
+
+
+def _restriction(geom, types, members):
+    """The pregeometry on members (increasing) whose types are the given
+    types (increasing), with the incidences among them."""
+    tmap = {t: k for k, t in enumerate(types)}
     emap = {x: k for k, x in enumerate(members)}
     pairs = [(emap[a], emap[b]) for a, b in geom.pairs
              if a in emap and b in emap]
     return Pregeometry(
-        [geom.type_names[t] for t in J],
+        [geom.type_names[t] for t in types],
         [geom.elem_names[x] for x in members],
         [tmap[geom.elem_type[x]] for x in members],
         pairs)

@@ -7,9 +7,8 @@ order) and round-trips bit-exactly on canonical files.
 
 from __future__ import annotations
 
-from .constructions import SimpleGraph
 from .geometry import Pregeometry
-from .perms import Perm, PermGroup
+from .perms import DEFAULT_CAP, Perm, PermGroup
 from .quotient import Partition
 
 
@@ -123,7 +122,6 @@ def _split_cycles(body, lineno):
 def parse_group(text, geom, cap=None):
     """One generator per line in cycle notation over element names; an
     empty file is the trivial group."""
-    from .perms import DEFAULT_CAP
     gens = []
     for lineno, rec in _records(text):
         if rec[0] != "gen":
@@ -157,6 +155,7 @@ def format_group(group, geom):
 
 
 def parse_graph(text):
+    from .constructions import SimpleGraph
     names = []
     edges = []
     for lineno, rec in _records(text):

@@ -22,20 +22,20 @@ from __future__ import annotations
 import functools
 import os
 import random
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .axioms import (OrbitQuotient, check_TQ1, check_TQ2doubleprime,
                      check_TQ2prime, check_TQ3)
 from .cosets import FiniteGroup, CosetGeometry, is_coset_pregeometry
-from .constructions import (SimpleGraph, blowup_projection, eight_cycle,
-                            hexagon, is_shadowable, multipartite_geometry,
-                            ssg, ssg_symmetric_action)
+from .constructions import (SimpleGraph, blowup_projection, cycle_geometry,
+                            cycle_rotation, eight_cycle, hexagon,
+                            is_shadowable, multipartite_geometry,
+                            ssg_symmetric_action)
 from .diagram import basic_diagram, lift_chamber_forest
-from .geometry import (Pregeometry, all_flags, flags_of_type,
+from .geometry import (Pregeometry, _Record, all_flags, flags_of_type,
                        is_connected, is_firm, is_geometry,
                        is_residually_connected)
-from .perms import (CapExceeded, Perm, PermGroup, automorphism_group,
+from .perms import (CapExceeded, PermGroup, automorphism_group,
                     induced_quotient_group, is_semiregular, normal_closure,
                     orbit_partition, transitivity)
 from .quotient import (Partition, Projection, check_flagslift, check_PQ1,
@@ -49,12 +49,12 @@ def seed_from_env():
     return int(os.environ.get("GEOQ_SEED", DEFAULT_SEED))
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    checked: int = 0
-    nonvacuous: int = 0
-    violations: list = field(default_factory=list)
+class SuiteResult(_Record):
+    def __init__(self, name, checked=0, nonvacuous=0, violations=None):
+        self.name = name
+        self.checked = checked
+        self.nonvacuous = nonvacuous
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self):
@@ -116,18 +116,6 @@ def random_partition(rng, geom):
             blocks.append(pool[:k])
             pool = pool[k:]
     return Partition(geom, blocks)
-
-
-def cycle_geometry(two_m):
-    names = [str(x) for x in range(two_m)]
-    etype = [x % 2 for x in range(two_m)]
-    pairs = [(x, (x + 1) % two_m) for x in range(two_m)]
-    return Pregeometry(["even", "odd"], names, etype, pairs)
-
-
-def cycle_rotation(two_m, s):
-    return PermGroup([Perm([(x + s) % two_m for x in range(two_m)])],
-                     degree=two_m)
 
 
 # The suites' fixed instances, built once per process (module docstring).

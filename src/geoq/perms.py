@@ -24,7 +24,9 @@ them from a geometry to itself; constructions.isomorphic takes the first.
 
 from __future__ import annotations
 
-from .geometry import _per_geometry
+from itertools import combinations
+
+from .geometry import _per_geometry, flags_of_type
 from .quotient import Partition
 
 DEFAULT_CAP = 200_000
@@ -458,8 +460,6 @@ def transitivity(group, geom, kind, types=None):
     kind is one of 'vertex' (each type class), 'incidence' (every 2-subset
     of types), 'jflags' (the given type set), 'chamber', or 'flag' (every
     subset of types).  Returns (ok, witness pair of flags)."""
-    from .geometry import flags_of_type
-    from itertools import combinations
     check_automorphisms(geom, group)
 
     def offor(J):

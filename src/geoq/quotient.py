@@ -9,7 +9,8 @@ witnesses are minimal under (rank, lexicographic) ordering.
 from __future__ import annotations
 
 from .geometry import (INF, Pregeometry, as_flag, all_flags, bfs,
-                       extensions, flag_type, flags_by_rank_lex)
+                       extensions, flag_type, flags_by_rank_lex,
+                       flags_of_type)
 
 
 class Partition:
@@ -141,7 +142,6 @@ def check_flagslift(proj):
 
 def check_jflags_lift(proj, types):
     """FlagsLift restricted to quotient flags of the given type set."""
-    from .geometry import flags_of_type
     for qflag in flags_of_type(proj.quotient, types):
         if lift_flag(proj, qflag) is None:
             return False, qflag
@@ -334,16 +334,3 @@ def total_order_flagslift(proj, order):
         raise RuntimeError("total-order criterion held but a quotient flag "
                            "failed to lift: %r" % (witness,))
     return True
-
-
-def quotient_restricted_to(proj, types):
-    """Incidence structure of the quotient restricted to blocks of the
-    given types, keyed by frozen block member sets.  Used to check that
-    quotients commute with truncations."""
-    q = proj.quotient
-    J = set(types)
-    keep = [k for k in range(q.size) if q.elem_type[k] in J]
-    name = {k: frozenset(proj.fiber(k)) for k in keep}
-    edges = {frozenset((name[a], name[b])) for a, b in q.pairs
-             if a in name and b in name}
-    return {name[k] for k in keep}, edges

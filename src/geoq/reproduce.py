@@ -7,7 +7,7 @@ line-oriented report.  The same scenarios back the command-line
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from itertools import combinations, permutations
 
 from .axioms import OrbitQuotient, check_TQ1, check_TQ2prime
@@ -15,12 +15,13 @@ from .cosets import FiniteGroup, coseteg_family, product_condition, rank2_connec
 from .constructions import (SimpleGraph, blowup_group, blowup_projection,
                             eight_cycle, fano_plane, grid_complement,
                             hexagon, isomorphic, multipartite_geometry,
-                            shadowable_lift, ssg, ssg_symmetric_action,
+                            shadowable_lift, ssg_symmetric_action,
                             conneg_witness, flnotpq1_witness, affine_geometry)
 from .diagram import basic_diagram
-from .geometry import (Pregeometry, chamber_count_through, components,
-                       corank1_chambers_at_least, extensions,
-                       incidence_distance, is_connected, is_firm,
+from .io import format_geometry, format_group, format_partition
+from .geometry import (Pregeometry, _Record, chamber_count_through,
+                       components, corank1_chambers_at_least, extensions,
+                       incidence_distance, is_connected, is_firm, is_flag,
                        is_generalized_digon, is_geometry,
                        is_residually_connected, truncation, validate)
 from .perms import (Perm, PermGroup, induced_quotient_group, orbit_partition,
@@ -30,13 +31,13 @@ from .quotient import (Projection, check_flagslift, is_cover,
                        residual_surjectivity, total_order_flagslift)
 
 
-@dataclass
-class Report:
-    name: str
-    ok: bool = True
-    lines: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    elapsed: float = 0.0
+class Report(_Record):
+    def __init__(self, name, ok=True, lines=None, notes=None, elapsed=0.0):
+        self.name = name
+        self.ok = ok
+        self.lines = [] if lines is None else lines
+        self.notes = [] if notes is None else notes
+        self.elapsed = elapsed
 
     def expect(self, key, got, want):
         good = got == want
@@ -125,7 +126,6 @@ def _coset_scenario(n):
     qflag = tuple(sorted({part.block_of[geom.by_type[0][0]],
                           part.block_of[geom.by_type[1][0]],
                           part.block_of[coset3]}))
-    from .geometry import is_flag
     rep.expect("paper-flag-is-flag", is_flag(proj.quotient, qflag), True)
     rep.expect("paper-flag-chambers",
                chamber_count_through(proj.quotient, qflag), 0)
@@ -371,46 +371,30 @@ def scenario_tq1_vs_ressurj():
 
 
 GOLDEN_FILES = {
-    "hexagon.geo": lambda: _fmt_geom(hexagon()[0]),
-    "hexagon.grp": lambda: _fmt_group(hexagon()[1], hexagon()[0]),
-    "eightcycle.geo": lambda: _fmt_geom(eight_cycle()[0]),
-    "eightcycle.grp": lambda: _fmt_group(eight_cycle()[1], eight_cycle()[0]),
-    "conneg.geo": lambda: _fmt_geom(conneg_witness()),
-    "flnotpq1.geo": lambda: _fmt_geom(flnotpq1_witness()[0]),
-    "flnotpq1.part": lambda: _fmt_part(*flnotpq1_witness()[::-1]),
-    "grid-complement.geo": lambda: _fmt_geom(grid_complement()[0]),
-    "grid-complement.part": lambda: _fmt_part(*grid_complement()[::-1]),
-    "multipartite-2-4-2.geo": lambda: _fmt_geom(multipartite_geometry(2, 4, 2)[0]),
-    "coseteg-2.geo": lambda: _fmt_geom(_coseteg2().geometry),
-    "coseteg-2.grp": lambda: _fmt_group(_coseteg2().action_group(),
-                                        _coseteg2().geometry),
-    "coseteg-2-n.grp": lambda: _fmt_group(_coseteg2().n_action_group(),
+    "hexagon.geo": lambda: format_geometry(hexagon()[0]),
+    "hexagon.grp": lambda: format_group(hexagon()[1], hexagon()[0]),
+    "eightcycle.geo": lambda: format_geometry(eight_cycle()[0]),
+    "eightcycle.grp": lambda: format_group(eight_cycle()[1],
+                                           eight_cycle()[0]),
+    "conneg.geo": lambda: format_geometry(conneg_witness()),
+    "flnotpq1.geo": lambda: format_geometry(flnotpq1_witness()[0]),
+    "flnotpq1.part": lambda: format_partition(*flnotpq1_witness()[::-1]),
+    "grid-complement.geo": lambda: format_geometry(grid_complement()[0]),
+    "grid-complement.part": lambda: format_partition(
+        *grid_complement()[::-1]),
+    "multipartite-2-4-2.geo": lambda: format_geometry(
+        multipartite_geometry(2, 4, 2)[0]),
+    "coseteg-2.geo": lambda: format_geometry(_coseteg2().geometry),
+    "coseteg-2.grp": lambda: format_group(_coseteg2().action_group(),
                                           _coseteg2().geometry),
+    "coseteg-2-n.grp": lambda: format_group(_coseteg2().n_action_group(),
+                                            _coseteg2().geometry),
 }
 
-_COSETEG2 = None
 
-
+@functools.cache
 def _coseteg2():
-    global _COSETEG2
-    if _COSETEG2 is None:
-        _COSETEG2 = coseteg_family(FiniteGroup.cyclic(2))
-    return _COSETEG2
-
-
-def _fmt_geom(geom):
-    from .io import format_geometry
-    return format_geometry(geom)
-
-
-def _fmt_group(group, geom):
-    from .io import format_group
-    return format_group(group, geom)
-
-
-def _fmt_part(part, geom):
-    from .io import format_partition
-    return format_partition(part, geom)
+    return coseteg_family(FiniteGroup.cyclic(2))
 
 
 def golden_text(name):

@@ -4,9 +4,14 @@ The oracles below are the flag backtracker, extension sets, maximality
 test, lift search and residue-map loop as they were before incidence was
 kept as integer masks: lists filtered by the frozenset neighbourhoods,
 `set &` and `sorted` per flag, and incidence read from the pair set.
+`flags_of_type` is checked against the filter over the whole flag list
+that its per-geometry index replaced.
 """
 
+from itertools import combinations
 from pathlib import Path
+
+import pytest
 
 import geoq
 from geoq import io as gio
@@ -14,7 +19,8 @@ from geoq.constructions import (SimpleGraph, affine_geometry,
                                 example_generators, ssg)
 from geoq.cosets import FiniteGroup, coseteg_family
 from geoq.geometry import (Pregeometry, all_flags, extensions,
-                           flags_by_rank_lex, is_flag, is_geometry)
+                           flags_by_rank_lex, flags_of_type, is_flag,
+                           is_geometry)
 from geoq.lemmas import random_geometry, random_partition, random_pregeometry
 from geoq.quotient import Projection, _residue_map_failure, lift_flag
 
@@ -44,6 +50,13 @@ def _set_is_geometry(geom):
         if len(flag) < geom.rank and not _set_extensions(geom, flag):
             return False, flag
     return True, None
+
+
+def _filter_flags_of_type(geom, types):
+    J = set(types)
+    et = geom.elem_type
+    return [f for f in flags_by_rank_lex(geom)
+            if len(f) == len(J) and all(et[x] in J for x in f)]
 
 
 def _pair_incident(geom, a, b):
@@ -102,6 +115,10 @@ def _check_flag_layer(geom):
     for flag in flags:
         assert extensions(geom, flag) == _set_extensions(geom, flag)
     assert is_geometry(geom) == _set_is_geometry(geom)
+    for r in range(geom.rank + 1):
+        for types in combinations(range(geom.rank), r):
+            assert (flags_of_type(geom, types)
+                    == _filter_flags_of_type(geom, types))
     for a in range(geom.size):
         for b in range(geom.size):
             assert geom.incident(a, b) == _pair_incident(geom, a, b)
@@ -179,3 +196,16 @@ def test_is_flag_reads_masks():
     assert list(all_flags(empty)) == [()]
     assert is_geometry(empty) == (False, ())
 
+
+def test_flags_of_type_index_keeps_its_contract():
+    geom = ssg(4, 2)
+    points = flags_of_type(geom, [0])
+    assert points == [(x,) for x in geom.by_type[0]]
+    assert flags_of_type(geom, (0, 0)) == points  # a set of type ids
+    assert flags_of_type(geom, {1, 0}) == flags_of_type(geom, [0, 1])
+    assert flags_of_type(geom, []) == [()]
+    points.clear()  # each call returns a fresh list
+    assert flags_of_type(geom, [0]) == [(x,) for x in geom.by_type[0]]
+    for bad in ([2], [0, -1]):
+        with pytest.raises(ValueError, match="unknown type id"):
+            flags_of_type(geom, bad)

@@ -13,8 +13,21 @@ from geoq.quotient import (Partition, Projection, check_flagslift,
                            corank1_injective, corank1_surjective, is_cover,
                            is_incidence_graph_cover, is_m_cover, lift_flag,
                            min_block_distance, quotient,
-                           quotient_restricted_to, residual_surjectivity,
-                           singleton_partition, total_order_flagslift)
+                           residual_surjectivity, singleton_partition,
+                           total_order_flagslift)
+
+
+def quotient_restricted_to(proj, types):
+    """Incidence structure of the quotient restricted to blocks of the
+    given types, keyed by frozen block member sets.  Used to check that
+    quotients commute with truncations."""
+    q = proj.quotient
+    J = set(types)
+    keep = [k for k in range(q.size) if q.elem_type[k] in J]
+    name = {k: frozenset(proj.fiber(k)) for k in keep}
+    edges = {frozenset((name[a], name[b])) for a, b in q.pairs
+             if a in name and b in name}
+    return {name[k] for k in keep}, edges
 
 
 def hexagon_projection():

@@ -146,3 +146,21 @@ def test_only_elements_lists_a_group():
     assert not hits, hits
     assert ("perms.py", "stabilizer") in {
         (name, fn) for name, calls in by_name.items() for fn, _ in calls}
+
+
+def test_no_dataclasses_in_the_library():
+    # dataclasses imports inspect, ast, dis and tokenize; every command
+    # would pay for them at start-up
+    hits = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            hits += ["%s:%d" % (path.name, node.lineno)
+                     for name in names if name.split(".")[0] == "dataclasses"]
+    assert not hits, hits
