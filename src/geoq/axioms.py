@@ -18,7 +18,7 @@ member of each block only.
 
 from __future__ import annotations
 
-from .geometry import extensions, flags_by_rank_lex
+from .geometry import bits, extensions, flags_by_rank_lex
 from .perms import _flag_image, orbit_partition, orbits_on
 from .quotient import Projection, _residue_map_failure, min_block_distance
 
@@ -97,17 +97,18 @@ def check_TQ2doubleprime(oq):
     their least pairs; whether a pair fails at a flag depends only on its
     orbit, so scanning them finds the same first failing pair as a scan
     of the sorted pairs."""
-    geom, block_of = oq.geom, oq.proj.block_of
+    masks, block_of = oq.geom.masks, oq.proj.block_of
     orbits, orbit_of = _flag_orbit_index(oq)
     pair_orbits = [(k, orbit[0]) for k, orbit in enumerate(orbits)
                    if len(orbit[0]) == 2]
     for flag in _representatives(oq):
-        touch = set(range(geom.size))
+        touch = (1 << len(masks)) - 1
         for x in flag:
-            touch &= geom.adj[x] | {x}
-        met = {block_of[x] for x in touch}
-        hit = {orbit_of[(a, b)] for a in touch for b in geom.adj[a]
-               if a < b and b in touch}
+            touch &= masks[x] | 1 << x
+        inside = bits(touch)
+        met = {block_of[x] for x in inside}
+        hit = {orbit_of[(a, b)] for a in inside
+               for b in bits(masks[a] & (touch >> a + 1 << a + 1))}
         for k, (a, b) in pair_orbits:
             if k not in hit and block_of[a] in met and block_of[b] in met:
                 return False, (flag, a, b)

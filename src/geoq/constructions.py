@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .geometry import (Pregeometry, all_flags, bfs, components,
-                       incidence_sets, is_connected, is_geometry)
+                       incidence_masks, is_connected, is_geometry)
 from .perms import (Perm, PermGroup, _incidence_maps, _profile,
                     automorphism_group)
 from .quotient import Partition, Projection
@@ -24,7 +24,7 @@ from .quotient import Partition, Projection
 class SimpleGraph:
     """Undirected loop-free graph on named vertices."""
 
-    __slots__ = ("names", "edges", "adj", "masks")
+    __slots__ = ("names", "edges", "masks")
 
     def __init__(self, names, edges):
         self.names = tuple(names)
@@ -37,7 +37,7 @@ class SimpleGraph:
                 raise ValueError("vertex index out of range")
             norm.add((min(a, b), max(a, b)))
         self.edges = frozenset(norm)
-        self.adj, self.masks = incidence_sets(n, self.edges)
+        self.masks = incidence_masks(n, self.edges)
 
     @property
     def size(self):
@@ -75,7 +75,7 @@ class SimpleGraph:
 
     def is_matching(self):
         """Every vertex has exactly one neighbour."""
-        return all(len(self.adj[x]) == 1 for x in range(self.size))
+        return all(mask.bit_count() == 1 for mask in self.masks)
 
     def is_connected(self):
         """The empty graph is connected."""
@@ -84,7 +84,7 @@ class SimpleGraph:
     def is_bipartite(self):
         """No edge joins two vertices whose distances from the least
         vertex of their component have equal parity."""
-        dist = bfs(self.adj, [comp[0] for comp in components(self)])
+        dist = bfs(self.masks, [comp[0] for comp in components(self)])
         return all((dist[a][0] - dist[b][0]) % 2 for a, b in self.edges)
 
     def automorphisms(self):

@@ -11,7 +11,8 @@ from itertools import combinations
 
 from .geometry import (_FrozenRecord, _per_geometry, components,
                        extensions, flags_of_type, is_generalized_digon,
-                       is_geometry, is_residually_connected, residue)
+                       is_geometry, is_residually_connected, mask_of,
+                       residue)
 
 
 class Diagram(_FrozenRecord):
@@ -29,9 +30,9 @@ class Diagram(_FrozenRecord):
                       if j != i and self.adjacent(i, j))
 
     @property
-    def adj(self):
-        """Neighbour lists indexed by type."""
-        return [self.neighbours(i) for i in range(self.rank)]
+    def masks(self):
+        """Neighbourhood masks indexed by type."""
+        return [mask_of(self.neighbours(i)) for i in range(self.rank)]
 
     def components(self):
         """Connected components of the diagram, listed by least type."""

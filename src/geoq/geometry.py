@@ -3,29 +3,30 @@ Finite pregeometries: typed elements with a symmetric incidence relation.
 
 A pregeometry is stored with dense integer indices for both types and
 elements; all derived sets are ordered by index so every query is
-deterministic.  Incidence is kept as an irreflexive edge set (reflexivity
-is implicit), and for each element x as its neighbour set `adj[x]` and
-as a mask `masks[x]`, an int with bit y set when x * y.  Flags are
-sorted tuples of element indices.
+deterministic.  Incidence is kept as an irreflexive edge set `pairs`
+(reflexivity is implicit; compared, hashed and written out), and as a
+mask `masks[x]` per element x, an int with bit y set when x * y, which
+every query reads.  `bits` and `mask_of` turn a mask into its indices
+and back.  Flags are sorted tuples of element indices.
 
-The flag layer works on the masks: a flag's common neighbours are the
-AND of its members' masks, and incidence is one bit.  `all_flags` is the
-one flag backtracker: it passes the candidates of a flag down as a mask,
-takes them lowest bit first, so it yields flags lazily in lexicographic
-order.  `extensions` and the maximality test of `is_geometry` AND masks,
-and quotient.lift_flag and the residue-map test do the same.  A pregeometry
-never changes, so its full flag list, in (rank, lexicographic) order, is
-built once on first use and kept with it (`flags_by_rank_lex`), or
-taken from a caller that has walked them already (`keep_flags`); the
-flags of each type set come from one index over that list, and the
-geometry and residual-connectivity verdicts are computed once too.  The
-flag count is exponential in the rank in the worst case, so everything
-here is meant for desk scale (a few hundred elements, rank at most ~6).
+A flag's common neighbours are the AND of its members' masks.
+`all_flags` is the one flag backtracker: it passes a flag's candidates
+down as a mask, lowest bit first, so it yields flags lazily in
+lexicographic order.  `extensions` (of `(x,)`: x's neighbours), the
+maximality test of `is_geometry`, residues, quotient.lift_flag and the
+residue-map test AND masks too.  A pregeometry never changes, so its
+full flag list, in (rank, lexicographic) order, is built once on first
+use and kept with it (`flags_by_rank_lex`), or taken from a caller that
+has walked them already (`keep_flags`); the flags of each type set come
+from one index over that list, and the geometry and residual-connectivity
+verdicts are computed once too.  The flag count is exponential in the
+rank in the worst case, so everything here is meant for desk scale (a
+few hundred elements, rank at most ~6).
 
-`bfs` is the one graph search: a multi-source breadth-first search that
-labels each reached vertex with its distance and nearest source.
-Distances, components, diagram components, the bipartite test and the
-same-block distance of quotient.min_block_distance all go through it.
+`bfs` is the one graph search: a multi-source breadth-first search on
+masks that labels each reached vertex with its distance and a nearest
+source.  Distances, components, diagram components, the bipartite test
+and the block distance of quotient.min_block_distance go through it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ INF = math.inf
 class Pregeometry:
     """Immutable element set with a type map and incidence edges."""
 
-    __slots__ = ("type_names", "elem_names", "elem_type", "pairs", "adj",
-                 "masks", "by_type", "_elem_index", "_memo")
+    __slots__ = ("type_names", "elem_names", "elem_type", "pairs", "masks",
+                 "by_type", "_elem_index", "_memo")
 
     def __init__(self, type_names, elem_names, elem_type, pairs):
         self.type_names = tuple(type_names)
@@ -64,7 +65,7 @@ class Pregeometry:
                 continue  # self-incidence is implicit
             norm.add((a, b) if a < b else (b, a))
         self.pairs = frozenset(norm)
-        self.adj, self.masks = incidence_sets(n, self.pairs)
+        self.masks = incidence_masks(n, self.pairs)
         by_type = [[] for _ in self.type_names]
         for x, t in enumerate(self.elem_type):
             by_type[t].append(x)
@@ -144,11 +145,8 @@ def is_flag(geom, elems):
     types = [geom.elem_type[x] for x in elems]
     if len(set(types)) != len(types):
         return False
-    want = 0
-    for x in elems:
-        want |= 1 << x
-    masks = geom.masks
-    return all((masks[x] | 1 << x) & want == want for x in elems)
+    want = mask_of(elems)
+    return all((geom.masks[x] | 1 << x) & want == want for x in elems)
 
 
 def as_flag(geom, elems):
@@ -174,12 +172,25 @@ def extensions(geom, flag):
     common = masks[flag[0]]
     for x in flag[1:]:
         common &= masks[x]
+    return bits(common)
+
+
+def bits(mask):
+    """The set bits of mask, lowest first, as a list of indices."""
     out = []
-    while common:  # the set bits, lowest first
-        low = common & -common
+    while mask:
+        low = mask & -mask
         out.append(low.bit_length() - 1)
-        common ^= low
+        mask ^= low
     return out
+
+
+def mask_of(elements):
+    """The mask with bit x set for each of the elements."""
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
 
 
 class _Record:
@@ -276,12 +287,11 @@ def keep_flags(geom, flags):
 def flags_of_type(geom, types):
     """All flags whose type set is exactly the given set of type ids, in
     lexicographic order."""
-    key = 0
-    for t in sorted(set(types)):
+    types = sorted(set(types))
+    for t in types:
         if not 0 <= t < geom.rank:
             raise ValueError("unknown type id %r" % (t,))
-        key |= 1 << t
-    return list(_flags_by_type(geom).get(key, ()))
+    return list(_flags_by_type(geom).get(mask_of(types), ()))
 
 
 @_per_geometry
@@ -291,10 +301,7 @@ def _flags_by_type(geom):
     et = geom.elem_type
     index = {}
     for flag in flags_by_rank_lex(geom):
-        key = 0
-        for x in flag:
-            key |= 1 << et[x]
-        index.setdefault(key, []).append(flag)
+        index.setdefault(mask_of(et[x] for x in flag), []).append(flag)
     return index
 
 
@@ -374,8 +381,10 @@ def _restriction(geom, types, members):
     types (increasing), with the incidences among them."""
     tmap = {t: k for k, t in enumerate(types)}
     emap = {x: k for k, x in enumerate(members)}
-    pairs = [(emap[a], emap[b]) for a, b in geom.pairs
-             if a in emap and b in emap]
+    masks, inside = geom.masks, mask_of(members)
+    # each incidence once, from its lower end: the members above a
+    pairs = [(emap[a], emap[b]) for a in members
+             for b in bits(masks[a] & (inside >> a + 1 << a + 1))]
     return Pregeometry(
         [geom.type_names[t] for t in types],
         [geom.elem_names[x] for x in members],
@@ -383,57 +392,58 @@ def _restriction(geom, types, members):
         pairs)
 
 
-def incidence_sets(n, pairs):
-    """The neighbours of each of 0..n-1 under an edge set, both as a
-    frozenset and as a mask, an int with bit y set for each neighbour y."""
-    adj = [set() for _ in range(n)]
+def incidence_masks(n, pairs):
+    """The neighbours of each of 0..n-1 under an edge set, as a mask: an
+    int with bit y set for each neighbour y."""
     masks = [0] * n
     for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
         masks[a] |= 1 << b
         masks[b] |= 1 << a
-    return tuple(frozenset(s) for s in adj), tuple(masks)
+    return tuple(masks)
 
 
-def bfs(adj, sources):
-    """The one breadth-first search: from all sources at once, map each
-    reached vertex to (distance, nearest source).  A vertex at equal
-    distance from several sources takes the label that reaches it first,
-    so the labels depend on the order of sources and of adj's entries,
-    while the distances do not."""
+def bfs(masks, sources):
+    """The one breadth-first search, over neighbourhood masks: from all
+    sources at once, map each reached vertex to (distance, nearest
+    source).  A vertex's source is that of the first of its neighbours in
+    the layer before it: the sources are the first layer, in the order
+    given, and each later layer lists the new neighbours of each vertex
+    of the one before, lowest index first.  The distances depend on
+    neither order."""
     reach = {s: (0, s) for s in sources}
+    seen = mask_of(reach)
     frontier = list(reach)
     d = 0
     while frontier:
         d += 1
         nxt = []
         for x in frontier:
-            label = reach[x][1]
-            for y in adj[x]:
-                if y not in reach:
-                    reach[y] = (d, label)
-                    nxt.append(y)
+            new = masks[x] & ~seen
+            seen |= new
+            label = (d, reach[x][1])
+            for y in bits(new):
+                reach[y] = label
+                nxt.append(y)
         frontier = nxt
     return reach
 
 
 def incidence_distance(geom, a, b):
     """Shortest-path length in the incidence graph, INF when unreachable."""
-    return bfs(geom.adj, [a]).get(b, (INF,))[0]
+    return bfs(geom.masks, [a]).get(b, (INF,))[0]
 
 
 def components(graph):
-    """Connected components of a graph given by its adjacency (`adj`,
-    indexed 0..n-1), each sorted, listed by least member."""
-    adj = graph.adj
-    seen = set()
+    """Connected components of a graph given by its neighbourhood masks
+    (`masks`, indexed 0..n-1), each sorted, listed by least member."""
+    masks = graph.masks
+    seen = 0
     out = []
-    for start in range(len(adj)):
-        if start not in seen:
-            comp = bfs(adj, [start])
-            seen.update(comp)
-            out.append(tuple(sorted(comp)))
+    for start in range(len(masks)):
+        if not seen >> start & 1:
+            comp = sorted(bfs(masks, [start]))
+            seen |= mask_of(comp)
+            out.append(tuple(comp))
     return out
 
 

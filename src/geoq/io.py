@@ -173,10 +173,3 @@ def parse_graph(text):
     except KeyError as exc:
         raise ParseError(0, "unknown vertex %s" % exc)
     return SimpleGraph(names, idx_edges)
-
-
-def format_graph(graph):
-    lines = ["vert %s" % n for n in graph.names]
-    lines += ["edge %s %s" % (graph.names[a], graph.names[b])
-              for a, b in sorted(graph.edges)]
-    return "\n".join(lines) + "\n"

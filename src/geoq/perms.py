@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .geometry import _per_geometry, flags_of_type
+from .geometry import _per_geometry, bits, flags_of_type
 from .quotient import Partition
 
 DEFAULT_CAP = 200_000
@@ -514,8 +514,9 @@ def is_semiregular(group, geom=None, types=None):
 def _profile(geom, x):
     """The search invariant of x: its type, its degree and the sorted
     (type, degree) pairs of its neighbours."""
-    nbr = sorted((geom.elem_type[y], len(geom.adj[y])) for y in geom.adj[x])
-    return (geom.elem_type[x], len(geom.adj[x]), tuple(nbr))
+    masks, et = geom.masks, geom.elem_type
+    nbr = sorted((et[y], masks[y].bit_count()) for y in bits(masks[x]))
+    return (et[x], masks[x].bit_count(), tuple(nbr))
 
 
 def _incidence_maps(ga, gb):

@@ -8,9 +8,9 @@ witnesses are minimal under (rank, lexicographic) ordering.
 
 from __future__ import annotations
 
-from .geometry import (INF, Pregeometry, as_flag, all_flags, bfs,
+from .geometry import (INF, Pregeometry, as_flag, all_flags, bfs, bits,
                        extensions, flag_type, flags_by_rank_lex,
-                       flags_of_type)
+                       flags_of_type, mask_of)
 
 
 class Partition:
@@ -166,24 +166,15 @@ def residual_surjectivity(proj, flags=None):
 
 def corank1_surjective(proj):
     """Residual surjectivity restricted to rank-1 flags."""
-    q = proj.quotient
-    for x in range(proj.source.size):
-        image = {proj.block_of[y] for y in proj.source.adj[x]}
-        target = set(q.adj[proj.block_of[x]])
-        if image != target:
-            return False
-    return True
+    return residual_surjectivity(proj, [(x,) for x in range(proj.source.size)])
 
 
 def corank1_injective(proj):
     """No two distinct elements of a rank-1 residue share a block."""
-    for x in range(proj.source.size):
-        seen = set()
-        for y in sorted(proj.source.adj[x]):
-            k = proj.block_of[y]
-            if k in seen:
-                return False
-            seen.add(k)
+    for mask in proj.source.masks:
+        blocks = [proj.block_of[y] for y in bits(mask)]
+        if len(set(blocks)) != len(blocks):
+            return False
     return True
 
 
@@ -199,12 +190,13 @@ def min_block_distance(geom, partition):
     sum is at most their distance, so the least sum is exact (the
     nearest-source regions of Mehlhorn, IPL 27, 1988)."""
     best = INF
+    masks = geom.masks
     for block in partition.blocks:
         if len(block) < 2:
             continue
-        reach = bfs(geom.adj, block)
+        reach = bfs(masks, block)
         for u, (du, su) in reach.items():
-            for v in geom.adj[u]:
+            for v in bits(masks[u]):
                 dv, sv = reach[v]
                 if sv != su and du + 1 + dv < best:
                     best = du + 1 + dv
@@ -226,9 +218,7 @@ def _residue_map_failure(proj, classes, target):
     inside = []  # each class's members, as a mask
     near = []  # the elements incident with some member, as a mask
     for c in classes:
-        mask = 0
-        for x in c:
-            mask |= 1 << x
+        mask = mask_of(c)
         inside.append(mask)
         for x in c:
             mask |= masks[x]
@@ -324,8 +314,8 @@ def total_order_flagslift(proj, order):
     pos = {t: i for i, t in enumerate(order)}
     for x in range(src.size):
         px = pos[src.elem_type[x]]
-        up = [(y,) for y in sorted(src.adj[x]) if pos[src.elem_type[y]] > px]
-        target = {k for k in q.adj[proj.block_of[x]]
+        up = [(y,) for y in bits(src.masks[x]) if pos[src.elem_type[y]] > px]
+        target = {k for k in bits(q.masks[proj.block_of[x]])
                   if pos[q.elem_type[k]] > px}
         if _residue_map_failure(proj, up, target) is not None:
             return False

@@ -6,6 +6,15 @@ from geoq.quotient import residual_surjectivity
 from geoq.reproduce import tq1_counterexample
 
 
+def _neighbours(geom):
+    """Each element's neighbour set, read from the pair set."""
+    out = [set() for _ in range(geom.size)]
+    for a, b in geom.pairs:
+        out[a].add(b)
+        out[b].add(a)
+    return out
+
+
 def trivial_oq(geom):
     return OrbitQuotient(geom, PermGroup.trivial(geom.size))
 
@@ -138,10 +147,11 @@ def _tq2doubleprime_by_sweep(oq):
     orbit_of = {x: set(block) for block in oq.partition.blocks
                 for x in block}
     elements = sorted(oq.group.elements())
+    nbr = _neighbours(geom)
     for flag in flags_by_rank_lex(geom):
         touch = set(range(geom.size))
         for x in flag:
-            touch &= {x} | set(geom.adj[x])
+            touch &= {x} | nbr[x]
         for a, b in sorted(geom.pairs):
             if not (orbit_of[a] & touch and orbit_of[b] & touch):
                 continue
@@ -340,12 +350,13 @@ def _sweep_report(oq):
                                 _pair_image)
         orbit_of = {p: k for k, orbit in enumerate(pair_orbits)
                     for p in orbit}
+        nbr = _neighbours(geom)
         for flag in flags:
             touch = set(range(geom.size))
             for x in flag:
-                touch &= geom.adj[x] | {x}
+                touch &= nbr[x] | {x}
             met = {block_of[x] for x in touch}
-            hit = {orbit_of[(a, b)] for a in touch for b in geom.adj[a]
+            hit = {orbit_of[(a, b)] for a in touch for b in nbr[a]
                    if a < b and b in touch}
             for k, orbit in enumerate(pair_orbits):
                 a, b = orbit[0]

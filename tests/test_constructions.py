@@ -152,7 +152,7 @@ def test_affine_counts():
 def test_fano_plane():
     f = fano_plane()
     assert tuple(len(v) for v in f.by_type) == (7, 7)
-    assert all(len(f.adj[x]) == 3 for x in range(14))
+    assert all(len(nbr) == 3 for nbr in _neighbours(f.size, f.pairs))
     assert is_geometry(f)[0]
 
 
@@ -239,17 +239,27 @@ def brute_force_graph_automorphisms(graph):
                    in graph.edges for a, b in graph.edges)}
 
 
+def _neighbours(size, edges):
+    """Each vertex's neighbour set, read from an edge set."""
+    out = [set() for _ in range(size)]
+    for a, b in edges:
+        out[a].add(b)
+        out[b].add(a)
+    return out
+
+
 def recursive_cliques(graph, r):
     if r == 0:
         return [()]
     out = []
+    adj = _neighbours(graph.size, graph.edges)
 
     def rec(cur, cand):
         if len(cur) == r:
             out.append(tuple(cur))
             return
         for i, x in enumerate(cand):
-            rec(cur + [x], [y for y in cand[i + 1:] if y in graph.adj[x]])
+            rec(cur + [x], [y for y in cand[i + 1:] if y in adj[x]])
 
     rec([], list(range(graph.size)))
     return out
@@ -258,12 +268,13 @@ def recursive_cliques(graph, r):
 def bfs_connected(graph):
     if graph.size == 0:
         return True
+    adj = _neighbours(graph.size, graph.edges)
     seen = {0}
     frontier = [0]
     while frontier:
         nxt = []
         for x in frontier:
-            for y in graph.adj[x]:
+            for y in adj[x]:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -274,6 +285,7 @@ def bfs_connected(graph):
 def two_colouring_bipartite(graph):
     """The 2-colouring search SimpleGraph.is_bipartite ran before it read
     distance parities from geometry.bfs."""
+    adj = _neighbours(graph.size, graph.edges)
     colour = {}
     for start in range(graph.size):
         if start in colour:
@@ -283,7 +295,7 @@ def two_colouring_bipartite(graph):
         while frontier:
             nxt = []
             for x in frontier:
-                for y in graph.adj[x]:
+                for y in adj[x]:
                     if y not in colour:
                         colour[y] = 1 - colour[x]
                         nxt.append(y)
@@ -301,12 +313,14 @@ def old_isomorphic(ga, gb):
     if len(ga.pairs) != len(gb.pairs):
         return False, None
 
-    def profile(g, x):
-        nbr = sorted((g.elem_type[y], len(g.adj[y])) for y in g.adj[x])
-        return (g.elem_type[x], len(g.adj[x]), tuple(nbr))
+    def profiles(g):
+        adj = _neighbours(g.size, g.pairs)
+        return [(g.elem_type[x], len(adj[x]),
+                 tuple(sorted((g.elem_type[y], len(adj[y])) for y in adj[x])))
+                for x in range(g.size)]
 
-    pa = [profile(ga, x) for x in range(ga.size)]
-    pb = [profile(gb, x) for x in range(gb.size)]
+    pa = profiles(ga)
+    pb = profiles(gb)
     if sorted(pa) != sorted(pb):
         return False, None
     cands = {x: [y for y in range(gb.size) if pb[y] == pa[x]]

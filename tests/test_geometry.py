@@ -4,13 +4,23 @@ import pytest
 
 from geoq.constructions import (affine_geometry, conneg_witness, hexagon,
                                 ssg)
-from geoq.geometry import (INF, Pregeometry, all_flags, chamber_count_through,
-                           components, extensions, flags_of_type,
+from geoq.geometry import (INF, Pregeometry, all_flags, bfs,
+                           chamber_count_through, components, extensions,
+                           flags_of_type,
                            incidence_distance, is_connected, is_firm,
                            is_flag, is_generalized_digon, is_geometry,
                            is_residually_connected, residue, truncation,
                            validate)
-from geoq.lemmas import random_geometry
+from geoq.lemmas import random_geometry, random_pregeometry
+
+
+def _neighbours(geom):
+    """Each element's neighbour set, read from the pair set."""
+    out = [set() for _ in range(geom.size)]
+    for a, b in geom.pairs:
+        out[a].add(b)
+        out[b].add(a)
+    return out
 
 
 def k22():
@@ -160,6 +170,7 @@ def early_exit_distance(geom, a, b):
     lookup in geometry.bfs: stop at the first layer that reaches b."""
     if a == b:
         return 0
+    adj = _neighbours(geom)
     seen = {a}
     frontier = [a]
     d = 0
@@ -167,7 +178,7 @@ def early_exit_distance(geom, a, b):
         d += 1
         nxt = []
         for x in frontier:
-            for y in geom.adj[x]:
+            for y in adj[x]:
                 if y == b:
                     return d
                 if y not in seen:
@@ -190,6 +201,31 @@ def test_distance_is_metric_on_components(rng):
                 for c in range(n):
                     if d[a][b] is not INF and d[b][c] is not INF:
                         assert d[a][c] <= d[a][b] + d[b][c]
+
+
+def test_bfs_labels_each_element_with_a_nearest_source(rng):
+    # a label is one of the sources, at the reported distance, and that
+    # distance is the least from any source; unreachable elements are
+    # left out
+    unreached = 0
+    for i in range(60):
+        if i % 2:
+            geom = random_geometry(rng, max_rank=3, max_per_type=3)
+        else:
+            geom = random_pregeometry(rng, max_rank=3, max_per_type=3)
+        sources = rng.sample(range(geom.size),
+                             rng.randint(1, min(3, geom.size)))
+        reach = bfs(geom.masks, sources)
+        for y in range(geom.size):
+            near = min(early_exit_distance(geom, s, y) for s in sources)
+            if near == INF:
+                assert y not in reach
+                unreached += 1
+                continue
+            d, label = reach[y]
+            assert label in sources
+            assert d == near == early_exit_distance(geom, label, y)
+    assert unreached > 0
 
 
 def test_conneg_witness_properties():
@@ -233,12 +269,13 @@ def _ij_path_exists(geom, p, q, i, j):
     if p == q or geom.incident(p, q):
         return True
     allowed = {i, j}
+    adj = _neighbours(geom)
     seen = {p}
     frontier = [p]
     while frontier:
         nxt = []
         for x in frontier:
-            for y in geom.adj[x]:
+            for y in adj[x]:
                 if y == q:
                     return True
                 if y not in seen and geom.elem_type[y] in allowed:
@@ -295,7 +332,6 @@ def test_residual_connectivity_matches_truncation_criterion(rng):
 
 
 def test_rc_pregeometry_is_geometry_iff_no_corank1_maximal(rng):
-    from geoq.lemmas import random_pregeometry
     count = 0
     while count < 30:
         geom = random_pregeometry(rng, max_rank=3, max_per_type=3)
@@ -320,6 +356,7 @@ def test_chamber_count_through():
 def _backtrack_flags_of_type(geom, types):
     # reference: backtrack over the types in index order
     J = sorted(set(types))
+    adj = _neighbours(geom)
     out = []
 
     def rec(k, flag):
@@ -327,7 +364,7 @@ def _backtrack_flags_of_type(geom, types):
             out.append(tuple(sorted(flag)))
             return
         for x in geom.by_type[J[k]]:
-            if all(x in geom.adj[y] for y in flag):
+            if all(x in adj[y] for y in flag):
                 flag.append(x)
                 rec(k + 1, flag)
                 flag.pop()
@@ -340,6 +377,7 @@ def _backtrack_chamber_count_through(geom, flag):
     # reference: complete the flag type by type and count completions
     missing = sorted(set(range(geom.rank))
                      - {geom.elem_type[x] for x in flag})
+    adj = _neighbours(geom)
     count = 0
 
     def rec(k, cur):
@@ -348,7 +386,7 @@ def _backtrack_chamber_count_through(geom, flag):
             count += 1
             return
         for x in geom.by_type[missing[k]]:
-            if all(x in geom.adj[y] for y in cur):
+            if all(x in adj[y] for y in cur):
                 cur.append(x)
                 rec(k + 1, cur)
                 cur.pop()
@@ -358,7 +396,6 @@ def _backtrack_chamber_count_through(geom, flag):
 
 
 def test_flag_filters_agree_with_backtracking_oracles(rng):
-    from geoq.lemmas import random_pregeometry
     nongeometries = 0
     for i in range(60):
         if i % 2:

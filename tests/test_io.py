@@ -1,9 +1,19 @@
 import pytest
 
 from geoq.constructions import eight_cycle, grid_complement, hexagon, ssg
-from geoq.io import (ParseError, format_geometry, format_graph, format_group,
+from geoq.io import (ParseError, format_geometry, format_group,
                      format_partition, parse_geometry, parse_graph,
                      parse_group, parse_partition)
+
+
+def format_graph(graph):
+    """The graph file format, canonical: vertices in index order, then
+    the edges sorted."""
+    lines = ["vert %s" % n for n in graph.names]
+    lines += ["edge %s %s" % (graph.names[a], graph.names[b])
+              for a, b in sorted(graph.edges)]
+    return "\n".join(lines) + "\n"
+
 
 def test_geometry_roundtrip_object():
     for geom in (ssg(4, 3), hexagon()[0], grid_complement()[0]):

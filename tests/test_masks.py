@@ -1,11 +1,12 @@
 """The incidence layer on masks against the set-based code it replaced.
 
 The oracles below are the flag backtracker, extension sets, maximality
-test, lift search and residue-map loop as they were before incidence was
-kept as integer masks: lists filtered by the frozenset neighbourhoods,
-`set &` and `sorted` per flag, and incidence read from the pair set.
-`flags_of_type` is checked against the filter over the whole flag list
-that its per-geometry index replaced.
+test, lift search, residue-map loop and restriction as they were before
+incidence was kept as integer masks only: lists filtered by neighbour
+sets read from the pair set, `set &` and `sorted` per flag, incidence
+read from the pair set, and each residue's pairs found by a scan of all
+of them.  `flags_of_type` is checked against the filter over the whole
+flag list that its per-geometry index replaced.
 """
 
 from itertools import combinations
@@ -20,34 +21,48 @@ from geoq.constructions import (SimpleGraph, affine_geometry,
 from geoq.cosets import FiniteGroup, coseteg_family
 from geoq.geometry import (Pregeometry, all_flags, extensions,
                            flags_by_rank_lex, flags_of_type, is_flag,
-                           is_geometry)
+                           is_geometry, residue, truncation)
 from geoq.lemmas import random_geometry, random_partition, random_pregeometry
 from geoq.quotient import Projection, _residue_map_failure, lift_flag
 
 
+def _neighbours(geom):
+    """Each element's neighbour set, read from the pair set (a graph's
+    edge set)."""
+    out = [set() for _ in range(geom.size)]
+    for a, b in geom.edges if isinstance(geom, SimpleGraph) else geom.pairs:
+        out[a].add(b)
+        out[b].add(a)
+    return out
+
+
 def _set_all_flags(geom):
+    adj = _neighbours(geom)
+
     def rec(flag, cand):
         yield tuple(flag)
         for i, x in enumerate(cand):
-            nxt = [y for y in cand[i + 1:] if y in geom.adj[x]]
+            nxt = [y for y in cand[i + 1:] if y in adj[x]]
             flag.append(x)
             yield from rec(flag, nxt)
             flag.pop()
     yield from rec([], list(range(geom.size)))
 
 
-def _set_extensions(geom, flag):
+def _set_extensions(geom, adj, flag):
+    # adj: geom's _neighbours, built once by the caller
     if not flag:
         return sorted(range(geom.size))
-    out = set(geom.adj[flag[0]])
+    out = set(adj[flag[0]])
     for x in flag[1:]:
-        out &= geom.adj[x]
+        out &= adj[x]
     return sorted(out)
 
 
 def _set_is_geometry(geom):
+    adj = _neighbours(geom)
     for flag in _set_all_flags(geom):
-        if len(flag) < geom.rank and not _set_extensions(geom, flag):
+        if len(flag) < geom.rank and not _set_extensions(geom, adj, flag):
             return False, flag
     return True, None
 
@@ -63,15 +78,15 @@ def _pair_incident(geom, a, b):
     return a == b or (min(a, b), max(a, b)) in geom.pairs
 
 
-def _set_lift_flag(proj, qflag):
+def _set_lift_flag(proj, adj, qflag):
+    # adj: the source's _neighbours, built once by the caller
     blocks = [proj.fiber(k) for k in qflag]
-    src = proj.source
 
     def rec(i, chosen):
         if i == len(blocks):
             return tuple(sorted(chosen))
         for x in blocks[i]:
-            if all(x in src.adj[y] for y in chosen):
+            if all(x in adj[y] for y in chosen):
                 got = rec(i + 1, chosen + [x])
                 if got is not None:
                     return got
@@ -96,6 +111,45 @@ def _set_residue_map_failure(proj, classes, target):
     return None
 
 
+def _pair_scan_restriction(geom, types, members):
+    """The pregeometry on members with the given types, its pairs found
+    by scanning all of geom.pairs."""
+    tmap = {t: k for k, t in enumerate(types)}
+    emap = {x: k for k, x in enumerate(members)}
+    pairs = [(emap[a], emap[b]) for a, b in geom.pairs
+             if a in emap and b in emap]
+    return Pregeometry(
+        [geom.type_names[t] for t in types],
+        [geom.elem_names[x] for x in members],
+        [tmap[geom.elem_type[x]] for x in members],
+        pairs)
+
+
+def _check_restrictions(geom, flags):
+    """residue at each of flags and truncation to every nonempty type set
+    against the pair scan; returns how many were compared."""
+    adj = _neighbours(geom)
+    seen = 0
+    for flag in flags:
+        got, members = residue(geom, flag)
+        ftypes = {geom.elem_type[x] for x in flag}
+        want = _pair_scan_restriction(
+            geom, [t for t in range(geom.rank) if t not in ftypes],
+            _set_extensions(geom, adj, flag))
+        assert members == tuple(_set_extensions(geom, adj, flag))
+        assert got == want and got.masks == want.masks
+        seen += 1
+    for r in range(1, geom.rank + 1):
+        for types in combinations(range(geom.rank), r):
+            members = [x for x in range(geom.size)
+                       if geom.elem_type[x] in types]
+            got = truncation(geom, types)
+            want = _pair_scan_restriction(geom, list(types), members)
+            assert got == want and got.masks == want.masks
+            seen += 1
+    return seen
+
+
 def _bundled_geometries():
     data = Path(geoq.__file__).parent / "data"
     for path in sorted(data.glob("*.geo")):
@@ -112,8 +166,9 @@ def _bundled_geometries():
 def _check_flag_layer(geom):
     flags = list(all_flags(geom))
     assert flags == list(_set_all_flags(geom))
+    adj = _neighbours(geom)
     for flag in flags:
-        assert extensions(geom, flag) == _set_extensions(geom, flag)
+        assert extensions(geom, flag) == _set_extensions(geom, adj, flag)
     assert is_geometry(geom) == _set_is_geometry(geom)
     for r in range(geom.rank + 1):
         for types in combinations(range(geom.rank), r):
@@ -127,8 +182,9 @@ def _check_flag_layer(geom):
 
 def _check_projection(proj, reasons):
     src, q = proj.source, proj.quotient
+    adj = _neighbours(src)
     for qflag in flags_by_rank_lex(q):
-        assert lift_flag(proj, qflag) == _set_lift_flag(proj, qflag)
+        assert lift_flag(proj, qflag) == _set_lift_flag(proj, adj, qflag)
     for flag in flags_by_rank_lex(src):
         ext = extensions(src, flag)
         target = set(extensions(q, proj._project(flag)))
@@ -149,7 +205,8 @@ def test_mask_layer_agrees_with_set_layer(rng):
             geom = random_geometry(rng, max_rank=4, max_per_type=3)
         else:
             geom = random_pregeometry(rng, max_rank=4, max_per_type=4)
-        _check_flag_layer(geom)
+        flags = _check_flag_layer(geom)
+        _check_restrictions(geom, flags)
         verdicts.add(is_geometry(geom)[0])
         _check_projection(Projection(geom, random_partition(rng, geom)),
                           reasons)
@@ -161,11 +218,19 @@ def test_mask_layer_agrees_with_set_layer(rng):
 def test_mask_layer_agrees_on_bundled_geometries(rng):
     seen = 0
     for geom in _bundled_geometries():
-        _check_flag_layer(geom)
+        flags = _check_flag_layer(geom)
+        _check_restrictions(geom, flags if len(flags) <= 400
+                            else [()] + rng.sample(flags, 150))
         _check_projection(Projection(geom, random_partition(rng, geom)),
                           set())
         seen += 1
     assert seen == 16
+
+
+def test_restrictions_agree_with_pair_scan_on_coseteg7(rng):
+    geom = coseteg_family(FiniteGroup.cyclic(7)).geometry
+    sample = [()] + rng.sample(flags_by_rank_lex(geom), 200)
+    assert _check_restrictions(geom, sample) == 201 + 15
 
 
 def test_cliques_agree_with_set_backtracker(rng):

@@ -130,15 +130,24 @@ def test_check_jflags_lift():
     assert not ok and witness == (0, 1, 2)
 
 
+def _neighbours(geom):
+    """Each element's neighbour set, read from the pair set."""
+    out = [set() for _ in range(geom.size)]
+    for a, b in geom.pairs:
+        out[a].add(b)
+        out[b].add(a)
+    return out
+
+
 def neighbour_bijection_oracle(proj):
     """The incidence-graph cover test as one loop: at every element the
     neighbours map one to one onto the neighbours of its block."""
-    q = proj.quotient
+    src, q = _neighbours(proj.source), _neighbours(proj.quotient)
     for x in range(proj.source.size):
-        image = [proj.block_of[y] for y in proj.source.adj[x]]
+        image = [proj.block_of[y] for y in src[x]]
         if len(set(image)) != len(image):
             return False
-        if set(image) != set(q.adj[proj.block_of[x]]):
+        if set(image) != q[proj.block_of[x]]:
             return False
     return True
 
@@ -159,6 +168,25 @@ def test_corank1_surjective_on_orbit_quotients(rng):
         assert corank1_surjective(oq.proj)
         covers.add(assert_graph_cover_is_corank1_bijection(oq.proj))
     assert covers == {False, True}
+
+
+def test_corank1_surjective_agrees_with_neighbour_loop(rng):
+    # the loop it ran before it became residual_surjectivity on rank-1
+    # flags: each element's neighbours cover the neighbours of its block
+    from geoq.lemmas import random_pregeometry
+    seen = set()
+    for i in range(200):
+        if i % 2:
+            geom = random_geometry(rng, max_rank=3, max_per_type=3)
+        else:
+            geom = random_pregeometry(rng, max_rank=3, max_per_type=3)
+        proj = Projection(geom, random_partition(rng, geom))
+        src, q = _neighbours(geom), _neighbours(proj.quotient)
+        want = all({proj.block_of[y] for y in src[x]} == q[proj.block_of[x]]
+                   for x in range(geom.size))
+        assert corank1_surjective(proj) == want
+        seen.add(want)
+    assert seen == {False, True}
 
 
 def test_corank1_injective_distance3(rng):
@@ -442,11 +470,12 @@ def _m_cover_by_pairs(proj, m):
 def _total_order_criterion_by_pairs(proj, order):
     # the upward-residue loop of total_order_flagslift
     src, q = proj.source, proj.quotient
+    src_adj, q_adj = _neighbours(src), _neighbours(q)
     pos = {t: i for i, t in enumerate(order)}
     for x in range(src.size):
         px = pos[src.elem_type[x]]
-        up = [y for y in sorted(src.adj[x]) if pos[src.elem_type[y]] > px]
-        target = {k for k in q.adj[proj.block_of[x]]
+        up = [y for y in sorted(src_adj[x]) if pos[src.elem_type[y]] > px]
+        target = {k for k in q_adj[proj.block_of[x]]
                   if pos[q.elem_type[k]] > px}
         image = [proj.block_of[y] for y in up]
         if len(set(image)) != len(image) or set(image) != target:

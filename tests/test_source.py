@@ -164,3 +164,28 @@ def test_no_dataclasses_in_the_library():
             hits += ["%s:%d" % (path.name, node.lineno)
                      for name in names if name.split(".")[0] == "dataclasses"]
     assert not hits, hits
+
+
+def test_masks_are_the_only_incidence():
+    # incidence is read from the masks alone: no `adj` attribute is read,
+    # defined or listed in __slots__, and the lowest-set-bit idiom
+    # `m & -m` appears only in bits and in all_flags' lazy loop
+    adj, lowbit = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        adj += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "adj"
+                or isinstance(node, ast.FunctionDef) and node.name == "adj"
+                or isinstance(node, ast.Constant) and node.value == "adj"]
+        # each module-level statement, or method, named as a whole
+        for top in tree.body:
+            for unit in top.body if isinstance(top, ast.ClassDef) else [top]:
+                lowbit += [(path.name, getattr(unit, "name", ""))
+                           for node in ast.walk(unit)
+                           if isinstance(node, ast.BinOp)
+                           and isinstance(node.op, ast.BitAnd)
+                           and isinstance(node.right, ast.UnaryOp)
+                           and isinstance(node.right.op, ast.USub)]
+    assert not adj, adj
+    assert sorted(set(lowbit)) == [("geometry.py", "all_flags"),
+                                   ("geometry.py", "bits")], lowbit
