@@ -24,8 +24,7 @@ from . import io as gio
 from .axioms import OrbitQuotient, axioms_report, format_witness
 from .geometry import (all_flags, is_connected, is_firm, is_geometry,
                        is_residually_connected, keep_flags, validate)
-from .perms import (CapExceeded, PermGroup, normal_closure,
-                    orbit_partition)
+from .perms import CapExceeded, PermGroup, normal_closure
 from .quotient import (Partition, Projection, check_flagslift, check_PQ1,
                        check_PQ2, is_cover, min_block_distance)
 
@@ -43,7 +42,12 @@ def _read(path):
 
 
 def _load_geometry(path):
-    return gio.parse_geometry(_read(path))
+    """Parse a geometry file; refuse one that validate rejects (exit 2)."""
+    geom = gio.parse_geometry(_read(path))
+    bad = validate(geom)
+    if bad is not None:
+        raise ValueError("%s: %s" % (path, bad))
+    return geom
 
 
 def _count_flags_capped(geom, cap):
@@ -106,30 +110,31 @@ def _witness_names(geom, flag):
 
 def cmd_check(args):
     from .diagram import basic_diagram
-    geom = _load_geometry(args.geometry)
+    geom = gio.parse_geometry(_read(args.geometry))  # validated below
     _count_flags_capped(geom, args.max_flags)
     t0 = time.time()
-    rows = []
     bad = validate(geom)
-    rows.append(("validate", bad is None, bad))
-    geo, w = is_geometry(geom)
-    rows.append(("geometry", geo, _witness_names(geom, w)))
-    rows.append(("connected", is_connected(geom), None))
-    rc, w = is_residually_connected(geom)
-    rows.append(("residually-connected", rc, _witness_names(geom, w)))
-    if geo and bad is None:
-        firm, w = is_firm(geom)
-        rows.append(("firm", firm,
-                     None if firm else _witness_names(geom, w[0])))
-        diag = basic_diagram(geom)
-        rows.append(("diagram-edges",
-                     ";".join("%d-%d" % tuple(sorted(e)) for e in
-                              sorted(diag.edges, key=sorted)) or "none", None))
+    rows = [("validate", bad is None, bad)]
+    if bad is None:
+        geo, w = is_geometry(geom)
+        rows.append(("geometry", geo, _witness_names(geom, w)))
+        rows.append(("connected", is_connected(geom), None))
+        rc, w = is_residually_connected(geom)
+        rows.append(("residually-connected", rc, _witness_names(geom, w)))
+        if geo:
+            firm, w = is_firm(geom)
+            rows.append(("firm", firm,
+                         None if firm else _witness_names(geom, w[0])))
+            edges = sorted(basic_diagram(geom).edges, key=sorted)
+            rows.append(("diagram-edges", ";".join(
+                "%d-%d" % tuple(sorted(e)) for e in edges) or "none", None))
     _emit(rows, [], args.machine, time.time() - t0)
     return _exit_from_rows(rows)
 
 
 def _load_projection(args, geom):
+    """The projection, and with --orbits the orbit-quotient it is
+    taken from (None with --partition)."""
     if args.partition:
         part = gio.parse_partition(_read(args.partition), geom)
         return Projection(geom, part), None
@@ -137,37 +142,38 @@ def _load_projection(args, geom):
     if args.normal_closure:
         over = _load_group(args.normal_closure, geom, args.max_group_order)
         group = normal_closure(over, group)
-    part = orbit_partition(group, geom)
-    return Projection(geom, part), group
+    oq = OrbitQuotient(geom, group)
+    return oq.proj, oq
 
 
 def cmd_quotient(args):
     geom = _load_geometry(args.geometry)
     _count_flags_capped(geom, args.max_flags)
     t0 = time.time()
-    proj, group = _load_projection(args, geom)
+    proj, oq = _load_projection(args, geom)
     out = args.output or (Path(args.geometry).stem + ".quotient.geo")
     Path(out).write_text(gio.format_geometry(proj.quotient))
-    rows = []
     q = proj.quotient
-    fl, w = check_flagslift(proj)
-    rows.append(("flagslift", fl, _witness_names(q, w)))
+    if oq is None:
+        report = {"flagslift": check_flagslift(proj),
+                  "pq1": check_PQ1(proj), "pq2": check_PQ2(proj),
+                  "is-cover": (is_cover(proj), None)}
+    else:  # decided once per G-orbit, rows kept under this command's keys
+        report = axioms_report(oq)
+    fl, w = report.pop("flagslift")
+    rows = [("flagslift", fl, _witness_names(q, w))]
     geo, w = is_geometry(q)
     rows.append(("quotient-geometry", geo, _witness_names(q, w)))
-    rows.append(("cover", is_cover(proj), None))
-    pq1, w = check_PQ1(proj)
+    rows.append(("cover", report.pop("is-cover")[0], None))
+    pq1, w = report.pop("pq1")
     rows.append(("pq1", pq1,
                  None if pq1 else _witness_names(geom, w[0])))
-    pq2, w = check_PQ2(proj)
+    pq2, w = report.pop("pq2")
     rows.append(("pq2", pq2, _witness_names(geom, w)))
     rows.append(("min-block-distance",
                  str(min_block_distance(geom, proj.partition)), None))
-    if group is not None:
-        oq = OrbitQuotient(geom, group)
-        for name, (value, witness) in sorted(axioms_report(oq).items()):
-            if name in ("flagslift", "pq1", "pq2", "is-cover"):
-                continue
-            rows.append((name, value, format_witness(oq, name, witness)))
+    for name, (value, witness) in sorted(report.items()):
+        rows.append((name, value, format_witness(oq, name, witness)))
     notes = ["quotient written to %s" % out]
     _emit(rows, notes, args.machine, time.time() - t0)
     return _exit_from_rows(rows)

@@ -2,17 +2,18 @@
 Basic diagrams: the graph on the type set with an edge wherever some
 cotype-{i,j} residue fails to be a generalised digon.  Includes purity,
 the direct-sum cross-incidence check, and chamber lifting along forest
-diagrams.
+diagrams.  Every total-incidence question here -- residue digons,
+direct sums, the path property -- goes to geometry.non_incident_pair on
+the masks; no residue pregeometry is built.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .geometry import (_FrozenRecord, _per_geometry, components,
-                       extensions, flags_of_type, is_generalized_digon,
-                       is_geometry, is_residually_connected, mask_of,
-                       residue)
+from .geometry import (_FrozenRecord, _per_geometry, bits, components,
+                       extensions, flags_of_type, is_flag, is_geometry,
+                       is_residually_connected, mask_of, non_incident_pair)
 
 
 class Diagram(_FrozenRecord):
@@ -53,7 +54,6 @@ def basic_diagram(geom):
     if not ok:
         raise ValueError("basic diagram requires a geometry (witness %r)"
                          % (geom.flag_names(w),))
-    edges = set()
     evidence = {}
     for i, j in combinations(range(geom.rank), 2):
         cotype = [t for t in range(geom.rank) if t not in (i, j)]
@@ -61,18 +61,22 @@ def basic_diagram(geom):
         if not flags:
             evidence[(i, j)] = ("no-flags", None)
             continue
-        witness = None
-        for flag in flags:
-            res, _ = residue(geom, flag)
-            if not is_generalized_digon(res):
-                witness = flag
-                break
-        if witness is not None:
-            edges.add(frozenset((i, j)))
-            evidence[(i, j)] = ("edge", witness)
-        else:
-            evidence[(i, j)] = ("digons", None)
-    return Diagram(geom.rank, frozenset(edges), evidence)
+        witness = next((flag for flag in flags
+                        if not _residue_is_digon(geom, flag, i, j)), None)
+        evidence[(i, j)] = (("digons", None) if witness is None
+                            else ("edge", witness))
+    edges = frozenset(frozenset(pair) for pair, (kind, _) in evidence.items()
+                      if kind == "edge")
+    return Diagram(geom.rank, edges, evidence)
+
+
+def _residue_is_digon(geom, flag, i, j):
+    """Whether the residue of a cotype-{i,j} flag is a generalised
+    digon: its type-i and type-j members are totally incident."""
+    members = extensions(geom, flag)
+    et = geom.elem_type
+    return non_incident_pair(geom, [x for x in members if et[x] == i],
+                             [y for y in members if et[y] == j]) is None
 
 
 def is_pure(geom):
@@ -81,10 +85,9 @@ def is_pure(geom):
     for pair in diag.edges:
         i, j = sorted(pair)
         cotype = [t for t in range(geom.rank) if t not in (i, j)]
-        for flag in flags_of_type(geom, cotype):
-            res, _ = residue(geom, flag)
-            if is_generalized_digon(res):
-                return False
+        if any(_residue_is_digon(geom, flag, i, j)
+               for flag in flags_of_type(geom, cotype)):
+            return False
     return True
 
 
@@ -110,10 +113,9 @@ def direct_sum_check(geom):
     for i, j in combinations(range(geom.rank), 2):
         if comp_of[i] is comp_of[j] or comp_of[i] == comp_of[j]:
             continue
-        for a in geom.by_type[i]:
-            for b in geom.by_type[j]:
-                if not geom.incident(a, b):
-                    return DirectSumResult(True, False, (a, b))
+        pair = non_incident_pair(geom, geom.by_type[i], geom.by_type[j])
+        if pair is not None:
+            return DirectSumResult(True, False, pair)
     return DirectSumResult(True, True, None)
 
 
@@ -147,18 +149,14 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
             # rank-1 trees are empty; nothing further to place
             raise ValueError("disconnected tree on the flag types: %r left" % missing)
         ell, i = frontier[0]
-        block_l = oq.proj.fiber(by_type[ell])
-        block_i = oq.proj.fiber(by_type[i])
-        beta_l, beta_i = None, None
-        for bl in block_l:
-            for bi in block_i:
-                if geom.incident(bl, bi):
-                    beta_l, beta_i = bl, bi
-                    break
-            if beta_l is not None:
-                break
+        block_i = mask_of(oq.proj.fiber(by_type[i]))
+        # the first member of block l incident with block i, and its least
+        # incident member there
+        beta_l = next((bl for bl in oq.proj.fiber(by_type[ell])
+                       if geom.masks[bl] & block_i), None)
         if beta_l is None:
             raise RuntimeError("incident blocks with no incident members")
+        beta_i = bits(geom.masks[beta_l] & block_i)[0]
         a = oq.group.element_mapping(beta_l, placed[ell])
         if a is None:
             raise RuntimeError("block is not a single orbit")
@@ -196,17 +194,13 @@ def lift_chamber_forest(oq, qchamber):
         root = comp[0]
         root_elem = oq.proj.fiber(block_by_type[root])[0]
         placed = place_tree_flag(oq, sub_qflag, tree, root, root_elem)
-        for i in comp:
-            for j in comp:
-                if i < j and not geom.incident(placed[i], placed[j]):
-                    raise RuntimeError(
-                        "path closure failed inside a diagram component")
+        if not is_flag(geom, placed.values()):
+            raise RuntimeError(
+                "path closure failed inside a diagram component")
         lifted.update(placed)
     flag = tuple(sorted(lifted.values()))
-    for i, a in enumerate(flag):
-        for b in flag[i + 1:]:
-            if not geom.incident(a, b):
-                raise RuntimeError("direct-sum join failed across components")
+    if not is_flag(geom, flag):
+        raise RuntimeError("direct-sum join failed across components")
     got = oq.proj.project_flag(flag)
     if got != tuple(sorted(qchamber)):
         raise RuntimeError("lifted chamber projects incorrectly")
@@ -217,17 +211,14 @@ def star_transitive_on_paths(geom):
     """For every diagram path i ~ j ~ k and incidence path a_i * a_j * a_k
     of those types, a_i * a_k must hold."""
     diag = basic_diagram(geom)
+    of_type = [mask_of(members) for members in geom.by_type]
     for j in range(geom.rank):
-        nbrs = diag.neighbours(j)
-        for i, k in combinations(nbrs, 2):
+        for i, k in combinations(diag.neighbours(j), 2):
             for aj in geom.by_type[j]:
-                near = extensions(geom, (aj,))
-                ai_list = [x for x in near if geom.elem_type[x] == i]
-                ak_list = [x for x in near if geom.elem_type[x] == k]
-                for ai in ai_list:
-                    for ak in ak_list:
-                        if not geom.incident(ai, ak):
-                            return False
+                near = geom.masks[aj]
+                if non_incident_pair(geom, bits(near & of_type[i]),
+                                     bits(near & of_type[k])) is not None:
+                    return False
     return True
 
 

@@ -14,19 +14,23 @@ A flag's common neighbours are the AND of its members' masks.
 down as a mask, lowest bit first, so it yields flags lazily in
 lexicographic order.  `extensions` (of `(x,)`: x's neighbours), the
 maximality test of `is_geometry`, residues, quotient.lift_flag and the
-residue-map test AND masks too.  A pregeometry never changes, so its
-full flag list, in (rank, lexicographic) order, is built once on first
-use and kept with it (`flags_by_rank_lex`), or taken from a caller that
-has walked them already (`keep_flags`); the flags of each type set come
-from one index over that list, and the geometry and residual-connectivity
-verdicts are computed once too.  The flag count is exponential in the
+residue-map test AND masks too, as does `non_incident_pair`, the one
+total-incidence test (digons, the diagram's residue digons, direct sums
+and the path property); no internal path builds a residue pregeometry.
+A pregeometry never changes, so its full flag list, in (rank,
+lexicographic) order, is built once on first use and kept with it
+(`flags_by_rank_lex`), or taken from a caller that has walked them
+already (`keep_flags`); the flags of each type set come from one index
+over that list, and the geometry and residual-connectivity verdicts are
+computed once too.  The flag count is exponential in the
 rank in the worst case, so everything here is meant for desk scale (a
 few hundred elements, rank at most ~6).
 
 `bfs` is the one graph search: a multi-source breadth-first search on
-masks that labels each reached vertex with its distance and a nearest
-source.  Distances, components, diagram components, the bipartite test
-and the block distance of quotient.min_block_distance go through it.
+masks, optionally confined to a mask, that labels each reached vertex
+with its distance and a nearest source.  Distances, components, residue
+connectivity, diagram components, the bipartite test and the block
+distance of quotient.min_block_distance go through it.
 """
 
 from __future__ import annotations
@@ -173,6 +177,18 @@ def extensions(geom, flag):
     for x in flag[1:]:
         common &= masks[x]
     return bits(common)
+
+
+def non_incident_pair(geom, xs, ys):
+    """The one total-incidence test, for disjoint element lists xs and
+    ys: the first x of xs with the least y of ys not incident with it,
+    or None when every x is incident with every y."""
+    masks, want = geom.masks, mask_of(ys)
+    for x in xs:
+        missing = want & ~masks[x]
+        if missing:
+            return x, bits(missing)[0]
+    return None
 
 
 def bits(mask):
@@ -402,16 +418,17 @@ def incidence_masks(n, pairs):
     return tuple(masks)
 
 
-def bfs(masks, sources):
+def bfs(masks, sources, within=-1):
     """The one breadth-first search, over neighbourhood masks: from all
     sources at once, map each reached vertex to (distance, nearest
-    source).  A vertex's source is that of the first of its neighbours in
+    source), entering only the vertices of the mask within (default:
+    all).  A vertex's source is that of the first of its neighbours in
     the layer before it: the sources are the first layer, in the order
     given, and each later layer lists the new neighbours of each vertex
     of the one before, lowest index first.  The distances depend on
     neither order."""
     reach = {s: (0, s) for s in sources}
-    seen = mask_of(reach)
+    seen = mask_of(reach) | ~within
     frontier = list(reach)
     d = 0
     while frontier:
@@ -454,12 +471,16 @@ def is_connected(geom):
 @_per_geometry
 def is_residually_connected(geom):
     """Every flag of corank >= 2 must have a nonempty connected residue;
-    the witness is a minimal failing flag."""
+    the witness is a minimal failing flag.  A residue is connected when
+    one search from its least member, confined to its members, reaches
+    them all."""
+    masks = geom.masks
     for flag in flags_by_rank_lex(geom):
         if geom.rank - len(flag) < 2:
             continue
-        res, _ = residue(geom, flag)
-        if res.size == 0 or not is_connected(res):
+        members = extensions(geom, flag)
+        inside = mask_of(members)
+        if not inside or len(bfs(masks, members[:1], inside)) < len(members):
             return False, flag
     return True, None
 
@@ -468,5 +489,4 @@ def is_generalized_digon(geom):
     """Rank-2 test: every type-0 element incident with every type-1 element."""
     if geom.rank != 2:
         raise ValueError("generalised digon test requires rank 2, got %d" % geom.rank)
-    return all(geom.incident(a, b)
-               for a in geom.by_type[0] for b in geom.by_type[1])
+    return non_incident_pair(geom, geom.by_type[0], geom.by_type[1]) is None

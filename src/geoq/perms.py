@@ -459,44 +459,28 @@ def transitivity(group, geom, kind, types=None):
 
     kind is one of 'vertex' (each type class), 'incidence' (every 2-subset
     of types), 'jflags' (the given type set), 'chamber', or 'flag' (every
-    subset of types).  Returns (ok, witness pair of flags)."""
+    subset of types), each a list of type sets tested in turn.  Returns
+    (ok, witness): on the first type set whose flags form more than one
+    orbit, the least flags of its first two orbits."""
     check_automorphisms(geom, group)
-
-    def offor(J):
-        flags = flags_of_type(geom, J)
-        if not flags:
-            return True, None
-        orbits = orbits_on(group.gens, flags, _flag_image)
-        if len(orbits) == 1:
-            return True, None
-        return False, (orbits[0][0], orbits[1][0])
-
-    if kind == "jflags":
-        if types is None:
-            raise ValueError("jflags requires a type set")
-        return offor(types)
-    if kind == "vertex":
-        for t in range(geom.rank):
-            ok, w = offor([t])
-            if not ok:
-                return False, w
-        return True, None
-    if kind == "incidence":
-        for J in combinations(range(geom.rank), 2):
-            ok, w = offor(J)
-            if not ok:
-                return False, w
-        return True, None
-    if kind == "chamber":
-        return offor(range(geom.rank))
-    if kind == "flag":
-        for r in range(1, geom.rank + 1):
-            for J in combinations(range(geom.rank), r):
-                ok, w = offor(J)
-                if not ok:
-                    return False, w
-        return True, None
-    raise ValueError("unknown transitivity kind %r" % (kind,))
+    every = tuple(range(geom.rank))
+    families = {
+        "vertex": [(t,) for t in every],
+        "incidence": list(combinations(every, 2)),
+        "jflags": [types],
+        "chamber": [every],
+        "flag": [J for r in range(1, geom.rank + 1)
+                 for J in combinations(every, r)],
+    }
+    if kind not in families:
+        raise ValueError("unknown transitivity kind %r" % (kind,))
+    if types is None and kind == "jflags":
+        raise ValueError("jflags requires a type set")
+    for J in families[kind]:
+        orbits = orbits_on(group.gens, flags_of_type(geom, J), _flag_image)
+        if len(orbits) > 1:
+            return False, (orbits[0][0], orbits[1][0])
+    return True, None
 
 
 def is_semiregular(group, geom=None, types=None):
@@ -574,12 +558,8 @@ def multicover_array(geom, group):
     group-orbit of b incident with a, for incident a of type i and b of
     type j.  Raises ValueError with a witness when the count is not
     constant over incident pairs (the uniformity hypothesis fails)."""
-    check_automorphisms(geom, group)
-    blocks = group.orbits()
-    block_of = [0] * geom.size
-    for k, block in enumerate(blocks):
-        for x in block:
-            block_of[x] = k
+    part = orbit_partition(group, geom)
+    blocks, block_of = part.blocks, part.block_of
     counts = {}
     witness_pair = {}
     for a, b in sorted(geom.pairs):

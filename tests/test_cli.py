@@ -316,3 +316,73 @@ def test_large_group_refused_at_default_cap(tmp_path, capsys, monkeypatch):
     assert err.strip() == "cap exceeded: group order exceeds cap 200000"
     assert out == ""
     assert listings == []
+
+
+SAME_TYPE = """type A
+type B
+type C
+elem a1 A
+elem a2 A
+elem b1 B
+elem c1 C
+inc a1 a2
+inc a1 b1
+inc a1 c1
+inc a2 b1
+inc a2 c1
+inc b1 c1
+"""
+SAME_TYPE_REPORT = "same-type incidence: a1 * a2 (type A)"
+
+
+def test_check_reports_invalid_geometry_without_later_rows(tmp_path, capsys):
+    bad = tmp_path / "same.geo"
+    bad.write_text(SAME_TYPE)
+    code, out, err = run(capsys, "--machine", "check", str(bad))
+    assert (code, out, err) == (1, "validate=false\n", "")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 1 and err == ""
+    assert out.splitlines()[0] == "validate  false   witness: " + SAME_TYPE_REPORT
+    assert out.splitlines()[1].startswith("elapsed: ")
+
+
+def test_other_commands_refuse_invalid_geometry(tmp_path, capsys):
+    bad = tmp_path / "same.geo"
+    bad.write_text(SAME_TYPE)
+    grp = tmp_path / "same.grp"
+    grp.write_text("gen (a1 a2)\n")
+    out_file = tmp_path / "q.geo"
+    for argv in (["diagram", str(bad)],
+                 ["axioms", str(bad), str(grp)],
+                 ["quotient", str(bad), "--orbits", str(grp),
+                  "-o", str(out_file)],
+                 ["iso", str(bad), str(bad)]):
+        code, out, err = run(capsys, "--machine", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: %s: %s\n" % (bad, SAME_TYPE_REPORT)
+    assert not out_file.exists()
+
+
+def test_quotient_orbits_builds_one_projection(tmp_path, capsys, monkeypatch):
+    # the flag-lift, PQ1, PQ2 and cover rows come from the orbit-quotient's
+    # axiom report; no second partition or projection is built
+    from geoq import axioms, cli
+    from geoq.quotient import Projection
+    built = []
+
+    def counted(source, partition):
+        built.append(partition)
+        return Projection(source, partition)
+
+    monkeypatch.setattr(axioms, "Projection", counted)
+    monkeypatch.setattr(cli, "Projection", counted)
+    gen_file(tmp_path, capsys, "coseteg", "2")
+    code, out, _ = run(capsys, "--machine", "quotient",
+                       str(tmp_path / "coseteg-2.geo"),
+                       "--orbits", str(tmp_path / "coseteg-2.grp"),
+                       "-o", str(tmp_path / "q.geo"))
+    assert len(built) == 1
+    keys = [line.split("=")[0] for line in out.splitlines()]
+    assert keys == ["cover", "flagslift", "min-block-distance", "pq1", "pq2",
+                    "quotient-geometry", "residually-surjective", "tq1",
+                    "tq2doubleprime", "tq2prime", "tq3"]

@@ -53,18 +53,31 @@ def test_diagram_evidence_no_flags():
     assert diag.evidence[(0, 1)][0] == "digons"
 
 
-def test_digon_same_answer_both_paths():
+def test_digon_same_answer_both_paths(rng, bundled_geometries):
     # the diagram decision agrees with calling the rank-2 digon test on
-    # each cotype residue directly
+    # each cotype residue directly: on ssg(4,3), coseteg-7, the bundled
+    # geometries and seeded random draws
+    from geoq.cosets import FiniteGroup, coseteg_family
     from geoq.geometry import is_generalized_digon
-    geom = ssg(4, 3)
-    diag = basic_diagram(geom)
-    for i, j in combinations(range(geom.rank), 2):
-        cotype = [t for t in range(geom.rank) if t not in (i, j)]
-        flags = flags_of_type(geom, cotype)
-        direct = any(not is_generalized_digon(residue(geom, f)[0])
-                     for f in flags)
-        assert diag.adjacent(i, j) == direct
+    from geoq.lemmas import random_pregeometry
+    geoms = [ssg(4, 3), coseteg_family(FiniteGroup.cyclic(7)).geometry]
+    geoms += bundled_geometries
+    for k in range(500):
+        geoms.append(random_geometry(rng, max_rank=4, max_per_type=3)
+                     if k % 2 else random_pregeometry(rng))
+    seen = set()
+    for geom in geoms:
+        if not is_geometry(geom)[0]:
+            continue
+        diag = basic_diagram(geom)
+        for i, j in combinations(range(geom.rank), 2):
+            cotype = [t for t in range(geom.rank) if t not in (i, j)]
+            flags = flags_of_type(geom, cotype)
+            direct = any(not is_generalized_digon(residue(geom, f)[0])
+                         for f in flags)
+            assert diag.adjacent(i, j) == direct
+            seen.add(direct)
+    assert seen == {True, False}
 
 
 def test_is_pure():

@@ -7,21 +7,29 @@ sets read from the pair set, `set &` and `sorted` per flag, incidence
 read from the pair set, and each residue's pairs found by a scan of all
 of them.  `flags_of_type` is checked against the filter over the whole
 flag list that its per-geometry index replaced.
+
+The residue questions of the diagram layer -- digons, the basic diagram,
+purity, residual connectivity, direct sums and the path property -- are
+checked against their versions before they were decided on masks: each
+residue built as a `Pregeometry` by `residue` and asked
+`is_generalized_digon` or `is_connected`, and every total-incidence test
+an all-pairs loop over `incident`.
 """
 
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
-import geoq
-from geoq import io as gio
-from geoq.constructions import (SimpleGraph, affine_geometry,
-                                example_generators, ssg)
+from geoq import diagram
+from geoq.constructions import SimpleGraph, ssg
 from geoq.cosets import FiniteGroup, coseteg_family
+from geoq.diagram import (Diagram, DirectSumResult, basic_diagram,
+                          direct_sum_check, is_pure, star_transitive_on_paths)
 from geoq.geometry import (Pregeometry, all_flags, extensions,
-                           flags_by_rank_lex, flags_of_type, is_flag,
-                           is_geometry, residue, truncation)
+                           flags_by_rank_lex, flags_of_type, is_connected,
+                           is_flag, is_generalized_digon, is_geometry,
+                           is_residually_connected, non_incident_pair,
+                           residue, truncation)
 from geoq.lemmas import random_geometry, random_partition, random_pregeometry
 from geoq.quotient import Projection, _residue_map_failure, lift_flag
 
@@ -150,19 +158,6 @@ def _check_restrictions(geom, flags):
     return seen
 
 
-def _bundled_geometries():
-    data = Path(geoq.__file__).parent / "data"
-    for path in sorted(data.glob("*.geo")):
-        yield gio.parse_geometry(path.read_text())
-    for make in example_generators().values():
-        made = make()
-        yield made[0] if isinstance(made, tuple) else made
-    # masks wider than a machine word
-    yield ssg(5, 3)
-    yield coseteg_family(FiniteGroup.cyclic(5)).geometry
-    yield affine_geometry(3, 3)[0]
-
-
 def _check_flag_layer(geom):
     flags = list(all_flags(geom))
     assert flags == list(_set_all_flags(geom))
@@ -215,9 +210,9 @@ def test_mask_layer_agrees_with_set_layer(rng):
                        "incidence not matched"}, reasons
 
 
-def test_mask_layer_agrees_on_bundled_geometries(rng):
+def test_mask_layer_agrees_on_bundled_geometries(rng, bundled_geometries):
     seen = 0
-    for geom in _bundled_geometries():
+    for geom in bundled_geometries:
         flags = _check_flag_layer(geom)
         _check_restrictions(geom, flags if len(flags) <= 400
                             else [()] + rng.sample(flags, 150))
@@ -274,3 +269,147 @@ def test_flags_of_type_index_keeps_its_contract():
     for bad in ([2], [0, -1]):
         with pytest.raises(ValueError, match="unknown type id"):
             flags_of_type(geom, bad)
+
+
+def _loop_is_generalized_digon(geom):
+    return all(geom.incident(a, b)
+               for a in geom.by_type[0] for b in geom.by_type[1])
+
+
+def _loop_non_incident_pair(geom, xs, ys):
+    for a in xs:
+        for b in ys:
+            if not geom.incident(a, b):
+                return a, b
+    return None
+
+
+def _cotype(geom, i, j):
+    return [t for t in range(geom.rank) if t not in (i, j)]
+
+
+def _residue_diagram_evidence(geom):
+    evidence = {}
+    for i, j in combinations(range(geom.rank), 2):
+        flags = flags_of_type(geom, _cotype(geom, i, j))
+        witness = next((f for f in flags
+                        if not is_generalized_digon(residue(geom, f)[0])),
+                       None)
+        evidence[(i, j)] = (("no-flags", None) if not flags
+                            else ("digons", None) if witness is None
+                            else ("edge", witness))
+    return evidence
+
+
+def _residue_is_pure(geom, diag):
+    for pair in diag.edges:
+        i, j = sorted(pair)
+        for flag in flags_of_type(geom, _cotype(geom, i, j)):
+            if is_generalized_digon(residue(geom, flag)[0]):
+                return False
+    return True
+
+
+def _residue_residually_connected(geom):
+    for flag in flags_by_rank_lex(geom):
+        if geom.rank - len(flag) < 2:
+            continue
+        res, _ = residue(geom, flag)
+        if res.size == 0 or not is_connected(res):
+            return False, flag
+    return True, None
+
+
+def _loop_direct_sum(geom, diag):
+    if not is_geometry(geom)[0]:
+        return DirectSumResult(False, True, "not a geometry")
+    if not _residue_residually_connected(geom)[0]:
+        return DirectSumResult(False, True, "not residually connected")
+    comp_of = {t: comp for comp in diag.components() for t in comp}
+    for i, j in combinations(range(geom.rank), 2):
+        if comp_of[i] == comp_of[j]:
+            continue
+        pair = _loop_non_incident_pair(geom, geom.by_type[i], geom.by_type[j])
+        if pair is not None:
+            return DirectSumResult(True, False, pair)
+    return DirectSumResult(True, True, None)
+
+
+def _loop_star_transitive(geom, diag):
+    for j in range(geom.rank):
+        for i, k in combinations(diag.neighbours(j), 2):
+            for aj in geom.by_type[j]:
+                near = extensions(geom, (aj,))
+                ai_list = [x for x in near if geom.elem_type[x] == i]
+                ak_list = [x for x in near if geom.elem_type[x] == k]
+                if _loop_non_incident_pair(geom, ai_list, ak_list):
+                    return False
+    return True
+
+
+def _check_residue_questions(geom, verdicts, monkeypatch):
+    """Each residue question on geom against its oracle; verdicts maps
+    each question to the set of answers seen."""
+    def seen(name, value):
+        verdicts.setdefault(name, set()).add(value)
+        return value
+
+    for flag in flags_by_rank_lex(geom):
+        if len(flag) == geom.rank - 2:
+            res, _ = residue(geom, flag)
+            assert is_generalized_digon(res) == seen(
+                "digon", _loop_is_generalized_digon(res))
+    for i, j in combinations(range(geom.rank), 2):
+        xs, ys = geom.by_type[i], geom.by_type[j]
+        assert non_incident_pair(geom, xs, ys) == _loop_non_incident_pair(
+            geom, xs, ys)
+    rc = is_residually_connected(geom)
+    assert rc == _residue_residually_connected(geom)
+    seen("residually-connected", rc[0])
+    if not is_geometry(geom)[0]:
+        assert direct_sum_check(geom) == _loop_direct_sum(geom, None)
+        return
+    diag = basic_diagram(geom)
+    assert diag.evidence == _residue_diagram_evidence(geom)
+    assert diag.edges == {frozenset(pair) for pair, (kind, _)
+                          in diag.evidence.items() if kind == "edge"}
+    seen("edge", bool(diag.edges))
+    assert is_pure(geom) == seen("pure", _residue_is_pure(geom, diag))
+    assert star_transitive_on_paths(geom) == seen(
+        "path", _loop_star_transitive(geom, diag))
+    got = direct_sum_check(geom)
+    assert got == _loop_direct_sum(geom, diag)
+    seen("direct-sum-applicable", got.applicable)
+    # with no diagram edges every type pair must be totally incident, so
+    # the cross-incidence test and its witness are exercised both ways
+    edgeless = Diagram(geom.rank, frozenset(), {})
+    with monkeypatch.context() as m:
+        m.setattr(diagram, "basic_diagram", lambda g: edgeless)
+        got = direct_sum_check(geom)
+    assert got == _loop_direct_sum(geom, edgeless)
+    seen("direct-sum", got.ok)
+
+
+BOTH = {True, False}
+
+
+def test_residue_questions_agree_with_residue_pregeometries(rng, monkeypatch):
+    verdicts = {}
+    for i in range(520):
+        if i % 2:
+            geom = random_geometry(rng, max_rank=4, max_per_type=3)
+        else:
+            geom = random_pregeometry(rng, max_rank=4, max_per_type=4)
+        _check_residue_questions(geom, verdicts, monkeypatch)
+    assert verdicts == {name: BOTH for name in verdicts}, verdicts
+    assert len(verdicts) == 7
+
+
+def test_residue_questions_agree_on_bundled_geometries_and_coseteg7(
+        bundled_geometries, monkeypatch):
+    verdicts = {}
+    for geom in bundled_geometries + [
+            coseteg_family(FiniteGroup.cyclic(7)).geometry]:
+        _check_residue_questions(geom, verdicts, monkeypatch)
+    assert verdicts == {name: BOTH for name in verdicts}, verdicts
+    assert len(verdicts) == 7

@@ -313,6 +313,84 @@ def test_transitivity_kinds():
         transitivity(action, geom, "nope")
 
 
+def _per_kind_transitivity(group, geom, kind, types=None):
+    # the one-branch-per-kind version that the table of type sets replaced
+    from itertools import combinations
+
+    from geoq.perms import _flag_image, check_automorphisms
+    check_automorphisms(geom, group)
+
+    def offor(J):
+        flags = flags_of_type(geom, J)
+        if not flags:
+            return True, None
+        orbits = orbits_on(group.gens, flags, _flag_image)
+        if len(orbits) == 1:
+            return True, None
+        return False, (orbits[0][0], orbits[1][0])
+
+    if kind == "jflags":
+        if types is None:
+            raise ValueError("jflags requires a type set")
+        return offor(types)
+    if kind == "vertex":
+        for t in range(geom.rank):
+            ok, w = offor([t])
+            if not ok:
+                return False, w
+        return True, None
+    if kind == "incidence":
+        for J in combinations(range(geom.rank), 2):
+            ok, w = offor(J)
+            if not ok:
+                return False, w
+        return True, None
+    if kind == "chamber":
+        return offor(range(geom.rank))
+    if kind == "flag":
+        for r in range(1, geom.rank + 1):
+            for J in combinations(range(geom.rank), r):
+                ok, w = offor(J)
+                if not ok:
+                    return False, w
+        return True, None
+    raise ValueError("unknown transitivity kind %r" % (kind,))
+
+
+def test_transitivity_agrees_with_per_kind_branches(rng):
+    from geoq.constructions import multipartite_geometry
+    from geoq.cosets import FiniteGroup, coseteg_family
+    from geoq.lemmas import random_coset_instance
+    cases = []
+    while len(cases) < 200:
+        oq = random_orbit_quotient(rng)
+        if oq is not None:
+            cases.append((oq.group, oq.geom))
+    for _ in range(30):
+        geom, action = random_coset_instance(rng)
+        cases.append((action, geom))
+    fam = coseteg_family(FiniteGroup.cyclic(3))
+    cases += [(fam.action_group(), fam.geometry),
+              (fam.n_action_group(), fam.geometry)]
+    geom, *actions = multipartite_geometry(2, 3, 2)
+    cases += [(action, geom) for action in actions]
+    seen = {}
+    for group, geom in cases:
+        J = sorted(rng.sample(range(geom.rank), rng.randint(1, geom.rank)))
+        for kind in ("vertex", "incidence", "jflags", "chamber", "flag"):
+            types = J if kind == "jflags" else None
+            got = transitivity(group, geom, kind, types)
+            assert got == _per_kind_transitivity(group, geom, kind, types)
+            seen.setdefault(kind, set()).add(got[0])
+    assert seen == {kind: {True, False} for kind in seen}, seen
+    assert len(seen) == 5
+    for kind, message in (("jflags", "requires a type set"),
+                          ("nope", "unknown transitivity")):
+        for check in (transitivity, _per_kind_transitivity):
+            with pytest.raises(ValueError, match=message):
+                check(group, geom, kind)
+
+
 def test_trivial_group_on_single_chamber():
     geom = Pregeometry(["A", "B"], ["a", "b"], [0, 1], [(0, 1)])
     assert transitivity(PermGroup.trivial(2), geom, "flag")[0]

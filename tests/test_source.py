@@ -129,6 +129,15 @@ def _calls_by_function(path):
     return out
 
 
+def test_no_library_code_builds_a_residue():
+    # residue questions are decided on masks (geometry.non_incident_pair
+    # and a confined bfs); `residue` stays public for library callers,
+    # and nothing under src/geoq calls it
+    hits = ["%s:%s" % (path.name, fn) for path in SOURCES
+            for fn, called in _calls_by_function(path) if called == "residue"]
+    assert not hits, hits
+
+
 def test_only_elements_lists_a_group():
     # order, membership, stabilizers, normal closures and semiregularity
     # come from the Schreier-Sims chain; mulclose runs only inside
