@@ -27,7 +27,8 @@ class OrbitQuotient:
     """A pregeometry together with an automorphism group, its orbit
     partition and the projection onto the orbit quotient."""
 
-    __slots__ = ("geom", "group", "partition", "proj", "_flag_orbits")
+    __slots__ = ("geom", "group", "partition", "proj", "_flag_orbits",
+                 "_block_distance")
 
     def __init__(self, geom, group):
         self.geom = geom
@@ -35,10 +36,20 @@ class OrbitQuotient:
         self.partition = orbit_partition(group, geom)
         self.proj = Projection(geom, self.partition)
         self._flag_orbits = None  # see _flag_orbit_index
+        self._block_distance = None
 
     @property
     def quotient(self):
         return self.proj.quotient
+
+    @property
+    def block_distance(self):
+        """min_block_distance of the orbit partition, computed on first
+        use and kept."""
+        if self._block_distance is None:
+            self._block_distance = min_block_distance(self.geom,
+                                                      self.partition)
+        return self._block_distance
 
 
 def _flag_orbit_index(oq):
@@ -66,7 +77,7 @@ def _representatives(oq):
 
 def check_TQ3(oq):
     """(TQ3): same-orbit elements are at incidence-graph distance >= 4."""
-    return min_block_distance(oq.geom, oq.partition) >= 4
+    return oq.block_distance >= 4
 
 
 def check_TQ2prime(oq):

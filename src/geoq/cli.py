@@ -170,8 +170,9 @@ def cmd_quotient(args):
                  None if pq1 else _witness_names(geom, w[0])))
     pq2, w = report.pop("pq2")
     rows.append(("pq2", pq2, _witness_names(geom, w)))
-    rows.append(("min-block-distance",
-                 str(min_block_distance(geom, proj.partition)), None))
+    dist = (min_block_distance(geom, proj.partition) if oq is None
+            else oq.block_distance)
+    rows.append(("min-block-distance", str(dist), None))
     for name, (value, witness) in sorted(report.items()):
         rows.append((name, value, format_witness(oq, name, witness)))
     notes = ["quotient written to %s" % out]

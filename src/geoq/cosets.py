@@ -2,11 +2,18 @@
 Abstract finite groups (multiplication-table semantics), subgroups and
 coset pregeometries: right cosets of designated subgroups, incident when
 they intersect, with the right-multiplication action.
+
+A coset pregeometry is one index table, coset_of[i][x]: the coset of
+type i that holds group element x.  Incidences are the pairs
+(coset_of[i][x], coset_of[j][x]) over x, and g acts on the coset H_i x as
+x -> coset_of[i][x g].  Recognising a coset pregeometry of a permutation
+group (is_coset_pregeometry) works from generator orbits alone; nothing
+here lists a permutation group.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .geometry import Pregeometry, flags_of_type
 from .perms import Perm, PermGroup, transitivity
@@ -77,13 +84,16 @@ class FiniteGroup:
 
     @classmethod
     def direct_product(cls, *groups):
-        combos = list(product(*[range(len(g)) for g in groups]))
-        index = {c: i for i, c in enumerate(combos)}
-        names = ["(%s)" % ",".join(g.names[x] for g, x in zip(groups, c))
-                 for c in combos]
-        mul = [[index[tuple(g.mul[a][b] for g, a, b in zip(groups, c1, c2))]
-                for c2 in combos] for c1 in combos]
-        return cls(names, mul, check=False)
+        """Elements in itertools.product order: (c_1, ..., c_k) has the
+        mixed-radix index ((c_1 n_2 + c_2) n_3 + ...) n_k + c_k, so each
+        factor extends the table by index arithmetic."""
+        names, mul = [()], [[0]]
+        for g in groups:
+            n = len(g)
+            names = [p + (name,) for p in names for name in g.names]
+            mul = [[a * n + b for a in row for b in g.mul[c]]
+                   for row in mul for c in range(n)]
+        return cls(["(%s)" % ",".join(p) for p in names], mul, check=False)
 
     @classmethod
     def symmetric(cls, n):
@@ -92,15 +102,6 @@ class FiniteGroup:
         names = ["[%s]" % "".join(map(str, p)) for p in perms]
         mul = [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]
         return cls(names, mul, check=False)
-
-    @classmethod
-    def from_perm_group(cls, group):
-        """Cayley-table form of an enumerated permutation group."""
-        elems = sorted(group.elements())
-        index = {g: i for i, g in enumerate(elems)}
-        names = [repr(g) for g in elems]
-        mul = [[index[g * h] for h in elems] for g in elems]
-        return cls(names, mul, check=False), elems
 
     def _closure(self, seed):
         """Everything reached from the identity by right multiplication by
@@ -194,62 +195,55 @@ def rank3_ft_condition(G, G1, G2, G3):
 
 class CosetGeometry:
     """The coset pregeometry of a group with designated subgroups, plus
-    the right-multiplication action."""
+    the right-multiplication action.
 
-    __slots__ = ("group", "subgroups", "geometry", "reps", "_coset_index")
+    coset_of[i][x] is the element (the right coset H_i x) that contains
+    group element x.  It is filled in one pass per type over x in index
+    order, so each coset is met first at its least member, its rep; the
+    elements are listed by type, then by rep."""
+
+    __slots__ = ("group", "subgroups", "geometry", "reps", "coset_of")
 
     def __init__(self, group, subgroups):
         if not subgroups:
             raise ValueError("at least one subgroup required")
+        if any(sub.parent is not group for sub in subgroups):
+            raise ValueError("subgroups must be subgroups of the group")
         self.group = group
         self.subgroups = tuple(subgroups)
         type_names = [sub.name or ("G%d" % (i + 1))
                       for i, sub in enumerate(subgroups)]
         if len(set(type_names)) != len(type_names):
             raise ValueError("duplicate subgroup names")
-        elems = []
-        etype = []
-        reps = []
-        cosets = []
+        mul = group.mul
+        elems, etype, reps, coset_of = [], [], [], []
         for i, sub in enumerate(subgroups):
-            seen = {}
+            of = [None] * len(group)
             for x in range(len(group)):
-                members = frozenset(group.mul[h][x] for h in sub.members)
-                rep = min(members)
-                if rep not in seen:
-                    seen[rep] = members
-            for rep in sorted(seen):
-                label = type_names[i] if rep == group.id else (
-                    "%s*%s" % (type_names[i], group.names[rep]))
-                elems.append(label)
-                etype.append(i)
-                reps.append(rep)
-                cosets.append(seen[rep])
-        pairs = []
-        for a in range(len(elems)):
-            for b in range(a + 1, len(elems)):
-                if etype[a] != etype[b] and cosets[a] & cosets[b]:
-                    pairs.append((a, b))
+                if of[x] is None:
+                    k = len(elems)
+                    for h in sub.members:
+                        of[mul[h][x]] = k
+                    elems.append(type_names[i] if x == group.id else
+                                 "%s*%s" % (type_names[i], group.names[x]))
+                    etype.append(i)
+                    reps.append(x)
+            coset_of.append(tuple(of))
+        # two cosets meet exactly when some x lies in both
+        pairs = {(coset_of[i][x], coset_of[j][x])
+                 for i in range(len(subgroups))
+                 for j in range(i + 1, len(subgroups))
+                 for x in range(len(group))}
         self.geometry = Pregeometry(type_names, elems, etype, pairs)
         self.reps = tuple(reps)
-        self._coset_index = {(etype[k], cosets[k]): k
-                             for k in range(len(elems))}
-
-    def coset_members(self, k):
-        i = self.geometry.elem_type[k]
-        sub = self.subgroups[i]
-        return frozenset(self.group.mul[h][self.reps[k]]
-                         for h in sub.members)
+        self.coset_of = tuple(coset_of)
 
     def action_of(self, g):
-        """The permutation induced on cosets by right multiplication."""
-        images = []
-        for k in range(self.geometry.size):
-            i = self.geometry.elem_type[k]
-            members = frozenset(self.group.mul[x][g]
-                                for x in self.coset_members(k))
-            images.append(self._coset_index[(i, members)])
-        return Perm(images)
+        """The permutation induced on cosets by right multiplication:
+        H_i x g is the coset of type i that contains x g."""
+        mul = self.group.mul
+        return Perm([self.coset_of[i][mul[x][g]]
+                     for i, x in zip(self.geometry.elem_type, self.reps)])
 
     def action_group(self, members=None):
         """Right-multiplication action of the whole group (or of the given
@@ -326,11 +320,22 @@ def coseteg_family(A):
 
 
 def is_coset_pregeometry(geom, group):
-    """A pregeometry with a given automorphism group is (isomorphic to) a
-    coset pregeometry for that group iff it contains a chamber and the
-    group is vertex- and incidence-transitive.  On success the chamber
-    stabilizers are extracted and the coset model is rebuilt and matched
-    element by element."""
+    """Whether a pregeometry with a given automorphism group is
+    (isomorphic to) a coset pregeometry of that group, by the
+    characterisation (Buekenhout & Cohen, Diagram Geometry, 2013, ch. 1):
+    it has a chamber C, and G is transitive on the flags of each single
+    type and of each pair of types.  Returns (True, C) for the least
+    chamber C, or (False, reason).
+
+    Sketch: by vertex-transitivity, x of type i is g c_i for the g of one
+    coset of the stabilizer G_{c_i}.  Elements x of type i and y of type
+    j != i are incident exactly when some single g maps (c_i, c_j) onto
+    (x, y), as the incident pairs of types {i, j} form the one orbit of
+    (c_i, c_j); and that is when the two cosets meet.  Cosets of one type
+    are disjoint, and no two elements of one type are incident: such a
+    pair would be a flag of that one type outside the orbit of its
+    elements.  So the chamber stabilizers G_{c_i} give the coset
+    model."""
     chams = flags_of_type(geom, range(geom.rank))
     if not chams:
         return False, "no chamber"
@@ -340,29 +345,4 @@ def is_coset_pregeometry(geom, group):
     ok, w = transitivity(group, geom, "incidence")
     if not ok:
         return False, ("not incidence-transitive", w)
-    chamber = chams[0]
-    fin, elems = FiniteGroup.from_perm_group(group)
-    perm_index = {g: i for i, g in enumerate(elems)}
-    subgroups = []
-    for x in chamber:
-        members = {perm_index[g] for g in elems if g[x] == x}
-        subgroups.append(Subgroup(fin, members, "S%d" % geom.elem_type[x]))
-    cg = CosetGeometry(fin, subgroups)
-    # associate alpha (type i) with the coset of any group element mapping
-    # chamber[i] to alpha, then compare incidence both ways
-    assoc = [None] * geom.size
-    for i, x in enumerate(chamber):
-        reps = {}
-        for gi, g in enumerate(elems):
-            reps.setdefault(g[x], gi)
-        for alpha in geom.by_type[geom.elem_type[x]]:
-            members = frozenset(fin.mul[h][reps[alpha]]
-                                for h in subgroups[i].members)
-            assoc[alpha] = cg._coset_index[(i, members)]
-    if sorted(assoc) != list(range(geom.size)):
-        return False, "coset association is not a bijection"
-    for a in range(geom.size):
-        for b in range(a + 1, geom.size):
-            if geom.incident(a, b) != cg.geometry.incident(assoc[a], assoc[b]):
-                return False, ("incidence mismatch", (a, b))
-    return True, tuple(assoc)
+    return True, chams[0]

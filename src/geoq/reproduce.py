@@ -122,7 +122,7 @@ def _coset_scenario(n):
     # the distinguished witness flag: blocks of G1, G2 and G3*(a,b,b), a != b
     a, b = 1 % n, 0
     g = fam.element(a, b, b)
-    coset3 = next(k for k in geom.by_type[2] if g in fam.cg.coset_members(k))
+    coset3 = fam.cg.coset_of[2][g]
     qflag = tuple(sorted({part.block_of[geom.by_type[0][0]],
                           part.block_of[geom.by_type[1][0]],
                           part.block_of[coset3]}))

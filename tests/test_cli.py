@@ -386,3 +386,27 @@ def test_quotient_orbits_builds_one_projection(tmp_path, capsys, monkeypatch):
     assert keys == ["cover", "flagslift", "min-block-distance", "pq1", "pq2",
                     "quotient-geometry", "residually-surjective", "tq1",
                     "tq2doubleprime", "tq2prime", "tq3"]
+
+
+def test_quotient_orbits_computes_the_block_distance_once(tmp_path, capsys,
+                                                         monkeypatch):
+    # the min-block-distance row and check_TQ3 read one value kept on the
+    # orbit-quotient
+    from geoq import axioms, cli
+    from geoq.quotient import min_block_distance
+    calls = []
+
+    def counted(geom, partition):
+        calls.append(min_block_distance(geom, partition))
+        return calls[-1]
+
+    monkeypatch.setattr(axioms, "min_block_distance", counted)
+    monkeypatch.setattr(cli, "min_block_distance", counted)
+    gen_file(tmp_path, capsys, "coseteg", "2")
+    code, out, _ = run(capsys, "--machine", "quotient",
+                       str(tmp_path / "coseteg-2.geo"),
+                       "--orbits", str(tmp_path / "coseteg-2-n.grp"),
+                       "-o", str(tmp_path / "q.geo"))
+    assert len(calls) == 1
+    assert "min-block-distance=%s" % calls[0] in out.splitlines()
+    assert ("tq3=%s" % str(calls[0] >= 4).lower()) in out.splitlines()

@@ -157,10 +157,19 @@ def test_coseteg_rejects_bad_base():
 
 
 def test_is_coset_pregeometry_roundtrip():
+    # the returned chamber is the least one, and its stabilizers give the
+    # coset model: each type class is the orbit of the chamber's member,
+    # so |G : G_c| elements of that type
+    from geoq.perms import stabilizer
     fam = coseteg_family(FiniteGroup.cyclic(2))
-    ok, assoc = is_coset_pregeometry(fam.geometry, fam.action_group())
+    geom, act = fam.geometry, fam.action_group()
+    ok, chamber = is_coset_pregeometry(geom, act)
     assert ok
-    assert sorted(assoc) == list(range(fam.geometry.size))
+    assert chamber == flags_of_type(geom, range(geom.rank))[0]
+    assert [geom.elem_type[c] for c in chamber] == list(range(geom.rank))
+    for c in chamber:
+        index = act.order() // stabilizer(act, (c,)).order()
+        assert index == len(geom.by_type[geom.elem_type[c]])
 
 
 def test_is_coset_pregeometry_hexagon_false():
@@ -240,3 +249,239 @@ def test_rank2_connectivity_agrees_with_coset_graph(rng):
         assert got == is_connected(geom)
         seen.add(got)
     assert seen == {True, False}
+
+
+def test_subgroup_of_another_group_is_refused():
+    # the coset table needs the cosets to partition the group itself
+    z4, z4_again = FiniteGroup.cyclic(4), FiniteGroup.cyclic(4)
+    two = Subgroup(z4_again, {0, 2}, "H")
+    with pytest.raises(ValueError, match="subgroups of the group"):
+        coset_pregeometry(z4, [two])
+    with pytest.raises(ValueError, match="subgroups of the group"):
+        coset_pregeometry(z4, [Subgroup(z4, {0}, "E"), two])
+    coset_pregeometry(z4_again, [two])
+
+
+def test_direct_product_index_is_mixed_radix():
+    # (c_1, c_2, c_3) has index (c_1 n_2 + c_2) n_3 + c_3, as in
+    # itertools.product, and multiplies componentwise
+    from itertools import product
+    parts = (FiniteGroup.cyclic(2), FiniteGroup.symmetric(3),
+             FiniteGroup.cyclic(4))
+    G = FiniteGroup.direct_product(*parts)
+    combos = list(product(*(range(len(g)) for g in parts)))
+    assert len(G) == 48
+    for k, c in enumerate(combos):
+        assert (c[0] * 6 + c[1]) * 4 + c[2] == k
+        assert G.names[k] == "(%s)" % ",".join(
+            g.names[x] for g, x in zip(parts, c))
+    for a, ca in enumerate(combos):
+        for b, cb in enumerate(combos):
+            assert combos[G.mul[a][b]] == tuple(
+                g.mul[x][y] for g, x, y in zip(parts, ca, cb))
+    assert G.id == combos.index(tuple(g.id for g in parts))
+
+
+# ------------------------------------------------------------ the oracles
+# CosetGeometry as it was built before the coset_of table (frozenset
+# cosets, incident when two of them intersect, over all pairs), and
+# is_coset_pregeometry as it was decided before it stopped at the
+# characterisation (the Cayley table of the listed group, the coset model
+# rebuilt from the chamber stabilizers and matched pair by pair).
+
+class _SetCosets:
+    def __init__(self, group, subgroups):
+        self.group = group
+        type_names = [sub.name or ("G%d" % (i + 1))
+                      for i, sub in enumerate(subgroups)]
+        elems, etype, cosets = [], [], []
+        for i, sub in enumerate(subgroups):
+            seen = {}
+            for x in range(len(group)):
+                members = frozenset(group.mul[h][x] for h in sub.members)
+                seen.setdefault(min(members), members)
+            for rep in sorted(seen):
+                elems.append(type_names[i] if rep == group.id else
+                             "%s*%s" % (type_names[i], group.names[rep]))
+                etype.append(i)
+                cosets.append(seen[rep])
+        pairs = [(a, b) for a in range(len(elems))
+                 for b in range(a + 1, len(elems))
+                 if etype[a] != etype[b] and cosets[a] & cosets[b]]
+        self.geometry = Pregeometry(type_names, elems, etype, pairs)
+        self.cosets = cosets
+        self.index = {(etype[k], cosets[k]): k for k in range(len(elems))}
+
+    def action_of(self, g):
+        return tuple(self.index[(self.geometry.elem_type[k],
+                                 frozenset(self.group.mul[x][g]
+                                           for x in self.cosets[k]))]
+                     for k in range(self.geometry.size))
+
+
+def _rebuilt_is_coset_pregeometry(geom, group):
+    chams = flags_of_type(geom, range(geom.rank))
+    if not chams:
+        return False, "no chamber"
+    ok, w = transitivity(group, geom, "vertex")
+    if not ok:
+        return False, ("not vertex-transitive", w)
+    ok, w = transitivity(group, geom, "incidence")
+    if not ok:
+        return False, ("not incidence-transitive", w)
+    chamber = chams[0]
+    elems = sorted(group.elements())
+    index = {g: i for i, g in enumerate(elems)}
+    fin = FiniteGroup([repr(g) for g in elems],
+                      [[index[g * h] for h in elems] for g in elems],
+                      check=False)
+    subgroups = [Subgroup(fin, {index[g] for g in elems if g[x] == x},
+                          "S%d" % geom.elem_type[x]) for x in chamber]
+    model = _SetCosets(fin, subgroups)
+    assoc = [None] * geom.size
+    for i, x in enumerate(chamber):
+        reps = {}
+        for gi, g in enumerate(elems):
+            reps.setdefault(g[x], gi)
+        for alpha in geom.by_type[geom.elem_type[x]]:
+            members = frozenset(fin.mul[h][reps[alpha]]
+                                for h in subgroups[i].members)
+            assoc[alpha] = model.index[(i, members)]
+    if sorted(assoc) != list(range(geom.size)):
+        return False, "coset association is not a bijection"
+    for a in range(geom.size):
+        for b in range(a + 1, geom.size):
+            if geom.incident(a, b) != model.geometry.incident(assoc[a],
+                                                              assoc[b]):
+                return False, ("incidence mismatch", (a, b))
+    return True, tuple(assoc)
+
+
+def _same_geometry(g, h):
+    return (g.type_names, g.elem_names, g.elem_type, g.pairs) == (
+        h.type_names, h.elem_names, h.elem_type, h.pairs)
+
+
+def _agrees_with_set_cosets(cg, acting):
+    old = _SetCosets(cg.group, cg.subgroups)
+    assert _same_geometry(cg.geometry, old.geometry)
+    for g in acting:
+        assert cg.action_of(g).images == old.action_of(g)
+
+
+def test_coset_table_agrees_with_set_cosets(rng):
+    from geoq.lemmas import _small_groups
+    for _ in range(220):
+        G = rng.choice(_small_groups())
+        subs = _random_subgroups(rng, G, rng.randint(1, 4))
+        subs = [sub.named("H%d" % i) for i, sub in enumerate(subs)]
+        _agrees_with_set_cosets(coset_pregeometry(G, subs)[1], range(len(G)))
+    z2, z3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    for A in (z2, z3, FiniteGroup.direct_product(z2, z2)):
+        fam = coseteg_family(A)
+        gens = fam.G.generators()
+        _agrees_with_set_cosets(fam.cg, gens)
+        _agrees_with_set_cosets(fam.truncation3()[1], gens)
+
+
+def _with_pair_orbit(rng, geom, group, same_type):
+    """geom plus the group orbit of one non-incident pair, of one type or
+    of two, or None when there is no such pair."""
+    et = geom.elem_type
+    pairs = [(a, b) for a in range(geom.size) for b in range(a + 1, geom.size)
+             if (et[a] == et[b]) == same_type and not geom.incident(a, b)]
+    if not pairs:
+        return None
+    a, b = rng.choice(pairs)
+    extra = {(g[a], g[b]) for g in group.elements()}
+    return Pregeometry(geom.type_names, geom.elem_names, et,
+                       set(geom.pairs) | extra)
+
+
+def _without_types_meeting(geom, i, j):
+    """geom with every incidence between types i and j removed: it has
+    no chamber, and every type-preserving automorphism of geom is still
+    one."""
+    et = geom.elem_type
+    return Pregeometry(geom.type_names, geom.elem_names, et,
+                       [(a, b) for a, b in geom.pairs
+                        if {et[a], et[b]} != {i, j}])
+
+
+def _recognition_draws(rng):
+    from geoq.lemmas import (random_coset_instance, random_orbit_quotient,
+                             random_subgroup)
+    from geoq.perms import (induced_quotient_group, normal_closure,
+                            orbit_partition)
+    from geoq.quotient import Projection
+    out = []
+
+    def small_instance():
+        while True:
+            geom, action = random_coset_instance(rng)
+            if geom.size <= 30 and action.order() <= 30:
+                return geom, action
+
+    for _ in range(120):  # the action itself or a random subgroup of it
+        geom, action = small_instance()
+        out.append((geom, action if rng.random() < 0.3
+                    else random_subgroup(rng, action)))
+    for _ in range(100):  # normal quotients with the induced group
+        geom, action = small_instance()
+        n = normal_closure(action, random_subgroup(rng, action))
+        proj = Projection(geom, orbit_partition(n, geom))
+        out.append((proj.quotient, induced_quotient_group(proj, action)))
+    drawn = 0
+    while drawn < 120:
+        oq = random_orbit_quotient(rng)
+        if oq is not None:
+            drawn += 1
+            out.append((oq.geom, oq.group))
+    chamberless = 0
+    while chamberless < 60:
+        geom, action = small_instance()
+        if geom.rank >= 3:
+            chamberless += 1
+            i, j = sorted(rng.sample(range(geom.rank), 2))
+            out.append((_without_types_meeting(geom, i, j), action))
+    for same_type in (True, False):  # a second orbit of incident pairs
+        made = 0
+        while made < 20:
+            geom, action = small_instance()
+            extended = _with_pair_orbit(rng, geom, action, same_type)
+            if extended is not None:
+                made += 1
+                out.append((extended, action if made % 4
+                            else random_subgroup(rng, action)))
+    return out
+
+
+def test_recognition_agrees_with_rebuilt_coset_model(rng):
+    # same verdicts and failure reasons; where the characterisation holds,
+    # the rebuilt model's association is a bijection matching incidence.
+    # A same-type incident pair is a flag whose type set is one type, so
+    # it forms a second orbit beside that type's elements: such a
+    # pregeometry is never vertex-transitive, in either version
+    from collections import Counter
+    seen = Counter()
+    draws = _recognition_draws(rng)
+    assert len(draws) >= 400
+    for geom, group in draws:
+        ok, got = is_coset_pregeometry(geom, group)
+        old_ok, old = _rebuilt_is_coset_pregeometry(geom, group)
+        assert ok == old_ok
+        if ok:
+            assert sorted(old) == list(range(geom.size))
+            assert got == flags_of_type(geom, range(geom.rank))[0]
+            seen[True] += 1
+        else:
+            assert got == old
+            seen[got if isinstance(got, str) else got[0]] += 1
+        et = geom.elem_type
+        if any(et[a] == et[b] for a, b in geom.pairs) and not (
+                got == "no chamber"):
+            assert got[0] == "not vertex-transitive"
+            seen["same-type"] += 1
+    assert set(seen) == {True, "no chamber", "not vertex-transitive",
+                         "not incidence-transitive", "same-type"}
+    assert min(seen.values()) >= 10, seen
