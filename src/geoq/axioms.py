@@ -3,8 +3,9 @@ Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3).
 
 All deciders are exhaustive; witnesses are minimal under (flag rank,
 lexicographic) ordering.  No decider lists the elements of G.  One
-perms.orbits_on call per orbit-quotient, over generator images, splits
-the flags into G-orbits (_flag_orbit_index); the orbits come in the
+perms.orbits_on call per orbit-quotient, over generator images of the
+geometry's flag table, splits the flags into G-orbits
+(_flag_orbit_index), each flag named by its mask; the orbits come in the
 order of their least flags.  The blocks are the G-orbits, so every
 per-flag condition decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1),
 (PQ2) and residual surjectivity in axioms_report -- has the same verdict
@@ -18,8 +19,8 @@ member of each block only.
 
 from __future__ import annotations
 
-from .geometry import bits, extensions, flags_by_rank_lex
-from .perms import _flag_image, orbit_partition, orbits_on
+from .geometry import _flag_links, _flag_table, bits, extensions, mask_of
+from .perms import orbit_partition, orbits_on
 from .quotient import Projection, _residue_map_failure, min_block_distance
 
 
@@ -53,9 +54,11 @@ class OrbitQuotient:
 
 
 def _flag_orbit_index(oq):
-    """The G-orbits on flags, listed by least member in (rank, lex) order
-    (each a tuple in that order), and the map from flag to orbit index.
-    Built once per orbit-quotient, on first use, from the generators.
+    """The least flag of each G-orbit on flags, in (rank, lex) order, and
+    the map from a flag's mask to the index of its orbit.  Built once per
+    orbit-quotient, on first use, from the generators: a flag's image
+    mask under g is its parent's image mask with bit g(x) added, x its
+    last member, so each generator maps the flag table in one pass.
 
     It also gives each flag stabilizer's orbits on the residue: for x, y
     in the residue of F, some g in G_F maps x to y exactly when the flags
@@ -63,16 +66,20 @@ def _flag_orbit_index(oq):
     F + {x} onto F + {y} maps x, the one member of its type, to y and F
     onto F; conversely any g in G_F with x -> y does."""
     if oq._flag_orbits is None:
-        orbits = orbits_on(oq.group.gens, flags_by_rank_lex(oq.geom),
-                           _flag_image)
-        orbit_of = {f: k for k, orbit in enumerate(orbits) for f in orbit}
-        oq._flag_orbits = orbits, orbit_of
+        flags = _flag_table(oq.geom)
+        fmasks, parents = _flag_links(oq.geom)
+        maps = []  # per generator, flag mask -> image mask
+        for g in oq.group.gens:
+            images, image = g.images, [0]
+            for k in range(1, len(flags)):
+                image.append(image[parents[k]] | 1 << images[flags[k][-1]])
+            maps.append(dict(zip(fmasks, image)))
+        orbits = orbits_on(maps, sorted(fmasks, key=int.bit_count),
+                           dict.__getitem__)
+        oq._flag_orbits = (
+            [tuple(bits(orbit[0])) for orbit in orbits],
+            {m: k for k, orbit in enumerate(orbits) for m in orbit})
     return oq._flag_orbits
-
-
-def _representatives(oq):
-    """The least flag of each G-orbit, in (rank, lex) order."""
-    return [orbit[0] for orbit in _flag_orbit_index(oq)[0]]
 
 
 def check_TQ3(oq):
@@ -83,17 +90,18 @@ def check_TQ3(oq):
 def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
-    orbit_of = _flag_orbit_index(oq)[1]
-    for flag in _representatives(oq):
+    leaders, orbit_of = _flag_orbit_index(oq)
+    for flag in leaders:
         if not flag:
             continue
+        fmask = mask_of(flag)
         per_block = {}
         for x in extensions(oq.geom, flag):
             per_block.setdefault(oq.proj.block_of[x], []).append(x)
         for k, xs in sorted(per_block.items()):
-            first = orbit_of[tuple(sorted(flag + (xs[0],)))]
+            first = orbit_of[fmask | 1 << xs[0]]
             for x in xs[1:]:
-                if orbit_of[tuple(sorted(flag + (x,)))] != first:
+                if orbit_of[fmask | 1 << x] != first:
                     return False, (flag, xs[0], x)
     return True, None
 
@@ -109,16 +117,16 @@ def check_TQ2doubleprime(oq):
     orbit, so scanning them finds the same first failing pair as a scan
     of the sorted pairs."""
     masks, block_of = oq.geom.masks, oq.proj.block_of
-    orbits, orbit_of = _flag_orbit_index(oq)
-    pair_orbits = [(k, orbit[0]) for k, orbit in enumerate(orbits)
-                   if len(orbit[0]) == 2]
-    for flag in _representatives(oq):
+    leaders, orbit_of = _flag_orbit_index(oq)
+    pair_orbits = [(k, pair) for k, pair in enumerate(leaders)
+                   if len(pair) == 2]
+    for flag in leaders:
         touch = (1 << len(masks)) - 1
         for x in flag:
             touch &= masks[x] | 1 << x
         inside = bits(touch)
         met = {block_of[x] for x in inside}
-        hit = {orbit_of[(a, b)] for a in inside
+        hit = {orbit_of[1 << a | 1 << b] for a in inside
                for b in bits(masks[a] & (touch >> a + 1 << a + 1))}
         for k, (a, b) in pair_orbits:
             if k not in hit and block_of[a] in met and block_of[b] in met:
@@ -135,12 +143,12 @@ def check_TQ1(oq):
     stabilizer is isomorphic (via orbit -> block) to the residue of the
     projected flag in the quotient."""
     geom, q = oq.geom, oq.quotient
-    orbit_of = _flag_orbit_index(oq)[1]
-    for flag in _representatives(oq):
+    leaders, orbit_of = _flag_orbit_index(oq)
+    for flag in leaders:
+        fmask = mask_of(flag)
         orbits = {}
         for x in extensions(geom, flag):
-            orbits.setdefault(orbit_of[tuple(sorted(flag + (x,)))],
-                              []).append(x)
+            orbits.setdefault(orbit_of[fmask | 1 << x], []).append(x)
         target = set(extensions(q, oq.proj._project(flag)))
         reason = _residue_map_failure(oq.proj, list(orbits.values()), target)
         if reason is not None:
@@ -183,7 +191,7 @@ def axioms_report(oq):
     name -> (bool, witness-or-None)."""
     from .quotient import (check_flagslift, check_PQ1, check_PQ2, is_cover,
                            residual_surjectivity)
-    reps = _representatives(oq)
+    reps = _flag_orbit_index(oq)[0]
     return {  # the deciders run in this order
         "flagslift": check_flagslift(oq.proj),
         "pq1": check_PQ1(oq.proj, reps),

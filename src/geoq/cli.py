@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from itertools import islice
 from pathlib import Path
 
 from . import io as gio
@@ -51,12 +50,10 @@ def _load_geometry(path):
 
 
 def _count_flags_capped(geom, cap):
-    """Refuse a geometry with more than cap flags; otherwise keep the
-    flags walked as its flag list, so that they are walked only once."""
-    flags = list(islice(all_flags(geom), cap + 1))
-    if len(flags) > cap:
+    """Refuse a geometry with more than cap flags; otherwise the flags
+    walked are kept as its flag table, so that they are walked once."""
+    if not keep_flags(geom, all_flags(geom), cap):
         raise CapExceeded("flag count exceeds --max-flags %d" % cap)
-    keep_flags(geom, flags)
 
 
 def _load_group(path, geom, cap):

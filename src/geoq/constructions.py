@@ -69,8 +69,7 @@ class SimpleGraph:
     def cliques_of_size(self, r):
         """All r-cliques, as sorted tuples in lexicographic order (the
         empty clique for r=0): the cliques are the flags of the graph
-        read as a one-type geometry, and all_flags needs only size and
-        masks."""
+        read as a one-type geometry, and all_flags needs only masks."""
         return [c for c in all_flags(self) if len(c) == r]
 
     def is_matching(self):

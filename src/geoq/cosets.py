@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .geometry import Pregeometry, flags_of_type
+from .geometry import Pregeometry, flags_of_type, same_type_incidence
 from .perms import Perm, PermGroup, transitivity
 
 
@@ -323,22 +323,24 @@ def is_coset_pregeometry(geom, group):
     """Whether a pregeometry with a given automorphism group is
     (isomorphic to) a coset pregeometry of that group, by the
     characterisation (Buekenhout & Cohen, Diagram Geometry, 2013, ch. 1):
-    it has a chamber C, and G is transitive on the flags of each single
-    type and of each pair of types.  Returns (True, C) for the least
-    chamber C, or (False, reason).
+    it has a chamber C, no two elements of one type are incident, and G
+    is transitive on the flags of each single type and of each pair of
+    types.  Returns (True, C) for the least chamber C, or (False,
+    reason).
 
     Sketch: by vertex-transitivity, x of type i is g c_i for the g of one
     coset of the stabilizer G_{c_i}.  Elements x of type i and y of type
     j != i are incident exactly when some single g maps (c_i, c_j) onto
     (x, y), as the incident pairs of types {i, j} form the one orbit of
     (c_i, c_j); and that is when the two cosets meet.  Cosets of one type
-    are disjoint, and no two elements of one type are incident: such a
-    pair would be a flag of that one type outside the orbit of its
-    elements.  So the chamber stabilizers G_{c_i} give the coset
-    model."""
+    are disjoint, so no two elements of one type are incident.  So the
+    chamber stabilizers G_{c_i} give the coset model."""
     chams = flags_of_type(geom, range(geom.rank))
     if not chams:
         return False, "no chamber"
+    bad = same_type_incidence(geom)
+    if bad is not None:
+        return False, bad
     ok, w = transitivity(group, geom, "vertex")
     if not ok:
         return False, ("not vertex-transitive", w)

@@ -10,21 +10,22 @@ every query reads.  `bits` and `mask_of` turn a mask into its indices
 and back.  Flags are sorted tuples of element indices.
 
 A flag's common neighbours are the AND of its members' masks.
-`all_flags` is the one flag backtracker: it passes a flag's candidates
-down as a mask, lowest bit first, so it yields flags lazily in
-lexicographic order.  `extensions` (of `(x,)`: x's neighbours), the
-maximality test of `is_geometry`, residues, quotient.lift_flag and the
-residue-map test AND masks too, as does `non_incident_pair`, the one
-total-incidence test (digons, the diagram's residue digons, direct sums
-and the path property); no internal path builds a residue pregeometry.
-A pregeometry never changes, so its full flag list, in (rank,
-lexicographic) order, is built once on first use and kept with it
-(`flags_by_rank_lex`), or taken from a caller that has walked them
-already (`keep_flags`); the flags of each type set come from one index
-over that list, and the geometry and residual-connectivity verdicts are
-computed once too.  The flag count is exponential in the
-rank in the worst case, so everything here is meant for desk scale (a
-few hundred elements, rank at most ~6).
+`all_flags` is the one flag walker: an explicit stack of open flags,
+each with its candidates as a mask, taken lowest bit first, so it
+yields flags lazily in lexicographic order.  `extensions` (of `(x,)`:
+x's neighbours), the maximality test of `is_geometry`, residues,
+quotient.lift_flag and the residue-map test AND masks too, as does
+`non_incident_pair`, the one total-incidence test (digons, the
+diagram's residue digons, direct sums and the path property); no
+internal path builds a residue pregeometry.
+A pregeometry never changes, so its flags are walked once and kept with
+it as its flag table, in lexicographic order: the first walk to reach
+the end fills it (`is_geometry`'s, the `keep_flags` cap test, or a full
+walk on first use).  `flags_by_rank_lex`, `flags_of_type` and each
+flag's mask and parent are read off it, and the geometry and
+residual-connectivity verdicts are computed once too.  The flag count
+is exponential in the rank in the worst case, so everything here is
+meant for desk scale (a few hundred elements, rank at most ~6).
 
 `bfs` is the one graph search: a multi-source breadth-first search on
 masks, optionally confined to a mask, that labels each reached vertex
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import islice
 
 INF = math.inf
 
@@ -132,14 +134,25 @@ class Pregeometry:
 def validate(geom):
     """Check the pregeometry axioms; return None or a report naming the
     first violated invariant with witnesses."""
-    for a, b in sorted(geom.pairs):
-        if geom.elem_type[a] == geom.elem_type[b]:
-            return ("same-type incidence: %s * %s (type %s)"
-                    % (geom.elem_names[a], geom.elem_names[b],
-                       geom.type_names[geom.elem_type[a]]))
+    bad = same_type_incidence(geom)
+    if bad is not None:
+        return bad
     for t, members in enumerate(geom.by_type):
         if not members:
             return "empty type: %s has no elements" % geom.type_names[t]
+    return None
+
+
+def same_type_incidence(geom):
+    """None, or a report naming the least incident pair a * b of one
+    type: a is the least element with a neighbour of its own type."""
+    of_type = [mask_of(members) for members in geom.by_type]
+    for a, t in enumerate(geom.elem_type):
+        same = geom.masks[a] & of_type[t]
+        if same:
+            return ("same-type incidence: %s * %s (type %s)"
+                    % (geom.elem_names[a], geom.elem_names[bits(same)[0]],
+                       geom.type_names[t]))
     return None
 
 
@@ -263,41 +276,70 @@ def _memo(geom):
 def all_flags(geom):
     """Yield every flag (including the empty flag), each exactly once,
     extending by increasing element index, i.e. in lexicographic order.
-    The candidates of a flag are a mask: the later elements incident
-    with all of it."""
+    A stack holds each open flag with its candidates as a mask: the
+    later elements incident with all of it.  Reads only geom.masks."""
     masks = geom.masks
-
-    def rec(flag, cand):
+    yield ()
+    stack = [((), (1 << len(masks)) - 1)] if masks else []
+    while stack:
+        flag, cand = stack.pop()
+        low = cand & -cand
+        cand ^= low
+        if cand:
+            stack.append((flag, cand))
+        x = low.bit_length() - 1
+        flag += (x,)
+        cand &= masks[x]
+        if cand:
+            stack.append((flag, cand))
         yield flag
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            x = low.bit_length() - 1
-            yield from rec(flag + (x,), cand & masks[x])
-    yield from rec((), (1 << geom.size) - 1)
+
+
+@_per_geometry
+def _flag_table(geom):
+    """Every flag of geom in all_flags order, walked once and kept, or
+    taken from an earlier walk (keep_flags)."""
+    return tuple(all_flags(geom))
+
+
+_TABLE = _flag_table.__wrapped__  # its memo key
+
+
+def keep_flags(geom, flags, cap=None):
+    """Keep flags, all_flags(geom) or a list of what it yields, as geom's
+    flag table; with a cap, read at most cap + 1 of them and keep none
+    when there are more.  Returns whether geom has at most cap flags.  A
+    geometry with a table answers from it and reads none of flags."""
+    memo = _memo(geom)
+    table = memo.get(_TABLE)
+    if table is None:
+        table = tuple(flags if cap is None else islice(flags, cap + 1))
+        if cap is not None and len(table) > cap:
+            return False
+        memo[_TABLE] = table
+    return cap is None or len(table) <= cap
+
+
+@_per_geometry
+def _flag_links(geom):
+    """Each flag's mask and its parent's index in the flag table (the
+    flag less its last member: the last flag one shorter before it; 0
+    for the empty flag itself)."""
+    table = _flag_table(geom)
+    masks, parents, last = [0], [0], [0]
+    for i in range(1, len(table)):
+        k = len(table[i])
+        parents.append(last[k - 1])
+        masks.append(masks[last[k - 1]] | 1 << table[i][-1])
+        last[k:] = [i]
+    return masks, parents
 
 
 @_per_geometry
 def flags_by_rank_lex(geom):
-    """All flags sorted by (rank, lexicographic), for minimal witnesses.
-    Enumerated once per geometry; the tuple returned is shared."""
-    return _by_rank(all_flags(geom))
-
-
-# flags_by_rank_lex's memo key, taken before a profiler can rebind the name
-_FLAG_LIST = flags_by_rank_lex.__wrapped__
-
-
-def _by_rank(flags):
-    # a stable sort by rank keeps the lexicographic order within a rank
-    return tuple(sorted(flags, key=len))
-
-
-def keep_flags(geom, flags):
-    """Keep flags, every flag of geom in the order all_flags yields them,
-    as geom's flags_by_rank_lex, for a caller that has walked them
-    already."""
-    _memo(geom).setdefault(_FLAG_LIST, _by_rank(flags))
+    """All flags sorted by (rank, lexicographic), for minimal witnesses:
+    the flag table stably sorted by rank, and shared."""
+    return tuple(sorted(_flag_table(geom), key=len))
 
 
 def flags_of_type(geom, types):
@@ -312,11 +354,11 @@ def flags_of_type(geom, types):
 
 @_per_geometry
 def _flags_by_type(geom):
-    """flags_by_rank_lex split by type set, keyed by the type set as a
-    mask (bit t for type t); each list stays in lexicographic order."""
+    """The flag table split by type set, keyed by the type set as a mask
+    (bit t for type t); each list stays in lexicographic order."""
     et = geom.elem_type
     index = {}
-    for flag in flags_by_rank_lex(geom):
+    for flag in _flag_table(geom):
         index.setdefault(mask_of(et[x] for x in flag), []).append(flag)
     return index
 
@@ -333,17 +375,33 @@ def chamber_count_through(geom, flag):
 def is_geometry(geom):
     """True iff every maximal flag is a chamber; on failure returns the
     lexicographically least maximal flag of rank below the rank of the
-    geometry.  The scan stops at that flag."""
-    masks, rank = geom.masks, geom.rank
-    everything = (1 << geom.size) - 1
-    for flag in all_flags(geom):
+    geometry.  Scans the flag table, or walks the flags, stopping at that
+    flag, and keeps a walk that reaches the end as the table."""
+    table = _memo(geom).get(_TABLE)
+    walked = []
+    flag = _short_maximal_flag(geom.masks, geom.rank,
+                              all_flags(geom) if table is None else table,
+                              walked)
+    if flag is not None:
+        return False, flag
+    keep_flags(geom, walked)  # a no-op when geom has its table
+    return True, None
+
+
+def _short_maximal_flag(masks, rank, flags, walked):
+    """The first of flags that is maximal (no element is incident with
+    all of it) and shorter than rank, or None; appends each flag read to
+    walked."""
+    everything = (1 << len(masks)) - 1
+    for flag in flags:
+        walked.append(flag)
         if len(flag) < rank:
             common = everything
             for x in flag:
                 common &= masks[x]
             if not common:
-                return False, flag
-    return True, None
+                return flag
+    return None
 
 
 def is_firm(geom):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import os
 import random
-from itertools import islice
+from types import SimpleNamespace
 
 from .axioms import (OrbitQuotient, check_TQ1, check_TQ2doubleprime,
                      check_TQ2prime, check_TQ3)
@@ -32,9 +32,9 @@ from .constructions import (SimpleGraph, blowup_projection, cycle_geometry,
                             is_shadowable, multipartite_geometry,
                             ssg_symmetric_action)
 from .diagram import basic_diagram, lift_chamber_forest
-from .geometry import (Pregeometry, _Record, all_flags, flags_of_type,
-                       is_connected, is_firm, is_geometry,
-                       is_residually_connected)
+from .geometry import (Pregeometry, _Record, _short_maximal_flag,
+                       all_flags, flags_of_type, is_connected, is_firm,
+                       is_geometry, is_residually_connected, keep_flags)
 from .perms import (CapExceeded, PermGroup, automorphism_group,
                     induced_quotient_group, is_semiregular, normal_closure,
                     orbit_partition, transitivity)
@@ -87,19 +87,29 @@ def random_pregeometry(rng, max_rank=4, max_per_type=4):
 
 def repair_to_geometry(geom, rng):
     """Extend maximal non-chamber flags by new incidences until every
-    maximal flag is a chamber; incidences only grow, so this terminates."""
+    maximal flag is a chamber; incidences only grow, so this terminates.
+    They are added to local masks, and one pregeometry is built at the
+    end, with the last walk, which saw every flag, as its flag table."""
+    local = SimpleNamespace(masks=list(geom.masks))  # what all_flags reads
+    masks, pairs = local.masks, set(geom.pairs)
     while True:
-        ok, flag = is_geometry(geom)
-        if ok:
-            return geom
+        walked = []
+        flag = _short_maximal_flag(masks, geom.rank, all_flags(local), walked)
+        if flag is None:
+            break
         missing = sorted(set(range(geom.rank))
                          - {geom.elem_type[x] for x in flag})
         t = rng.choice(missing)
         z = rng.choice(geom.by_type[t])
-        pairs = set(geom.pairs)
-        pairs.update((min(z, y), max(z, y)) for y in flag)
-        geom = Pregeometry(geom.type_names, geom.elem_names,
-                           geom.elem_type, pairs)
+        for y in flag:
+            pairs.add((min(z, y), max(z, y)))
+            masks[y] |= 1 << z
+            masks[z] |= 1 << y
+    if len(pairs) > len(geom.pairs):
+        geom = Pregeometry(geom.type_names, geom.elem_names, geom.elem_type,
+                           pairs)
+    keep_flags(geom, walked)
+    return geom
 
 
 def random_geometry(rng, max_rank=4, max_per_type=4):
@@ -206,8 +216,8 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
         return None
     if need_geometry and not is_geometry(geom)[0]:
         return None
-    if next(islice(all_flags(geom), max_flags, None), None) is not None:
-        return None  # a (max_flags+1)-th flag exists
+    if not keep_flags(geom, all_flags(geom), max_flags):
+        return None
     if group.order() > 60:
         return None
     return OrbitQuotient(geom, group)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .geometry import _per_geometry, bits, flags_of_type
+from .geometry import _per_geometry, bits, flags_of_type, same_type_incidence
 from .quotient import Partition
 
 DEFAULT_CAP = 200_000
@@ -461,7 +461,11 @@ def transitivity(group, geom, kind, types=None):
     of types), 'jflags' (the given type set), 'chamber', or 'flag' (every
     subset of types), each a list of type sets tested in turn.  Returns
     (ok, witness): on the first type set whose flags form more than one
-    orbit, the least flags of its first two orbits."""
+    orbit, the least flags of its first two orbits.  A same-type
+    incidence raises ValueError."""
+    bad = same_type_incidence(geom)
+    if bad is not None:
+        raise ValueError("transitivity: %s" % bad)
     check_automorphisms(geom, group)
     every = tuple(range(geom.rank))
     families = {

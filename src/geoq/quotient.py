@@ -188,7 +188,9 @@ def min_block_distance(geom, partition):
     d(u) + 1 + d(v) between two members; along a shortest path between
     the closest two members the label changes on some incidence whose
     sum is at most their distance, so the least sum is exact (the
-    nearest-source regions of Mehlhorn, IPL 27, 1988)."""
+    nearest-source regions of Mehlhorn, IPL 27, 1988).  u comes in order
+    of d(u), and d(v) >= d(u) - 1, so a block's scan stops once 2 d(u)
+    reaches the best sum."""
     best = INF
     masks = geom.masks
     for block in partition.blocks:
@@ -196,6 +198,8 @@ def min_block_distance(geom, partition):
             continue
         reach = bfs(masks, block)
         for u, (du, su) in reach.items():
+            if 2 * du >= best:
+                break
             for v in bits(masks[u]):
                 dv, sv = reach[v]
                 if sv != su and du + 1 + dv < best:

@@ -197,14 +197,15 @@ def test_tq2doubleprime_never_enumerates_the_group():
 
 def test_residue_orbit_map_is_built_once_per_orbit_quotient(monkeypatch):
     # (TQ1), (TQ2') and (TQ2'') share one flag-orbit index per
-    # orbit-quotient: the whole report makes one orbits_on call, on
-    # flags, and later deciders on the same orbit-quotient make none
+    # orbit-quotient: the whole report makes one orbits_on call, on the
+    # flag masks in (rank, lex) order, and later deciders on the same
+    # orbit-quotient make none
     import geoq.axioms as axioms
-    import geoq.perms as perms
+    from geoq.geometry import flags_by_rank_lex, mask_of
     builds = []
 
     def counting_orbits_on(gens, items, act):
-        builds.append(act)
+        builds.append(list(items))
         return orbits_on(gens, items, act)
 
     monkeypatch.setattr(axioms, "orbits_on", counting_orbits_on)
@@ -212,11 +213,12 @@ def test_residue_orbit_map_is_built_once_per_orbit_quotient(monkeypatch):
         oq = OrbitQuotient(geom, group)
         builds.clear()
         report = axioms_report(oq)
-        assert builds == [perms._flag_image]
+        masks = [mask_of(flag) for flag in flags_by_rank_lex(geom)]
+        assert builds == [masks]
         assert ((check_TQ1(oq), check_TQ2prime(oq), check_TQ2doubleprime(oq))
                 == (report["tq1"], report["tq2prime"],
                     report["tq2doubleprime"]))
-        assert builds == [perms._flag_image]
+        assert builds == [masks]
 
 
 def _stabilizer_residue_orbits(group, flag, members):
@@ -407,3 +409,93 @@ def test_orbit_representatives_agree_with_full_sweep(rng):
         for name in names:
             seen[name, report[name][0]] += 1
     assert min(seen.values()) >= 10, seen
+
+
+# The flag-orbit index before it read the flag table: orbits_on on the
+# flag tuples in (rank, lex) order under _flag_image, each image sorted,
+# and the deciders looking up the sorted tuple of F + {x}.
+
+def _tuple_index(oq):
+    from geoq.geometry import flags_by_rank_lex
+    from geoq.perms import _flag_image
+    orbits = orbits_on(oq.group.gens, flags_by_rank_lex(oq.geom),
+                       _flag_image)
+    return orbits, {f: k for k, orbit in enumerate(orbits) for f in orbit}
+
+
+def _tuple_deciders(oq):
+    from geoq.geometry import bits, extensions
+    from geoq.quotient import _residue_map_failure
+    geom, q, block_of = oq.geom, oq.quotient, oq.proj.block_of
+    orbits, orbit_of = _tuple_index(oq)
+    reps = [orbit[0] for orbit in orbits]
+
+    def tq1():
+        reasons = {"not injective": "orbit map not injective",
+                   "not surjective": "orbit map not onto the quotient "
+                                     "residue"}
+        for flag in reps:
+            classes = {}
+            for x in extensions(geom, flag):
+                classes.setdefault(orbit_of[tuple(sorted(flag + (x,)))],
+                                   []).append(x)
+            target = set(extensions(q, oq.proj._project(flag)))
+            reason = _residue_map_failure(oq.proj, list(classes.values()),
+                                          target)
+            if reason is not None:
+                return False, (flag, reasons.get(reason, reason))
+        return True, None
+
+    def tq2prime():
+        for flag in reps[1:]:
+            per_block = {}
+            for x in extensions(geom, flag):
+                per_block.setdefault(block_of[x], []).append(x)
+            for k, xs in sorted(per_block.items()):
+                first = orbit_of[tuple(sorted(flag + (xs[0],)))]
+                for x in xs[1:]:
+                    if orbit_of[tuple(sorted(flag + (x,)))] != first:
+                        return False, (flag, xs[0], x)
+        return True, None
+
+    def tq2doubleprime():
+        masks = geom.masks
+        pair_orbits = [(k, orbit[0]) for k, orbit in enumerate(orbits)
+                       if len(orbit[0]) == 2]
+        for flag in reps:
+            touch = (1 << len(masks)) - 1
+            for x in flag:
+                touch &= masks[x] | 1 << x
+            inside = bits(touch)
+            met = {block_of[x] for x in inside}
+            hit = {orbit_of[(a, b)] for a in inside
+                   for b in bits(masks[a] & (touch >> a + 1 << a + 1))}
+            for k, (a, b) in pair_orbits:
+                if k not in hit and block_of[a] in met and block_of[b] in met:
+                    return False, (flag, a, b)
+        return True, None
+
+    return tq1(), tq2prime(), tq2doubleprime()
+
+
+def test_flag_orbit_index_agrees_with_flag_image_orbits(rng):
+    from geoq.axioms import _flag_orbit_index
+    from geoq.geometry import mask_of
+    from geoq.lemmas import random_orbit_quotient
+    oqs = [OrbitQuotient(g, grp) for g, grp in _fixed_orbit_quotients()]
+    while len(oqs) < 507:
+        oq = random_orbit_quotient(rng)
+        if oq is not None:
+            oqs.append(oq)
+    failed = [0, 0, 0]
+    for oq in oqs:
+        orbits, _ = _tuple_index(oq)
+        leaders, orbit_of = _flag_orbit_index(oq)
+        assert leaders == [orbit[0] for orbit in orbits]
+        assert orbit_of == {mask_of(f): k for k, orbit in enumerate(orbits)
+                            for f in orbit}
+        got = (check_TQ1(oq), check_TQ2prime(oq), check_TQ2doubleprime(oq))
+        assert got == _tuple_deciders(oq)
+        for i, (ok, _) in enumerate(got):
+            failed[i] += not ok
+    assert min(failed) >= 10 and len(oqs) - max(failed) >= 10, failed

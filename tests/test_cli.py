@@ -1,3 +1,5 @@
+import pytest
+
 from geoq.cli import main
 
 
@@ -243,6 +245,45 @@ def test_reproduce_subset(capsys):
     code, out, _ = run(capsys, "reproduce", "hexagon", "grid-complement")
     assert code == 0
     assert "hexagon" in out and "PASS" in out
+
+
+# (checked, nonvacuous) of every lemma suite at --count 200, suites in
+# name order: every draw and every verdict of the randomized suites
+LEMMA_SUITE_COUNTS = {
+    "1": [("coset-quotient-closed", 200, 200),
+          ("cover-properties", 200, 159),
+          ("cover-semiregular", 200, 57),
+          ("distance4-cover", 200, 164),
+          ("flagslift-quotient-geometry", 200, 193),
+          ("flagslift-tq2prime-tq2doubleprime", 200, 128),
+          ("forest-chamber-lift", 200, 1268),
+          ("rank3-quotient", 200, 200),
+          ("shadowable-quotient", 200, 200),
+          ("tq1-iff-tq2-both", 200, 200),
+          ("tq3-tq1-pq1-flagslift", 200, 184)],
+    "20260808": [("coset-quotient-closed", 200, 200),
+                 ("cover-properties", 200, 178),
+                 ("cover-semiregular", 200, 64),
+                 ("distance4-cover", 200, 160),
+                 ("flagslift-quotient-geometry", 200, 192),
+                 ("flagslift-tq2prime-tq2doubleprime", 200, 138),
+                 ("forest-chamber-lift", 200, 1269),
+                 ("rank3-quotient", 200, 200),
+                 ("shadowable-quotient", 200, 200),
+                 ("tq1-iff-tq2-both", 200, 200),
+                 ("tq3-tq1-pq1-flagslift", 200, 188)],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LEMMA_SUITE_COUNTS))
+def test_lemma_suite_counts_are_pinned(capsys, monkeypatch, seed):
+    monkeypatch.setenv("GEOQ_SEED", seed)
+    code, out, _ = run(capsys, "--machine", "reproduce", "lemma-suites",
+                       "--count", "200")
+    assert code == 0
+    assert out.splitlines() == ["lemma-suites=pass"] + [
+        "lemma-suites.%s[checked=%d,nonvacuous=%d]=(True, 0)" % counts
+        for counts in LEMMA_SUITE_COUNTS[seed]]
 
 
 def test_reproduce_unknown_scenario(capsys):

@@ -439,6 +439,20 @@ def test_flags_are_enumerated_once_per_geometry(monkeypatch):
     assert chamber_count_through(geom, (geom.elem("{1}"),)) == 6
     assert is_firm(geom) == (True, None)
     assert not enumerations
+    # is_geometry's walk, when it reaches the end, and the flag cap's
+    # walk are kept as the flag table; neither walks twice
+    geom = ssg(4, 3)
+    assert is_geometry(geom) == (True, None)
+    geoq.geometry.flags_by_rank_lex(geom)
+    assert enumerations == [geom]
+    del enumerations[:]
+    geom = ssg(4, 3)
+    flags = geoq.geometry.all_flags(geom)
+    assert geoq.geometry.keep_flags(geom, flags, 10 ** 4)
+    assert next(flags, None) is None  # the cap test read the whole walk
+    geoq.geometry.flags_by_rank_lex(geom)
+    assert is_geometry(geom) == (True, None)
+    assert enumerations == [geom]
 
 
 def test_extensions_exclude_flag_types():

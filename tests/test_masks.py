@@ -8,6 +8,14 @@ read from the pair set, and each residue's pairs found by a scan of all
 of them.  `flags_of_type` is checked against the filter over the whole
 flag list that its per-geometry index replaced.
 
+`all_flags` walks on an explicit stack; the recursive mask walker it
+replaced is its oracle, and the flag table kept from a walk (each
+flag's mask and parent, the cap test of `keep_flags`, `is_geometry`
+read from the table) is checked against the flags themselves.
+`repair_to_geometry` adds incidences to local masks and builds one
+pregeometry; the loop that rebuilt one after each incidence is its
+oracle, with the same draws from the same random generator.
+
 The residue questions of the diagram layer -- digons, the basic diagram,
 purity, residual connectivity, direct sums and the path property -- are
 checked against their versions before they were decided on masks: each
@@ -25,12 +33,14 @@ from geoq.constructions import SimpleGraph, ssg
 from geoq.cosets import FiniteGroup, coseteg_family
 from geoq.diagram import (Diagram, DirectSumResult, basic_diagram,
                           direct_sum_check, is_pure, star_transitive_on_paths)
-from geoq.geometry import (Pregeometry, all_flags, extensions,
-                           flags_by_rank_lex, flags_of_type, is_connected,
-                           is_flag, is_generalized_digon, is_geometry,
-                           is_residually_connected, non_incident_pair,
-                           residue, truncation)
-from geoq.lemmas import random_geometry, random_partition, random_pregeometry
+from geoq.geometry import (_TABLE, Pregeometry, _flag_links, _flag_table,
+                           all_flags, extensions, flags_by_rank_lex,
+                           flags_of_type, is_connected, is_flag,
+                           is_generalized_digon, is_geometry,
+                           is_residually_connected, keep_flags, mask_of,
+                           non_incident_pair, residue, truncation)
+from geoq.lemmas import (random_geometry, random_partition,
+                         random_pregeometry, repair_to_geometry)
 from geoq.quotient import Projection, _residue_map_failure, lift_flag
 
 
@@ -55,6 +65,42 @@ def _set_all_flags(geom):
             yield from rec(flag, nxt)
             flag.pop()
     yield from rec([], list(range(geom.size)))
+
+
+def _recursive_all_flags(geom):
+    # the mask walker before the explicit stack: a `yield from` chain
+    masks = geom.masks
+
+    def rec(flag, cand):
+        yield flag
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x = low.bit_length() - 1
+            yield from rec(flag + (x,), cand & masks[x])
+    yield from rec((), (1 << geom.size) - 1)
+
+
+def _rebuilding_repair(geom, rng):
+    # repair_to_geometry before local masks: a new Pregeometry, walked
+    # from scratch, after each incidence added
+    while True:
+        ok, flag = is_geometry(geom)
+        if ok:
+            return geom
+        missing = sorted(set(range(geom.rank))
+                         - {geom.elem_type[x] for x in flag})
+        t = rng.choice(missing)
+        z = rng.choice(geom.by_type[t])
+        pairs = set(geom.pairs)
+        pairs.update((min(z, y), max(z, y)) for y in flag)
+        geom = Pregeometry(geom.type_names, geom.elem_names,
+                           geom.elem_type, pairs)
+
+
+def _fresh(geom):
+    return Pregeometry(geom.type_names, geom.elem_names, geom.elem_type,
+                       geom.pairs)
 
 
 def _set_extensions(geom, adj, flag):
@@ -158,13 +204,33 @@ def _check_restrictions(geom, flags):
     return seen
 
 
+def _check_flag_table(geom, flags):
+    """The table kept by the walk of is_geometry, by the cap test or by
+    a full walk, each on a fresh copy of geom, against flags."""
+    verdict = is_geometry(geom)
+    # a walk that stopped at a witness keeps nothing
+    assert (_TABLE in geom._memo) == verdict[0]
+    assert _flag_table(geom) == tuple(flags)
+    fmasks, parents = _flag_links(geom)
+    assert fmasks == [mask_of(flag) for flag in flags]
+    assert [flags[p] for p in parents] == [flag[:-1] for flag in flags]
+    capped = _fresh(geom)
+    assert not keep_flags(capped, all_flags(capped), len(flags) - 1)
+    assert keep_flags(capped, all_flags(capped), len(flags))
+    assert _flag_table(capped) == tuple(flags)
+    assert not keep_flags(capped, iter(()), len(flags) - 1)
+    assert is_geometry(capped) == verdict  # read from the table
+
+
 def _check_flag_layer(geom):
     flags = list(all_flags(geom))
     assert flags == list(_set_all_flags(geom))
+    assert flags == list(_recursive_all_flags(geom))
     adj = _neighbours(geom)
     for flag in flags:
         assert extensions(geom, flag) == _set_extensions(geom, adj, flag)
     assert is_geometry(geom) == _set_is_geometry(geom)
+    _check_flag_table(_fresh(geom), flags)
     for r in range(geom.rank + 1):
         for types in combinations(range(geom.rank), r):
             assert (flags_of_type(geom, types)
@@ -208,6 +274,24 @@ def test_mask_layer_agrees_with_set_layer(rng):
     assert verdicts == {True, False}
     assert reasons == {None, "not injective", "not surjective",
                        "incidence not matched"}, reasons
+
+
+def test_repair_agrees_with_rebuilding_loop(rng, bundled_geometries):
+    repaired = 0
+    draws = [random_pregeometry(rng, max_rank=4, max_per_type=4)
+             for _ in range(520)]
+    for geom in draws + bundled_geometries:
+        state = rng.getstate()
+        got = repair_to_geometry(geom, rng)
+        after = rng.getstate()
+        rng.setstate(state)
+        want = _rebuilding_repair(_fresh(geom), rng)
+        assert rng.getstate() == after
+        assert got == want and got.masks == want.masks
+        assert _flag_table(got) == tuple(_recursive_all_flags(want))
+        assert is_geometry(got) == (True, None)
+        repaired += got is not geom
+    assert 100 <= repaired <= 520, repaired
 
 
 def test_mask_layer_agrees_on_bundled_geometries(rng, bundled_geometries):

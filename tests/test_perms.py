@@ -402,6 +402,25 @@ def test_transitivity_witness():
     assert not ok and len(witness) == 2
 
 
+def test_transitivity_refuses_a_same_type_incidence():
+    # a coset pregeometry with one G-orbit of same-type pairs added: G
+    # still acts, and the extra pairs used to be read as flags, so that
+    # the verdict named a second vertex orbit
+    from geoq.cosets import FiniteGroup, coseteg_family
+    from geoq.perms import check_automorphisms
+    fam = coseteg_family(FiniteGroup.cyclic(3))
+    geom, group = fam.geometry, fam.action_group()
+    assert transitivity(group, geom, "vertex") == (True, None)
+    x, y = geom.by_type[0][:2]
+    extra = {(g[x], g[y]) for g in group.elements()}
+    bad = Pregeometry(geom.type_names, geom.elem_names, geom.elem_type,
+                      geom.pairs | extra)
+    check_automorphisms(bad, group)
+    for kind in ("vertex", "incidence", "flag"):
+        with pytest.raises(ValueError, match="same-type incidence: G1 \\* "):
+            transitivity(group, bad, kind)
+
+
 def test_is_semiregular():
     geom, trans = affine_geometry(3, 2)
     assert is_semiregular(trans, geom, types=[0])

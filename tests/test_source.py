@@ -55,10 +55,10 @@ def test_one_residue_map_comparison():
     assert len(hits) == 1, hits
 
 
-def test_three_recursive_searches_and_no_permutation_scans():
-    # all_flags, the incidence-map search and lift_flag are the only
-    # recursive searches: a nested function that calls itself anywhere
-    # else is a new backtracker
+def test_two_recursive_searches_and_no_permutation_scans():
+    # the incidence-map search and lift_flag are the only recursive
+    # searches: a nested function that calls itself anywhere else is a
+    # new backtracker (all_flags walks on an explicit stack)
     recursive = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -70,8 +70,7 @@ def test_three_recursive_searches_and_no_permutation_scans():
                         and any(isinstance(n, ast.Name) and n.id == inner.name
                                 for n in ast.walk(inner))):
                     recursive.add((path.name, outer.name, inner.name))
-    assert recursive == {("geometry.py", "all_flags", "rec"),
-                         ("perms.py", "_incidence_maps", "rec"),
+    assert recursive == {("perms.py", "_incidence_maps", "rec"),
                          ("quotient.py", "lift_flag", "rec")}
     # no scan over all n! permutations in the group and search modules
     for path in SOURCES:
@@ -179,7 +178,7 @@ def test_no_dataclasses_in_the_library():
 def test_masks_are_the_only_incidence():
     # incidence is read from the masks alone: no `adj` attribute is read,
     # defined or listed in __slots__, and the lowest-set-bit idiom
-    # `m & -m` appears only in bits and in all_flags' lazy loop
+    # `m & -m` appears only in bits and in all_flags, the flag walker
     adj, lowbit = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
