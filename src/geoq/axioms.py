@@ -2,41 +2,35 @@
 Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3).
 
 All deciders are exhaustive; witnesses are minimal under (flag rank,
-lexicographic) ordering.  No decider lists the elements of G.  One
-perms.orbits_on call per orbit-quotient, over generator images of the
-geometry's flag table, splits the flags into G-orbits
-(_flag_orbit_index), each flag named by its mask; the orbits come in the
-order of their least flags.  The blocks are the G-orbits, so every
-per-flag condition decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1),
-(PQ2) and residual surjectivity in axioms_report -- has the same verdict
-at F and at every gF, and the failing flags form a union of orbits.  So
-each decider scans only the least flag of each orbit: the first failing
-one is the least failing flag, and the rest of a witness is a function
-of that flag alone, so the witnesses are those of a scan of every flag.
-For the same reason axioms_report tests the cover condition at the least
-member of each block only.
+lexicographic) ordering.  No decider lists the elements of G; the
+G-orbits on flags come from perms._flag_orbits.  The blocks are the
+G-orbits, so every per-flag condition decided here -- (TQ1), (TQ2'),
+(TQ2''), and (PQ1), (PQ2) and residual surjectivity in axioms_report --
+has the same verdict at F and at every gF.  So each decider scans only
+the least flag of each orbit: the first failing one is the least
+failing flag, and the rest of a witness depends on that flag alone.
+For the same reason the cover test and the block distance look at the
+least member of each block only.
 """
 
 from __future__ import annotations
 
-from .geometry import _flag_links, _flag_table, bits, extensions, mask_of
-from .perms import orbit_partition, orbits_on
-from .quotient import Projection, _residue_map_failure, min_block_distance
+from .geometry import INF, bfs, bits, extensions, mask_of
+from .perms import _flag_orbits, orbit_partition
+from .quotient import Projection, _residue_map_failure
 
 
 class OrbitQuotient:
     """A pregeometry together with an automorphism group, its orbit
     partition and the projection onto the orbit quotient."""
 
-    __slots__ = ("geom", "group", "partition", "proj", "_flag_orbits",
-                 "_block_distance")
+    __slots__ = ("geom", "group", "partition", "proj", "_block_distance")
 
     def __init__(self, geom, group):
         self.geom = geom
         self.group = group
         self.partition = orbit_partition(group, geom)
         self.proj = Projection(geom, self.partition)
-        self._flag_orbits = None  # see _flag_orbit_index
         self._block_distance = None
 
     @property
@@ -45,41 +39,31 @@ class OrbitQuotient:
 
     @property
     def block_distance(self):
-        """min_block_distance of the orbit partition, computed on first
-        use and kept."""
+        """min_block_distance of the orbit partition, kept.  A block is a
+        G-orbit, so it is the least d(x0, y) over each block's least
+        member x0 and its block-mates y, one more than the least d(x0, u)
+        over the u incident with y: one search from each x0 ends at the
+        first layer that holds such a u, or where it cannot beat the
+        best distance so far."""
         if self._block_distance is None:
-            self._block_distance = min_block_distance(self.geom,
-                                                      self.partition)
+            best, masks = INF, self.geom.masks
+            for block in self.partition.blocks:
+                near = 0  # the elements incident with a block-mate of x0
+                for y in block[1:]:
+                    near |= masks[y]
+                if near:
+                    reach = bfs(masks, block[:1], stop=near, depth=best - 2)
+                    best = next((d + 1 for u, (d, _) in reach.items()
+                                 if near >> u & 1), best)
+            self._block_distance = best
         return self._block_distance
 
 
 def _flag_orbit_index(oq):
-    """The least flag of each G-orbit on flags, in (rank, lex) order, and
-    the map from a flag's mask to the index of its orbit.  Built once per
-    orbit-quotient, on first use, from the generators: a flag's image
-    mask under g is its parent's image mask with bit g(x) added, x its
-    last member, so each generator maps the flag table in one pass.
-
-    It also gives each flag stabilizer's orbits on the residue: for x, y
-    in the residue of F, some g in G_F maps x to y exactly when the flags
-    F + {x} and F + {y} share a G-orbit.  G keeps types, so a g taking
-    F + {x} onto F + {y} maps x, the one member of its type, to y and F
-    onto F; conversely any g in G_F with x -> y does."""
-    if oq._flag_orbits is None:
-        flags = _flag_table(oq.geom)
-        fmasks, parents = _flag_links(oq.geom)
-        maps = []  # per generator, flag mask -> image mask
-        for g in oq.group.gens:
-            images, image = g.images, [0]
-            for k in range(1, len(flags)):
-                image.append(image[parents[k]] | 1 << images[flags[k][-1]])
-            maps.append(dict(zip(fmasks, image)))
-        orbits = orbits_on(maps, sorted(fmasks, key=int.bit_count),
-                           dict.__getitem__)
-        oq._flag_orbits = (
-            [tuple(bits(orbit[0])) for orbit in orbits],
-            {m: k for k, orbit in enumerate(orbits) for m in orbit})
-    return oq._flag_orbits
+    """The least flag of each G-orbit on flags and each flag's orbit by
+    its mask.  G keeps types, so x, y in the residue of F share a G_F-orbit
+    exactly when F + {x} and F + {y} share a G-orbit."""
+    return _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
 
 
 def check_TQ3(oq):
@@ -112,10 +96,8 @@ def check_TQ2doubleprime(oq):
 
     Equivalently, the flag's reflexive residue contains a pair from the
     G-orbit of the incident pair.  The incident pairs are the rank-2
-    flags, so their orbits are the rank-2 flag orbits, in the order of
-    their least pairs; whether a pair fails at a flag depends only on its
-    orbit, so scanning them finds the same first failing pair as a scan
-    of the sorted pairs."""
+    flags, and whether a pair fails at a flag depends only on its orbit,
+    so a scan of their orbit leaders finds the first failing pair."""
     masks, block_of = oq.geom.masks, oq.proj.block_of
     leaders, orbit_of = _flag_orbit_index(oq)
     pair_orbits = [(k, pair) for k, pair in enumerate(leaders)

@@ -49,11 +49,11 @@ def _load_geometry(path):
     return geom
 
 
-def _count_flags_capped(geom, cap):
+def _count_flags_capped(geom, cap, what="flag count"):
     """Refuse a geometry with more than cap flags; otherwise the flags
     walked are kept as its flag table, so that they are walked once."""
     if not keep_flags(geom, all_flags(geom), cap):
-        raise CapExceeded("flag count exceeds --max-flags %d" % cap)
+        raise CapExceeded("%s exceeds --max-flags %d" % (what, cap))
 
 
 def _load_group(path, geom, cap):
@@ -148,6 +148,7 @@ def cmd_quotient(args):
     _count_flags_capped(geom, args.max_flags)
     t0 = time.time()
     proj, oq = _load_projection(args, geom)
+    _count_flags_capped(proj.quotient, args.max_flags, "quotient flag count")
     out = args.output or (Path(args.geometry).stem + ".quotient.geo")
     Path(out).write_text(gio.format_geometry(proj.quotient))
     q = proj.quotient
@@ -183,6 +184,7 @@ def cmd_axioms(args):
     group = _load_group(args.group, geom, args.max_group_order)
     t0 = time.time()
     oq = OrbitQuotient(geom, group)
+    _count_flags_capped(oq.quotient, args.max_flags, "quotient flag count")
     rows = []
     for name, (value, witness) in sorted(axioms_report(oq).items()):
         rows.append((name, value, format_witness(oq, name, witness)))

@@ -9,29 +9,22 @@ mask `masks[x]` per element x, an int with bit y set when x * y, which
 every query reads.  `bits` and `mask_of` turn a mask into its indices
 and back.  Flags are sorted tuples of element indices.
 
-A flag's common neighbours are the AND of its members' masks.
-`all_flags` is the one flag walker: an explicit stack of open flags,
-each with its candidates as a mask, taken lowest bit first, so it
-yields flags lazily in lexicographic order.  `extensions` (of `(x,)`:
-x's neighbours), the maximality test of `is_geometry`, residues,
-quotient.lift_flag and the residue-map test AND masks too, as does
-`non_incident_pair`, the one total-incidence test (digons, the
-diagram's residue digons, direct sums and the path property); no
-internal path builds a residue pregeometry.
-A pregeometry never changes, so its flags are walked once and kept with
-it as its flag table, in lexicographic order: the first walk to reach
-the end fills it (`is_geometry`'s, the `keep_flags` cap test, or a full
-walk on first use).  `flags_by_rank_lex`, `flags_of_type` and each
-flag's mask and parent are read off it, and the geometry and
-residual-connectivity verdicts are computed once too.  The flag count
-is exponential in the rank in the worst case, so everything here is
-meant for desk scale (a few hundred elements, rank at most ~6).
+A flag's common neighbours are the AND of its members' masks, and
+every flag, residue and incidence question ANDs masks; no internal path
+builds a residue pregeometry.  `all_flags` is the one flag walker,
+lazily in lexicographic order, and `non_incident_pair` the one
+total-incidence test.  A pregeometry never changes, so its flags are
+walked once and kept with it as its flag table (`keep_flags`), which
+`flags_by_rank_lex`, `flags_of_type` and the flag links are read off;
+its verdicts are computed once too.  The flag count is exponential in
+the rank in the worst case, so everything here is meant for desk scale
+(a few hundred elements, rank at most ~6).
 
 `bfs` is the one graph search: a multi-source breadth-first search on
-masks, optionally confined to a mask, that labels each reached vertex
-with its distance and a nearest source.  Distances, components, residue
-connectivity, diagram components, the bipartite test and the block
-distance of quotient.min_block_distance go through it.
+masks, optionally confined to a mask and ended early, that labels each
+reached vertex with its distance and a nearest source.  Distances,
+components, residue connectivity, diagram components, the bipartite
+test and both block distances go through it.
 """
 
 from __future__ import annotations
@@ -322,17 +315,16 @@ def keep_flags(geom, flags, cap=None):
 
 @_per_geometry
 def _flag_links(geom):
-    """Each flag's mask and its parent's index in the flag table (the
-    flag less its last member: the last flag one shorter before it; 0
-    for the empty flag itself)."""
-    table = _flag_table(geom)
-    masks, parents, last = [0], [0], [0]
-    for i in range(1, len(table)):
-        k = len(table[i])
-        parents.append(last[k - 1])
-        masks.append(masks[last[k - 1]] | 1 << table[i][-1])
-        last[k:] = [i]
-    return masks, parents
+    """In flags_by_rank_lex order: each flag's mask, its parent's
+    position (the flag less its last member; 0 for the empty flag
+    itself) and the position of each mask."""
+    flags = flags_by_rank_lex(geom)
+    at = dict(zip(flags, range(len(flags))))
+    parents = [at[flag[:-1]] for flag in flags]
+    masks = [0] * len(flags)
+    for p in range(1, len(flags)):
+        masks[p] = masks[parents[p]] | 1 << flags[p][-1]
+    return masks, parents, dict(zip(masks, range(len(flags))))
 
 
 @_per_geometry
@@ -476,20 +468,23 @@ def incidence_masks(n, pairs):
     return tuple(masks)
 
 
-def bfs(masks, sources, within=-1):
+def bfs(masks, sources, within=-1, stop=0, depth=INF):
     """The one breadth-first search, over neighbourhood masks: from all
     sources at once, map each reached vertex to (distance, nearest
     source), entering only the vertices of the mask within (default:
-    all).  A vertex's source is that of the first of its neighbours in
-    the layer before it: the sources are the first layer, in the order
-    given, and each later layer lists the new neighbours of each vertex
-    of the one before, lowest index first.  The distances depend on
-    neither order."""
+    all), and ending after layer depth or the first layer that meets the
+    mask stop.  A vertex's source is that of its first neighbour in the
+    layer before: the sources are the first layer, in the order given,
+    and each later layer lists the new neighbours of each vertex of the
+    one before, lowest index first.  Distances depend on neither order."""
     reach = {s: (0, s) for s in sources}
     seen = mask_of(reach) | ~within
+    stop &= ~seen
     frontier = list(reach)
     d = 0
     while frontier:
+        if d >= depth or seen & stop:
+            break
         d += 1
         nxt = []
         for x in frontier:

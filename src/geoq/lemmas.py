@@ -7,14 +7,13 @@ quotient implications on every instance, reporting any violation.
 The fixed instances the draws pick from are built once per process and
 shared: the cycles and their rotations, the symmetric actions on
 ssg(v, k), multipartite_geometry(2, 3, 2), the hexagon, the eight-cycle
-and the pool of small groups.  So each keeps its flag list, verdicts,
-verified automorphisms and Schreier-Sims chain across draws, each fixed
-group is listed and sorted once (PermGroup.__iter__), and each ssg(v, k)
-is checked shadowable once.  Only what is built from the drawn
-arguments is shared, never a draw itself: every rng call is made exactly
-as before, so the draws are unchanged.  No check changes a pregeometry
-or a group, so a shared instance answers as a fresh one would.  The
-public constructors stay uncached.
+and the pool of small groups.  So each keeps its flags, verdicts, flag
+orbits, Schreier-Sims chain and one OrbitQuotient per drawn group
+across draws; each fixed group is listed once and each ssg(v, k) is
+checked shadowable once.  Every rng call is made as before, so the
+draws are unchanged, and no check changes what it is given, so a
+shared instance answers as a fresh one would.  The public constructors
+stay uncached.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .constructions import (SimpleGraph, blowup_projection, cycle_geometry,
                             is_shadowable, multipartite_geometry,
                             ssg_symmetric_action)
 from .diagram import basic_diagram, lift_chamber_forest
-from .geometry import (Pregeometry, _Record, _short_maximal_flag,
+from .geometry import (Pregeometry, _Record, _memo, _short_maximal_flag,
                        all_flags, flags_of_type, is_connected, is_firm,
                        is_geometry, is_residually_connected, keep_flags)
 from .perms import (CapExceeded, PermGroup, automorphism_group,
@@ -208,7 +207,7 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
             geom, action = _ssg_symmetric_action(v, rng.randint(2, v - 1))
             group = random_subgroup(rng, action)
         elif kind == 4:
-            geom, group = _hex_or_cycle(rng)
+            geom, group = rng.choice([_hexagon, _eight_cycle])()
         else:
             geom, n_group, g_group = _multipartite_geometry(2, 3, 2)
             group = random_subgroup(rng, n_group)
@@ -220,11 +219,11 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
         return None
     if group.order() > 60:
         return None
-    return OrbitQuotient(geom, group)
-
-
-def _hex_or_cycle(rng):
-    return rng.choice([_hexagon, _eight_cycle])()
+    shared = _memo(geom)  # one OrbitQuotient per (geometry, generators)
+    key = ("OrbitQuotient", tuple(g.images for g in group.gens))
+    if key not in shared:
+        shared[key] = OrbitQuotient(geom, group)
+    return shared[key]
 
 
 def _draw(rng, maker, count):
@@ -319,8 +318,7 @@ def suite_cover_semiregular(rng, count=200):
     """A cover onto an orbit-quotient of a connected pregeometry forces
     the group to act semiregularly."""
     res = SuiteResult("cover-semiregular")
-    maker = lambda rng: random_orbit_quotient(rng)
-    for oq in _draw(rng, maker, count):
+    for oq in _draw(rng, random_orbit_quotient, count):
         res.checked += 1
         if not (is_connected(oq.geom) and is_cover(oq.proj)):
             continue
@@ -382,8 +380,7 @@ def suite_tq_chain(rng, count=200):
 def suite_flagslift_tq2(rng, count=200):
     """FlagsLift together with TQ2' forces TQ2'' on orbit-quotients."""
     res = SuiteResult("flagslift-tq2prime-tq2doubleprime")
-    maker = lambda rng: random_orbit_quotient(rng)
-    for oq in _draw(rng, maker, count):
+    for oq in _draw(rng, random_orbit_quotient, count):
         res.checked += 1
         if not (check_flagslift(oq.proj)[0] and check_TQ2prime(oq)[0]):
             continue

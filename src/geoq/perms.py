@@ -8,12 +8,12 @@ transversals; Sims 1970, Seress, *Permutation Group Algorithms*, 2003,
 ch. 4), built on first use without listing the group.  Only elements()
 lists G, by plain breadth-first closure under a configurable cap; the
 chain refuses a group above that cap with the same CapExceeded.  Every
-orbit question -- on points, flags, incident pairs or ordered tuples --
-goes through orbits_on, a union-find over generator images that never
-enumerates the group.  Products and inverses are built without
-re-checking that they are permutations; every Perm made from outside
-data is checked.  Whether a generator is an automorphism is decided
-once per geometry and kept in the geometry's memo (check_automorphisms).
+orbit question goes through _orbits, the one union-find, on the
+generators' images of indices, never listing the group: of points,
+flag positions (_flag_orbits) or any items (orbits_on).  Products and
+inverses are built without re-checking that they are permutations;
+every Perm made from outside data is checked.  Whether a generator is
+an automorphism is decided once per geometry and kept with it.
 
 _incidence_maps is the one incidence-map search: invariant-pruned
 backtracking (McKay & Piperno, "Practical graph isomorphism, II", 2014,
@@ -24,9 +24,11 @@ them from a geometry to itself; constructions.isomorphic takes the first.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations
 
-from .geometry import _per_geometry, bits, flags_of_type, same_type_incidence
+from .geometry import (_flag_links, _memo, bits, flags_by_rank_lex,
+                       flags_of_type, mask_of, same_type_incidence)
 from .quotient import Partition
 
 DEFAULT_CAP = 200_000
@@ -127,35 +129,43 @@ class Perm:
         return "Perm(%s)" % "".join("(%s)" % " ".join(map(str, c)) for c in cyc)
 
 
+def _orbits(images, n):
+    """The one union-find: the orbits on 0..n-1 of the group whose
+    generators map i to images[k][i], each an increasing tuple, listed by
+    least member.  A root is its class's least member, so links point
+    down and one increasing pass reads each root off its parent's."""
+    parent = list(range(n))
+    for row in images:
+        for a, b in enumerate(row):
+            while parent[a] != a:  # path halving
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+    orbits = {}
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+        orbits.setdefault(parent[i], []).append(i)
+    return [tuple(orbit) for orbit in orbits.values()]
+
+
 def orbits_on(gens, items, act):
     """Orbits of the group generated by gens on the distinct hashable
-    items, where act(g, item) is the image of item under g.  Union-find
-    over generator images; each orbit is a tuple in items order, and the
-    orbits are listed by their first member.  Raises ValueError when an
-    image is not among the items."""
+    items, where act(g, item) is the image of item under g: the items'
+    index images under each generator, through _orbits.  Each orbit is a
+    tuple in items order, and the orbits are listed by their first
+    member.  Raises ValueError when an image is not among the items."""
+    items = list(items)
     index = {x: i for i, x in enumerate(items)}
-    parent = list(range(len(index)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in gens:
-        for x, i in index.items():
-            j = index.get(act(g, x))
-            if j is None:
-                raise ValueError("image of %r under %r is not among the items"
-                                 % (x, g))
-            if j != i:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    orbits = {}
-    for x, i in index.items():
-        orbits.setdefault(find(i), []).append(x)
-    return [tuple(orbit) for orbit in orbits.values()]
+    rows = [[index.get(act(g, x)) for x in items] for g in gens]
+    for g, row in zip(gens, rows):
+        if None in row:
+            raise ValueError("image of %r under %r is not among the items"
+                             % (items[row.index(None)], g))
+    return [tuple([items[i] for i in orbit])
+            for orbit in _orbits(rows, len(items))]
 
 
 def mulclose(gens, cap=DEFAULT_CAP):
@@ -353,7 +363,7 @@ class PermGroup:
 
     def orbits(self):
         """All orbits on 0..degree-1, each sorted, listed by least point."""
-        return orbits_on(self.gens, range(self.degree), Perm.__getitem__)
+        return _orbits([g.images for g in self.gens], self.degree)
 
     def orbit_transversal(self, x):
         """Map y -> group element sending x to y, for y in the orbit of x."""
@@ -388,18 +398,12 @@ def is_automorphism(geom, perm):
                for a, b in geom.pairs)
 
 
-@_per_geometry
-def _verified_automorphisms(geom):
-    """The images of the generators already found to be automorphisms of
-    the geometry, kept with it."""
-    return set()
-
-
 def check_automorphisms(geom, group):
     """Raise ValueError unless every generator is an automorphism of the
-    geometry.  A (geometry, generator) pair is checked once; a failure is
+    geometry.  A (geometry, generator) pair is checked once, and the
+    images of the verified ones are kept with the geometry; a failure is
     never kept and is raised again on every call."""
-    verified = _verified_automorphisms(geom)
+    verified = _memo(geom).setdefault(check_automorphisms, set())
     for g in group.gens:
         if g.images in verified:
             continue
@@ -448,10 +452,31 @@ def normal_closure(group, sub):
     return out
 
 
-def _flag_image(g, flag):
-    """The image of a flag (a sorted tuple) under g, as a sorted tuple."""
-    images = g.images
-    return tuple(sorted([images[x] for x in flag]))
+def _flag_orbits(geom, gens, rank):
+    """The orbits of the group generated by gens on the flags of rank at
+    most rank: the least flag of each, in (rank, lex) order, and each
+    flag's orbit index by its mask.  g maps a flag to its parent's image
+    plus g(last member), so each generator maps the flags in one pass in
+    flags_by_rank_lex order, parents first.  Kept with the geometry per
+    generator images, for the largest rank asked."""
+    key = tuple(g.images for g in gens)
+    got = _memo(geom).get((_flag_orbits, key))
+    if got is None or got[0] < rank:
+        flags = flags_by_rank_lex(geom)
+        masks, parents, index = _flag_links(geom)
+        n = bisect_right(flags, rank, key=len)
+        rows = []
+        for images in key:
+            image, row = [0] * n, [0] * n
+            for p in range(1, n):
+                image[p] = m = image[parents[p]] | 1 << images[flags[p][-1]]
+                row[p] = index[m]
+            rows.append(row)
+        orbits = _orbits(rows, n)
+        got = _memo(geom)[_flag_orbits, key] = (
+            rank, [flags[orbit[0]] for orbit in orbits],
+            {masks[p]: k for k, orbit in enumerate(orbits) for p in orbit})
+    return got[1:]
 
 
 def transitivity(group, geom, kind, types=None):
@@ -460,38 +485,41 @@ def transitivity(group, geom, kind, types=None):
     kind is one of 'vertex' (each type class), 'incidence' (every 2-subset
     of types), 'jflags' (the given type set), 'chamber', or 'flag' (every
     subset of types), each a list of type sets tested in turn.  Returns
-    (ok, witness): on the first type set whose flags form more than one
-    orbit, the least flags of its first two orbits.  A same-type
-    incidence raises ValueError."""
+    (ok, witness): on the first type set with two flag orbits or more,
+    the least flags of its first two orbits, i.e. its first two orbit
+    leaders.  A type set with no flags passes; an unknown type id or a
+    same-type incidence raises ValueError."""
     bad = same_type_incidence(geom)
     if bad is not None:
         raise ValueError("transitivity: %s" % bad)
     check_automorphisms(geom, group)
-    every = tuple(range(geom.rank))
-    families = {
-        "vertex": [(t,) for t in every],
-        "incidence": list(combinations(every, 2)),
-        "jflags": [types],
-        "chamber": [every],
-        "flag": [J for r in range(1, geom.rank + 1)
-                 for J in combinations(every, r)],
-    }
-    if kind not in families:
+    sizes = {"vertex": [1], "incidence": [2], "chamber": [geom.rank],
+             "flag": range(1, geom.rank + 1), "jflags": []}
+    if kind not in sizes:
         raise ValueError("unknown transitivity kind %r" % (kind,))
-    if types is None and kind == "jflags":
-        raise ValueError("jflags requires a type set")
-    for J in families[kind]:
-        orbits = orbits_on(group.gens, flags_of_type(geom, J), _flag_image)
-        if len(orbits) > 1:
-            return False, (orbits[0][0], orbits[1][0])
+    sets = [mask_of(J) for r in sizes[kind]
+            for J in combinations(range(geom.rank), r)]
+    if kind == "jflags":
+        if types is None:
+            raise ValueError("jflags requires a type set")
+        types = sorted(set(types))
+        flags_of_type(geom, types)  # raises on an unknown type id
+        sets = [mask_of(types)]
+    leaders = {}  # type set mask -> its orbit leaders, in lex order
+    for flag in _flag_orbits(geom, group.gens,
+                             max(map(int.bit_count, sets), default=0))[0]:
+        leaders.setdefault(mask_of(geom.elem_type[x] for x in flag),
+                           []).append(flag)
+    for s in sets:
+        if len(leaders.get(s, ())) > 1:
+            return False, tuple(leaders[s][:2])
     return True, None
 
 
 def is_semiregular(group, geom=None, types=None):
-    """True iff every point stabilizer is trivial.  With types given, only
-    stabilizers of elements of those types are required trivial.  Since
-    |orbit(x)| = |G : G_x|, that is: every orbit meeting the domain has
-    length |G|."""
+    """True iff every point stabilizer (of an element of the given types,
+    if any) is trivial: as |orbit(x)| = |G : G_x|, iff every orbit
+    meeting the domain has length |G|."""
     allowed = None if types is None else set(types)
     order = group.order()
     return all(len(orbit) == order for orbit in group.orbits()
@@ -563,24 +591,20 @@ def multicover_array(geom, group):
     type j.  Raises ValueError with a witness when the count is not
     constant over incident pairs (the uniformity hypothesis fails)."""
     part = orbit_partition(group, geom)
-    blocks, block_of = part.blocks, part.block_of
-    counts = {}
-    witness_pair = {}
+    first = {}  # (i, j) -> the first count and its pair
     for a, b in sorted(geom.pairs):
         for x, y in ((a, b), (b, a)):
             i, j = geom.elem_type[x], geom.elem_type[y]
-            k = sum(1 for z in blocks[block_of[y]] if geom.incident(x, z))
-            if (i, j) not in counts:
-                counts[(i, j)] = k
-                witness_pair[(i, j)] = (x, y)
-            elif counts[(i, j)] != k:
+            k = ((geom.masks[x] | 1 << x)  # incident with x, or x
+                 & mask_of(part.blocks[part.block_of[y]])).bit_count()
+            k0, pair = first.setdefault((i, j), (k, (x, y)))
+            if k0 != k:
                 raise ValueError(
                     "count not constant on type pair (%d, %d): "
                     "%d at %r vs %d at %r"
-                    % (i, j, counts[(i, j)],
-                       geom.flag_names(witness_pair[(i, j)]), k,
+                    % (i, j, k0, geom.flag_names(pair), k,
                        geom.flag_names((x, y))))
-    return [[counts.get((i, j)) for j in range(geom.rank)]
+    return [[first.get((i, j), (None,))[0] for j in range(geom.rank)]
             for i in range(geom.rank)]
 
 

@@ -27,6 +27,29 @@ def test_tq3():
     assert check_TQ3(trivial_oq(ssg(3, 2)))
 
 
+def test_block_distance_agrees_with_min_block_distance(rng):
+    # one search per orbit from its least member against one search per
+    # block from all its members (quotient.min_block_distance)
+    from geoq.cosets import FiniteGroup, coseteg_family
+    from geoq.lemmas import random_orbit_quotient
+    from geoq.quotient import min_block_distance
+    cases = []
+    for n in (5, 7):
+        fam = coseteg_family(FiniteGroup.cyclic(n))
+        cases += [(fam.geometry, fam.action_group()),
+                  (fam.geometry, fam.n_action_group())]
+    while len(cases) < 504:
+        oq = random_orbit_quotient(rng)
+        if oq is not None:
+            cases.append((oq.geom, oq.group))
+    seen = set()
+    for geom, group in cases:
+        oq = OrbitQuotient(geom, group)  # a fresh one computes it anew
+        assert oq.block_distance == min_block_distance(geom, oq.partition)
+        seen.add(oq.block_distance)
+    assert seen == {2, 3, 4, 6, float("inf")}, seen
+
+
 def test_trivial_group_satisfies_everything():
     oq = trivial_oq(ssg(3, 2))
     assert check_TQ1(oq)[0]
@@ -196,29 +219,32 @@ def test_tq2doubleprime_never_enumerates_the_group():
 
 
 def test_residue_orbit_map_is_built_once_per_orbit_quotient(monkeypatch):
-    # (TQ1), (TQ2') and (TQ2'') share one flag-orbit index per
-    # orbit-quotient: the whole report makes one orbits_on call, on the
-    # flag masks in (rank, lex) order, and later deciders on the same
-    # orbit-quotient make none
-    import geoq.axioms as axioms
-    from geoq.geometry import flags_by_rank_lex, mask_of
+    # (TQ1), (TQ2') and (TQ2'') share one flag-orbit labelling per
+    # (geometry, generators): the whole report makes one union-find call,
+    # over every flag, and later deciders on the same orbit-quotient, or a
+    # whole report on a fresh one over the same pair, make none
+    import geoq.perms as perms
+    from geoq.geometry import flags_by_rank_lex
     builds = []
+    real = perms._orbits
 
-    def counting_orbits_on(gens, items, act):
-        builds.append(list(items))
-        return orbits_on(gens, items, act)
+    def counting(images, n):
+        builds.append(n)
+        return real(images, n)
 
-    monkeypatch.setattr(axioms, "orbits_on", counting_orbits_on)
+    monkeypatch.setattr(perms, "_orbits", counting)
     for geom, group in (hexagon(), eight_cycle(), tq1_counterexample()):
         oq = OrbitQuotient(geom, group)
         builds.clear()
         report = axioms_report(oq)
-        masks = [mask_of(flag) for flag in flags_by_rank_lex(geom)]
-        assert builds == [masks]
+        assert builds == [len(flags_by_rank_lex(geom))]
         assert ((check_TQ1(oq), check_TQ2prime(oq), check_TQ2doubleprime(oq))
                 == (report["tq1"], report["tq2prime"],
                     report["tq2doubleprime"]))
-        assert builds == [masks]
+        again = OrbitQuotient(geom, PermGroup(group.gens))
+        builds.clear()
+        assert axioms_report(again) == report
+        assert builds == []
 
 
 def _stabilizer_residue_orbits(group, flag, members):
@@ -408,16 +434,93 @@ def test_orbit_representatives_agree_with_full_sweep(rng):
         assert report == _sweep_report(oq)
         for name in names:
             seen[name, report[name][0]] += 1
+        _check_flag_orbit_labelling(oq)
     assert min(seen.values()) >= 10, seen
+
+
+# The flag-orbit index as each orbit-quotient built it before the
+# labelling was kept with the geometry: each generator maps the flag
+# table (lexicographic order) to image masks, a flag's image being its
+# parent's image with g(last member) added, and one orbits_on call runs
+# on the flag masks in (rank, lex) order.
+
+def _mask_orbit_index(oq):
+    from geoq.geometry import _flag_table, bits
+    flags = _flag_table(oq.geom)
+    fmasks, parents, last = [0], [0], [0]
+    for i in range(1, len(flags)):
+        k = len(flags[i])
+        parents.append(last[k - 1])
+        fmasks.append(fmasks[last[k - 1]] | 1 << flags[i][-1])
+        last[k:] = [i]
+    maps = []
+    for g in oq.group.gens:
+        images, image = g.images, [0]
+        for k in range(1, len(flags)):
+            image.append(image[parents[k]] | 1 << images[flags[k][-1]])
+        maps.append(dict(zip(fmasks, image)))
+    orbits = orbits_on(maps, sorted(fmasks, key=int.bit_count),
+                       dict.__getitem__)
+    return ([tuple(bits(orbit[0])) for orbit in orbits],
+            {m: k for k, orbit in enumerate(orbits) for m in orbit})
+
+
+def _check_flag_orbit_labelling(oq):
+    """The labelling equals the oracle, and so does the labelling of the
+    flags of each rank r and below, built first on a fresh copy."""
+    from geoq.axioms import _flag_orbit_index
+    from geoq.geometry import Pregeometry
+    from geoq.perms import _flag_orbits
+    leaders, orbit_of = _mask_orbit_index(oq)
+    assert _flag_orbit_index(oq) == (leaders, orbit_of)
+    geom = oq.geom
+    for r in range(geom.rank):
+        fresh = Pregeometry(geom.type_names, geom.elem_names,
+                            geom.elem_type, geom.pairs)
+        low = [flag for flag in leaders if len(flag) <= r]
+        assert _flag_orbits(fresh, oq.group.gens, r) == (
+            low, {m: k for m, k in orbit_of.items() if k < len(low)})
+        assert _flag_orbits(fresh, oq.group.gens, geom.rank) == (
+            leaders, orbit_of)
+
+
+def _bundled_orbit_quotients():
+    """Each bundled geometry with its bundled groups, the trivial group
+    and, below 40 elements, its whole automorphism group."""
+    from pathlib import Path
+
+    import geoq
+    from geoq import io
+    from geoq.perms import automorphism_group
+    data = Path(geoq.__file__).parent / "data"
+    for path in sorted(data.glob("*.geo")):
+        geom = io.parse_geometry(path.read_text())
+        yield geom, PermGroup.trivial(geom.size)
+        for grp in sorted(data.glob(path.stem + "*.grp")):
+            yield geom, io.parse_group(grp.read_text(), geom)
+        if geom.size < 40:
+            yield geom, automorphism_group(geom)
+
+
+def test_flag_orbit_labelling_agrees_with_mask_orbits_on_bundled():
+    count = 0
+    for geom, group in _bundled_orbit_quotients():
+        _check_flag_orbit_labelling(OrbitQuotient(geom, group))
+        count += 1
+    assert count >= 15, count
 
 
 # The flag-orbit index before it read the flag table: orbits_on on the
 # flag tuples in (rank, lex) order under _flag_image, each image sorted,
 # and the deciders looking up the sorted tuple of F + {x}.
 
+def _flag_image(g, flag):
+    """The image of a flag (a sorted tuple) under g, as a sorted tuple."""
+    return tuple(sorted(g[x] for x in flag))
+
+
 def _tuple_index(oq):
     from geoq.geometry import flags_by_rank_lex
-    from geoq.perms import _flag_image
     orbits = orbits_on(oq.group.gens, flags_by_rank_lex(oq.geom),
                        _flag_image)
     return orbits, {f: k for k, orbit in enumerate(orbits) for f in orbit}

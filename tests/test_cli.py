@@ -92,6 +92,57 @@ def test_flag_cap_walk_is_the_only_flag_walk(tmp_path, capsys, monkeypatch):
     assert err.strip() == "cap exceeded: flag count exceeds --max-flags 16"
 
 
+def _write_bipartite_pairs(tmp_path):
+    # six types of two elements each, e<i>_<a> incident with e<j>_<b>
+    # when i != j and a != b: 43 flags (no three elements are pairwise
+    # incident), while the quotient by the swap a <-> 1 - a, one block per
+    # type, is the 6-simplex with 64 flags
+    from geoq import io
+    from geoq.geometry import Pregeometry
+    from geoq.perms import Perm, PermGroup
+    from geoq.quotient import Partition
+    names = ["e%d_%d" % (i, a) for i in range(6) for a in range(2)]
+    geom = Pregeometry(["T%d" % i for i in range(6)], names,
+                       [x // 2 for x in range(12)],
+                       [(x, y) for x in range(12) for y in range(x + 1, 12)
+                        if x // 2 != y // 2 and x % 2 != y % 2])
+    swap = PermGroup([Perm.from_cycles(12, [(x, x + 1)
+                                            for x in range(0, 12, 2)])])
+    part = Partition(geom, [(x, x + 1) for x in range(0, 12, 2)])
+    paths = [tmp_path / name for name in ("b.geo", "b.grp", "b.part")]
+    for path, text in zip(paths, (io.format_geometry(geom),
+                                  io.format_group(swap, geom),
+                                  io.format_partition(part, geom))):
+        path.write_text(text)
+    return [str(path) for path in paths]
+
+
+def test_quotient_flags_are_capped(tmp_path, capsys):
+    # a quotient can have more flags than its source, so quotient and
+    # axioms count the quotient's flags under --max-flags too, before any
+    # decider reads them and before any file is written
+    geo, grp, part = _write_bipartite_pairs(tmp_path)
+    out = tmp_path / "q.geo"
+    commands = [["axioms", geo, grp],
+                ["quotient", geo, "--orbits", grp, "-o", str(out)],
+                ["quotient", geo, "--partition", part, "-o", str(out)]]
+    for argv in commands:
+        for cap, what in ((42, "flag count"), (63, "quotient flag count")):
+            code, stdout, err = run(capsys, "--machine", *argv,
+                                    "--max-flags", str(cap))
+            assert (code, stdout) == (3, "")
+            assert err == ("cap exceeded: %s exceeds --max-flags %d\n"
+                           % (what, cap))
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "b.geo", "b.grp", "b.part"]
+    for argv in commands:
+        code, stdout, err = run(capsys, "--machine", *argv,
+                                "--max-flags", "64")
+        assert code in (0, 1) and err == ""
+        assert "quotient-geometry=true" in stdout or argv[0] == "axioms"
+    assert out.exists()
+
+
 def test_group_order_cap(tmp_path, capsys):
     gen_file(tmp_path, capsys, "coseteg", "2")
     code, _, err = run(capsys, "axioms", str(tmp_path / "coseteg-2.geo"),
@@ -432,22 +483,31 @@ def test_quotient_orbits_builds_one_projection(tmp_path, capsys, monkeypatch):
 def test_quotient_orbits_computes_the_block_distance_once(tmp_path, capsys,
                                                          monkeypatch):
     # the min-block-distance row and check_TQ3 read one value kept on the
-    # orbit-quotient
-    from geoq import axioms, cli
+    # orbit-quotient: at most one search from the least member of each
+    # block, and no min_block_distance
+    from geoq import axioms, cli, io
+    from geoq.perms import orbit_partition
     from geoq.quotient import min_block_distance
-    calls = []
+    searches = []
+    real = axioms.bfs
 
-    def counted(geom, partition):
-        calls.append(min_block_distance(geom, partition))
-        return calls[-1]
+    def counted(masks, sources, **bounds):
+        searches.append(sources[0])
+        return real(masks, sources, **bounds)
 
-    monkeypatch.setattr(axioms, "min_block_distance", counted)
-    monkeypatch.setattr(cli, "min_block_distance", counted)
+    def refused(geom, partition):
+        raise AssertionError("min_block_distance called")
+
+    monkeypatch.setattr(axioms, "bfs", counted)
+    monkeypatch.setattr(cli, "min_block_distance", refused)
     gen_file(tmp_path, capsys, "coseteg", "2")
-    code, out, _ = run(capsys, "--machine", "quotient",
-                       str(tmp_path / "coseteg-2.geo"),
-                       "--orbits", str(tmp_path / "coseteg-2-n.grp"),
-                       "-o", str(tmp_path / "q.geo"))
-    assert len(calls) == 1
-    assert "min-block-distance=%s" % calls[0] in out.splitlines()
-    assert ("tq3=%s" % str(calls[0] >= 4).lower()) in out.splitlines()
+    geo, grp = tmp_path / "coseteg-2.geo", tmp_path / "coseteg-2-n.grp"
+    code, out, _ = run(capsys, "--machine", "quotient", str(geo),
+                       "--orbits", str(grp), "-o", str(tmp_path / "q.geo"))
+    geom = io.parse_geometry(geo.read_text())
+    part = orbit_partition(io.parse_group(grp.read_text(), geom), geom)
+    assert 0 < len(searches) == len(set(searches))
+    assert set(searches) <= {block[0] for block in part.blocks}
+    want = min_block_distance(geom, part)
+    assert "min-block-distance=%s" % want in out.splitlines()
+    assert ("tq3=%s" % str(want >= 4).lower()) in out.splitlines()

@@ -461,3 +461,25 @@ def test_extensions_exclude_flag_types():
     ext = extensions(geom, f)
     assert all(geom.elem_type[x] == 2 for x in ext)
     assert len(ext) == 2
+
+
+def test_bfs_ends_at_the_depth_or_the_stop_layer(rng):
+    # an ended search is the full search cut after its last layer: after
+    # layer depth, or after the first layer meeting the stop mask
+    from geoq.geometry import INF, bfs, bits
+    from geoq.lemmas import random_geometry
+    ended = 0
+    for _ in range(200):
+        geom = random_geometry(rng)
+        masks = geom.masks
+        sources = rng.sample(range(geom.size), rng.randint(1, 2))
+        full = bfs(masks, sources)
+        depth = rng.choice([0, 1, 2, INF])
+        stop = rng.getrandbits(geom.size) & rng.getrandbits(geom.size)
+        got = bfs(masks, sources, stop=stop, depth=depth)
+        hits = [full[y][0] for y in bits(stop) if y in full
+                and y not in sources]
+        last = min([depth] + hits)
+        assert got == {y: v for y, v in full.items() if v[0] <= last}
+        ended += got != full
+    assert ended >= 50, ended

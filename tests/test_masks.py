@@ -211,9 +211,11 @@ def _check_flag_table(geom, flags):
     # a walk that stopped at a witness keeps nothing
     assert (_TABLE in geom._memo) == verdict[0]
     assert _flag_table(geom) == tuple(flags)
-    fmasks, parents = _flag_links(geom)
-    assert fmasks == [mask_of(flag) for flag in flags]
-    assert [flags[p] for p in parents] == [flag[:-1] for flag in flags]
+    fmasks, parents, index = _flag_links(geom)
+    ranked = sorted(flags, key=lambda flag: (len(flag), flag))
+    assert fmasks == [mask_of(flag) for flag in ranked]
+    assert [ranked[p] for p in parents] == [flag[:-1] for flag in ranked]
+    assert index == {m: p for p, m in enumerate(fmasks)}
     capped = _fresh(geom)
     assert not keep_flags(capped, all_flags(capped), len(flags) - 1)
     assert keep_flags(capped, all_flags(capped), len(flags))

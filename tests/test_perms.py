@@ -313,11 +313,16 @@ def test_transitivity_kinds():
         transitivity(action, geom, "nope")
 
 
+def _flag_image(g, flag):
+    """The image of a flag (a sorted tuple) under g, as a sorted tuple."""
+    return tuple(sorted(g[x] for x in flag))
+
+
 def _per_kind_transitivity(group, geom, kind, types=None):
     # the one-branch-per-kind version that the table of type sets replaced
     from itertools import combinations
 
-    from geoq.perms import _flag_image, check_automorphisms
+    from geoq.perms import check_automorphisms
     check_automorphisms(geom, group)
 
     def offor(J):
@@ -389,6 +394,31 @@ def test_transitivity_agrees_with_per_kind_branches(rng):
         for check in (transitivity, _per_kind_transitivity):
             with pytest.raises(ValueError, match=message):
                 check(group, geom, kind)
+
+
+def test_transitivity_refuses_unknown_type_ids():
+    # jflags checks its type set as flags_of_type does
+    geom, action = ssg_symmetric_action(4, 3)
+    for bad in ([0, 3], [-1], [1, 2, 7]):
+        for check in (transitivity, _per_kind_transitivity):
+            with pytest.raises(ValueError, match="unknown type id"):
+                check(action, geom, "jflags", bad)
+
+
+def test_type_set_without_flags_is_transitive():
+    # a path a - b - c of three types: no flag of types {0, 2}, so no
+    # chamber, and the trivial group is transitive on each of the other
+    # type sets, which hold one flag each
+    geom = Pregeometry(["A", "B", "C"], ["a", "b", "c"], [0, 1, 2],
+                       [(0, 1), (1, 2)])
+    trivial = PermGroup.trivial(3)
+    assert flags_of_type(geom, [0, 2]) == []
+    for kind, types in (("jflags", [0, 2]), ("jflags", [2, 0, 2]),
+                        ("chamber", None), ("flag", None),
+                        ("vertex", None), ("incidence", None)):
+        assert transitivity(trivial, geom, kind, types) == (True, None)
+        assert _per_kind_transitivity(trivial, geom, kind, types) == (
+            True, None)
 
 
 def test_trivial_group_on_single_chamber():

@@ -115,3 +115,65 @@ def test_warm_draws_equal_cold_draws():
         for a in args:  # __wrapped__ is the uncached constructor
             assert _same_instance(cached(*a), cached.__wrapped__(*a)), (
                 cached, a)
+    # an orbit-quotient kept with a shared geometry and used by both runs
+    # answers every row as one built afresh on a copy
+    from geoq.axioms import OrbitQuotient, axioms_report
+    from geoq.geometry import Pregeometry
+    from geoq.perms import PermGroup
+    kept = 0
+    for geom in _shared_geometries(shared):
+        for key, oq in list((geom._memo or {}).items()):
+            if not (isinstance(key, tuple) and key[0] == "OrbitQuotient"):
+                continue
+            copy = Pregeometry(geom.type_names, geom.elem_names,
+                               geom.elem_type, geom.pairs)
+            fresh = OrbitQuotient(copy, PermGroup(oq.group.gens,
+                                                  degree=geom.size))
+            assert axioms_report(oq) == axioms_report(fresh)
+            assert oq.block_distance == fresh.block_distance
+            kept += 1
+    assert kept >= 20, kept
+
+
+def _shared_geometries(shared):
+    from geoq.geometry import Pregeometry
+    found = {}
+    for cached, args in shared:
+        stack = [cached(*a) for a in args]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, tuple):
+                stack.extend(item)
+            elif isinstance(item, Pregeometry):
+                found[id(item)] = item
+    return list(found.values())
+
+
+def test_orbit_quotients_are_built_once_per_drawn_pair(monkeypatch):
+    # random_orbit_quotient keeps one OrbitQuotient per drawn (geometry,
+    # generators): at GEOQ_SEED=1 the suites accept 1,042 orbit-quotient
+    # draws and build 599
+    for cached, _ in _shared_instances():
+        cached.cache_clear()
+    built, accepted = [], []
+    real_draw = lemmas.random_orbit_quotient
+
+    class Counted(lemmas.OrbitQuotient):
+        __slots__ = ()
+
+        def __init__(self, geom, group):
+            built.append(geom)
+            super().__init__(geom, group)
+
+    def counted_draw(rng, **kwargs):
+        oq = real_draw(rng, **kwargs)
+        if oq is not None:
+            accepted.append(oq)
+        return oq
+
+    monkeypatch.setattr(lemmas, "OrbitQuotient", Counted)
+    monkeypatch.setattr(lemmas, "random_orbit_quotient", counted_draw)
+    lemmas.run_all_suites(seed=1, count=200)
+    assert (len(built), len(accepted)) == (599, 1042)
+    for cached, _ in _shared_instances():  # drop the counted instances
+        cached.cache_clear()

@@ -18,22 +18,29 @@ def test_library_checks_survive_optimize_flag():
 
 
 def test_one_union_find_and_no_group_listing_in_axioms():
-    # orbits_on is the only union-find; the axiom deciders work from
-    # generators and never list the elements of G, directly or through a
-    # stabilizer scan
-    finds = []
+    # perms._orbits is the only union-find (the only function that makes
+    # a parent list, and no `find` helper anywhere): points, flags and
+    # orbits_on's items all reach it as index images; the axiom deciders
+    # work from generators and never list the elements of G, directly
+    # or through a stabilizer scan
+    finds, parents = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = set()
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.FunctionDef) and node.name == "orbits_on"
-                    and path.name == "perms.py"):
-                allowed.update(id(n) for n in ast.walk(node))
         finds += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef)
-                  and node.name == "find" and id(node) not in allowed]
+                  if isinstance(node, ast.FunctionDef) and node.name == "find"]
+        parents += [(path.name, fn.name) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "parent"
+                            for t in node.targets)]
     assert not finds, finds
+    assert parents == [("perms.py", "_orbits")], parents
+    perms = [p for p in SOURCES if p.name == "perms.py"][0]
+    callers = {fn for fn, called in _calls_by_function(perms)
+               if called == "_orbits"}
+    assert callers == {"orbits_on", "PermGroup.orbits", "_flag_orbits"}
     axioms = [p for p in SOURCES if p.name == "axioms.py"][0]
     calls = ["axioms.py:%d" % node.lineno
              for node in ast.walk(ast.parse(axioms.read_text()))
