@@ -15,9 +15,9 @@ least member of each block only.
 
 from __future__ import annotations
 
-from .geometry import INF, bfs, bits, extensions, mask_of
+from .geometry import INF, bfs, bits, mask_of
 from .perms import _flag_orbits, orbit_partition
-from .quotient import Projection, _residue_map_failure
+from .quotient import Projection, _extensions, _residue_map_failure
 
 
 class OrbitQuotient:
@@ -75,17 +75,13 @@ def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
     leaders, orbit_of = _flag_orbit_index(oq)
-    for flag in leaders:
-        if not flag:
-            continue
+    for flag in leaders[1:]:  # the first is the empty flag
         fmask = mask_of(flag)
-        per_block = {}
-        for x in extensions(oq.geom, flag):
-            per_block.setdefault(oq.proj.block_of[x], []).append(x)
-        for k, xs in sorted(per_block.items()):
-            first = orbit_of[fmask | 1 << xs[0]]
+        ext = _extensions(oq.proj, flag)[0]
+        for members in oq.proj.inside:  # block by block, in block order
+            xs = bits(ext & members)
             for x in xs[1:]:
-                if orbit_of[fmask | 1 << x] != first:
+                if orbit_of[fmask | 1 << x] != orbit_of[fmask | 1 << xs[0]]:
                     return False, (flag, xs[0], x)
     return True, None
 
@@ -124,14 +120,13 @@ def check_TQ1(oq):
     """(TQ1): for every flag, quotienting the residue by the flag
     stabilizer is isomorphic (via orbit -> block) to the residue of the
     projected flag in the quotient."""
-    geom, q = oq.geom, oq.quotient
     leaders, orbit_of = _flag_orbit_index(oq)
     for flag in leaders:
         fmask = mask_of(flag)
+        ext, target = _extensions(oq.proj, flag)
         orbits = {}
-        for x in extensions(geom, flag):
+        for x in bits(ext):
             orbits.setdefault(orbit_of[fmask | 1 << x], []).append(x)
-        target = set(extensions(q, oq.proj._project(flag)))
         reason = _residue_map_failure(oq.proj, list(orbits.values()), target)
         if reason is not None:
             return False, (flag, _TQ1_REASON.get(reason, reason))

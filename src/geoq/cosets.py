@@ -16,7 +16,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .geometry import Pregeometry, flags_of_type, same_type_incidence
-from .perms import Perm, PermGroup, transitivity
+from .perms import (Perm, PermGroup, _flag_orbits, check_automorphisms,
+                    transitivity)
 
 
 class FiniteGroup:
@@ -341,6 +342,8 @@ def is_coset_pregeometry(geom, group):
     bad = same_type_incidence(geom)
     if bad is not None:
         return False, bad
+    check_automorphisms(geom, group)
+    _flag_orbits(geom, group.gens, 2)  # one labelling for both tests
     ok, w = transitivity(group, geom, "vertex")
     if not ok:
         return False, ("not vertex-transitive", w)

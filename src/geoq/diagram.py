@@ -149,7 +149,7 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
             # rank-1 trees are empty; nothing further to place
             raise ValueError("disconnected tree on the flag types: %r left" % missing)
         ell, i = frontier[0]
-        block_i = mask_of(oq.proj.fiber(by_type[i]))
+        block_i = oq.proj.inside[by_type[i]]
         # the first member of block l incident with block i, and its least
         # incident member there
         beta_l = next((bl for bl in oq.proj.fiber(by_type[ell])
@@ -168,6 +168,15 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
     return placed
 
 
+@_per_geometry
+def _forest_trees(geom):
+    """Each component of the basic diagram with its edges as sorted
+    pairs, or None when the diagram is not a forest; kept per geometry."""
+    diag = basic_diagram(geom)
+    return [(comp, [tuple(sorted(e)) for e in diag.edges if e <= set(comp)])
+            for comp in diag.components()] if diag.is_forest() else None
+
+
 def lift_chamber_forest(oq, qchamber):
     """Lift a quotient chamber through a forest diagram: place a flag per
     diagram component along its tree, close it up inside the component,
@@ -179,17 +188,15 @@ def lift_chamber_forest(oq, qchamber):
     rc, _ = is_residually_connected(geom)
     if not rc:
         raise ValueError("chamber lifting requires residual connectivity")
-    diag = basic_diagram(geom)
-    if not diag.is_forest():
+    trees = _forest_trees(geom)
+    if trees is None:
         raise ValueError("chamber lifting requires a forest diagram")
     q = oq.quotient
     if len(qchamber) != geom.rank:
         raise ValueError("not a chamber of the quotient")
     block_by_type = {q.elem_type[k]: k for k in qchamber}
     lifted = {}
-    for comp in diag.components():
-        tree = [tuple(sorted(e)) for e in diag.edges
-                if set(e) <= set(comp)]
+    for comp, tree in trees:
         sub_qflag = tuple(sorted(block_by_type[t] for t in comp))
         root = comp[0]
         root_elem = oq.proj.fiber(block_by_type[root])[0]

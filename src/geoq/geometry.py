@@ -166,10 +166,6 @@ def as_flag(geom, elems):
     return flag
 
 
-def flag_type(geom, flag):
-    return frozenset(geom.elem_type[x] for x in flag)
-
-
 def extensions(geom, flag):
     """Elements incident with every member of flag, excluding the flag itself.
 
@@ -424,7 +420,7 @@ def residue(geom, flag):
     outside the flag's type set.  Returns the residue and the map from
     residue indices back to parent element indices."""
     flag = as_flag(geom, flag)
-    ftypes = set(flag_type(geom, flag))
+    ftypes = {geom.elem_type[x] for x in flag}
     cotypes = [t for t in range(geom.rank) if t not in ftypes]
     members = extensions(geom, flag)
     return _restriction(geom, cotypes, members), tuple(members)

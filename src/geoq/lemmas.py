@@ -30,7 +30,7 @@ from .constructions import (SimpleGraph, blowup_projection, cycle_geometry,
                             cycle_rotation, eight_cycle, hexagon,
                             is_shadowable, multipartite_geometry,
                             ssg_symmetric_action)
-from .diagram import basic_diagram, lift_chamber_forest
+from .diagram import _forest_trees, lift_chamber_forest
 from .geometry import (Pregeometry, _Record, _memo, _short_maximal_flag,
                        all_flags, flags_of_type, is_connected, is_firm,
                        is_geometry, is_residually_connected, keep_flags)
@@ -448,7 +448,7 @@ def suite_chamber_lift(rng, count=200):
     def maker(rng):
         oq = random_orbit_quotient(rng, need_geometry=True)
         if (oq is None or not is_residually_connected(oq.geom)[0]
-                or not basic_diagram(oq.geom).is_forest()):
+                or _forest_trees(oq.geom) is None):
             return None
         return oq
 

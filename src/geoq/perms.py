@@ -388,14 +388,12 @@ class PermGroup:
 
 def is_automorphism(geom, perm):
     """Type-preserving and incidence-preserving; closure under inverses
-    makes edge-set preservation sufficient in a finite group."""
-    if perm.degree != geom.size:
-        return False
-    for x in range(geom.size):
-        if geom.elem_type[perm[x]] != geom.elem_type[x]:
-            return False
-    return all((min(perm[a], perm[b]), max(perm[a], perm[b])) in geom.pairs
-               for a, b in geom.pairs)
+    makes edge-set preservation sufficient in a finite group.  Each
+    incident pair's images are looked up in the masks."""
+    im, et, masks = perm.images, geom.elem_type, geom.masks
+    return (perm.degree == geom.size
+            and all(et[y] == t for y, t in zip(im, et))
+            and all(masks[im[a]] >> im[b] & 1 for a, b in geom.pairs))
 
 
 def check_automorphisms(geom, group):

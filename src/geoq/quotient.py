@@ -1,16 +1,17 @@
 """
 Type-refining partitions, quotient pregeometries and the projection map.
 
-Deciders for flag lifting, the lifting axioms (PQ1)/(PQ2), covers and
-m-covers all live here.  Everything is brute force over enumerated flags;
-witnesses are minimal under (rank, lexicographic) ordering.
+Deciders for flag lifting, the lifting axioms (PQ1)/(PQ2), residual
+surjectivity, covers and m-covers all live here, on masks: a projection
+keeps each block's members as a mask, and a decider asks of each flag
+the AND of its members' masks and of their blocks' quotient masks
+(_extensions).  Witnesses are minimal under (rank, lexicographic) order.
 """
 
 from __future__ import annotations
 
 from .geometry import (INF, Pregeometry, as_flag, all_flags, bfs, bits,
-                       extensions, flag_type, flags_by_rank_lex,
-                       flags_of_type, mask_of)
+                       flags_by_rank_lex, flags_of_type, mask_of)
 
 
 class Partition:
@@ -63,37 +64,32 @@ def singleton_partition(geom):
 
 
 class Projection:
-    """The projection of a pregeometry onto its quotient by a partition."""
+    """Projection onto the quotient by a partition; inside[k] masks block k."""
 
-    __slots__ = ("source", "partition", "quotient")
+    __slots__ = ("source", "partition", "block_of", "quotient", "inside")
 
     def __init__(self, source, partition):
-        self.source = source
-        self.partition = partition
-        names = []
-        etype = []
-        for block in partition.blocks:
+        self.source, self.partition = source, partition
+        self.block_of = block_of = partition.block_of
+        self.inside = [mask_of(block) for block in partition.blocks]
+        names, etype, pairs = [], [], set()
+        later = (1 << source.size) - 1  # the members of the blocks after k
+        for k, block in enumerate(partition.blocks):
+            later &= ~self.inside[k]
+            near = 0
+            for x in block:
+                near |= source.masks[x]
+            # each pair of incident blocks once, from the earlier block
+            pairs.update((k, block_of[y]) for y in bits(near & later))
             names.append("{%s}" % ",".join(source.elem_names[x] for x in block))
             etype.append(source.elem_type[block[0]])
-        pairs = {(min(ka, kb), max(ka, kb))
-                 for a, b in source.pairs
-                 for ka, kb in [(partition.block_of[a], partition.block_of[b])]
-                 if ka != kb}
         self.quotient = Pregeometry(source.type_names, names, etype, pairs)
-
-    @property
-    def block_of(self):
-        return self.partition.block_of
 
     def project_flag(self, flag):
         """The quotient flag of a source flag; raises ValueError when the
         argument is not a flag."""
-        return self._project(as_flag(self.source, flag))
-
-    def _project(self, flag):
-        """project_flag without the flag check, for flags taken from the
-        flag enumeration (or singletons)."""
-        return tuple(sorted({self.block_of[x] for x in flag}))
+        return tuple(sorted({self.block_of[x]
+                             for x in as_flag(self.source, flag)}))
 
     def fiber(self, k):
         return self.partition.blocks[k]
@@ -112,18 +108,16 @@ def lift_flag(proj, qflag):
     order and the least workable element is chosen from each, so the
     returned lift is least under that choice order."""
     qflag = as_flag(proj.quotient, qflag)
-    blocks = [proj.fiber(k) for k in qflag]
-    masks = proj.source.masks
+    masks, inside = proj.source.masks, proj.inside
 
     def rec(i, chosen, common):
         # common: the elements incident with every chosen one, as a mask
-        if i == len(blocks):
+        if i == len(qflag):
             return tuple(sorted(chosen))
-        for x in blocks[i]:
-            if common >> x & 1:
-                got = rec(i + 1, chosen + [x], common & masks[x])
-                if got is not None:
-                    return got
+        for x in bits(common & inside[qflag[i]]):
+            got = rec(i + 1, chosen + [x], common & masks[x])
+            if got is not None:
+                return got
         return None
 
     return rec(0, [], (1 << proj.source.size) - 1)
@@ -133,9 +127,7 @@ def check_flagslift(proj):
     """True iff every quotient flag lifts; the witness is a minimal
     non-lifting quotient flag.  Flags of rank <= 2 always lift."""
     for qflag in flags_by_rank_lex(proj.quotient):
-        if len(qflag) <= 2:
-            continue
-        if lift_flag(proj, qflag) is None:
+        if len(qflag) > 2 and lift_flag(proj, qflag) is None:
             return False, qflag
     return True, None
 
@@ -148,18 +140,35 @@ def check_jflags_lift(proj, types):
     return True, None
 
 
+def _extensions(proj, flag):
+    """The masks of the elements incident with every member of a source
+    flag and of the blocks incident with every block it meets."""
+    masks, qmasks = proj.source.masks, proj.quotient.masks
+    ext, qext = (1 << len(masks)) - 1, (1 << len(qmasks)) - 1
+    for x in flag:
+        ext &= masks[x]
+        qext &= qmasks[proj.block_of[x]]
+    return ext, qext
+
+
 def residual_surjectivity(proj, flags=None):
-    """True iff projecting a residue gives the whole quotient residue,
-    for every flag of the source.  A caller that knows the verdict is
-    the same on whole classes of flags (an orbit-quotient's G-orbits)
-    passes one flag of each class; the default scans every flag."""
-    q = proj.quotient
+    """True iff projecting a residue gives the whole quotient residue
+    (every block of it met, no element outside them), for every flag of
+    the source.  A caller that knows the verdict is the same on whole
+    classes of flags (an orbit-quotient's G-orbits) passes one flag of
+    each class; the default scans every flag."""
+    q, inside, et = proj.quotient, proj.inside, proj.source.elem_type
+    of_type = [mask_of(members) for members in q.by_type]
     for flag in all_flags(proj.source) if flags is None else flags:
-        qflag = proj._project(flag)
-        image = {proj.block_of[x] for x in extensions(proj.source, flag)}
-        target = {k for k in extensions(q, qflag)
-                  if q.elem_type[k] not in flag_type(q, qflag)}
-        if image != target:
+        ext, target = _extensions(proj, flag)
+        for x in flag:
+            target &= ~of_type[et[x]]
+        cover = 0
+        for k in bits(target):
+            if not ext & inside[k]:
+                return False
+            cover |= inside[k]
+        if ext & ~cover:
             return False
     return True
 
@@ -171,11 +180,8 @@ def corank1_surjective(proj):
 
 def corank1_injective(proj):
     """No two distinct elements of a rank-1 residue share a block."""
-    for mask in proj.source.masks:
-        blocks = [proj.block_of[y] for y in bits(mask)]
-        if len(set(blocks)) != len(blocks):
-            return False
-    return True
+    return all(len({proj.block_of[y] for y in bits(mask)}) == mask.bit_count()
+               for mask in proj.source.masks)
 
 
 def min_block_distance(geom, partition):
@@ -211,35 +217,34 @@ def _residue_map_failure(proj, classes, target):
     """The one residue-map test.  Each class of source elements (a
     singleton, or a stabilizer orbit) maps to the block of its members,
     and two classes are incident when some of their members are.  Returns
-    why the map is not an isomorphism onto the target blocks (injectivity,
-    surjectivity, then incidence over class pairs in order), or None."""
-    masks, q, block_of = proj.source.masks, proj.quotient, proj.block_of
-    image = [block_of[c[0]] for c in classes]
-    if len(set(image)) != len(image):
+    why the map is not an isomorphism onto target, a mask of blocks
+    (injectivity, surjectivity, then each class's neighbours meeting just
+    the other classes whose blocks are incident with its own), or None."""
+    masks, qmasks, block_of = (proj.source.masks, proj.quotient.masks,
+                               proj.block_of)
+    image = mask_of(block_of[c[0]] for c in classes)
+    if image.bit_count() != len(classes):
         return "not injective"
-    if set(image) != target:
+    if image != target:
         return "not surjective"
-    inside = []  # each class's members, as a mask
-    near = []  # the elements incident with some member, as a mask
+    members = mask_of(x for c in classes for x in c)
     for c in classes:
-        mask = mask_of(c)
-        inside.append(mask)
+        near = 0  # the elements incident with some member of c
         for x in c:
-            mask |= masks[x]
-        near.append(mask)
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if bool(near[i] & inside[j]) != q.incident(image[i], image[j]):
-                return "incidence not matched"
+            near |= masks[x]
+        k, met = block_of[c[0]], 0
+        for y in bits(near & members):
+            met |= 1 << block_of[y]
+        if met & ~(1 << k) != qmasks[k] & target:
+            return "incidence not matched"
     return None
 
 
 def _residue_isomorphic_onto(proj, flag):
     """Why the projection, restricted to the residue of the flag, is not
     an isomorphism onto the quotient residue; None when it is."""
-    target = set(extensions(proj.quotient, proj._project(flag)))
-    return _residue_map_failure(
-        proj, [(x,) for x in extensions(proj.source, flag)], target)
+    ext, target = _extensions(proj, flag)
+    return _residue_map_failure(proj, [(x,) for x in bits(ext)], target)
 
 
 def is_m_cover(proj, m):
@@ -248,13 +253,11 @@ def is_m_cover(proj, m):
     rank = proj.source.rank
     if not 1 <= m <= rank - 1:
         raise ValueError("m must satisfy 1 <= m <= rank-1, got %r" % (m,))
-    want = rank - m
     for flag in flags_by_rank_lex(proj.source):
-        if len(flag) != want:
-            continue
-        reason = _residue_isomorphic_onto(proj, flag)
-        if reason is not None:
-            return False, (flag, reason)
+        if len(flag) == rank - m:
+            reason = _residue_isomorphic_onto(proj, flag)
+            if reason is not None:
+                return False, (flag, reason)
     return True, None
 
 
@@ -281,28 +284,26 @@ def check_PQ1(proj, flags=None):
     may pass a sublist in that order that contains the least failing
     flag whenever one exists (an orbit-quotient's least flag per
     G-orbit), and gets the same answer."""
-    q = proj.quotient
     for flag in flags_by_rank_lex(proj.source) if flags is None else flags:
         if not flag:
             continue  # the empty flag extends by any member of any block
-        qflag = proj._project(flag)
-        ext = set(extensions(proj.source, flag))
-        for k in extensions(q, qflag):
-            if not any(x in ext for x in proj.fiber(k)):
+        ext, qext = _extensions(proj, flag)
+        for k in bits(qext):
+            if not ext & proj.inside[k]:
                 return False, (flag, k)
     return True, None
 
 
 def check_PQ2(proj, flags=None):
     """(PQ2): every rank-1 residue (of a corank-1 flag) meets at least
-    two blocks of the partition.  The flags scanned, and the caller's
+    two blocks of the partition: it is not empty, and not inside the
+    block of its least member.  The flags scanned, and the caller's
     promise about them, are those of check_PQ1."""
     for flag in flags_by_rank_lex(proj.source) if flags is None else flags:
-        if len(flag) != proj.source.rank - 1:
-            continue
-        met = {proj.block_of[x] for x in extensions(proj.source, flag)}
-        if len(met) < 2:
-            return False, flag
+        if len(flag) == proj.source.rank - 1:
+            ext = _extensions(proj, flag)[0]
+            if not ext or not ext & ~proj.inside[proj.block_of[bits(ext)[0]]]:
+                return False, flag
     return True, None
 
 
@@ -319,8 +320,8 @@ def total_order_flagslift(proj, order):
     for x in range(src.size):
         px = pos[src.elem_type[x]]
         up = [(y,) for y in bits(src.masks[x]) if pos[src.elem_type[y]] > px]
-        target = {k for k in bits(q.masks[proj.block_of[x]])
-                  if pos[q.elem_type[k]] > px}
+        target = mask_of(k for k in bits(q.masks[proj.block_of[x]])
+                         if pos[q.elem_type[k]] > px)
         if _residue_map_failure(proj, up, target) is not None:
             return False
     ok, witness = check_flagslift(proj)

@@ -337,7 +337,7 @@ def _pair_image(g, pair):
 
 
 def _sweep_report(oq):
-    from geoq.geometry import extensions, flags_by_rank_lex
+    from geoq.geometry import extensions, flags_by_rank_lex, mask_of
     from geoq.quotient import (_residue_map_failure, check_flagslift,
                                check_PQ1, check_PQ2, is_cover)
     geom, q, block_of = oq.geom, oq.quotient, oq.proj.block_of
@@ -366,9 +366,9 @@ def _sweep_report(oq):
             classes = {}
             for x in extensions(geom, flag):
                 classes.setdefault(member_orbit[flag, x], []).append(x)
-            target = set(extensions(q, oq.proj._project(flag)))
+            target = set(extensions(q, oq.proj.project_flag(flag)))
             reason = _residue_map_failure(oq.proj, list(classes.values()),
-                                          target)
+                                          mask_of(target))
             if reason is not None:
                 return False, (flag, reasons.get(reason, reason))
         return True, None
@@ -527,7 +527,7 @@ def _tuple_index(oq):
 
 
 def _tuple_deciders(oq):
-    from geoq.geometry import bits, extensions
+    from geoq.geometry import bits, extensions, mask_of
     from geoq.quotient import _residue_map_failure
     geom, q, block_of = oq.geom, oq.quotient, oq.proj.block_of
     orbits, orbit_of = _tuple_index(oq)
@@ -542,9 +542,9 @@ def _tuple_deciders(oq):
             for x in extensions(geom, flag):
                 classes.setdefault(orbit_of[tuple(sorted(flag + (x,)))],
                                    []).append(x)
-            target = set(extensions(q, oq.proj._project(flag)))
+            target = set(extensions(q, oq.proj.project_flag(flag)))
             reason = _residue_map_failure(oq.proj, list(classes.values()),
-                                          target)
+                                          mask_of(target))
             if reason is not None:
                 return False, (flag, reasons.get(reason, reason))
         return True, None

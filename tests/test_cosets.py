@@ -172,6 +172,23 @@ def test_is_coset_pregeometry_roundtrip():
         assert index == len(geom.by_type[geom.elem_type[c]])
 
 
+def test_is_coset_pregeometry_labels_flag_orbits_once(monkeypatch):
+    # the vertex and incidence tests read one labelling of the flags of
+    # rank <= 2, made by one call of the union-find
+    from geoq import perms
+    calls = []
+
+    def counting(images, n):
+        calls.append(n)
+        return orbits(images, n)
+
+    orbits = perms._orbits
+    monkeypatch.setattr(perms, "_orbits", counting)
+    fam = coseteg_family(FiniteGroup.cyclic(3))
+    ok, _ = is_coset_pregeometry(fam.geometry, fam.action_group())
+    assert ok and len(calls) == 1, calls
+
+
 def test_is_coset_pregeometry_hexagon_false():
     geom, group = hexagon()
     ok, reason = is_coset_pregeometry(geom, group)

@@ -16,6 +16,14 @@ read from the table) is checked against the flags themselves.
 pregeometry; the loop that rebuilt one after each incidence is its
 oracle, with the same draws from the same random generator.
 
+The projection layer reads block masks: the quotient's incidences come
+from each block's neighbourhood, and (PQ1), (PQ2), residual
+surjectivity, the residue-map test, m-covers, covers and the
+total-order criterion AND masks per flag.  Their oracles are the
+versions before: the quotient mapped from every source pair, and each
+decider on extension sets, projected flags and a target set of blocks.
+`is_automorphism` is checked against its sorted-pair-tuple lookup.
+
 The residue questions of the diagram layer -- digons, the basic diagram,
 purity, residual connectivity, direct sums and the path property -- are
 checked against their versions before they were decided on masks: each
@@ -24,6 +32,7 @@ residue built as a `Pregeometry` by `residue` and asked
 an all-pairs loop over `incident`.
 """
 
+import random
 from itertools import combinations
 
 import pytest
@@ -41,7 +50,12 @@ from geoq.geometry import (_TABLE, Pregeometry, _flag_links, _flag_table,
                            non_incident_pair, residue, truncation)
 from geoq.lemmas import (random_geometry, random_partition,
                          random_pregeometry, repair_to_geometry)
-from geoq.quotient import Projection, _residue_map_failure, lift_flag
+from geoq.perms import Perm, is_automorphism, orbit_partition
+from geoq.quotient import (Projection, _residue_isomorphic_onto,
+                           _residue_map_failure, check_flagslift, check_PQ1,
+                           check_PQ2, is_cover, is_m_cover, lift_flag,
+                           residual_surjectivity, singleton_partition,
+                           total_order_flagslift)
 
 
 def _neighbours(geom):
@@ -165,6 +179,177 @@ def _set_residue_map_failure(proj, classes, target):
     return None
 
 
+def _project(proj, flag):
+    # the blocks of a flag's members, of any enumerated "flag" (one with
+    # two members of a type, too)
+    return tuple(sorted({proj.block_of[x] for x in flag}))
+
+
+def _pair_scan_quotient(proj):
+    """The quotient as Projection built it from every incident pair of
+    the source."""
+    src, part = proj.source, proj.partition
+    pairs = {(min(ka, kb), max(ka, kb)) for a, b in src.pairs
+             for ka, kb in [(part.block_of[a], part.block_of[b])]
+             if ka != kb}
+    return Pregeometry(
+        src.type_names,
+        ["{%s}" % ",".join(src.elem_names[x] for x in block)
+         for block in part.blocks],
+        [src.elem_type[block[0]] for block in part.blocks], pairs)
+
+
+def _set_check_PQ1(proj, adj, qadj):
+    # adj, qadj: the _neighbours of the source and of the quotient
+    src, q = proj.source, proj.quotient
+    for flag in flags_by_rank_lex(src):
+        if not flag:
+            continue
+        ext = set(_set_extensions(src, adj, flag))
+        for k in _set_extensions(q, qadj, _project(proj, flag)):
+            if not any(x in ext for x in proj.fiber(k)):
+                return False, (flag, k)
+    return True, None
+
+
+def _set_check_PQ2(proj, adj):
+    src = proj.source
+    for flag in flags_by_rank_lex(src):
+        if len(flag) != src.rank - 1:
+            continue
+        met = {proj.block_of[x] for x in _set_extensions(src, adj, flag)}
+        if len(met) < 2:
+            return False, flag
+    return True, None
+
+
+def _set_residual_surjectivity(proj, adj, qadj):
+    src, q = proj.source, proj.quotient
+    for flag in _set_all_flags(src):
+        qflag = _project(proj, flag)
+        image = {proj.block_of[x] for x in _set_extensions(src, adj, flag)}
+        qtypes = {q.elem_type[k] for k in qflag}
+        target = {k for k in _set_extensions(q, qadj, qflag)
+                  if q.elem_type[k] not in qtypes}
+        if image != target:
+            return False
+    return True
+
+
+def _set_residue_isomorphic_onto(proj, adj, qadj, flag):
+    target = set(_set_extensions(proj.quotient, qadj, _project(proj, flag)))
+    return _set_residue_map_failure(
+        proj, [(x,) for x in _set_extensions(proj.source, adj, flag)], target)
+
+
+def _set_is_m_cover(proj, adj, qadj, m):
+    for flag in flags_by_rank_lex(proj.source):
+        if len(flag) == proj.source.rank - m:
+            reason = _set_residue_isomorphic_onto(proj, adj, qadj, flag)
+            if reason is not None:
+                return False, (flag, reason)
+    return True, None
+
+
+def _set_total_order_flagslift(proj, adj, qadj, order):
+    src, q = proj.source, proj.quotient
+    pos = {t: i for i, t in enumerate(order)}
+    for x in range(src.size):
+        px = pos[src.elem_type[x]]
+        up = [(y,) for y in sorted(adj[x]) if pos[src.elem_type[y]] > px]
+        target = {k for k in qadj[proj.block_of[x]]
+                  if pos[q.elem_type[k]] > px}
+        if _set_residue_map_failure(proj, up, target) is not None:
+            return False
+    ok, witness = check_flagslift(proj)
+    if not ok:
+        raise RuntimeError("total-order criterion held but a quotient flag "
+                           "failed to lift: %r" % (witness,))
+    return True
+
+
+def _outcome(fn, *args):
+    """What fn(*args) returns, or "raised" for the error it raises: a
+    RuntimeError, or the ValueError of lift_flag on a quotient "flag"
+    with two blocks of one type."""
+    try:
+        return fn(*args)
+    except (RuntimeError, ValueError):
+        return "raised"
+
+
+def _pair_is_automorphism(geom, perm):
+    if perm.degree != geom.size:
+        return False
+    for x in range(geom.size):
+        if geom.elem_type[perm[x]] != geom.elem_type[x]:
+            return False
+    return all((min(perm[a], perm[b]), max(perm[a], perm[b])) in geom.pairs
+               for a, b in geom.pairs)
+
+
+def _check_automorphisms(geom, rng, verdicts, gens=()):
+    """is_automorphism against the pair lookup on the identity, gens, a
+    random permutation within each type, and one that swaps two
+    elements of different types."""
+    def seen(name, value):
+        verdicts.setdefault(name, set()).add(value)
+
+    images = list(range(geom.size))
+    for members in geom.by_type:
+        shuffled = rng.sample(members, len(members))
+        for x, y in zip(members, shuffled):
+            images[x] = y
+    perms = [Perm.identity(geom.size), Perm(images)] + list(gens)
+    if len(geom.by_type) > 1 and all(geom.by_type[:2]):
+        swap = list(range(geom.size))
+        a, b = geom.by_type[0][0], geom.by_type[1][0]
+        swap[a], swap[b] = b, a
+        perms.append(Perm(swap))
+        assert not is_automorphism(geom, perms[-1])
+    assert not is_automorphism(geom, Perm.identity(geom.size + 1))
+    for perm in perms:
+        assert is_automorphism(geom, perm) == _pair_is_automorphism(geom, perm)
+    seen("type-keeping automorphism", is_automorphism(geom, perms[1]))
+
+
+def _check_deciders(proj, verdicts):
+    """The quotient and each projection decider against its set oracle;
+    verdicts maps each decider to the set of answers seen."""
+    def seen(name, value):
+        verdicts.setdefault(name, set()).add(value)
+        return value
+
+    src, q = proj.source, proj.quotient
+    want = _pair_scan_quotient(proj)
+    assert q == want and q.masks == want.masks
+    adj, qadj = _neighbours(src), _neighbours(q)
+    got = check_PQ1(proj)
+    assert got == _set_check_PQ1(proj, adj, qadj)
+    seen("pq1", got[0])
+    got = check_PQ2(proj)
+    assert got == _set_check_PQ2(proj, adj)
+    seen("pq2", got[0])
+    assert residual_surjectivity(proj) == seen(
+        "residually-surjective", _set_residual_surjectivity(proj, adj, qadj))
+    for flag in flags_by_rank_lex(src):
+        got = _residue_isomorphic_onto(proj, flag)
+        assert got == _set_residue_isomorphic_onto(proj, adj, qadj, flag)
+        seen("residue-isomorphic", got is None)
+    assert is_cover(proj) == seen("cover", all(
+        _set_residue_isomorphic_onto(proj, adj, qadj, (x,)) is None
+        for x in range(src.size)))
+    for m in range(1, src.rank):
+        got = is_m_cover(proj, m)
+        assert got == _set_is_m_cover(proj, adj, qadj, m)
+        seen("m-cover", got[0])
+    for order in (list(range(src.rank)), list(reversed(range(src.rank)))):
+        got = _outcome(total_order_flagslift, proj, order)
+        assert got == _outcome(_set_total_order_flagslift, proj, adj, qadj,
+                               order)
+        seen("total-order", got)
+
+
 def _pair_scan_restriction(geom, types, members):
     """The pregeometry on members with the given types, its pairs found
     by scanning all of geom.pairs."""
@@ -243,19 +428,19 @@ def _check_flag_layer(geom):
     return flags
 
 
-def _check_projection(proj, reasons):
+def _check_projection(proj, reasons, lifts=True):
     src, q = proj.source, proj.quotient
     adj = _neighbours(src)
-    for qflag in flags_by_rank_lex(q):
+    for qflag in flags_by_rank_lex(q) if lifts else ():
         assert lift_flag(proj, qflag) == _set_lift_flag(proj, adj, qflag)
     for flag in flags_by_rank_lex(src):
         ext = extensions(src, flag)
-        target = set(extensions(q, proj._project(flag)))
+        target = set(extensions(q, _project(proj, flag)))
         by_block = {}
         for x in ext:
             by_block.setdefault(proj.block_of[x], []).append(x)
         for classes in ([(x,) for x in ext], list(by_block.values())):
-            got = _residue_map_failure(proj, classes, target)
+            got = _residue_map_failure(proj, classes, mask_of(target))
             assert got == _set_residue_map_failure(proj, classes, target)
             reasons.add(got)
 
@@ -263,6 +448,8 @@ def _check_projection(proj, reasons):
 def test_mask_layer_agrees_with_set_layer(rng):
     reasons = set()
     verdicts = set()
+    decided = {}
+    perm_rng = random.Random(4417)  # kept apart, so the draws are unchanged
     for i in range(520):
         if i % 2:
             geom = random_geometry(rng, max_rank=4, max_per_type=3)
@@ -271,11 +458,15 @@ def test_mask_layer_agrees_with_set_layer(rng):
         flags = _check_flag_layer(geom)
         _check_restrictions(geom, flags)
         verdicts.add(is_geometry(geom)[0])
-        _check_projection(Projection(geom, random_partition(rng, geom)),
-                          reasons)
+        proj = Projection(geom, random_partition(rng, geom))
+        _check_projection(proj, reasons)
+        _check_deciders(proj, decided)
+        _check_automorphisms(geom, perm_rng, decided)
     assert verdicts == {True, False}
     assert reasons == {None, "not injective", "not surjective",
                        "incidence not matched"}, reasons
+    assert decided.pop("total-order") == BOTH
+    assert decided == {name: BOTH for name in DECIDERS}, decided
 
 
 def test_repair_agrees_with_rebuilding_loop(rng, bundled_geometries):
@@ -306,6 +497,52 @@ def test_mask_layer_agrees_on_bundled_geometries(rng, bundled_geometries):
                           set())
         seen += 1
     assert seen == 16
+
+
+def test_projection_deciders_agree_with_same_type_incidences(rng):
+    # Pregeometry accepts incidences inside a type (validate refuses
+    # them), and the deciders stay exact there too: a block then meets
+    # its own neighbourhood, and a target can hold blocks of a flag's
+    # types.  Lifts are not compared: lift_flag refuses a quotient
+    # "flag" with two blocks of one type
+    reasons, decided, same = set(), {}, 0
+    for _ in range(150):
+        geom = random_pregeometry(rng, max_rank=3, max_per_type=4)
+        extra = {(a, b) for members in geom.by_type
+                 for a, b in combinations(members, 2) if rng.random() < 0.3}
+        geom = Pregeometry(geom.type_names, geom.elem_names, geom.elem_type,
+                           set(geom.pairs) | extra)
+        same += bool(extra)
+        proj = Projection(geom, random_partition(rng, geom))
+        _check_projection(proj, reasons, lifts=False)
+        _check_deciders(proj, decided)
+        _check_automorphisms(geom, rng, decided)
+    assert same >= 100, same
+    assert decided.pop("total-order") <= BOTH | {"raised"}
+    assert decided == {name: BOTH for name in DECIDERS}, decided
+
+
+DECIDERS = ("pq1", "pq2", "residually-surjective", "residue-isomorphic",
+            "cover", "m-cover", "type-keeping automorphism")
+
+
+def test_projection_deciders_agree_on_bundled_geometries_and_coseteg7(
+        rng, bundled_geometries):
+    # the singleton and a random partition of each, and the orbit
+    # partition of coseteg-7's action group, whose generators are
+    # automorphisms
+    decided = {}
+    fam = coseteg_family(FiniteGroup.cyclic(7))
+    for geom in bundled_geometries + [fam.geometry]:
+        for part in singleton_partition(geom), random_partition(rng, geom):
+            _check_deciders(Projection(geom, part), decided)
+        _check_automorphisms(geom, rng, decided)
+    group = fam.action_group()
+    _check_deciders(Projection(fam.geometry,
+                               orbit_partition(group, fam.geometry)), decided)
+    _check_automorphisms(fam.geometry, rng, decided, group.gens)
+    assert decided.pop("total-order") <= BOTH
+    assert decided == {name: BOTH for name in DECIDERS}, decided
 
 
 def test_restrictions_agree_with_pair_scan_on_coseteg7(rng):

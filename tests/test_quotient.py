@@ -83,9 +83,7 @@ def test_project_flag_is_flag():
         qflag = proj.project_flag(flag)
         assert is_flag(proj.quotient, qflag)
         assert len(qflag) == len(flag)
-        assert proj._project(flag) == qflag
-    # the public projection still checks its argument; the deciders use
-    # the unchecked one on enumerated flags only
+    # the projection checks its argument
     same_type = tuple(geom.by_type[0][:2])
     apart = next((a, b) for a in range(geom.size) for b in range(a)
                  if geom.elem_type[a] != geom.elem_type[b]

@@ -205,3 +205,13 @@ def test_masks_are_the_only_incidence():
     assert not adj, adj
     assert sorted(set(lowbit)) == [("geometry.py", "all_flags"),
                                    ("geometry.py", "bits")], lowbit
+
+
+def test_projection_layer_reads_no_pair_set():
+    # the projection layer reads the masks alone: no `.pairs` attribute
+    # is read in quotient.py, so no decider slips back to a pair scan
+    quotient = [p for p in SOURCES if p.name == "quotient.py"][0]
+    hits = ["quotient.py:%d" % node.lineno
+            for node in ast.walk(ast.parse(quotient.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "pairs"]
+    assert not hits, hits
