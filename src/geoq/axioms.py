@@ -15,7 +15,7 @@ least member of each block only.
 
 from __future__ import annotations
 
-from .geometry import INF, bfs, bits, mask_of
+from .geometry import INF, bfs, bits, flag_text, mask_of
 from .perms import _flag_orbits, orbit_partition
 from .quotient import Projection, _extensions, _residue_map_failure
 
@@ -138,28 +138,24 @@ def format_witness(oq, name, witness):
     if witness is None:
         return None
     geom, q = oq.geom, oq.quotient
-
-    def flag(g, f):
-        return "{%s}" % ",".join(g.elem_names[x] for x in f)
-
     if name == "flagslift":
-        return flag(q, witness)
+        return flag_text(q, witness)
     if name == "pq1":
         f, k = witness
-        return "%s + block %s" % (flag(geom, f), q.elem_names[k])
+        return "%s + block %s" % (flag_text(geom, f), q.elem_names[k])
     if name == "pq2":
-        return flag(geom, witness)
+        return flag_text(geom, witness)
     if name == "tq2prime":
         f, x, y = witness
-        return "%s splits %s,%s" % (flag(geom, f), geom.elem_names[x],
+        return "%s splits %s,%s" % (flag_text(geom, f), geom.elem_names[x],
                                     geom.elem_names[y])
     if name == "tq2doubleprime":
         f, a, b = witness
-        return "%s vs pair %s*%s" % (flag(geom, f), geom.elem_names[a],
+        return "%s vs pair %s*%s" % (flag_text(geom, f), geom.elem_names[a],
                                      geom.elem_names[b])
     if name == "tq1":
         f, reason = witness
-        return "%s: %s" % (flag(geom, f), reason)
+        return "%s: %s" % (flag_text(geom, f), reason)
     return str(witness)
 
 

@@ -3,7 +3,8 @@ Command-line front end.
 
 Exit codes: 0 when every requested check holds, 1 when some reported
 check is false or a comparison fails, 2 for parse/usage errors, 3 when a
-size cap is exceeded (a refusal, never a wrong answer).
+size cap is exceeded (a refusal, never a wrong answer), 141 when the
+reader of stdout left early (SIGPIPE).
 
 Each command imports only the modules it runs.  Every command loads io
 and the core (geometry, quotient, perms, axioms); on top of that `check`
@@ -15,14 +16,16 @@ and reproduce.  `axioms` and `quotient` load nothing more.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import io as gio
 from .axioms import OrbitQuotient, axioms_report, format_witness
-from .geometry import (all_flags, is_connected, is_firm, is_geometry,
-                       is_residually_connected, keep_flags, validate)
+from .geometry import (all_flags, flag_text, is_connected, is_firm,
+                       is_geometry, is_residually_connected, keep_flags,
+                       validate)
 from .perms import CapExceeded, PermGroup, normal_closure
 from .quotient import (Partition, Projection, check_flagslift, check_PQ1,
                        check_PQ2, is_cover, min_block_distance)
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141
 
 
 def _read(path):
@@ -83,26 +87,14 @@ def _emit(rows, notes, machine, elapsed=None):
 
 
 def _machine_value(value):
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "ok"
+    for const, text in ((True, "true"), (False, "false"), (None, "ok")):
+        if value is const:
+            return text
     return str(value)
 
 
 def _exit_from_rows(rows):
-    for _, value, _ in rows:
-        if value is False:
-            return EXIT_CHECK_FAILED
-    return EXIT_OK
-
-
-def _witness_names(geom, flag):
-    if flag is None:
-        return None
-    return "{%s}" % ",".join(geom.elem_names[x] for x in flag)
+    return EXIT_CHECK_FAILED if any(v is False for _, v, _ in rows) else EXIT_OK
 
 
 def cmd_check(args):
@@ -114,14 +106,14 @@ def cmd_check(args):
     rows = [("validate", bad is None, bad)]
     if bad is None:
         geo, w = is_geometry(geom)
-        rows.append(("geometry", geo, _witness_names(geom, w)))
+        rows.append(("geometry", geo, flag_text(geom, w)))
         rows.append(("connected", is_connected(geom), None))
         rc, w = is_residually_connected(geom)
-        rows.append(("residually-connected", rc, _witness_names(geom, w)))
+        rows.append(("residually-connected", rc, flag_text(geom, w)))
         if geo:
             firm, w = is_firm(geom)
             rows.append(("firm", firm,
-                         None if firm else _witness_names(geom, w[0])))
+                         None if firm else flag_text(geom, w[0])))
             edges = sorted(basic_diagram(geom).edges, key=sorted)
             rows.append(("diagram-edges", ";".join(
                 "%d-%d" % tuple(sorted(e)) for e in edges) or "none", None))
@@ -159,15 +151,15 @@ def cmd_quotient(args):
     else:  # decided once per G-orbit, rows kept under this command's keys
         report = axioms_report(oq)
     fl, w = report.pop("flagslift")
-    rows = [("flagslift", fl, _witness_names(q, w))]
+    rows = [("flagslift", fl, flag_text(q, w))]
     geo, w = is_geometry(q)
-    rows.append(("quotient-geometry", geo, _witness_names(q, w)))
+    rows.append(("quotient-geometry", geo, flag_text(q, w)))
     rows.append(("cover", report.pop("is-cover")[0], None))
     pq1, w = report.pop("pq1")
     rows.append(("pq1", pq1,
-                 None if pq1 else _witness_names(geom, w[0])))
+                 None if pq1 else flag_text(geom, w[0])))
     pq2, w = report.pop("pq2")
-    rows.append(("pq2", pq2, _witness_names(geom, w)))
+    rows.append(("pq2", pq2, flag_text(geom, w)))
     dist = (min_block_distance(geom, proj.partition) if oq is None
             else oq.block_distance)
     rows.append(("min-block-distance", str(dist), None))
@@ -202,7 +194,7 @@ def cmd_diagram(args):
     for (i, j), (kind, flag) in sorted(diag.evidence.items()):
         key = "pair-%s-%s" % (geom.type_names[i], geom.type_names[j])
         if kind == "edge":
-            rows.append((key, "edge", _witness_names(geom, flag)))
+            rows.append((key, "edge", flag_text(geom, flag)))
         else:
             rows.append((key, kind, None))
     rows.append(("forest", diag.is_forest(), None))
@@ -359,24 +351,15 @@ def build_parser():
 
     p = sub.add_parser("gen", help="emit example files")
     gensub = p.add_subparsers(dest="what", required=True)
-    q = gensub.add_parser("ssg")
-    q.add_argument("a", type=int, metavar="v")
-    q.add_argument("b", type=int, metavar="k")
-    q = gensub.add_parser("affine")
-    q.add_argument("a", type=int, metavar="d")
-    q.add_argument("b", type=int, metavar="q")
-    q = gensub.add_parser("coseteg")
-    q.add_argument("a", type=int, metavar="n")
-    q = gensub.add_parser("blowup")
-    q.add_argument("geometry")
-    q.add_argument("graph")
-    q = gensub.add_parser("lift")
-    q.add_argument("geometry")
-    q.add_argument("a", type=int, metavar="n")
-    q.add_argument("b", type=int, metavar="j")
-    q = gensub.add_parser("catalogue")
-    q.add_argument("name")
-    for q in gensub.choices.values():
+    # each kind's positionals; a dest:metavar is an int
+    for what, params in (("ssg", "a:v b:k"), ("affine", "a:d b:q"),
+                         ("coseteg", "a:n"), ("blowup", "geometry graph"),
+                         ("lift", "geometry a:n b:j"), ("catalogue", "name")):
+        q = gensub.add_parser(what)
+        for param in params.split():
+            dest, _, metavar = param.partition(":")
+            q.add_argument(dest, **{"type": int, "metavar": metavar}
+                           if metavar else {})
         q.add_argument("-o", "--output")
         q.add_argument("--dir")
         q.set_defaults(func=cmd_gen)
@@ -395,7 +378,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the buffered rest goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except gio.ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .geometry import (Pregeometry, all_flags, bfs, components,
-                       incidence_masks, is_connected, is_geometry)
+from .geometry import (Pregeometry, all_flags, bfs, bits, components,
+                       is_connected, is_geometry)
 from .perms import (Perm, PermGroup, _incidence_maps, _profile,
                     automorphism_group)
 from .quotient import Partition, Projection
@@ -29,15 +29,17 @@ class SimpleGraph:
     def __init__(self, names, edges):
         self.names = tuple(names)
         n = len(self.names)
-        norm = set()
+        norm, masks = set(), [0] * n
         for a, b in edges:
             if a == b:
                 raise ValueError("loops not allowed")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("vertex index out of range")
             norm.add((min(a, b), max(a, b)))
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
         self.edges = frozenset(norm)
-        self.masks = incidence_masks(n, self.edges)
+        self.masks = tuple(masks)
 
     @property
     def size(self):
@@ -211,10 +213,11 @@ def blowup(geom, graph):
             names.append("(%s,%s)" % (geom.elem_names[a], graph.names[d]))
             etype.append(geom.elem_type[a])
     pairs = []
-    for a, b in geom.pairs:
-        for d, e in graph.edges:
-            pairs.append((a * nv + d, b * nv + e))
-            pairs.append((a * nv + e, b * nv + d))
+    for a, m in enumerate(geom.masks):
+        for b in bits(m >> a + 1 << a + 1):
+            for d, e in graph.edges:
+                pairs.append((a * nv + d, b * nv + e))
+                pairs.append((a * nv + e, b * nv + d))
     return Pregeometry(geom.type_names, names, etype, pairs)
 
 
@@ -550,8 +553,6 @@ def isomorphic(ga, gb):
     if ga.rank != gb.rank or ga.size != gb.size:
         return False, None
     if tuple(len(v) for v in ga.by_type) != tuple(len(v) for v in gb.by_type):
-        return False, None
-    if len(ga.pairs) != len(gb.pairs):
         return False, None
     if (sorted(_profile(ga, x) for x in range(ga.size))
             != sorted(_profile(gb, y) for y in range(gb.size))):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .geometry import Pregeometry, flags_of_type, same_type_incidence
+from .geometry import Pregeometry, flags_of_type, mask_of, same_type_incidence
 from .perms import (Perm, PermGroup, _flag_orbits, check_automorphisms,
                     transitivity)
 
@@ -231,11 +231,14 @@ class CosetGeometry:
                     reps.append(x)
             coset_of.append(tuple(of))
         # two cosets meet exactly when some x lies in both
-        pairs = {(coset_of[i][x], coset_of[j][x])
-                 for i in range(len(subgroups))
-                 for j in range(i + 1, len(subgroups))
-                 for x in range(len(group))}
-        self.geometry = Pregeometry(type_names, elems, etype, pairs)
+        masks = [0] * len(elems)
+        for column in zip(*coset_of):  # the cosets that hold x
+            meet = mask_of(column)
+            for k in column:
+                masks[k] |= meet
+        self.geometry = Pregeometry._of_masks(
+            type_names, elems, etype,
+            [m & ~(1 << k) for k, m in enumerate(masks)])
         self.reps = tuple(reps)
         self.coset_of = tuple(coset_of)
 

@@ -11,9 +11,39 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .geometry import (_FrozenRecord, _per_geometry, bits, components,
-                       extensions, flags_of_type, is_flag, is_geometry,
+from .geometry import (_per_geometry, bits, components, extensions,
+                       flags_of_type, is_flag, is_geometry,
                        is_residually_connected, mask_of, non_incident_pair)
+
+
+class _Record:
+    """A plain record: repr and equality over the attributes __init__
+    sets, in order, as @dataclass makes them; unhashable unless frozen."""
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in vars(self).items()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+class _FrozenRecord(_Record):
+    """A record whose __init__ fills vars(self); it hashes by value, and
+    its attributes cannot be set or deleted afterwards."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 class Diagram(_FrozenRecord):

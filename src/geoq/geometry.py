@@ -3,11 +3,12 @@ Finite pregeometries: typed elements with a symmetric incidence relation.
 
 A pregeometry is stored with dense integer indices for both types and
 elements; all derived sets are ordered by index so every query is
-deterministic.  Incidence is kept as an irreflexive edge set `pairs`
-(reflexivity is implicit; compared, hashed and written out), and as a
-mask `masks[x]` per element x, an int with bit y set when x * y, which
-every query reads.  `bits` and `mask_of` turn a mask into its indices
-and back.  Flags are sorted tuples of element indices.
+deterministic.  Incidence is a mask `masks[x]` per element x, an int
+with bit y set when x * y (reflexivity is implicit): every query reads
+them, equality and hashing compare them, and library code builds from
+them (`_of_masks`).  `pairs`, the pairs a < b, is read off them for the
+writer.  `bits` and `mask_of` turn a mask into its indices and back.
+Flags are sorted tuples of element indices.
 
 A flag's common neighbours are the AND of its members' masks, and
 every flag, residue and incidence question ANDs masks; no internal path
@@ -37,9 +38,9 @@ INF = math.inf
 
 
 class Pregeometry:
-    """Immutable element set with a type map and incidence edges."""
+    """Immutable element set with a type map and incidence masks."""
 
-    __slots__ = ("type_names", "elem_names", "elem_type", "pairs", "masks",
+    __slots__ = ("type_names", "elem_names", "elem_type", "masks",
                  "by_type", "_elem_index", "_memo")
 
     def __init__(self, type_names, elem_names, elem_type, pairs):
@@ -51,45 +52,52 @@ class Pregeometry:
             raise ValueError("one type per element required")
         if len(set(self.type_names)) != len(self.type_names):
             raise ValueError("duplicate type name")
-        if len(set(self.elem_names)) != n:
+        self._elem_index = {name: i for i, name in enumerate(self.elem_names)}
+        if len(self._elem_index) != n:
             raise ValueError("duplicate element name")
-        for t in self.elem_type:
-            if not 0 <= t < len(self.type_names):
+        by_type = [[] for _ in self.type_names]
+        for x, t in enumerate(self.elem_type):
+            if not 0 <= t < len(by_type):
                 raise ValueError("type index out of range: %r" % (t,))
-        norm = set()
+            by_type[t].append(x)
+        self.by_type = tuple(map(tuple, by_type))
+        masks = [0] * n
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("element index out of range: (%r, %r)" % (a, b))
-            if a == b:
-                continue  # self-incidence is implicit
-            norm.add((a, b) if a < b else (b, a))
-        self.pairs = frozenset(norm)
-        self.masks = incidence_masks(n, self.pairs)
-        by_type = [[] for _ in self.type_names]
-        for x, t in enumerate(self.elem_type):
-            by_type[t].append(x)
-        self.by_type = tuple(tuple(v) for v in by_type)
-        self._elem_index = {name: i for i, name in enumerate(self.elem_names)}
+            if a != b:  # self-incidence is implicit
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        self.masks = tuple(masks)
         self._memo = None  # see _per_geometry
+
+    @classmethod
+    def _of_masks(cls, type_names, elem_names, elem_type, masks):
+        """From masks symmetric, irreflexive and in range by construction;
+        names and types are checked as above."""
+        geom = cls(type_names, elem_names, elem_type, ())
+        geom.masks = tuple(masks)
+        return geom
 
     @classmethod
     def build(cls, types, elems, incs):
         """Construct from names: elems is (name, typename) pairs, incs name pairs."""
         tidx = {t: i for i, t in enumerate(types)}
-        names = []
-        etype = []
         for name, tname in elems:
             if tname not in tidx:
                 raise ValueError("unknown type %r for element %r" % (tname, name))
-            names.append(name)
-            etype.append(tidx[tname])
-        eidx = {name: i for i, name in enumerate(names)}
-        pairs = []
+        eidx = {name: i for i, (name, _) in enumerate(elems)}
         for a, b in incs:
             if a not in eidx or b not in eidx:
                 raise ValueError("unknown element in incidence (%r, %r)" % (a, b))
-            pairs.append((eidx[a], eidx[b]))
-        return cls(types, names, etype, pairs)
+        return cls(types, [name for name, _ in elems],
+                   [tidx[tname] for _, tname in elems],
+                   [(eidx[a], eidx[b]) for a, b in incs])
+
+    @property
+    def pairs(self):
+        """The incidences as pairs a < b, read off the masks once."""
+        return _pair_set(self)
 
     @property
     def rank(self):
@@ -114,14 +122,14 @@ class Pregeometry:
         return (self.type_names == other.type_names
                 and self.elem_names == other.elem_names
                 and self.elem_type == other.elem_type
-                and self.pairs == other.pairs)
+                and self.masks == other.masks)
 
     def __hash__(self):
-        return hash((self.type_names, self.elem_names, self.elem_type, self.pairs))
+        return hash((self.type_names, self.elem_names, self.elem_type, self.masks))
 
     def __repr__(self):
         return "Pregeometry(%d types, %d elements, %d incidences)" % (
-            self.rank, self.size, len(self.pairs))
+            self.rank, self.size, sum(map(int.bit_count, self.masks)) // 2)
 
 
 def validate(geom):
@@ -162,8 +170,13 @@ def is_flag(geom, elems):
 def as_flag(geom, elems):
     flag = tuple(sorted(set(elems)))
     if not is_flag(geom, flag):
-        raise ValueError("not a flag: %r" % (tuple(geom.elem_names[x] for x in flag),))
+        raise ValueError("not a flag: %r" % (geom.flag_names(flag),))
     return flag
+
+
+def flag_text(geom, flag):
+    """A flag by element names, or None for None."""
+    return None if flag is None else "{%s}" % ",".join(geom.flag_names(flag))
 
 
 def extensions(geom, flag):
@@ -211,36 +224,6 @@ def mask_of(elements):
     return mask
 
 
-class _Record:
-    """A plain record: repr and equality over the attributes __init__
-    sets, in order, as @dataclass makes them; unhashable unless frozen."""
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % item for item in vars(self).items()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
-class _FrozenRecord(_Record):
-    """A record whose __init__ fills vars(self); it hashes by value, and
-    its attributes cannot be set or deleted afterwards."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
-
 def _per_geometry(fn):
     """Memoize fn(geom) on the geometry object itself: a pregeometry never
     changes, so the value is kept for as long as the geometry lives.
@@ -260,6 +243,12 @@ def _memo(geom):
     if geom._memo is None:
         geom._memo = {}
     return geom._memo
+
+
+@_per_geometry
+def _pair_set(geom):
+    return frozenset((a, b) for a, m in enumerate(geom.masks)
+                     for b in bits(m >> a + 1 << a + 1))
 
 
 def all_flags(geom):
@@ -444,24 +433,11 @@ def _restriction(geom, types, members):
     tmap = {t: k for k, t in enumerate(types)}
     emap = {x: k for k, x in enumerate(members)}
     masks, inside = geom.masks, mask_of(members)
-    # each incidence once, from its lower end: the members above a
-    pairs = [(emap[a], emap[b]) for a in members
-             for b in bits(masks[a] & (inside >> a + 1 << a + 1))]
-    return Pregeometry(
+    return Pregeometry._of_masks(
         [geom.type_names[t] for t in types],
         [geom.elem_names[x] for x in members],
         [tmap[geom.elem_type[x]] for x in members],
-        pairs)
-
-
-def incidence_masks(n, pairs):
-    """The neighbours of each of 0..n-1 under an edge set, as a mask: an
-    int with bit y set for each neighbour y."""
-    masks = [0] * n
-    for a, b in pairs:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    return tuple(masks)
+        [mask_of(emap[y] for y in bits(masks[x] & inside)) for x in members])
 
 
 def bfs(masks, sources, within=-1, stop=0, depth=INF):

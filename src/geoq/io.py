@@ -26,12 +26,8 @@ def _records(text):
 
 
 def parse_geometry(text):
-    types = []
-    elems = []
-    incs = []
-    any_record = False
+    types, elems, incs = [], [], []
     for lineno, rec in _records(text):
-        any_record = True
         kind, args = rec[0], rec[1:]
         if kind == "type" and len(args) == 1:
             types.append(args[0])
@@ -41,7 +37,7 @@ def parse_geometry(text):
             incs.append((args[0], args[1]))
         else:
             raise ParseError(lineno, "bad record %r" % " ".join(rec))
-    if not any_record:
+    if not (types or elems or incs):  # each record fills one
         raise ParseError(0, "empty geometry file")
     try:
         return Pregeometry.build(types, elems, incs)
@@ -60,7 +56,6 @@ def format_geometry(geom):
 
 def parse_partition(text, geom):
     listed = {}
-    order = []
     for lineno, rec in _records(text):
         if rec[0] != "block" or len(rec) < 3:
             raise ParseError(lineno, "bad record %r" % " ".join(rec))
@@ -74,8 +69,7 @@ def parse_partition(text, geom):
         if key in listed:
             raise ParseError(lineno, "duplicate block name %r" % key)
         listed[key] = members
-        order.append(key)
-    blocks = [listed[key] for key in order]
+    blocks = list(listed.values())
     covered = {x for b in blocks for x in b}
     blocks += [(x,) for x in range(geom.size) if x not in covered]
     try:
@@ -85,13 +79,8 @@ def parse_partition(text, geom):
 
 
 def format_partition(part, geom):
-    lines = []
-    k = 0
-    for block in part.blocks:
-        if len(block) > 1:
-            lines.append("block b%d %s" % (
-                k, " ".join(geom.elem_names[x] for x in block)))
-            k += 1
+    lines = ["block b%d %s" % (k, " ".join(geom.flag_names(block)))
+             for k, block in enumerate(b for b in part.blocks if len(b) > 1)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -146,18 +135,14 @@ def parse_group(text, geom, cap=None):
 
 
 def format_group(group, geom):
-    lines = []
-    for g in group.gens:
-        body = "".join("(%s)" % " ".join(geom.elem_names[x] for x in cyc)
-                       for cyc in g.cycles())
-        lines.append("gen %s" % body)
+    lines = ["gen %s" % "".join("(%s)" % " ".join(geom.flag_names(cyc))
+                                for cyc in g.cycles()) for g in group.gens]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_graph(text):
     from .constructions import SimpleGraph
-    names = []
-    edges = []
+    names, edges = [], []
     for lineno, rec in _records(text):
         if rec[0] == "vert" and len(rec) == 2:
             names.append(rec[1])

@@ -30,8 +30,8 @@ from .constructions import (SimpleGraph, blowup_projection, cycle_geometry,
                             cycle_rotation, eight_cycle, hexagon,
                             is_shadowable, multipartite_geometry,
                             ssg_symmetric_action)
-from .diagram import _forest_trees, lift_chamber_forest
-from .geometry import (Pregeometry, _Record, _memo, _short_maximal_flag,
+from .diagram import _Record, _forest_trees, lift_chamber_forest
+from .geometry import (Pregeometry, _memo, _short_maximal_flag,
                        all_flags, flags_of_type, is_connected, is_firm,
                        is_geometry, is_residually_connected, keep_flags)
 from .perms import (CapExceeded, PermGroup, automorphism_group,
@@ -76,12 +76,13 @@ def random_pregeometry(rng, max_rank=4, max_per_type=4):
             names.append("x%d_%d" % (t, i))
             etype.append(t)
     density = rng.uniform(0.3, 0.9)
-    pairs = []
+    masks = [0] * len(names)
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             if etype[a] != etype[b] and rng.random() < density:
-                pairs.append((a, b))
-    return Pregeometry([str(t) for t in range(rank)], names, etype, pairs)
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    return Pregeometry._of_masks(map(str, range(rank)), names, etype, masks)
 
 
 def repair_to_geometry(geom, rng):
@@ -90,7 +91,7 @@ def repair_to_geometry(geom, rng):
     They are added to local masks, and one pregeometry is built at the
     end, with the last walk, which saw every flag, as its flag table."""
     local = SimpleNamespace(masks=list(geom.masks))  # what all_flags reads
-    masks, pairs = local.masks, set(geom.pairs)
+    masks = local.masks
     while True:
         walked = []
         flag = _short_maximal_flag(masks, geom.rank, all_flags(local), walked)
@@ -101,12 +102,11 @@ def repair_to_geometry(geom, rng):
         t = rng.choice(missing)
         z = rng.choice(geom.by_type[t])
         for y in flag:
-            pairs.add((min(z, y), max(z, y)))
             masks[y] |= 1 << z
             masks[z] |= 1 << y
-    if len(pairs) > len(geom.pairs):
-        geom = Pregeometry(geom.type_names, geom.elem_names, geom.elem_type,
-                           pairs)
+    if masks != list(geom.masks):
+        geom = Pregeometry._of_masks(geom.type_names, geom.elem_names,
+                                     geom.elem_type, masks)
     keep_flags(geom, walked)
     return geom
 
@@ -122,9 +122,9 @@ def random_partition(rng, geom):
         rng.shuffle(pool)
         while pool:
             k = rng.randint(1, len(pool))
-            blocks.append(pool[:k])
+            blocks.append(tuple(sorted(pool[:k])))
             pool = pool[k:]
-    return Partition(geom, blocks)
+    return Partition._of_blocks(geom, blocks)  # a partition by construction
 
 
 # The suites' fixed instances, built once per process (module docstring).

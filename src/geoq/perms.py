@@ -24,6 +24,7 @@ them from a geometry to itself; constructions.isomorphic takes the first.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from itertools import combinations
 
@@ -58,6 +59,7 @@ class Perm:
         self.images = images
 
     @classmethod
+    @functools.cache  # shared: a Perm never changes
     def identity(cls, n):
         return cls(range(n))
 
@@ -312,6 +314,7 @@ class PermGroup:
         self.cap = cap
         self._elements = None
         self._sorted = None  # the elements as a sorted tuple, see __iter__
+        self._transversals = {}
         self._sims = None
 
     @classmethod
@@ -367,7 +370,9 @@ class PermGroup:
 
     def orbit_transversal(self, x):
         """Map y -> group element sending x to y, for y in the orbit of x."""
-        reps = {x: Perm.identity(self.degree)}
+        if x in self._transversals:
+            return self._transversals[x]
+        reps = self._transversals[x] = {x: Perm.identity(self.degree)}
         frontier = [x]
         while frontier:
             nxt = []
@@ -382,8 +387,7 @@ class PermGroup:
 
     def element_mapping(self, x, y):
         """Some group element with x -> y, or None."""
-        reps = self.orbit_transversal(x)
-        return reps.get(y)
+        return self.orbit_transversal(x).get(y)
 
 
 def is_automorphism(geom, perm):
@@ -393,7 +397,8 @@ def is_automorphism(geom, perm):
     im, et, masks = perm.images, geom.elem_type, geom.masks
     return (perm.degree == geom.size
             and all(et[y] == t for y, t in zip(im, et))
-            and all(masks[im[a]] >> im[b] & 1 for a, b in geom.pairs))
+            and all(masks[im[a]] >> im[b] & 1 for a, m in enumerate(masks)
+                    for b in bits(m >> a + 1 << a + 1)))
 
 
 def check_automorphisms(geom, group):
@@ -413,7 +418,9 @@ def check_automorphisms(geom, group):
 def orbit_partition(group, geom):
     """The orbits of an automorphism group as a type-refining partition."""
     check_automorphisms(geom, group)
-    return Partition(geom, group.orbits())
+    if group.degree != geom.size:
+        raise ValueError("group degree %d, not %d" % (group.degree, geom.size))
+    return Partition._of_blocks(geom, group.orbits())
 
 
 def stabilizer(group, flag):
@@ -590,7 +597,8 @@ def multicover_array(geom, group):
     constant over incident pairs (the uniformity hypothesis fails)."""
     part = orbit_partition(group, geom)
     first = {}  # (i, j) -> the first count and its pair
-    for a, b in sorted(geom.pairs):
+    for a, b in [(a, b) for a, m in enumerate(geom.masks)  # a < b, in order
+                 for b in bits(m >> a + 1 << a + 1)]:
         for x, y in ((a, b), (b, a)):
             i, j = geom.elem_type[x], geom.elem_type[y]
             k = ((geom.masks[x] | 1 << x)  # incident with x, or x

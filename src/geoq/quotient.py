@@ -21,26 +21,34 @@ class Partition:
     __slots__ = ("blocks", "block_of")
 
     def __init__(self, geom, blocks):
-        seen = set()
-        norm = []
+        norm, seen = [], set()
         for block in blocks:
             block = tuple(sorted(set(block)))
             if not block:
                 raise ValueError("empty block")
-            types = {geom.elem_type[x] for x in block}
-            if len(types) > 1:
+            if len({geom.elem_type[x] for x in block}) > 1:
                 raise ValueError("block %r crosses types"
                                  % (geom.flag_names(block),))
-            if seen & set(block):
+            if not seen.isdisjoint(block):
                 raise ValueError("overlapping blocks")
-            seen |= set(block)
+            seen.update(block)
             norm.append(block)
         if len(seen) != geom.size:
             missing = sorted(set(range(geom.size)) - seen)
             raise ValueError("blocks do not cover: missing %r"
                              % (geom.flag_names(missing),))
-        norm.sort(key=lambda b: (geom.elem_type[b[0]], b))
-        self.blocks = tuple(norm)
+        self._fill(geom, norm)
+
+    @classmethod
+    def _of_blocks(cls, geom, blocks):
+        """Unchecked, from increasing tuples that form a partition."""
+        part = object.__new__(cls)
+        part._fill(geom, blocks)
+        return part
+
+    def _fill(self, geom, blocks):
+        self.blocks = tuple(sorted(blocks,
+                                   key=lambda b: (geom.elem_type[b[0]], b)))
         block_of = [0] * geom.size
         for k, block in enumerate(self.blocks):
             for x in block:
@@ -72,7 +80,7 @@ class Projection:
         self.source, self.partition = source, partition
         self.block_of = block_of = partition.block_of
         self.inside = [mask_of(block) for block in partition.blocks]
-        names, etype, pairs = [], [], set()
+        names, etype, qmasks = [], [], [0] * len(partition.blocks)
         later = (1 << source.size) - 1  # the members of the blocks after k
         for k, block in enumerate(partition.blocks):
             later &= ~self.inside[k]
@@ -80,10 +88,13 @@ class Projection:
             for x in block:
                 near |= source.masks[x]
             # each pair of incident blocks once, from the earlier block
-            pairs.update((k, block_of[y]) for y in bits(near & later))
+            for y in bits(near & later):
+                qmasks[k] |= 1 << block_of[y]
+                qmasks[block_of[y]] |= 1 << k
             names.append("{%s}" % ",".join(source.elem_names[x] for x in block))
             etype.append(source.elem_type[block[0]])
-        self.quotient = Pregeometry(source.type_names, names, etype, pairs)
+        self.quotient = Pregeometry._of_masks(source.type_names, names, etype,
+                                              qmasks)
 
     def project_flag(self, flag):
         """The quotient flag of a source flag; raises ValueError when the

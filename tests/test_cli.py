@@ -1,6 +1,18 @@
+import contextlib
+import errno
+import functools
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from geoq.cli import main
+from geoq.cli import EXIT_PIPE, main
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -326,15 +338,41 @@ LEMMA_SUITE_COUNTS = {
 }
 
 
+@functools.cache
+def machine_reproduce(seed):
+    """Exit code and stdout of `--machine reproduce --count 200` at a
+    GEOQ_SEED, run once per seed for the tests below."""
+    saved = os.environ.get("GEOQ_SEED")
+    os.environ["GEOQ_SEED"] = seed
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["--machine", "reproduce", "--count", "200"])
+    finally:
+        if saved is None:
+            del os.environ["GEOQ_SEED"]
+        else:
+            os.environ["GEOQ_SEED"] = saved
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("seed", sorted(LEMMA_SUITE_COUNTS))
-def test_lemma_suite_counts_are_pinned(capsys, monkeypatch, seed):
-    monkeypatch.setenv("GEOQ_SEED", seed)
-    code, out, _ = run(capsys, "--machine", "reproduce", "lemma-suites",
-                       "--count", "200")
+def test_lemma_suite_counts_are_pinned(seed):
+    code, out = machine_reproduce(seed)
     assert code == 0
-    assert out.splitlines() == ["lemma-suites=pass"] + [
+    lines = out.splitlines()
+    at = lines.index("lemma-suites=pass")
+    assert lines[at:at + 12] == ["lemma-suites=pass"] + [
         "lemma-suites.%s[checked=%d,nonvacuous=%d]=(True, 0)" % counts
         for counts in LEMMA_SUITE_COUNTS[seed]]
+
+
+@pytest.mark.parametrize("seed", sorted(LEMMA_SUITE_COUNTS))
+def test_reproduce_output_is_pinned(seed):
+    # every scenario's every line, the draws of the randomized suites
+    # included, as the library printed them when these files were made
+    code, out = machine_reproduce(seed)
+    assert code == 0
+    assert out == (DATA / ("reproduce-%s.txt" % seed)).read_text()
 
 
 def test_reproduce_unknown_scenario(capsys):
@@ -511,3 +549,47 @@ def test_quotient_orbits_computes_the_block_distance_once(tmp_path, capsys,
     want = min_block_distance(geom, part)
     assert "min-block-distance=%s" % want in out.splitlines()
     assert ("tq3=%s" % str(want >= 4).lower()) in out.splitlines()
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises, as a pipe
+    whose other end is closed does; fileno is a descriptor of ours."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_with_its_own_status(tmp_path, capsys,
+                                                 monkeypatch):
+    # `geoq ... | head -1`: no traceback, and a status that no check
+    # result uses; the rest of the output goes to devnull
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(sink.fileno()))
+        code = main(["--machine", "reproduce", "hexagon"])
+        assert code == EXIT_PIPE == 141
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_in_a_fresh_interpreter():
+    # the reader closes its end before the command prints anything, so
+    # the flush in main meets the closed pipe, and nothing is left for
+    # the flush at exit to report
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from geoq.cli import main; sys.exit(main())",
+         "--machine", "reproduce", "hexagon"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_PIPE
+    assert err == b""

@@ -121,3 +121,16 @@ def test_golden_files_parse():
         elif name.endswith(".grp"):
             base = name.split("-n.grp")[0].split(".grp")[0] + ".geo"
             parse_group(text, parse_geometry(golden_text(base)))
+
+
+def test_geometry_file_of_one_record_kind_is_not_empty():
+    # a file is empty when it has no record at all, whichever kind a
+    # record would be
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(ParseError, match="empty geometry file"):
+            parse_geometry(text)
+    with pytest.raises(ParseError, match="unknown element in incidence"):
+        parse_geometry("inc x y\n")
+    assert parse_geometry("type A\n").size == 0
+    with pytest.raises(ParseError, match="unknown type 'A'"):
+        parse_geometry("elem x A\n")

@@ -24,6 +24,16 @@ versions before: the quotient mapped from every source pair, and each
 decider on extension sets, projected flags and a target set of blocks.
 `is_automorphism` is checked against its sorted-pair-tuple lookup.
 
+Library code builds a pregeometry from the masks it holds
+(`Pregeometry._of_masks`): projection quotients, random and repaired
+draws, coset geometries, residues and truncations.  Each is checked
+against the pregeometry the public constructor builds from the pair set
+the code made before (the same random draws, replayed), in everything a
+reader sees.  An orbit partition, taken from the union-find's orbits
+unchecked, and a random partition are checked against the public
+`Partition`, and `multicover_array`'s witnesses against its scan of
+the sorted pair set.
+
 The residue questions of the diagram layer -- digons, the basic diagram,
 purity, residual connectivity, direct sums and the path property -- are
 checked against their versions before they were decided on masks: each
@@ -38,7 +48,7 @@ from itertools import combinations
 import pytest
 
 from geoq import diagram
-from geoq.constructions import SimpleGraph, ssg
+from geoq.constructions import SimpleGraph, eight_cycle, hexagon, ssg
 from geoq.cosets import FiniteGroup, coseteg_family
 from geoq.diagram import (Diagram, DirectSumResult, basic_diagram,
                           direct_sum_check, is_pure, star_transitive_on_paths)
@@ -108,13 +118,61 @@ def _rebuilding_repair(geom, rng):
         z = rng.choice(geom.by_type[t])
         pairs = set(geom.pairs)
         pairs.update((min(z, y), max(z, y)) for y in flag)
-        geom = Pregeometry(geom.type_names, geom.elem_names,
+        geom = _pair_built(geom.type_names, geom.elem_names,
                            geom.elem_type, pairs)
 
 
 def _fresh(geom):
     return Pregeometry(geom.type_names, geom.elem_names, geom.elem_type,
                        geom.pairs)
+
+
+def _pair_built(type_names, elem_names, elem_type, pairs):
+    """A pregeometry from the public constructor, whose pair set is the
+    normalised edge list it was given."""
+    pairs = list(pairs)
+    geom = Pregeometry(type_names, elem_names, elem_type, pairs)
+    assert geom.pairs == {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    return geom
+
+
+def _same_build(got, want):
+    """A pregeometry built from masks against the one the public
+    constructor builds from pairs: everything a reader can see."""
+    assert got == want and hash(got) == hash(want)
+    assert got.pairs == want.pairs and got.masks == want.masks
+    assert got.by_type == want.by_type and repr(got) == repr(want)
+    assert (got.type_names, got.elem_names, got.elem_type) == (
+        want.type_names, want.elem_names, want.elem_type)
+    assert got._elem_index == want._elem_index
+
+
+def _pair_random_pregeometry(rng, max_rank=4, max_per_type=4):
+    # random_pregeometry before masks: the same draws into a pair list
+    rank = rng.randint(2, max_rank)
+    sizes = [rng.randint(1, max_per_type) for _ in range(rank)]
+    names, etype = [], []
+    for t, s in enumerate(sizes):
+        for i in range(s):
+            names.append("x%d_%d" % (t, i))
+            etype.append(t)
+    density = rng.uniform(0.3, 0.9)
+    pairs = [(a, b) for a in range(len(names))
+             for b in range(a + 1, len(names))
+             if etype[a] != etype[b] and rng.random() < density]
+    return _pair_built([str(t) for t in range(rank)], names, etype, pairs)
+
+
+def _replayed(rng, draw, oracle):
+    """draw(rng), and oracle(rng) from the same generator state, which
+    must consume the same draws; the generator ends where draw left it."""
+    state = rng.getstate()
+    got = draw(rng)
+    after = rng.getstate()
+    rng.setstate(state)
+    want = oracle(rng)
+    assert rng.getstate() == after
+    return got, want
 
 
 def _set_extensions(geom, adj, flag):
@@ -192,7 +250,7 @@ def _pair_scan_quotient(proj):
     pairs = {(min(ka, kb), max(ka, kb)) for a, b in src.pairs
              for ka, kb in [(part.block_of[a], part.block_of[b])]
              if ka != kb}
-    return Pregeometry(
+    return _pair_built(
         src.type_names,
         ["{%s}" % ",".join(src.elem_names[x] for x in block)
          for block in part.blocks],
@@ -321,8 +379,7 @@ def _check_deciders(proj, verdicts):
         return value
 
     src, q = proj.source, proj.quotient
-    want = _pair_scan_quotient(proj)
-    assert q == want and q.masks == want.masks
+    _same_build(q, _pair_scan_quotient(proj))
     adj, qadj = _neighbours(src), _neighbours(q)
     got = check_PQ1(proj)
     assert got == _set_check_PQ1(proj, adj, qadj)
@@ -357,7 +414,7 @@ def _pair_scan_restriction(geom, types, members):
     emap = {x: k for k, x in enumerate(members)}
     pairs = [(emap[a], emap[b]) for a, b in geom.pairs
              if a in emap and b in emap]
-    return Pregeometry(
+    return _pair_built(
         [geom.type_names[t] for t in types],
         [geom.elem_names[x] for x in members],
         [tmap[geom.elem_type[x]] for x in members],
@@ -376,7 +433,7 @@ def _check_restrictions(geom, flags):
             geom, [t for t in range(geom.rank) if t not in ftypes],
             _set_extensions(geom, adj, flag))
         assert members == tuple(_set_extensions(geom, adj, flag))
-        assert got == want and got.masks == want.masks
+        _same_build(got, want)
         seen += 1
     for r in range(1, geom.rank + 1):
         for types in combinations(range(geom.rank), r):
@@ -384,7 +441,7 @@ def _check_restrictions(geom, flags):
                        if geom.elem_type[x] in types]
             got = truncation(geom, types)
             want = _pair_scan_restriction(geom, list(types), members)
-            assert got == want and got.masks == want.masks
+            _same_build(got, want)
             seen += 1
     return seen
 
@@ -452,9 +509,17 @@ def test_mask_layer_agrees_with_set_layer(rng):
     perm_rng = random.Random(4417)  # kept apart, so the draws are unchanged
     for i in range(520):
         if i % 2:
-            geom = random_geometry(rng, max_rank=4, max_per_type=3)
+            geom, want = _replayed(
+                rng, lambda r: random_geometry(r, max_rank=4, max_per_type=3),
+                lambda r: _rebuilding_repair(_pair_random_pregeometry(
+                    r, max_rank=4, max_per_type=3), r))
         else:
-            geom = random_pregeometry(rng, max_rank=4, max_per_type=4)
+            geom, want = _replayed(
+                rng, lambda r: random_pregeometry(r, max_rank=4,
+                                                  max_per_type=4),
+                lambda r: _pair_random_pregeometry(r, max_rank=4,
+                                                   max_per_type=4))
+        _same_build(geom, want)
         flags = _check_flag_layer(geom)
         _check_restrictions(geom, flags)
         verdicts.add(is_geometry(geom)[0])
@@ -480,7 +545,7 @@ def test_repair_agrees_with_rebuilding_loop(rng, bundled_geometries):
         rng.setstate(state)
         want = _rebuilding_repair(_fresh(geom), rng)
         assert rng.getstate() == after
-        assert got == want and got.masks == want.masks
+        _same_build(got, want)
         assert _flag_table(got) == tuple(_recursive_all_flags(want))
         assert is_geometry(got) == (True, None)
         repaired += got is not geom
@@ -736,3 +801,195 @@ def test_residue_questions_agree_on_bundled_geometries_and_coseteg7(
         _check_residue_questions(geom, verdicts, monkeypatch)
     assert verdicts == {name: BOTH for name in verdicts}, verdicts
     assert len(verdicts) == 7
+
+
+def _pair_coset_geometry(cg):
+    """CosetGeometry's pregeometry as it was built before masks: the
+    pair set of two cosets holding a common group element."""
+    coset_of, n = cg.coset_of, len(cg.group)
+    pairs = {(coset_of[i][x], coset_of[j][x])
+             for i in range(len(coset_of)) for j in range(i + 1, len(coset_of))
+             for x in range(n)}
+    geom = cg.geometry
+    return _pair_built(geom.type_names, geom.elem_names, geom.elem_type,
+                       pairs)
+
+
+def test_coset_geometries_from_masks_agree_with_pair_sets(rng, monkeypatch):
+    from geoq import lemmas
+    from geoq.cosets import CosetGeometry
+    from geoq.lemmas import random_coset_instance
+    made = []
+
+    class Recorded(CosetGeometry):
+        def __init__(self, group, subgroups):
+            super().__init__(group, subgroups)
+            made.append(self)
+
+    monkeypatch.setattr(lemmas, "CosetGeometry", Recorded)
+    for _ in range(200):
+        random_coset_instance(rng)
+    families = [coseteg_family(FiniteGroup.cyclic(n)) for n in (2, 3, 5)]
+    made += [fam.cg for fam in families]
+    ranks = set()
+    for cg in made:
+        _same_build(cg.geometry, _pair_coset_geometry(cg))
+        ranks.add(cg.geometry.rank)
+    assert len(made) == 203 and ranks == {2, 3, 4}, ranks
+
+
+def _fixed_orbit_quotients():
+    from geoq.constructions import (multipartite_geometry, shadowable_lift,
+                                    ssg_symmetric_action)
+    for n in (2, 5, 7):
+        fam = coseteg_family(FiniteGroup.cyclic(n))
+        yield fam.geometry, fam.action_group()
+        yield fam.geometry, fam.n_action_group()
+    parent, sym = ssg_symmetric_action(3, 2)
+    yield parent, sym
+    lift = shadowable_lift(parent, 3, 2)
+    yield lift.geometry, lift.wreath_group(sym)
+    geom, n_group, g_group = multipartite_geometry(2, 4, 2)
+    yield geom, n_group
+    yield geom, g_group
+    yield hexagon()
+    yield eight_cycle()
+
+
+def test_orbit_partition_agrees_with_checked_partition(rng):
+    # orbit_partition takes _orbits' output unchecked (as random_partition
+    # takes its draws); the public
+    # constructor, which checks the blocks, builds the same partition
+    from geoq.lemmas import random_orbit_quotient
+    from geoq.perms import PermGroup
+    from geoq.quotient import Partition
+    instances = list(_fixed_orbit_quotients())
+    while len(instances) < 14 + 300:
+        oq = random_orbit_quotient(rng)
+        if oq is not None:
+            instances.append((oq.geom, oq.group))
+    sizes = set()
+    for geom, group in instances:
+        got = orbit_partition(group, geom)
+        want = Partition(geom, group.orbits())
+        assert got == want and type(got) is Partition
+        assert (got.blocks, got.block_of) == (want.blocks, want.block_of)
+        sizes.add(len(got) < geom.size)
+    assert sizes == {True, False}
+    geom = hexagon()[0]
+    for degree in (geom.size - 1, geom.size + 1):
+        with pytest.raises(ValueError, match="group degree"):
+            orbit_partition(PermGroup.trivial(degree), geom)
+
+
+def test_masks_built_geometry_checks_names_and_types():
+    # Pregeometry._of_masks refuses what the public constructor refuses,
+    # with its message
+    cases = [(["A", "B"], ["a", "a"], [0, 1]),
+             (["A", "B"], ["a", "b"], [0, 2]),
+             (["A", "B"], ["a", "b"], [-1, 1]),
+             (["A", "A"], ["a", "b"], [0, 1]),
+             (["A", "B"], ["a", "b"], [0])]
+    messages = []
+    for types, names, etype in cases:
+        with pytest.raises(ValueError) as public:
+            Pregeometry(types, names, etype, [])
+        with pytest.raises(ValueError) as private:
+            Pregeometry._of_masks(types, names, etype, [0] * len(names))
+        assert str(private.value) == str(public.value)
+        messages.append(str(public.value))
+    assert messages == ["duplicate element name",
+                        "type index out of range: 2",
+                        "type index out of range: -1",
+                        "duplicate type name",
+                        "one type per element required"]
+
+
+def test_public_constructor_normalises_its_pairs():
+    # self-incidence is implicit, a pair and its reverse are one
+    # incidence, and geometries that differ in one incidence differ
+    geom = Pregeometry(["A", "B"], ["a", "b", "c"], [0, 1, 1],
+                       [(0, 0), (1, 0), (0, 1), (2, 2), (0, 2)])
+    assert geom.masks == (0b110, 0b001, 0b001)
+    assert geom.pairs == {(0, 1), (0, 2)}
+    one = Pregeometry(geom.type_names, geom.elem_names, geom.elem_type,
+                      [(0, 1)])
+    assert one != geom and one.masks == (0b010, 0b001, 0)
+    assert hash(one) != hash(geom) or one.masks != geom.masks
+    assert repr(one) == "Pregeometry(2 types, 3 elements, 1 incidences)"
+    with pytest.raises(ValueError, match=r"out of range: \(0, 3\)"):
+        Pregeometry(["A", "B"], ["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 3)])
+
+
+def _pair_multicover_array(geom, group):
+    # multicover_array before masks: the pairs in sorted order
+    part = orbit_partition(group, geom)
+    first = {}
+    for a, b in sorted(geom.pairs):
+        for x, y in ((a, b), (b, a)):
+            i, j = geom.elem_type[x], geom.elem_type[y]
+            k = sum(1 for z in part.blocks[part.block_of[y]]
+                    if geom.incident(x, z))
+            k0, pair = first.setdefault((i, j), (k, (x, y)))
+            if k0 != k:
+                return ("raised", (i, j), k0, pair, k, (x, y))
+    return [[first.get((i, j), (None,))[0] for j in range(geom.rank)]
+            for i in range(geom.rank)]
+
+
+def test_multicover_array_agrees_with_sorted_pair_scan(rng):
+    # the witness of a count that is not constant is the first ordered
+    # pair of each type pair in sorted-pair order, as before
+    import re
+    from geoq.lemmas import random_orbit_quotient
+    from geoq.perms import multicover_array
+    outcomes = set()
+    draws = 0
+    while draws < 300:
+        oq = random_orbit_quotient(rng)
+        if oq is None:
+            continue
+        draws += 1
+        geom = oq.geom
+        want = _pair_multicover_array(geom, oq.group)
+        try:
+            got = multicover_array(geom, oq.group)
+        except ValueError as exc:
+            i, j, k0, k = map(int, re.findall(r"\((\d+), (\d+)\): (\d+) at"
+                                              r".* vs (\d+) at", str(exc))[0])
+            assert want[0] == "raised" and want[1:3] == ((i, j), k0)
+            assert str(exc).endswith("%d at %r vs %d at %r" % (
+                k0, geom.flag_names(want[3]), k, geom.flag_names(want[5])))
+            outcomes.add("raised")
+        else:
+            assert got == want
+            outcomes.add("constant")
+    assert outcomes == {"raised", "constant"}
+
+
+def _checked_random_partition(rng, geom):
+    # random_partition before the unchecked path: the same draws, through
+    # the public constructor
+    from geoq.quotient import Partition
+    blocks = []
+    for members in geom.by_type:
+        pool = list(members)
+        rng.shuffle(pool)
+        while pool:
+            k = rng.randint(1, len(pool))
+            blocks.append(pool[:k])
+            pool = pool[k:]
+    return Partition(geom, blocks)
+
+
+def test_random_partition_agrees_with_checked_partition(
+        rng, bundled_geometries):
+    shapes = set()
+    draws = [random_pregeometry(rng) for _ in range(300)]
+    for geom in draws + bundled_geometries:
+        got, want = _replayed(rng, lambda r: random_partition(r, geom),
+                              lambda r: _checked_random_partition(r, geom))
+        assert got == want
+        assert (got.blocks, got.block_of) == (want.blocks, want.block_of)
+        shapes.add((len(got) == geom.size, len(got) == geom.rank))
+    assert len(shapes) >= 3, shapes
