@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .geometry import (Pregeometry, all_flags, bfs, bits, components,
-                       is_connected, is_geometry)
+from .geometry import (Pregeometry, all_flags, bfs, components,
+                       incident_pairs, is_connected, is_geometry)
 from .perms import (Perm, PermGroup, _incidence_maps, _profile,
                     automorphism_group)
 from .quotient import Partition, Projection
@@ -213,11 +213,10 @@ def blowup(geom, graph):
             names.append("(%s,%s)" % (geom.elem_names[a], graph.names[d]))
             etype.append(geom.elem_type[a])
     pairs = []
-    for a, m in enumerate(geom.masks):
-        for b in bits(m >> a + 1 << a + 1):
-            for d, e in graph.edges:
-                pairs.append((a * nv + d, b * nv + e))
-                pairs.append((a * nv + e, b * nv + d))
+    for a, b in incident_pairs(geom):
+        for d, e in graph.edges:
+            pairs.append((a * nv + d, b * nv + e))
+            pairs.append((a * nv + e, b * nv + d))
     return Pregeometry(geom.type_names, names, etype, pairs)
 
 

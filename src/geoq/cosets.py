@@ -1,7 +1,13 @@
 """
-Abstract finite groups (multiplication-table semantics), subgroups and
-coset pregeometries: right cosets of designated subgroups, incident when
-they intersect, with the right-multiplication action.
+Finite groups as permutation actions, subgroups and coset pregeometries:
+right cosets of designated subgroups, incident when they intersect, with
+the right-multiplication action.
+
+A FiniteGroup is the faithful permutation action of its construction:
+element x is the images tuple act[x], and x*y is the element whose
+action is act[x] followed by act[y] (Perm's product).  The identity and
+inverses are looked up in one {action: index} dict, and subgroups are
+closed by perms' one closure loop; no product table is kept.
 
 A coset pregeometry is one index table, coset_of[i][x]: the coset of
 type i that holds group element x.  Incidences are the pairs
@@ -13,179 +19,149 @@ here lists a permutation group.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .geometry import Pregeometry, flags_of_type, mask_of, same_type_incidence
-from .perms import (Perm, PermGroup, _flag_orbits, check_automorphisms,
+from .perms import (DEFAULT_CAP, CapExceeded, Perm, PermGroup, _closure,
+                    _flag_orbits, _inverse, _then, check_automorphisms,
                     transitivity)
 
 
 class FiniteGroup:
-    """Indexed element set with a full multiplication table."""
+    """Named elements, each a permutation (its images tuple act[x]) of
+    one set of points; the actions are distinct and form a group."""
 
-    __slots__ = ("names", "mul", "inv", "id", "_index")
+    __slots__ = ("names", "act", "id", "_of", "_then", "_gens")
 
-    def __init__(self, names, mul, check=True):
-        self.names = tuple(names)
-        n = len(self.names)
-        self.mul = tuple(tuple(row) for row in mul)
-        if len(self.mul) != n or any(len(row) != n for row in self.mul):
-            raise ValueError("multiplication table must be %d x %d" % (n, n))
-        ident = None
-        for e in range(n):
-            if all(self.mul[e][x] == x and self.mul[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+    def __init__(self, names, act, check=True):
+        """check=False takes actions that form a group by construction."""
+        self.names, self.act = tuple(names), tuple(map(tuple, act))
+        act = self.act
+        self._of = {a: x for x, a in enumerate(act)}
+        self._then = [_then(a) for a in act]  # _then[x](act[y]): x*y
+        self.id = self._of.get(tuple(range(len(act[0]))) if act else ())
+        self._gens = None
+        if not check:
+            return
+        if len(self.names) != len(act):
+            raise ValueError("%d names for %d actions"
+                             % (len(self.names), len(act)))
+        if len(set(map(len, act))) > 1:
+            raise ValueError("actions of mixed degree")
+        for a in act:
+            Perm(a)  # raises ValueError("not a permutation: ...")
+        if len(self._of) != len(act):
+            raise ValueError("repeated action")
+        if self.id is None:
             raise ValueError("no identity element")
-        self.id = ident
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if self.mul[x][y] == ident and self.mul[y][x] == ident:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise ValueError("element %r has no inverse" % (self.names[x],))
-        self.inv = tuple(inv)
-        self._index = {name: i for i, name in enumerate(self.names)}
-        if check:
-            self._check_associativity()
-
-    def _check_associativity(self):
-        """Light's test: the elements s with (x*s)*y == x*(s*y) for all x, y
-        are closed under products, so checking the generators, from which
-        right multiplication reaches every element, is exact."""
-        mul = self.mul
-        n = len(self.names)
-        for s in self.generators():
-            for x in range(n):
-                xs = mul[x][s]
-                for y in range(n):
-                    if mul[xs][y] != mul[x][mul[s][y]]:
-                        raise ValueError(
-                            "multiplication table is not associative")
+        try:  # the actions lie in their picks' closure, capped at their count
+            self._gens = self._pick(range(len(act)), len(act))
+        except CapExceeded:
+            raise ValueError("actions not closed under products") from None
 
     def __len__(self):
         return len(self.names)
 
-    def index(self, name):
-        return self._index[name]
+    def product(self, x, y):
+        return self._of[self._then[x](self.act[y])]
+
+    def inverse(self, x):
+        return self._of[_inverse(self.act[x])]
 
     def is_abelian(self):
-        n = len(self.names)
-        return all(self.mul[x][y] == self.mul[y][x]
-                   for x in range(n) for y in range(x + 1, n))
+        return all(self.product(a, b) == self.product(b, a)
+                   for a, b in combinations(self.generators(), 2))
 
     @classmethod
     def cyclic(cls, n):
-        names = [str(i) for i in range(n)]
-        mul = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return cls(names, mul, check=False)
+        """The rotations of n points."""
+        return cls([str(i) for i in range(n)],
+                   [tuple(range(i, n)) + tuple(range(i)) for i in range(n)])
 
     @classmethod
     def direct_product(cls, *groups):
         """Elements in itertools.product order: (c_1, ..., c_k) has the
-        mixed-radix index ((c_1 n_2 + c_2) n_3 + ...) n_k + c_k, so each
-        factor extends the table by index arithmetic."""
-        names, mul = [()], [[0]]
+        mixed-radix index ((c_1 n_2 + c_2) n_3 + ...) n_k + c_k, and acts
+        on the disjoint union of the factors' points."""
+        names, act = [()], [()]
         for g in groups:
-            n = len(g)
+            shift = len(act[0])
+            moved = [tuple(p + shift for p in a) for a in g.act]
             names = [p + (name,) for p in names for name in g.names]
-            mul = [[a * n + b for a in row for b in g.mul[c]]
-                   for row in mul for c in range(n)]
-        return cls(["(%s)" % ",".join(p) for p in names], mul, check=False)
+            act = [a + b for a in act for b in moved]
+        return cls(["(%s)" % ",".join(p) for p in names], act, check=False)
 
     @classmethod
     def symmetric(cls, n):
-        perms = sorted(permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        names = ["[%s]" % "".join(map(str, p)) for p in perms]
-        mul = [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]
-        return cls(names, mul, check=False)
-
-    def _closure(self, seed):
-        """Everything reached from the identity by right multiplication by
-        seed elements; in a finite group that is the subgroup they generate,
-        as inverses are positive powers."""
-        members = {self.id}
-        frontier = [self.id]
-        seed = sorted(set(seed))
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seed:
-                    y = self.mul[x][s]
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return members
+        """The permutations of n points themselves, in sorted order."""
+        act = tuple(permutations(range(n)))  # sorted
+        return cls(["[%s]" % "".join(map(str, p)) for p in act], act,
+                   check=False)
 
     def subgroup_generated(self, seed):
-        return Subgroup(self, self._closure(seed))
+        act, index = self.act, self._of
+        return Subgroup(self, [index[a] for a in _closure(
+            {act[s] for s in seed}, act[self.id])], check=False)
 
     def generators(self, members=None):
         """A small generating set of the subgroup on the given members
-        (default: the whole group), chosen greedily in index order."""
-        members = range(len(self.names)) if members is None else sorted(members)
-        gens = []
-        have = {self.id}
+        (default: the whole group), chosen greedily in index order: each
+        member not generated by the earlier picks."""
+        if members is None:
+            if self._gens is None:
+                self._gens = self._pick(range(len(self)))
+            return list(self._gens)
+        return self._pick(sorted(members))
+
+    def _pick(self, members, cap=None):
+        act, identity = self.act, self.act[self.id]
+        picks, have = [], {identity}
         for x in members:
-            if x not in have:
-                gens.append(x)
-                have = self._closure(gens)
-                if len(have) == len(members):
-                    break
-        return gens
+            if act[x] not in have:
+                picks.append(x)
+                have = _closure([act[p] for p in picks], identity, cap)
+        return picks
 
 
 class Subgroup:
-    """A verified subgroup: closed under products and inverses."""
+    """A subgroup, given by its members: made by a closure, or checked to
+    be closed when a caller lists them."""
 
     __slots__ = ("parent", "members", "name")
 
-    def __init__(self, parent, members, name=None):
-        self.parent = parent
+    def __init__(self, parent, members, name=None, check=True):
+        """check=False takes the members of a closure."""
+        self.parent, self.name = parent, name
         self.members = tuple(sorted(set(members)))
-        self.name = name
-        mem = set(self.members)
-        if parent.id not in mem:
+        if not check:
+            return
+        # members lie in the group they generate: equal sizes make it them
+        act = parent.act
+        if parent.id not in self.members:
             raise ValueError("subgroup must contain the identity")
-        for x in self.members:
-            if parent.inv[x] not in mem:
-                raise ValueError("subgroup not closed under inverses")
-            for y in self.members:
-                if parent.mul[x][y] not in mem:
-                    raise ValueError("subgroup not closed under products")
+        if len(_closure({act[x] for x in self.members},
+                        act[parent.id])) != len(self.members):
+            raise ValueError("subgroup not closed under products")
 
     def __len__(self):
         return len(self.members)
 
-    def __contains__(self, x):
-        return x in set(self.members)
-
     def named(self, name):
-        return Subgroup(self.parent, self.members, name)
+        return Subgroup(self.parent, self.members, name, check=False)
 
 
 def set_product(G, xs, ys):
-    return frozenset(G.mul[x][y] for x in xs for y in ys)
+    return frozenset(G.product(x, y) for x in xs for y in ys)
 
 
 def product_condition(G, pivot, others):
     """The flag-transitivity product condition with the given pivot:
     the intersection of the products pivot*G_j equals pivot*(intersection
     of the G_j)."""
-    lhs = None
-    for sub in others:
-        term = set_product(G, pivot.members, sub.members)
-        lhs = term if lhs is None else (lhs & term)
-    inter = set(others[0].members)
-    for sub in others[1:]:
-        inter &= set(sub.members)
-    rhs = set_product(G, pivot.members, inter)
-    return lhs == rhs
+    lhs = frozenset.intersection(*[set_product(G, pivot.members, sub.members)
+                                   for sub in others])
+    inter = set.intersection(*[set(sub.members) for sub in others])
+    return lhs == set_product(G, pivot.members, inter)
 
 
 def rank3_ft_condition(G, G1, G2, G3):
@@ -216,15 +192,17 @@ class CosetGeometry:
                       for i, sub in enumerate(subgroups)]
         if len(set(type_names)) != len(type_names):
             raise ValueError("duplicate subgroup names")
-        mul = group.mul
+        act, index = group.act, group._of
         elems, etype, reps, coset_of = [], [], [], []
         for i, sub in enumerate(subgroups):
             of = [None] * len(group)
+            left = [group._then[h] for h in sub.members]  # x -> h x
             for x in range(len(group)):
                 if of[x] is None:
                     k = len(elems)
-                    for h in sub.members:
-                        of[mul[h][x]] = k
+                    ax = act[x]
+                    for then in left:
+                        of[index[then(ax)]] = k
                     elems.append(type_names[i] if x == group.id else
                                  "%s*%s" % (type_names[i], group.names[x]))
                     etype.append(i)
@@ -245,9 +223,11 @@ class CosetGeometry:
     def action_of(self, g):
         """The permutation induced on cosets by right multiplication:
         H_i x g is the coset of type i that contains x g."""
-        mul = self.group.mul
-        return Perm([self.coset_of[i][mul[x][g]]
-                     for i, x in zip(self.geometry.elem_type, self.reps)])
+        group, coset_of = self.group, self.coset_of
+        ag, index, then = group.act[g], group._of, group._then
+        return Perm._trusted(tuple([
+            coset_of[i][index[then[x](ag)]]
+            for i, x in zip(self.geometry.elem_type, self.reps)]))
 
     def action_group(self, members=None):
         """Right-multiplication action of the whole group (or of the given
@@ -268,8 +248,7 @@ def coset_pregeometry(G, subgroups):
 def rank2_connectivity(G, Gi, Gj):
     """The rank-2 truncation on two cosets types is connected iff the two
     subgroups generate the whole group."""
-    generated = G.subgroup_generated(set(Gi.members) | set(Gj.members))
-    return len(generated) == len(G)
+    return len(G.subgroup_generated(Gi.members + Gj.members)) == len(G)
 
 
 class CosetExampleFamily:
@@ -284,26 +263,28 @@ class CosetExampleFamily:
             raise ValueError("base group must be abelian")
         if len(A) < 2:
             raise ValueError("base group must have order at least 2")
+        if len(A) ** 3 > DEFAULT_CAP:  # |A^3|, before building it
+            raise CapExceeded("group order %d exceeds cap %d"
+                              % (len(A) ** 3, DEFAULT_CAP))
         self.A = A
         G = FiniteGroup.direct_product(A, A, A)
         self.G = G
-        n = len(A)
-        g1 = {self._triple((x, A.id, x)) for x in range(n)}
-        g2 = {self._triple((x, A.id, A.id)) for x in range(n)}
-        g3 = {self._triple((x, x, A.id)) for x in range(n)}
+        e, one, n = self.element, A.id, len(A)
+        g1 = {e(x, one, x) for x in range(n)}
+        g2 = {e(x, one, one) for x in range(n)}
+        g3 = {e(x, x, one) for x in range(n)}
         g4 = {G.id}
-        diag = {self._triple((x, x, x)) for x in range(n)}
+        diag = {e(x, x, x) for x in range(n)}
         self.subgroups = (Subgroup(G, g1, "G1"), Subgroup(G, g2, "G2"),
                           Subgroup(G, g3, "G3"), Subgroup(G, g4, "G4"))
         self.N = Subgroup(G, diag, "N")
         self.geometry, self.cg = coset_pregeometry(G, self.subgroups)
 
-    def _triple(self, xyz):
-        return self.G.index("(%s,%s,%s)" % tuple(self.A.names[c] for c in xyz))
-
     def element(self, x, y, z):
-        """Index in the cube of the triple with the given base-group parts."""
-        return self._triple((x, y, z))
+        """Index in the cube of the triple with the given base-group parts
+        (mixed radix, as direct_product lists them)."""
+        n = len(self.A)
+        return (x * n + y) * n + z
 
     def action_group(self):
         return self.cg.action_group()
@@ -313,9 +294,7 @@ class CosetExampleFamily:
 
     def truncation3(self):
         """The rank-3 member on the first three subgroups."""
-        subs = self.subgroups[:3]
-        geom, cg = coset_pregeometry(self.G, subs)
-        return geom, cg
+        return coset_pregeometry(self.G, self.subgroups[:3])
 
 
 def coseteg_family(A):

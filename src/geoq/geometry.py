@@ -6,8 +6,9 @@ elements; all derived sets are ordered by index so every query is
 deterministic.  Incidence is a mask `masks[x]` per element x, an int
 with bit y set when x * y (reflexivity is implicit): every query reads
 them, equality and hashing compare them, and library code builds from
-them (`_of_masks`).  `pairs`, the pairs a < b, is read off them for the
-writer.  `bits` and `mask_of` turn a mask into its indices and back.
+them (`_of_masks`).  `incident_pairs`, the pairs a < b in order, and
+`pairs`, their set, are read off them once.  `bits` and `mask_of` turn
+a mask into its indices and back.
 Flags are sorted tuples of element indices.
 
 A flag's common neighbours are the AND of its members' masks, and
@@ -246,9 +247,15 @@ def _memo(geom):
 
 
 @_per_geometry
+def incident_pairs(geom):
+    """The incidences as pairs a < b, in order."""
+    return tuple([(a, b) for a, m in enumerate(geom.masks)
+                  for b in bits(m >> a + 1 << a + 1)])
+
+
+@_per_geometry
 def _pair_set(geom):
-    return frozenset((a, b) for a, m in enumerate(geom.masks)
-                     for b in bits(m >> a + 1 << a + 1))
+    return frozenset(incident_pairs(geom))
 
 
 def all_flags(geom):

@@ -7,7 +7,7 @@ order) and round-trips bit-exactly on canonical files.
 
 from __future__ import annotations
 
-from .geometry import Pregeometry
+from .geometry import Pregeometry, incident_pairs
 from .perms import DEFAULT_CAP, Perm, PermGroup
 from .quotient import Partition
 
@@ -50,7 +50,7 @@ def format_geometry(geom):
     lines += ["elem %s %s" % (name, geom.type_names[geom.elem_type[x]])
               for x, name in enumerate(geom.elem_names)]
     lines += ["inc %s %s" % (geom.elem_names[a], geom.elem_names[b])
-              for a, b in sorted(geom.pairs)]
+              for a, b in incident_pairs(geom)]
     return "\n".join(lines) + "\n"
 
 

@@ -6,9 +6,9 @@ stabilizers and normal closures come from one deterministic
 Schreier-Sims chain (_Chain: a base, strong generators per level and
 transversals; Sims 1970, Seress, *Permutation Group Algorithms*, 2003,
 ch. 4), built on first use without listing the group.  Only elements()
-lists G, by plain breadth-first closure under a configurable cap; the
-chain refuses a group above that cap with the same CapExceeded.  Every
-orbit question goes through _orbits, the one union-find, on the
+lists G, by _closure, the one closure loop, under a configurable cap;
+the chain refuses a group above that cap with the same CapExceeded.
+Every orbit question goes through _orbits, the one union-find, on the
 generators' images of indices, never listing the group: of points,
 flag positions (_flag_orbits) or any items (orbits_on).  Products and
 inverses are built without re-checking that they are permutations;
@@ -27,9 +27,11 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from itertools import combinations
+from operator import itemgetter
 
 from .geometry import (_flag_links, _memo, bits, flags_by_rank_lex,
-                       flags_of_type, mask_of, same_type_incidence)
+                       flags_of_type, incident_pairs, mask_of,
+                       same_type_incidence)
 from .quotient import Partition
 
 DEFAULT_CAP = 200_000
@@ -91,7 +93,7 @@ class Perm:
         if len(images) != len(self.images):
             raise ValueError("degree mismatch: %d and %d"
                              % (len(self.images), len(images)))
-        return Perm._trusted(tuple([images[x] for x in self.images]))
+        return Perm._trusted(_then(self.images)(images))
 
     def inv(self):
         return Perm._trusted(_inverse(self.images))
@@ -170,18 +172,22 @@ def orbits_on(gens, items, act):
             for orbit in _orbits(rows, len(items))]
 
 
-def mulclose(gens, cap=DEFAULT_CAP):
-    """Breadth-first closure of a generator set under composition."""
-    if not gens:
-        return set()
-    els = {Perm.identity(gens[0].degree)}
-    els.update(gens)
-    frontier = list(els)
+def _then(h):
+    """g -> h then g, on images tuples of h's degree."""
+    return itemgetter(*h) if len(h) > 1 else lambda g: g
+
+
+def _closure(gens, identity, cap=None):
+    """The one closure loop: the images tuples reached from identity by
+    putting generators in front, breadth first; the group they generate."""
+    els = {identity}
+    frontier = [identity]
+    fronts = [_then(g) for g in gens]  # h -> g then h
     while frontier:
         new = []
-        for g in gens:
-            for h in frontier:
-                c = h * g
+        for h in frontier:
+            for front in fronts:
+                c = front(h)
                 if c not in els:
                     els.add(c)
                     new.append(c)
@@ -189,6 +195,14 @@ def mulclose(gens, cap=DEFAULT_CAP):
                         raise CapExceeded("group order exceeds cap %d" % cap)
         frontier = new
     return els
+
+
+def mulclose(gens, cap=DEFAULT_CAP):
+    """Breadth-first closure of a generator set under composition."""
+    if not gens:
+        return set()
+    return {Perm._trusted(images) for images in _closure(
+        [g.images for g in gens], Perm.identity(gens[0].degree).images, cap)}
 
 
 class _Chain:
@@ -231,8 +245,7 @@ class _Chain:
             t = trans[i].get(h[base[i]])
             if t is None:
                 return i, h
-            uinv = t[1]
-            h = tuple([uinv[x] for x in h])
+            h = _then(h)(t[1])
         return len(base), h
 
     def __contains__(self, h):
@@ -270,21 +283,20 @@ class _Chain:
         k = 0
         while k < len(orbit):
             y = orbit[k]
-            uy = trans[y][0]
+            then_uy = _then(trans[y][0])  # s -> u_y s
             while done[k] < len(gens):
                 s = gens[done[k]]
                 done[k] += 1
                 z = s[y]
                 t = trans.get(z)
                 if t is None:
-                    u = tuple([s[x] for x in uy])
+                    u = then_uy(s)
                     trans[z] = (u, _inverse(u))
                     self.size = self.size // len(orbit) * (len(orbit) + 1)
                     orbit.append(z)
                     done.append(0)
                     continue
-                uzinv = t[1]
-                h = tuple([uzinv[s[x]] for x in uy])
+                h = _then(then_uy(s))(t[1])  # u_y s u_z^-1
                 if h == identity:
                     continue
                 level, h = self.sift(h, i + 1)
@@ -393,12 +405,13 @@ class PermGroup:
 def is_automorphism(geom, perm):
     """Type-preserving and incidence-preserving; closure under inverses
     makes edge-set preservation sufficient in a finite group.  Each
-    incident pair's images are looked up in the masks."""
+    incident pair's images are looked up in the masks; the pairs are
+    listed once per geometry, for all the generators checked on it."""
     im, et, masks = perm.images, geom.elem_type, geom.masks
     return (perm.degree == geom.size
             and all(et[y] == t for y, t in zip(im, et))
-            and all(masks[im[a]] >> im[b] & 1 for a, m in enumerate(masks)
-                    for b in bits(m >> a + 1 << a + 1)))
+            and all(masks[im[a]] >> im[b] & 1
+                    for a, b in incident_pairs(geom)))
 
 
 def check_automorphisms(geom, group):
@@ -597,8 +610,7 @@ def multicover_array(geom, group):
     constant over incident pairs (the uniformity hypothesis fails)."""
     part = orbit_partition(group, geom)
     first = {}  # (i, j) -> the first count and its pair
-    for a, b in [(a, b) for a, m in enumerate(geom.masks)  # a < b, in order
-                 for b in bits(m >> a + 1 << a + 1)]:
+    for a, b in incident_pairs(geom):
         for x, y in ((a, b), (b, a)):
             i, j = geom.elem_type[x], geom.elem_type[y]
             k = ((geom.masks[x] | 1 << x)  # incident with x, or x

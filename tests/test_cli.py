@@ -266,6 +266,28 @@ def test_iso_prints_the_first_map_found(tmp_path, capsys):
                                    "2->4 3->3 4->2 5->1 6->0 7->7")
 
 
+def test_gen_coseteg_group_order_is_capped_before_building(
+        tmp_path, capsys, monkeypatch):
+    # 59^3 = 205,379 is above the default --max-group-order: refused with
+    # exit 3 before the cube is built; orders 0 and 1 stay usage errors
+    from geoq.cosets import FiniteGroup
+
+    def unbuilt(*groups):
+        raise AssertionError("cube built")
+
+    monkeypatch.setattr(FiniteGroup, "direct_product", unbuilt)
+    code, out, err = run(capsys, "gen", "coseteg", "59", "--dir",
+                         str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: group order 205379 exceeds cap 200000\n"
+    monkeypatch.undo()
+    for n, msg in (("0", "no identity element"),
+                   ("1", "base group must have order at least 2")):
+        assert run(capsys, "gen", "coseteg", n, "--dir", str(tmp_path)) == (
+            2, "", "error: %s\n" % msg)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_all_kinds(tmp_path, capsys):
     gen_file(tmp_path, capsys, "affine", "2", "2")
     assert (tmp_path / "affine-2-2.geo").exists()

@@ -1,39 +1,66 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from geoq.cosets import (FiniteGroup, Subgroup, coset_pregeometry,
-                         coseteg_family, is_coset_pregeometry,
-                         product_condition, rank2_connectivity,
-                         rank3_ft_condition, set_product)
+from geoq.cosets import (CosetGeometry, FiniteGroup, Subgroup,
+                         coset_pregeometry, coseteg_family,
+                         is_coset_pregeometry, product_condition,
+                         rank2_connectivity, rank3_ft_condition, set_product)
 from geoq.constructions import hexagon
 from geoq.geometry import Pregeometry, flags_of_type, is_geometry
-from geoq.perms import PermGroup, transitivity
+from geoq.perms import CapExceeded, PermGroup, transitivity
 
 
 def test_cyclic_and_product():
     z6 = FiniteGroup.cyclic(6)
     assert len(z6) == 6 and z6.is_abelian()
     v4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
-    assert len(v4) == 4 and all(v4.mul[x][x] == v4.id for x in range(4))
+    assert len(v4) == 4 and all(v4.product(x, x) == v4.id for x in range(4))
     s3 = FiniteGroup.symmetric(3)
     assert len(s3) == 6 and not s3.is_abelian()
 
 
-def test_bad_table_rejected():
-    with pytest.raises(ValueError):
-        FiniteGroup(["e", "a"], [[0, 1], [1, 1]])  # a has no inverse
+def test_outside_actions_refused():
+    # each fault of outside data is a ValueError naming it (no assert, so
+    # python -O refuses them too)
+    for names, act, fault in (
+            ("ea", [(0, 1), (0, 0)], "not a permutation"),
+            ("ea", [(0, 1), (1, 0, 2)], "mixed degree"),
+            ("ea", [(0, 1), (0, 1)], "repeated action"),
+            ("ab", [(1, 0, 2), (1, 2, 0)], "no identity"),
+            ("eab", [(0, 1, 2), (1, 0, 2), (0, 2, 1)], "not closed"),
+            ("e", [(0, 1), (1, 0)], "2 actions")):
+        with pytest.raises(ValueError, match=fault):
+            FiniteGroup(names, act)
+    assert len(FiniteGroup("ea", [(0, 1), (1, 0)])) == 2
 
 
-def test_non_associative_table_rejected_exactly():
-    # Z_60 with one product changed keeps its identity and inverses; the
-    # associativity check must find the fault however large the table
+def test_unclosed_actions_refused_exactly():
+    # Z_60's rotations with one of them changed keep the identity and stay
+    # distinct; the closure check must find the fault however many there
+    # are
     z60 = FiniteGroup.cyclic(60)
-    FiniteGroup(z60.names, z60.mul)
+    FiniteGroup(z60.names, z60.act)
+    act = [list(a) for a in z60.act]
+    act[7][0], act[7][1] = act[7][1], act[7][0]
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteGroup(z60.names, act)
+
+
+def test_table_columns_are_an_action():
+    # a product table's right-regular columns p -> p*x are a valid action
+    # with the table's products, and a non-associative table's are refused
+    for T in _table_small_groups():
+        cols = FiniteGroup(T.names, zip(*T.mul))
+        assert all(cols.product(x, y) == T.mul[x][y]
+                   for x in range(len(T)) for y in range(len(T)))
+    z60 = _TableGroup.cyclic(60)
     mul = [list(row) for row in z60.mul]
     mul[1][8] = 10
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(z60.names, mul)
+        _TableGroup(z60.names, mul)
+    with pytest.raises(ValueError):
+        FiniteGroup(z60.names, zip(*mul))
 
 
 def test_subgroup_verification():
@@ -154,6 +181,8 @@ def test_coseteg_rejects_bad_base():
         coseteg_family(FiniteGroup.symmetric(3))
     with pytest.raises(ValueError):
         coseteg_family(FiniteGroup.cyclic(1))
+    with pytest.raises(CapExceeded, match="group order 205379 exceeds"):
+        coseteg_family(FiniteGroup.cyclic(59))  # before building Z59^3
 
 
 def test_is_coset_pregeometry_roundtrip():
@@ -294,12 +323,211 @@ def test_direct_product_index_is_mixed_radix():
             g.names[x] for g, x in zip(parts, c))
     for a, ca in enumerate(combos):
         for b, cb in enumerate(combos):
-            assert combos[G.mul[a][b]] == tuple(
-                g.mul[x][y] for g, x, y in zip(parts, ca, cb))
+            assert combos[G.product(a, b)] == tuple(
+                g.product(x, y) for g, x, y in zip(parts, ca, cb))
     assert G.id == combos.index(tuple(g.id for g in parts))
 
 
 # ------------------------------------------------------------ the oracles
+# FiniteGroup as it was before it became a permutation action: a full
+# product table, the identity and inverses scanned from it, Light's
+# associativity test, its own closure loop, and Subgroup's table check.
+
+class _TableGroup:
+    def __init__(self, names, mul, check=True):
+        self.names = tuple(names)
+        n = len(self.names)
+        self.mul = tuple(tuple(row) for row in mul)
+        if len(self.mul) != n or any(len(row) != n for row in self.mul):
+            raise ValueError("multiplication table must be %d x %d" % (n, n))
+        self.id = next((e for e in range(n)
+                        if all(self.mul[e][x] == x == self.mul[x][e]
+                               for x in range(n))), None)
+        if self.id is None:
+            raise ValueError("no identity element")
+        inv = [next((y for y in range(n) if self.mul[x][y] == self.id
+                     == self.mul[y][x]), None) for x in range(n)]
+        if None in inv:
+            raise ValueError("an element has no inverse")
+        self.inv = tuple(inv)
+        if check:
+            # Light's test: the elements s with (x*s)*y == x*(s*y) for all
+            # x, y are closed under products, so generators suffice
+            mul = self.mul
+            for s in self.generators():
+                for x in range(n):
+                    for y in range(n):
+                        if mul[mul[x][s]][y] != mul[x][mul[s][y]]:
+                            raise ValueError(
+                                "multiplication table is not associative")
+
+    def __len__(self):
+        return len(self.names)
+
+    @classmethod
+    def cyclic(cls, n):
+        return cls([str(i) for i in range(n)],
+                   [[(i + j) % n for j in range(n)] for i in range(n)],
+                   check=False)
+
+    @classmethod
+    def direct_product(cls, *groups):
+        names, mul = [()], [[0]]
+        for g in groups:
+            n = len(g)
+            names = [p + (name,) for p in names for name in g.names]
+            mul = [[a * n + b for a in row for b in g.mul[c]]
+                   for row in mul for c in range(n)]
+        return cls(["(%s)" % ",".join(p) for p in names], mul, check=False)
+
+    @classmethod
+    def symmetric(cls, n):
+        perms = sorted(permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        return cls(["[%s]" % "".join(map(str, p)) for p in perms],
+                   [[index[tuple(q[x] for x in p)] for q in perms]
+                    for p in perms], check=False)
+
+    def closure(self, seed):
+        members = {self.id}
+        frontier = [self.id]
+        seed = sorted(set(seed))
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in seed:
+                    y = self.mul[x][s]
+                    if y not in members:
+                        members.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return members
+
+    def generators(self, members=None):
+        members = (range(len(self.names)) if members is None
+                   else sorted(members))
+        gens = []
+        have = {self.id}
+        for x in members:
+            if x not in have:
+                gens.append(x)
+                have = self.closure(gens)
+                if len(have) == len(members):
+                    break
+        return gens
+
+    def is_subgroup(self, members):
+        mem = set(members)
+        return self.id in mem and all(
+            self.inv[x] in mem and all(self.mul[x][y] in mem for y in mem)
+            for x in mem)
+
+    def cosets(self, subgroups):
+        """(coset_of, types, reps) of the coset table, filled as it was."""
+        coset_of, types, reps = [], [], []
+        for i, members in enumerate(subgroups):
+            of = [None] * len(self)
+            for x in range(len(self)):
+                if of[x] is None:
+                    for h in members:
+                        of[self.mul[h][x]] = len(reps)
+                    types.append(i)
+                    reps.append(x)
+            coset_of.append(tuple(of))
+        return tuple(coset_of), types, reps
+
+    def coset_action(self, cosets, g):
+        coset_of, types, reps = cosets
+        return tuple(coset_of[i][self.mul[x][g]] for i, x in zip(types, reps))
+
+
+def _table_small_groups():
+    z, dp = _TableGroup.cyclic, _TableGroup.direct_product
+    return (z(4), z(6), z(8), dp(z(2), z(2)), dp(z(2), z(4)),
+            dp(z(2), z(2), z(2)), _TableGroup.symmetric(3),
+            _TableGroup.symmetric(4), dp(_TableGroup.symmetric(3), z(2)))
+
+
+def _groups_beside_tables():
+    """The nine small groups of the lemma draws and the coseteg cubes over
+    Z2, Z3 and Z2xZ2 (with their families), each beside its table twin."""
+    from geoq.lemmas import _small_groups
+    out = [(G, T, None) for G, T in zip(_small_groups(),
+                                        _table_small_groups())]
+    z2, z3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    t2, t3 = _TableGroup.cyclic(2), _TableGroup.cyclic(3)
+    for A, T in ((z2, t2), (z3, t3), (FiniteGroup.direct_product(z2, z2),
+                                      _TableGroup.direct_product(t2, t2))):
+        fam = coseteg_family(A)
+        out.append((fam.G, _TableGroup.direct_product(T, T, T), fam))
+    return out
+
+
+def _agrees_with_table_cosets(cg, T):
+    cosets = T.cosets([sub.members for sub in cg.subgroups])
+    assert cg.coset_of == cosets[0]
+    assert list(cg.reps) == cosets[2]
+    for g in range(len(T)):
+        assert cg.action_of(g).images == T.coset_action(cosets, g)
+
+
+def test_action_model_agrees_with_table_model(rng):
+    # products, inverses, identity, closures, generator picks, subgroup
+    # verdicts, coset tables and coset actions
+    seen = set()
+    for G, T, fam in _groups_beside_tables():
+        n = len(G)
+        assert (G.names, G.id) == (T.names, T.id)
+        assert all(G.product(x, y) == T.mul[x][y]
+                   for x in range(n) for y in range(n))
+        assert [G.inverse(x) for x in range(n)] == list(T.inv)
+        assert G.generators() == T.generators()
+        assert G.is_abelian() == all(T.mul[x][y] == T.mul[y][x]
+                                     for x in range(n) for y in range(n))
+        subs = []
+        for _ in range(25):
+            seed = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+            sub = G.subgroup_generated(seed)
+            assert set(sub.members) == T.closure(seed)
+            assert G.generators(sub.members) == T.generators(sub.members)
+            subs.append(sub)
+            for members in (sub.members, set(sub.members) | {seed[0] if seed
+                                                             else n - 1},
+                            set(sub.members) - {G.id},
+                            rng.sample(range(n), rng.randint(1, n))):
+                ok = T.is_subgroup(members)
+                seen.add(ok)
+                if ok:
+                    assert Subgroup(G, members).members == tuple(
+                        sorted(set(members)))
+                else:
+                    with pytest.raises(ValueError):
+                        Subgroup(G, members)
+        if fam is None:
+            k = rng.randint(1, 4)
+            _agrees_with_table_cosets(CosetGeometry(G, [
+                sub.named("H%d" % i) for i, sub in enumerate(subs[:k])]), T)
+        else:
+            _agrees_with_table_cosets(fam.cg, T)
+            _agrees_with_table_cosets(fam.truncation3()[1], T)
+    assert seen == {True, False}
+
+
+def test_coseteg_13_keeps_no_product_table():
+    # the cube Z13^3 is its action on 39 points: with both action groups
+    # built, the traced peak stays far below a 2197 x 2197 table's
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fam = coseteg_family(FiniteGroup.cyclic(13))
+        assert len(fam.action_group().gens) == 3
+        assert len(fam.n_action_group().gens) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak
+
+
 # CosetGeometry as it was built before the coset_of table (frozenset
 # cosets, incident when two of them intersect, over all pairs), and
 # is_coset_pregeometry as it was decided before it stopped at the
@@ -315,7 +543,8 @@ class _SetCosets:
         for i, sub in enumerate(subgroups):
             seen = {}
             for x in range(len(group)):
-                members = frozenset(group.mul[h][x] for h in sub.members)
+                members = frozenset(group.product(h, x)
+                                    for h in sub.members)
                 seen.setdefault(min(members), members)
             for rep in sorted(seen):
                 elems.append(type_names[i] if rep == group.id else
@@ -331,7 +560,7 @@ class _SetCosets:
 
     def action_of(self, g):
         return tuple(self.index[(self.geometry.elem_type[k],
-                                 frozenset(self.group.mul[x][g]
+                                 frozenset(self.group.product(x, g)
                                            for x in self.cosets[k]))]
                      for k in range(self.geometry.size))
 
@@ -349,9 +578,7 @@ def _rebuilt_is_coset_pregeometry(geom, group):
     chamber = chams[0]
     elems = sorted(group.elements())
     index = {g: i for i, g in enumerate(elems)}
-    fin = FiniteGroup([repr(g) for g in elems],
-                      [[index[g * h] for h in elems] for g in elems],
-                      check=False)
+    fin = FiniteGroup([repr(g) for g in elems], [g.images for g in elems])
     subgroups = [Subgroup(fin, {index[g] for g in elems if g[x] == x},
                           "S%d" % geom.elem_type[x]) for x in chamber]
     model = _SetCosets(fin, subgroups)
@@ -361,7 +588,7 @@ def _rebuilt_is_coset_pregeometry(geom, group):
         for gi, g in enumerate(elems):
             reps.setdefault(g[x], gi)
         for alpha in geom.by_type[geom.elem_type[x]]:
-            members = frozenset(fin.mul[h][reps[alpha]]
+            members = frozenset(fin.product(h, reps[alpha])
                                 for h in subgroups[i].members)
             assoc[alpha] = model.index[(i, members)]
     if sorted(assoc) != list(range(geom.size)):

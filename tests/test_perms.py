@@ -130,6 +130,31 @@ def test_automorphism_check_is_kept_per_geometry_and_stays_exact(
     assert calls == [g.images for g in group.gens]
 
 
+def test_automorphism_checks_read_the_masks_once_per_geometry(monkeypatch):
+    # every generator, of this group or a later one, is checked against
+    # one list of incident pairs, read off the masks once per geometry
+    import geoq.geometry
+    from geoq.perms import check_automorphisms
+    scans = []
+    real = geoq.geometry.bits
+
+    def counted(mask):
+        scans.append(mask)
+        return real(mask)
+
+    geom, group = ssg_symmetric_action(4, 2)
+    assert len(group.gens) >= 2
+    monkeypatch.setattr(geoq.geometry, "bits", counted)
+    check_automorphisms(geom, group)
+    assert len(scans) == geom.size
+    check_automorphisms(geom, PermGroup([g * g for g in group.gens]))
+    assert len(scans) == geom.size
+    with pytest.raises(ValueError, match="not an automorphism"):
+        check_automorphisms(geom, PermGroup(
+            [Perm.from_cycles(geom.size, [(0, geom.size - 1)])]))
+    assert len(scans) == geom.size
+
+
 def test_enumerated_elements_are_automorphisms(rng):
     for _ in range(10):
         oq = random_orbit_quotient(rng)

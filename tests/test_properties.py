@@ -88,7 +88,7 @@ def _same_instance(shared, fresh):
         return ((shared.degree, [g.images for g in shared.gens])
                 == (fresh.degree, [g.images for g in fresh.gens]))
     if isinstance(shared, FiniteGroup):
-        return (shared.names, shared.mul) == (fresh.names, fresh.mul)
+        return (shared.names, shared.act) == (fresh.names, fresh.act)
     assert isinstance(shared, Pregeometry)
     return shared == fresh
 
