@@ -3,19 +3,21 @@ Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3).
 
 All deciders are exhaustive; witnesses are minimal under (flag rank,
 lexicographic) ordering.  No decider lists the elements of G; the
-G-orbits on flags come from perms._flag_orbits.  The blocks are the
-G-orbits, so every per-flag condition decided here -- (TQ1), (TQ2'),
-(TQ2''), and (PQ1), (PQ2) and residual surjectivity in axioms_report --
-has the same verdict at F and at every gF.  So each decider scans only
-the least flag of each orbit: the first failing one is the least
-failing flag, and the rest of a witness depends on that flag alone.
-For the same reason the cover test and the block distance look at the
-least member of each block only.
+G-orbits on flags come from perms._flag_orbits, keyed by the flags
+themselves.  G keeps types, so x, y in the residue of F share a
+G_F-orbit exactly when F + {x} and F + {y} share a G-orbit.  The
+blocks are the G-orbits, so every per-flag condition decided here --
+(TQ1), (TQ2'), (TQ2''), and (PQ1), (PQ2) and residual surjectivity in
+axioms_report -- has the same verdict at F and at every gF.  So each
+decider scans only the least flag of each orbit: the first failing one
+is the least failing flag, and the rest of a witness depends on that
+flag alone.  For the same reason the cover test and the block distance
+look at the least member of each block only.
 """
 
 from __future__ import annotations
 
-from .geometry import INF, bfs, bits, flag_text, mask_of
+from .geometry import INF, bfs, bits, flag_text
 from .perms import _flag_orbits, orbit_partition
 from .quotient import Projection, _extensions, _residue_map_failure
 
@@ -59,13 +61,6 @@ class OrbitQuotient:
         return self._block_distance
 
 
-def _flag_orbit_index(oq):
-    """The least flag of each G-orbit on flags and each flag's orbit by
-    its mask.  G keeps types, so x, y in the residue of F share a G_F-orbit
-    exactly when F + {x} and F + {y} share a G-orbit."""
-    return _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
-
-
 def check_TQ3(oq):
     """(TQ3): same-orbit elements are at incidence-graph distance >= 4."""
     return oq.block_distance >= 4
@@ -74,15 +69,16 @@ def check_TQ3(oq):
 def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
-    leaders, orbit_of = _flag_orbit_index(oq)
+    leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
     for flag in leaders[1:]:  # the first is the empty flag
-        fmask = mask_of(flag)
         ext = _extensions(oq.proj, flag)[0]
         for members in oq.proj.inside:  # block by block, in block order
             xs = bits(ext & members)
-            for x in xs[1:]:
-                if orbit_of[fmask | 1 << x] != orbit_of[fmask | 1 << xs[0]]:
-                    return False, (flag, xs[0], x)
+            if len(xs) > 1:
+                first = orbit_of[tuple(sorted(flag + (xs[0],)))]
+                for x in xs[1:]:
+                    if orbit_of[tuple(sorted(flag + (x,)))] != first:
+                        return False, (flag, xs[0], x)
     return True, None
 
 
@@ -95,7 +91,7 @@ def check_TQ2doubleprime(oq):
     flags, and whether a pair fails at a flag depends only on its orbit,
     so a scan of their orbit leaders finds the first failing pair."""
     masks, block_of = oq.geom.masks, oq.proj.block_of
-    leaders, orbit_of = _flag_orbit_index(oq)
+    leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
     pair_orbits = [(k, pair) for k, pair in enumerate(leaders)
                    if len(pair) == 2]
     for flag in leaders:
@@ -104,7 +100,7 @@ def check_TQ2doubleprime(oq):
             touch &= masks[x] | 1 << x
         inside = bits(touch)
         met = {block_of[x] for x in inside}
-        hit = {orbit_of[1 << a | 1 << b] for a in inside
+        hit = {orbit_of[a, b] for a in inside
                for b in bits(masks[a] & (touch >> a + 1 << a + 1))}
         for k, (a, b) in pair_orbits:
             if k not in hit and block_of[a] in met and block_of[b] in met:
@@ -120,13 +116,13 @@ def check_TQ1(oq):
     """(TQ1): for every flag, quotienting the residue by the flag
     stabilizer is isomorphic (via orbit -> block) to the residue of the
     projected flag in the quotient."""
-    leaders, orbit_of = _flag_orbit_index(oq)
+    leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
     for flag in leaders:
-        fmask = mask_of(flag)
         ext, target = _extensions(oq.proj, flag)
         orbits = {}
         for x in bits(ext):
-            orbits.setdefault(orbit_of[fmask | 1 << x], []).append(x)
+            orbits.setdefault(orbit_of[tuple(sorted(flag + (x,)))],
+                              []).append(x)
         reason = _residue_map_failure(oq.proj, list(orbits.values()), target)
         if reason is not None:
             return False, (flag, _TQ1_REASON.get(reason, reason))
@@ -164,7 +160,7 @@ def axioms_report(oq):
     name -> (bool, witness-or-None)."""
     from .quotient import (check_flagslift, check_PQ1, check_PQ2, is_cover,
                            residual_surjectivity)
-    reps = _flag_orbit_index(oq)[0]
+    reps = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)[0]
     return {  # the deciders run in this order
         "flagslift": check_flagslift(oq.proj),
         "pq1": check_PQ1(oq.proj, reps),

@@ -16,11 +16,11 @@ every flag, residue and incidence question ANDs masks; no internal path
 builds a residue pregeometry.  `all_flags` is the one flag walker,
 lazily in lexicographic order, and `non_incident_pair` the one
 total-incidence test.  A pregeometry never changes, so its flags are
-walked once and kept with it as its flag table (`keep_flags`), which
-`flags_by_rank_lex`, `flags_of_type` and the flag links are read off;
-its verdicts are computed once too.  The flag count is exponential in
-the rank in the worst case, so everything here is meant for desk scale
-(a few hundred elements, rank at most ~6).
+walked once and kept with it as its flag table (`keep_flags`); its
+tuples key every per-flag value, and `is_geometry`, `flags_by_rank_lex`
+and `flags_of_type` read it.  Its verdicts are computed once too.  The
+flag count is exponential in the rank in the worst case, so everything
+here is meant for desk scale (a few hundred elements, rank at most ~6).
 
 `bfs` is the one graph search: a multi-source breadth-first search on
 masks, optionally confined to a mask and ended early, that labels each
@@ -306,20 +306,6 @@ def keep_flags(geom, flags, cap=None):
 
 
 @_per_geometry
-def _flag_links(geom):
-    """In flags_by_rank_lex order: each flag's mask, its parent's
-    position (the flag less its last member; 0 for the empty flag
-    itself) and the position of each mask."""
-    flags = flags_by_rank_lex(geom)
-    at = dict(zip(flags, range(len(flags))))
-    parents = [at[flag[:-1]] for flag in flags]
-    masks = [0] * len(flags)
-    for p in range(1, len(flags)):
-        masks[p] = masks[parents[p]] | 1 << flags[p][-1]
-    return masks, parents, dict(zip(masks, range(len(flags))))
-
-
-@_per_geometry
 def flags_by_rank_lex(geom):
     """All flags sorted by (rank, lexicographic), for minimal witnesses:
     the flag table stably sorted by rank, and shared."""
@@ -359,26 +345,16 @@ def chamber_count_through(geom, flag):
 def is_geometry(geom):
     """True iff every maximal flag is a chamber; on failure returns the
     lexicographically least maximal flag of rank below the rank of the
-    geometry.  Scans the flag table, or walks the flags, stopping at that
-    flag, and keeps a walk that reaches the end as the table."""
-    table = _memo(geom).get(_TABLE)
-    walked = []
-    flag = _short_maximal_flag(geom.masks, geom.rank,
-                              all_flags(geom) if table is None else table,
-                              walked)
-    if flag is not None:
-        return False, flag
-    keep_flags(geom, walked)  # a no-op when geom has its table
-    return True, None
+    geometry.  Scans the flag table, walked and kept on first use."""
+    flag = _short_maximal_flag(geom.masks, geom.rank, _flag_table(geom))
+    return (True, None) if flag is None else (False, flag)
 
 
-def _short_maximal_flag(masks, rank, flags, walked):
+def _short_maximal_flag(masks, rank, flags):
     """The first of flags that is maximal (no element is incident with
-    all of it) and shorter than rank, or None; appends each flag read to
-    walked."""
+    all of it) and shorter than rank, or None."""
     everything = (1 << len(masks)) - 1
     for flag in flags:
-        walked.append(flag)
         if len(flag) < rank:
             common = everything
             for x in flag:

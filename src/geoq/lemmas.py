@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import os
 import random
+from itertools import tee
 from types import SimpleNamespace
 
 from .axioms import (OrbitQuotient, check_TQ1, check_TQ2doubleprime,
@@ -93,8 +94,8 @@ def repair_to_geometry(geom, rng):
     local = SimpleNamespace(masks=list(geom.masks))  # what all_flags reads
     masks = local.masks
     while True:
-        walked = []
-        flag = _short_maximal_flag(masks, geom.rank, all_flags(local), walked)
+        flags, walked = tee(all_flags(local))  # walked: each flag read
+        flag = _short_maximal_flag(masks, geom.rank, flags)
         if flag is None:
             break
         missing = sorted(set(range(geom.rank))

@@ -7,13 +7,14 @@ Schreier-Sims chain (_Chain: a base, strong generators per level and
 transversals; Sims 1970, Seress, *Permutation Group Algorithms*, 2003,
 ch. 4), built on first use without listing the group.  Only elements()
 lists G, by _closure, the one closure loop, under a configurable cap;
-the chain refuses a group above that cap with the same CapExceeded.
-Every orbit question goes through _orbits, the one union-find, on the
-generators' images of indices, never listing the group: of points,
-flag positions (_flag_orbits) or any items (orbits_on).  Products and
-inverses are built without re-checking that they are permutations;
-every Perm made from outside data is checked.  Whether a generator is
-an automorphism is decided once per geometry and kept with it.
+the chain refuses a group with the same CapExceeded as soon as it grows
+past that cap.  Every orbit question goes through _orbits, the one
+union-find, on the generators' images of indices, never listing the
+group: of points, flags (_flag_orbits, keyed by the flag table's own
+tuples) or any items (orbits_on).  Products and inverses are built
+without re-checking that they are permutations; every Perm made from
+outside data is checked.  Whether a generator is an automorphism is
+decided once per geometry and kept with it.
 
 _incidence_maps is the one incidence-map search: invariant-pruned
 backtracking (McKay & Piperno, "Practical graph isomorphism, II", 2014,
@@ -26,12 +27,11 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 
-from .geometry import (_flag_links, _memo, bits, flags_by_rank_lex,
-                       flags_of_type, incident_pairs, mask_of,
-                       same_type_incidence)
+from .geometry import (_memo, bits, flags_by_rank_lex, flags_of_type,
+                       incident_pairs, mask_of, same_type_incidence)
 from .quotient import Partition
 
 DEFAULT_CAP = 200_000
@@ -215,13 +215,16 @@ class _Chain:
     product of the orbit lengths; the chain is complete (sifting decides
     membership) whenever add returns.  Exact: every Schreier generator
     is sifted, none sampled.  Deterministic: new base points are the
-    least point a residue moves, after the given prefix."""
+    least point a residue moves, after the given prefix.  An orbit in
+    the making lies in the true one, so size never exceeds the order:
+    with a cap, add raises CapExceeded as soon as size passes it."""
 
-    def __init__(self, degree, base=()):
+    def __init__(self, degree, base=(), cap=None):
         self.identity = tuple(range(degree))
         self.base, self.gens, self.trans, self.orbit = [], [], [], []
         self.done = []  # done[i][k]: gens[i] applied to orbit[i][k]
         self.size = 1
+        self.cap = cap
         for b in base:
             self._new_level(b)
 
@@ -293,6 +296,9 @@ class _Chain:
                     u = then_uy(s)
                     trans[z] = (u, _inverse(u))
                     self.size = self.size // len(orbit) * (len(orbit) + 1)
+                    if self.cap is not None and self.size > self.cap:
+                        raise CapExceeded("group order exceeds cap %d"
+                                          % self.cap)
                     orbit.append(z)
                     done.append(0)
                     continue
@@ -343,15 +349,12 @@ class PermGroup:
     def _chain(self):
         """The group's chain; raises CapExceeded when the order is above
         the cap, with the message listing the group would raise."""
-        chain = self._sims
-        if chain is None:
-            chain = _Chain(self.degree)
+        if self._sims is None:
+            sims = _Chain(self.degree, cap=self.cap)
             for g in self.gens:
-                chain.add(g.images)
-            self._sims = chain  # only once complete
-        if self.cap is not None and chain.size > self.cap:
-            raise CapExceeded("group order exceeds cap %d" % self.cap)
-        return chain
+                sims.add(g.images)
+            self._sims = sims  # only once complete
+        return self._sims
 
     def elements(self):
         if self._elements is None:
@@ -473,27 +476,32 @@ def normal_closure(group, sub):
 def _flag_orbits(geom, gens, rank):
     """The orbits of the group generated by gens on the flags of rank at
     most rank: the least flag of each, in (rank, lex) order, and each
-    flag's orbit index by its mask.  g maps a flag to its parent's image
-    plus g(last member), so each generator maps the flags in one pass in
-    flags_by_rank_lex order, parents first.  Kept with the geometry per
-    generator images, for the largest rank asked."""
+    flag's orbit index, keyed by the flag table's own tuples.  g keeps
+    types, so it maps a flag's members in type order to its image's in
+    type order, and each image is looked up as that tuple: the table's
+    own where elements are numbered type by type.  Kept with the
+    geometry per generator images, for the largest rank asked."""
     key = tuple(g.images for g in gens)
     got = _memo(geom).get((_flag_orbits, key))
     if got is None or got[0] < rank:
         flags = flags_by_rank_lex(geom)
-        masks, parents, index = _flag_links(geom)
-        n = bisect_right(flags, rank, key=len)
+        ends = [bisect_right(flags, r, key=len) for r in range(rank + 1)]
+        et = geom.elem_type  # typed: each flag's members in type order
+        typed = flags if list(et) == sorted(et) else [
+            tuple(sorted(f, key=et.__getitem__)) for f in flags[:ends[-1]]]
+        at = dict(zip(typed, range(ends[-1])))  # position in the table
         rows = []
         for images in key:
-            image, row = [0] * n, [0] * n
-            for p in range(1, n):
-                image[p] = m = image[parents[p]] | 1 << images[flags[p][-1]]
-                row[p] = index[m]
+            image = images.__getitem__
+            row = [0]  # the empty flag; then each r images of rank r
+            for r in range(1, rank + 1):  # make one flag's images tuple
+                xs = chain.from_iterable(typed[ends[r - 1]:ends[r]])
+                row += map(at.__getitem__, zip(*[map(image, xs)] * r))
             rows.append(row)
-        orbits = _orbits(rows, n)
+        orbits = _orbits(rows, ends[-1])
         got = _memo(geom)[_flag_orbits, key] = (
             rank, [flags[orbit[0]] for orbit in orbits],
-            {masks[p]: k for k, orbit in enumerate(orbits) for p in orbit})
+            {flags[p]: k for k, orbit in enumerate(orbits) for p in orbit})
     return got[1:]
 
 
@@ -559,7 +567,8 @@ def _incidence_maps(ga, gb):
     element of ga is a candidate for the elements of gb with its profile,
     in index order; elements are placed fewest candidates first (ties by
     index), and each placement is checked against every earlier one.
-    The callers guarantee equal sizes.  Desk scale only."""
+    The callers guarantee equal sizes.  Desk scale only: a search nested
+    deeper than Python's recursion limit raises CapExceeded."""
     n = ga.size
     pa = [_profile(ga, x) for x in range(n)]
     pb = [_profile(gb, y) for y in range(gb.size)]
@@ -589,7 +598,11 @@ def _incidence_maps(ga, gb):
                 used[y] = False
                 images[x] = None
 
-    return rec(0)
+    try:
+        yield from rec(0)
+    except RecursionError:
+        raise CapExceeded("incidence-map search of %d elements exceeds the "
+                          "recursion limit" % n) from None
 
 
 def automorphism_group(geom, cap=DEFAULT_CAP):

@@ -442,7 +442,8 @@ def test_orbit_representatives_agree_with_full_sweep(rng):
 # labelling was kept with the geometry: each generator maps the flag
 # table (lexicographic order) to image masks, a flag's image being its
 # parent's image with g(last member) added, and one orbits_on call runs
-# on the flag masks in (rank, lex) order.
+# on the flag masks in (rank, lex) order.  Its keys are read back as
+# the flags' member tuples.
 
 def _mask_orbit_index(oq):
     from geoq.geometry import _flag_table, bits
@@ -462,18 +463,18 @@ def _mask_orbit_index(oq):
     orbits = orbits_on(maps, sorted(fmasks, key=int.bit_count),
                        dict.__getitem__)
     return ([tuple(bits(orbit[0])) for orbit in orbits],
-            {m: k for k, orbit in enumerate(orbits) for m in orbit})
+            {tuple(bits(m)): k for k, orbit in enumerate(orbits)
+             for m in orbit})
 
 
 def _check_flag_orbit_labelling(oq):
     """The labelling equals the oracle, and so does the labelling of the
     flags of each rank r and below, built first on a fresh copy."""
-    from geoq.axioms import _flag_orbit_index
     from geoq.geometry import Pregeometry
     from geoq.perms import _flag_orbits
     leaders, orbit_of = _mask_orbit_index(oq)
-    assert _flag_orbit_index(oq) == (leaders, orbit_of)
     geom = oq.geom
+    assert _flag_orbits(geom, oq.group.gens, geom.rank) == (leaders, orbit_of)
     for r in range(geom.rank):
         fresh = Pregeometry(geom.type_names, geom.elem_names,
                             geom.elem_type, geom.pairs)
@@ -506,6 +507,22 @@ def test_flag_orbit_labelling_agrees_with_mask_orbits_on_bundled():
     count = 0
     for geom, group in _bundled_orbit_quotients():
         _check_flag_orbit_labelling(OrbitQuotient(geom, group))
+        count += 1
+    assert count >= 15, count
+
+
+def test_flag_orbit_keys_are_the_flag_table_tuples():
+    # the labelling builds no per-flag key: every key is the very tuple
+    # the flag table holds
+    from geoq.geometry import _flag_table
+    from geoq.perms import _flag_orbits
+    count = 0
+    for geom, group in _bundled_orbit_quotients():
+        table = {id(flag) for flag in _flag_table(geom)}
+        axioms_report(OrbitQuotient(geom, group))
+        orbit_of = _flag_orbits(geom, group.gens, geom.rank)[1]
+        assert len(orbit_of) == len(table)
+        assert all(id(flag) in table for flag in orbit_of)
         count += 1
     assert count >= 15, count
 
@@ -582,9 +599,8 @@ def _tuple_deciders(oq):
 
 
 def test_flag_orbit_index_agrees_with_flag_image_orbits(rng):
-    from geoq.axioms import _flag_orbit_index
-    from geoq.geometry import mask_of
     from geoq.lemmas import random_orbit_quotient
+    from geoq.perms import _flag_orbits
     oqs = [OrbitQuotient(g, grp) for g, grp in _fixed_orbit_quotients()]
     while len(oqs) < 507:
         oq = random_orbit_quotient(rng)
@@ -592,11 +608,9 @@ def test_flag_orbit_index_agrees_with_flag_image_orbits(rng):
             oqs.append(oq)
     failed = [0, 0, 0]
     for oq in oqs:
-        orbits, _ = _tuple_index(oq)
-        leaders, orbit_of = _flag_orbit_index(oq)
-        assert leaders == [orbit[0] for orbit in orbits]
-        assert orbit_of == {mask_of(f): k for k, orbit in enumerate(orbits)
-                            for f in orbit}
+        orbits, orbit_of = _tuple_index(oq)
+        assert _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank) == (
+            [orbit[0] for orbit in orbits], orbit_of)
         got = (check_TQ1(oq), check_TQ2prime(oq), check_TQ2doubleprime(oq))
         assert got == _tuple_deciders(oq)
         for i, (ok, _) in enumerate(got):

@@ -249,6 +249,28 @@ def test_iso_command(tmp_path, capsys):
     assert code == 1
 
 
+def test_iso_refuses_a_search_deeper_than_the_recursion_limit(tmp_path,
+                                                              capsys):
+    # the search nests one level per element: 900 elements answer, and
+    # 2000 refuse with exit 3 instead of a RecursionError traceback
+    from geoq.constructions import cycle_geometry
+    from geoq.io import format_geometry
+    from geoq.perms import CapExceeded, automorphism_group
+    for n, want in ((900, 0), (2000, 3)):
+        path = tmp_path / ("cycle-%d.geo" % n)
+        path.write_text(format_geometry(cycle_geometry(n)))
+        code, out, err = run(capsys, "--machine", "iso", str(path), str(path))
+        assert code == want, (n, err)
+        if want == 0:
+            assert out.startswith("isomorphic=true") and err == ""
+        else:
+            assert out == ""
+            assert err == ("cap exceeded: incidence-map search of 2000 "
+                           "elements exceeds the recursion limit\n")
+    with pytest.raises(CapExceeded):
+        automorphism_group(cycle_geometry(2000))
+
+
 def test_iso_prints_the_first_map_found(tmp_path, capsys):
     # the eight-cycle with its element lines shuffled; the search order
     # fixes which of its 8 isomorphisms is printed

@@ -9,9 +9,9 @@ of them.  `flags_of_type` is checked against the filter over the whole
 flag list that its per-geometry index replaced.
 
 `all_flags` walks on an explicit stack; the recursive mask walker it
-replaced is its oracle, and the flag table kept from a walk (each
-flag's mask and parent, the cap test of `keep_flags`, `is_geometry`
-read from the table) is checked against the flags themselves.
+replaced is its oracle, and the flag table kept from a walk (by
+`is_geometry`, by the cap test of `keep_flags`, and `is_geometry` read
+from the table) is checked against the flags themselves.
 `repair_to_geometry` adds incidences to local masks and builds one
 pregeometry; the loop that rebuilt one after each incidence is its
 oracle, with the same draws from the same random generator.
@@ -52,7 +52,7 @@ from geoq.constructions import SimpleGraph, eight_cycle, hexagon, ssg
 from geoq.cosets import FiniteGroup, coseteg_family
 from geoq.diagram import (Diagram, DirectSumResult, basic_diagram,
                           direct_sum_check, is_pure, star_transitive_on_paths)
-from geoq.geometry import (_TABLE, Pregeometry, _flag_links, _flag_table,
+from geoq.geometry import (_TABLE, Pregeometry, _flag_table,
                            all_flags, extensions, flags_by_rank_lex,
                            flags_of_type, is_connected, is_flag,
                            is_generalized_digon, is_geometry,
@@ -447,17 +447,12 @@ def _check_restrictions(geom, flags):
 
 
 def _check_flag_table(geom, flags):
-    """The table kept by the walk of is_geometry, by the cap test or by
-    a full walk, each on a fresh copy of geom, against flags."""
+    """The table kept by is_geometry, by the cap test or by a full
+    walk, each on a fresh copy of geom, against flags."""
     verdict = is_geometry(geom)
-    # a walk that stopped at a witness keeps nothing
-    assert (_TABLE in geom._memo) == verdict[0]
+    # is_geometry keeps the table, on a geometry and a non-geometry alike
+    assert geom._memo[_TABLE] == tuple(flags)
     assert _flag_table(geom) == tuple(flags)
-    fmasks, parents, index = _flag_links(geom)
-    ranked = sorted(flags, key=lambda flag: (len(flag), flag))
-    assert fmasks == [mask_of(flag) for flag in ranked]
-    assert [ranked[p] for p in parents] == [flag[:-1] for flag in ranked]
-    assert index == {m: p for p, m in enumerate(fmasks)}
     capped = _fresh(geom)
     assert not keep_flags(capped, all_flags(capped), len(flags) - 1)
     assert keep_flags(capped, all_flags(capped), len(flags))

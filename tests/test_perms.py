@@ -76,6 +76,29 @@ def test_closure_cap():
     assert PermGroup([a, b], cap=120).order() == 120
 
 
+def test_chain_refuses_a_large_group_while_it_grows():
+    # Z60's rotations with 0 and 1 swapped in the first generate A_60 or
+    # S_60; the chain refuses at the first partial order above the cap,
+    # long before it is complete, and keeps nothing
+    import time
+    rots = [[(i + k) % 60 for i in range(60)] for k in range(1, 60)]
+    rots[0][0], rots[0][1] = rots[0][1], rots[0][0]
+    group = PermGroup([Perm(r) for r in rots], cap=200_000)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as err:
+        group.order()
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == "group order exceeds cap 200000"
+    assert group._sims is None
+    s5 = [Perm.from_cycles(5, [(0, 1)]),
+          Perm.from_cycles(5, [(0, 1, 2, 3, 4)])]
+    assert PermGroup(s5, cap=120).order() == 120
+    small = PermGroup(s5, cap=119)
+    with pytest.raises(CapExceeded):
+        small.order()
+    assert small._sims is None
+
+
 def test_orbit_partition_translations():
     geom, trans = affine_geometry(3, 2)
     part = orbit_partition(trans, geom)
