@@ -6,8 +6,10 @@ the right-multiplication action.
 A FiniteGroup is the faithful permutation action of its construction:
 element x is the images tuple act[x], and x*y is the element whose
 action is act[x] followed by act[y] (Perm's product).  The identity and
-inverses are looked up in one {action: index} dict, and subgroups are
-closed by perms' one closure loop; no product table is kept.
+inverses are looked up in one {action: index} dict.  Generators are
+picked, and outside actions checked closed, by perms' one generator
+picker (_Chain.add); subgroups are closed by perms' one closure loop;
+no product table is kept.
 
 A coset pregeometry is one index table, coset_of[i][x]: the coset of
 type i that holds group element x.  Incidences are the pairs
@@ -22,9 +24,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .geometry import Pregeometry, flags_of_type, mask_of, same_type_incidence
-from .perms import (DEFAULT_CAP, CapExceeded, Perm, PermGroup, _closure,
-                    _flag_orbits, _inverse, _then, check_automorphisms,
-                    transitivity)
+from .perms import (DEFAULT_CAP, CapExceeded, Perm, PermGroup, _Chain,
+                    _closure, _flag_orbits, _inverse, _then,
+                    check_automorphisms, transitivity)
 
 
 class FiniteGroup:
@@ -54,7 +56,7 @@ class FiniteGroup:
             raise ValueError("repeated action")
         if self.id is None:
             raise ValueError("no identity element")
-        try:  # the actions lie in their picks' closure, capped at their count
+        try:  # the actions lie in their picks' group, capped at their count
             self._gens = self._pick(range(len(act)), len(act))
         except CapExceeded:
             raise ValueError("actions not closed under products") from None
@@ -106,7 +108,7 @@ class FiniteGroup:
     def generators(self, members=None):
         """A small generating set of the subgroup on the given members
         (default: the whole group), chosen greedily in index order: each
-        member not generated by the earlier picks."""
+        member not generated by the earlier picks, as _Chain.add decides."""
         if members is None:
             if self._gens is None:
                 self._gens = self._pick(range(len(self)))
@@ -114,13 +116,9 @@ class FiniteGroup:
         return self._pick(sorted(members))
 
     def _pick(self, members, cap=None):
-        act, identity = self.act, self.act[self.id]
-        picks, have = [], {identity}
-        for x in members:
-            if act[x] not in have:
-                picks.append(x)
-                have = _closure([act[p] for p in picks], identity, cap)
-        return picks
+        act = self.act
+        chain = _Chain(len(act[self.id]), cap=cap)
+        return [x for x in members if chain.add(act[x])]
 
 
 class Subgroup:

@@ -5,7 +5,10 @@ A group is given by generators.  Its order, membership, point
 stabilizers and normal closures come from one deterministic
 Schreier-Sims chain (_Chain: a base, strong generators per level and
 transversals; Sims 1970, Seress, *Permutation Group Algorithms*, 2003,
-ch. 4), built on first use without listing the group.  Only elements()
+ch. 4), built on first use without listing the group.  _Chain.add is
+the one generator picker: automorphism_group, normal_closure and
+cosets.FiniteGroup keep a candidate exactly when the chain does not yet
+hold it, and no group is built from its element list.  Only elements()
 lists G, by _closure, the one closure loop, under a configurable cap;
 the chain refuses a group with the same CapExceeded as soon as it grows
 past that cap.  Every orbit question goes through _orbits, the one
@@ -19,8 +22,9 @@ decided once per geometry and kept with it.
 _incidence_maps is the one incidence-map search: invariant-pruned
 backtracking (McKay & Piperno, "Practical graph isomorphism, II", 2014,
 without orbit pruning) over the type- and incidence-preserving
-bijections between two pregeometries.  automorphism_group collects all of
-them from a geometry to itself; constructions.isomorphic takes the first.
+bijections between two pregeometries.  automorphism_group keeps those
+from a geometry to itself that its chain accepts; constructions.isomorphic
+takes the first.
 """
 
 from __future__ import annotations
@@ -314,9 +318,10 @@ class _Chain:
 
 
 class PermGroup:
-    """Generators, a Schreier-Sims chain built on first use, and an
-    element set listed only when asked for (construct, then freeze; all
-    queries after construction are pure)."""
+    """Generators, a Schreier-Sims chain (built on first use, or handed
+    over by the picker that chose the generators) and an element set
+    listed only when asked for, never built from it (construct, then
+    freeze; all queries after construction are pure)."""
 
     def __init__(self, gens, degree=None, cap=DEFAULT_CAP):
         gens = [g for g in gens if not g.is_identity()]
@@ -339,13 +344,6 @@ class PermGroup:
     def trivial(cls, degree):
         return cls([], degree=degree)
 
-    @classmethod
-    def from_elements(cls, elems, degree=None, cap=DEFAULT_CAP):
-        elems = set(elems)
-        group = cls(sorted(elems), degree=degree, cap=cap)
-        group._elements = frozenset(elems) | {Perm.identity(group.degree)}
-        return group
-
     def _chain(self):
         """The group's chain; raises CapExceeded when the order is above
         the cap, with the message listing the group would raise."""
@@ -365,8 +363,6 @@ class PermGroup:
         return self._elements
 
     def order(self):
-        if self._elements is not None:
-            return len(self._elements)
         return self._chain().size
 
     def __contains__(self, perm):
@@ -607,13 +603,15 @@ def _incidence_maps(ga, gb):
 
 def automorphism_group(geom, cap=DEFAULT_CAP):
     """All type- and incidence-preserving permutations, one search leaf
-    per automorphism (_incidence_maps from geom to itself)."""
-    found = []
-    for images in _incidence_maps(geom, geom):
-        found.append(Perm._trusted(images))
-        if cap is not None and len(found) > cap:
-            raise CapExceeded("automorphism count exceeds cap %d" % cap)
-    return PermGroup.from_elements(found, degree=geom.size, cap=cap)
+    per automorphism (_incidence_maps from geom to itself), generated by
+    the leaves a chain accepts, in search order; the chain refuses as
+    soon as the order passes the cap."""
+    chain = _Chain(geom.size, cap=cap)
+    gens = [Perm._trusted(images) for images in _incidence_maps(geom, geom)
+            if chain.add(images)]
+    group = PermGroup(gens, degree=geom.size, cap=cap)
+    group._sims = chain
+    return group
 
 
 def multicover_array(geom, group):

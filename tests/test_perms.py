@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from geoq import perms
 from geoq.constructions import (affine_geometry, hexagon, ssg,
                                 ssg_symmetric_action)
 from geoq.geometry import Pregeometry, flags_of_type
@@ -585,16 +586,38 @@ def test_automorphism_group_agrees_with_brute_force(rng):
         got = automorphism_group(geom)
         want = brute_force_automorphisms(geom)
         assert got.elements() == want
-        assert got.gens == tuple(sorted(want - {Perm.identity(geom.size)}))
+        # the generators are picked from the search leaves in search
+        # order: gens[k] is the first leaf outside the closure of
+        # gens[:k], so each pick at least doubles the order
+        leaves = list(perms._incidence_maps(geom, geom))
+        for k, g in enumerate(got.gens):
+            have = {h.images for h in mulclose(list(got.gens[:k]))} or {
+                Perm.identity(geom.size).images}
+            assert g.images == next(x for x in leaves if x not in have)
+        assert 2 ** len(got.gens) <= len(want)
         orders.add(len(want))
     assert len(orders) > 5  # not only trivial or tiny groups
 
 
-def test_automorphism_group_cap():
+def test_automorphism_group_cap(monkeypatch):
     geom = ssg(3, 2)  # its automorphisms are the 6 of S3
     assert automorphism_group(geom, cap=6).order() == 6
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="group order exceeds cap 5"):
         automorphism_group(geom, cap=5)
+    # the chain refuses as soon as the order it holds passes the cap, so
+    # from fewer search leaves than the cap: S5 on ssg(5, 2) at cap 60
+    drawn = []
+    search = perms._incidence_maps
+
+    def counting(ga, gb):
+        for images in search(ga, gb):
+            drawn.append(images)
+            yield images
+
+    monkeypatch.setattr(perms, "_incidence_maps", counting)
+    with pytest.raises(CapExceeded, match="group order exceeds cap 60"):
+        automorphism_group(ssg(5, 2), cap=60)
+    assert 0 < len(drawn) < 60
 
 
 def test_multicover_array():

@@ -155,7 +155,8 @@ def test_only_elements_lists_a_group():
                for fn, called in calls if called == "mulclose"]
     assert listing == ["perms.py:PermGroup.elements"], listing
     chain_only = {"stabilizer", "normal_closure", "is_semiregular",
-                  "PermGroup.order", "PermGroup.__contains__"}
+                  "PermGroup.order", "PermGroup.__contains__",
+                  "automorphism_group"}
     hits = ["%s:%s" % (name, fn) for name, calls in by_name.items()
             for fn, called in calls if called == "elements"
             and (name in ("cli.py", "axioms.py", "cosets.py")
@@ -208,13 +209,31 @@ def test_masks_are_the_only_incidence():
                                    ("geometry.py", "bits")], lowbit
 
 
+def test_one_generator_picker():
+    # _Chain.add picks every generator the library keeps (sifting decides
+    # membership): no group is built from its element list, and no picker
+    # re-closes its picks; _closure serves mulclose and the subgroups of
+    # cosets alone
+    hits = ["%s:%d" % (path.name, n)
+            for path in SOURCES
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if "from_elements" in line]
+    assert not hits, hits
+    callers = {"%s:%s" % (path.name, fn) for path in SOURCES
+               for fn, called in _calls_by_function(path)
+               if called == "_closure"}
+    assert callers == {"perms.py:mulclose",
+                       "cosets.py:FiniteGroup.subgroup_generated",
+                       "cosets.py:Subgroup.__init__"}, callers
+
+
 def test_projection_layer_reads_no_pair_set():
     # the library reads the masks alone: a `.pairs` attribute, the edge
     # set derived from the masks on first read, is read only where it is
-    # defined (geometry.py) and by the writer (io.py), so no decider or
-    # constructor slips back to a pair scan
+    # defined (geometry.py; the writer reads incident_pairs), so no
+    # decider or constructor slips back to a pair scan
     hits = ["%s:%d" % (path.name, node.lineno)
-            for path in SOURCES if path.name not in ("geometry.py", "io.py")
+            for path in SOURCES if path.name != "geometry.py"
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr == "pairs"]
     assert not hits, hits
