@@ -2,22 +2,23 @@
 Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3).
 
 All deciders are exhaustive; witnesses are minimal under (flag rank,
-lexicographic) ordering.  No decider lists the elements of G; the
-G-orbits on flags come from perms._flag_orbits, keyed by the flags
-themselves.  G keeps types, so x, y in the residue of F share a
-G_F-orbit exactly when F + {x} and F + {y} share a G-orbit.  The
-blocks are the G-orbits, so every per-flag condition decided here --
-(TQ1), (TQ2'), (TQ2''), and (PQ1), (PQ2) and residual surjectivity in
-axioms_report -- has the same verdict at F and at every gF.  So each
-decider scans only the least flag of each orbit: the first failing one
-is the least failing flag, and the rest of a witness depends on that
-flag alone.  For the same reason the cover test and the block distance
-look at the least member of each block only.
+lexicographic) order, and an orbit-quotient, which never changes, keeps
+its block distance and (TQ1), (TQ2'), (TQ2'') verdicts.  No decider
+lists the elements of G; the G-orbits on flags come from
+perms._flag_orbits, keyed by the flags themselves.  G keeps types, so x,
+y in the residue of F share a G_F-orbit exactly when F + {x} and F + {y}
+share a G-orbit.  The blocks are the G-orbits, so every per-flag
+condition decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1), (PQ2) and
+residual surjectivity in axioms_report -- has the same verdict at F and
+at every gF.  So each decider scans only the least flag of each orbit:
+the first failing one is the least failing flag, and the rest of a
+witness depends on that flag alone.  For the same reason the cover test
+and the block distance look at the least member of each block only.
 """
 
 from __future__ import annotations
 
-from .geometry import INF, bfs, bits, flag_text
+from .geometry import INF, _per_geometry, bfs, bits, flag_text
 from .perms import _flag_orbits, orbit_partition
 from .quotient import Projection, _extensions, _residue_map_failure
 
@@ -26,20 +27,21 @@ class OrbitQuotient:
     """A pregeometry together with an automorphism group, its orbit
     partition and the projection onto the orbit quotient."""
 
-    __slots__ = ("geom", "group", "partition", "proj", "_block_distance")
+    __slots__ = ("geom", "group", "partition", "proj", "_memo")
 
     def __init__(self, geom, group):
         self.geom = geom
         self.group = group
         self.partition = orbit_partition(group, geom)
         self.proj = Projection(geom, self.partition)
-        self._block_distance = None
+        self._memo = None  # see _per_geometry
 
     @property
     def quotient(self):
         return self.proj.quotient
 
     @property
+    @_per_geometry
     def block_distance(self):
         """min_block_distance of the orbit partition, kept.  A block is a
         G-orbit, so it is the least d(x0, y) over each block's least
@@ -47,18 +49,21 @@ class OrbitQuotient:
         over the u incident with y: one search from each x0 ends at the
         first layer that holds such a u, or where it cannot beat the
         best distance so far."""
-        if self._block_distance is None:
-            best, masks = INF, self.geom.masks
-            for block in self.partition.blocks:
-                near = 0  # the elements incident with a block-mate of x0
-                for y in block[1:]:
-                    near |= masks[y]
-                if near:
-                    reach = bfs(masks, block[:1], stop=near, depth=best - 2)
-                    best = next((d + 1 for u, (d, _) in reach.items()
-                                 if near >> u & 1), best)
-            self._block_distance = best
-        return self._block_distance
+        best, masks = INF, self.geom.masks
+        for block in self.partition.blocks:
+            near = 0  # the elements incident with a block-mate of x0
+            for y in block[1:]:
+                near |= masks[y]
+            if near:
+                reach = bfs(masks, block[:1], stop=near, depth=best - 2)
+                best = next((d + 1 for u, (d, _) in reach.items()
+                             if near >> u & 1), best)
+        return best
+
+
+def _plus(flag, x):
+    """The table key of flag + {x}, sorted only if x is not after flag[-1]."""
+    return flag + (x,) if flag[-1:] < (x,) else tuple(sorted(flag + (x,)))
 
 
 def check_TQ3(oq):
@@ -66,6 +71,7 @@ def check_TQ3(oq):
     return oq.block_distance >= 4
 
 
+@_per_geometry
 def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
@@ -75,13 +81,14 @@ def check_TQ2prime(oq):
         for members in oq.proj.inside:  # block by block, in block order
             xs = bits(ext & members)
             if len(xs) > 1:
-                first = orbit_of[tuple(sorted(flag + (xs[0],)))]
+                first = orbit_of[_plus(flag, xs[0])]
                 for x in xs[1:]:
-                    if orbit_of[tuple(sorted(flag + (x,)))] != first:
+                    if orbit_of[_plus(flag, x)] != first:
                         return False, (flag, xs[0], x)
     return True, None
 
 
+@_per_geometry
 def check_TQ2doubleprime(oq):
     """(TQ2''): when a flag is incident to the orbits of both ends of an
     incident pair, some single group element brings both ends onto it.
@@ -112,6 +119,7 @@ _TQ1_REASON = {"not injective": "orbit map not injective",
                "not surjective": "orbit map not onto the quotient residue"}
 
 
+@_per_geometry
 def check_TQ1(oq):
     """(TQ1): for every flag, quotienting the residue by the flag
     stabilizer is isomorphic (via orbit -> block) to the residue of the
@@ -121,8 +129,7 @@ def check_TQ1(oq):
         ext, target = _extensions(oq.proj, flag)
         orbits = {}
         for x in bits(ext):
-            orbits.setdefault(orbit_of[tuple(sorted(flag + (x,)))],
-                              []).append(x)
+            orbits.setdefault(orbit_of[_plus(flag, x)], []).append(x)
         reason = _residue_map_failure(oq.proj, list(orbits.values()), target)
         if reason is not None:
             return False, (flag, _TQ1_REASON.get(reason, reason))

@@ -226,24 +226,26 @@ def mask_of(elements):
 
 
 def _per_geometry(fn):
-    """Memoize fn(geom) on the geometry object itself: a pregeometry never
-    changes, so the value is kept for as long as the geometry lives.
-    Exceptions are not kept; they are raised again on the next call."""
+    """Memoize fn(obj) on obj, a Pregeometry, Projection or OrbitQuotient,
+    none of which changes, for as long as obj lives.  Calls with further
+    arguments compute, and exceptions are raised again on the next call."""
     @functools.wraps(fn)
-    def cached(geom):
-        memo = _memo(geom)
+    def cached(obj, *args, **kwargs):
+        if args or kwargs:
+            return fn(obj, *args, **kwargs)
+        memo = _memo(obj)
         try:
             return memo[fn]
         except KeyError:
-            memo[fn] = value = fn(geom)
+            memo[fn] = value = fn(obj)
             return value
     return cached
 
 
-def _memo(geom):
-    if geom._memo is None:
-        geom._memo = {}
-    return geom._memo
+def _memo(obj):
+    if obj._memo is None:
+        obj._memo = {}
+    return obj._memo
 
 
 @_per_geometry

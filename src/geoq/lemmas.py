@@ -8,12 +8,12 @@ The fixed instances the draws pick from are built once per process and
 shared: the cycles and their rotations, the symmetric actions on
 ssg(v, k), multipartite_geometry(2, 3, 2), the hexagon, the eight-cycle
 and the pool of small groups.  So each keeps its flags, verdicts, flag
-orbits, Schreier-Sims chain and one OrbitQuotient per drawn group
-across draws; each fixed group is listed once and each ssg(v, k) is
-checked shadowable once.  Every rng call is made as before, so the
-draws are unchanged, and no check changes what it is given, so a
-shared instance answers as a fresh one would.  The public constructors
-stay uncached.
+orbits and chain across draws, and one OrbitQuotient per drawn group
+(_orbit_quotient, found before the group's order is read) that keeps
+its verdicts, its chamber lifts and its projection's verdicts.  Every
+rng call is made as before and no check changes what it is given, so
+the draws are unchanged and a shared instance answers as a fresh one
+would.  The public constructors stay uncached.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from .constructions import (SimpleGraph, blowup_projection, cycle_geometry,
                             is_shadowable, multipartite_geometry,
                             ssg_symmetric_action)
 from .diagram import _Record, _forest_trees, lift_chamber_forest
-from .geometry import (Pregeometry, _memo, _short_maximal_flag,
-                       all_flags, flags_of_type, is_connected, is_firm,
-                       is_geometry, is_residually_connected, keep_flags)
+from .geometry import (Pregeometry, _memo, _per_geometry,
+                       _short_maximal_flag, all_flags, flags_of_type,
+                       is_connected, is_firm, is_geometry,
+                       is_residually_connected, keep_flags)
 from .perms import (CapExceeded, PermGroup, automorphism_group,
                     induced_quotient_group, is_semiregular, normal_closure,
                     orbit_partition, transitivity)
@@ -218,13 +219,17 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
         return None
     if not keep_flags(geom, all_flags(geom), max_flags):
         return None
-    if group.order() > 60:
-        return None
-    shared = _memo(geom)  # one OrbitQuotient per (geometry, generators)
+    return _orbit_quotient(geom, group)
+
+
+def _orbit_quotient(geom, group):
+    """The OrbitQuotient kept with geom per group generators, or None when
+    the group has over 60 elements; one is kept only after that test."""
+    kept = _memo(geom)
     key = ("OrbitQuotient", tuple(g.images for g in group.gens))
-    if key not in shared:
-        shared[key] = OrbitQuotient(geom, group)
-    return shared[key]
+    if key not in kept and group.order() <= 60:
+        kept[key] = OrbitQuotient(geom, group)
+    return kept.get(key)
 
 
 def _draw(rng, maker, count):
@@ -278,9 +283,8 @@ def _cover_instances(rng):
     kind = rng.randrange(4)
     if kind == 0:
         two_m = rng.choice([8, 12, 16])
-        geom = _cycle_geometry(two_m)
-        part = orbit_partition(_cycle_rotation(two_m, two_m // 2), geom)
-        return Projection(geom, part)
+        return _orbit_quotient(_cycle_geometry(two_m),
+                               _cycle_rotation(two_m, two_m // 2)).proj
     if kind == 1:
         geom = random_geometry(rng, max_rank=2, max_per_type=4)
         big, proj = blowup_projection(geom, SimpleGraph.matching(rng.randint(1, 2)))
@@ -455,14 +459,24 @@ def suite_chamber_lift(rng, count=200):
 
     for oq in _draw(rng, maker, count):
         res.checked += 1
-        chams = flags_of_type(oq.quotient, range(oq.quotient.rank))
-        for cham in chams:
-            res.nonvacuous += 1
-            lifted = lift_chamber_forest(oq, cham)
-            oracle = lift_flag(oq.proj, cham)
-            if oracle is None or oq.proj.project_flag(lifted) != cham:
-                res.violations.append((oq.geom, cham))
+        chambers, misses = _chamber_lift_misses(oq)
+        res.nonvacuous += chambers
+        res.violations += [(oq.geom, cham) for cham in misses]
     return res
+
+
+@_per_geometry
+def _chamber_lift_misses(oq):
+    """How many quotient chambers there are, and those the lift oracle
+    cannot lift or the forest lift misses; kept with the orbit-quotient."""
+    chams = flags_of_type(oq.quotient, range(oq.quotient.rank))
+    misses = []
+    for cham in chams:
+        lifted = lift_chamber_forest(oq, cham)
+        oracle = lift_flag(oq.proj, cham)
+        if oracle is None or oq.proj.project_flag(lifted) != cham:
+            misses.append(cham)
+    return len(chams), tuple(misses)
 
 
 ALL_SUITES = [

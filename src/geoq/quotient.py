@@ -1,17 +1,18 @@
 """
 Type-refining partitions, quotient pregeometries and the projection map.
 
-Deciders for flag lifting, the lifting axioms (PQ1)/(PQ2), residual
-surjectivity, covers and m-covers all live here, on masks: a projection
-keeps each block's members as a mask, and a decider asks of each flag
-the AND of its members' masks and of their blocks' quotient masks
-(_extensions).  Witnesses are minimal under (rank, lexicographic) order.
+Deciders for flag lifting, (PQ1)/(PQ2), residual surjectivity, covers
+and m-covers live here, on masks: a projection keeps each block as a
+mask, and a decider ANDs a flag's members' masks and their blocks'
+quotient masks (_extensions).  Witnesses are minimal under (rank, lex)
+order.  A projection never changes; it keeps its check_flagslift verdict
+and those of check_PQ1 and is_cover on all flags and elements.
 """
 
 from __future__ import annotations
 
-from .geometry import (INF, Pregeometry, as_flag, all_flags, bfs, bits,
-                       flags_by_rank_lex, flags_of_type, mask_of)
+from .geometry import (INF, Pregeometry, _per_geometry, as_flag, all_flags,
+                       bfs, bits, flags_by_rank_lex, flags_of_type, mask_of)
 
 
 class Partition:
@@ -74,7 +75,8 @@ def singleton_partition(geom):
 class Projection:
     """Projection onto the quotient by a partition; inside[k] masks block k."""
 
-    __slots__ = ("source", "partition", "block_of", "quotient", "inside")
+    __slots__ = ("source", "partition", "block_of", "quotient", "inside",
+                 "_memo")
 
     def __init__(self, source, partition):
         self.source, self.partition = source, partition
@@ -93,8 +95,11 @@ class Projection:
                 qmasks[block_of[y]] |= 1 << k
             names.append("{%s}" % ",".join(source.elem_names[x] for x in block))
             etype.append(source.elem_type[block[0]])
+        if len(set(names)) < len(names):  # commas in element names
+            names = ["%s~%d" % (name, k) for k, name in enumerate(names)]
         self.quotient = Pregeometry._of_masks(source.type_names, names, etype,
                                               qmasks)
+        self._memo = None  # see _per_geometry
 
     def project_flag(self, flag):
         """The quotient flag of a source flag; raises ValueError when the
@@ -134,6 +139,7 @@ def lift_flag(proj, qflag):
     return rec(0, [], (1 << proj.source.size) - 1)
 
 
+@_per_geometry
 def check_flagslift(proj):
     """True iff every quotient flag lifts; the witness is a minimal
     non-lifting quotient flag.  Flags of rank <= 2 always lift."""
@@ -272,6 +278,7 @@ def is_m_cover(proj, m):
     return True, None
 
 
+@_per_geometry
 def is_cover(proj, elements=None):
     """A covering restricts to residue isomorphisms at every element.
     The elements tested default to all of them; a caller that knows the
@@ -288,6 +295,7 @@ def is_incidence_graph_cover(proj):
     return corank1_injective(proj) and corank1_surjective(proj)
 
 
+@_per_geometry
 def check_PQ1(proj, flags=None):
     """(PQ1): whenever the projection of a flag extends by a block in the
     quotient, the flag itself extends by an element of that block.  The

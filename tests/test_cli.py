@@ -203,6 +203,28 @@ def test_quotient_with_partition(tmp_path, capsys):
     assert out_file.exists()
 
 
+def test_quotient_block_names_stay_distinct(tmp_path, capsys):
+    # "{a,b}" names both the block of a and b and the block of the element
+    # "a,b"; colliding names get the block index, and the quotient written
+    # parses back as the quotient itself
+    from geoq import io as gio
+    from geoq.quotient import Projection
+    geo, part, out_file = (tmp_path / "g.geo", tmp_path / "p.part",
+                           tmp_path / "q.geo")
+    geo.write_text("type P\ntype L\nelem a P\nelem b P\nelem a,b P\n"
+                   "elem l L\ninc a l\ninc b l\ninc a,b l\n")
+    part.write_text("block B a b\n")
+    code, out, err = run(capsys, "--machine", "quotient", str(geo),
+                         "--partition", str(part), "-o", str(out_file))
+    assert (code, err) == (1, "")
+    assert "quotient-geometry=true" in out.splitlines()
+    written = gio.parse_geometry(out_file.read_text())
+    assert written.elem_names == ("{a,b}~0", "{a,b}~1", "{l}~2")
+    geom = gio.parse_geometry(geo.read_text())
+    proj = Projection(geom, gio.parse_partition(part.read_text(), geom))
+    assert written == proj.quotient
+
+
 def test_quotient_normal_closure(tmp_path, capsys):
     gen_file(tmp_path, capsys, "coseteg", "2")
     sub = tmp_path / "sub.grp"
@@ -357,6 +379,17 @@ def test_reproduce_subset(capsys):
 # (checked, nonvacuous) of every lemma suite at --count 200, suites in
 # name order: every draw and every verdict of the randomized suites
 LEMMA_SUITE_COUNTS = {
+    "0": [("coset-quotient-closed", 200, 200),
+          ("cover-properties", 200, 173),
+          ("cover-semiregular", 200, 57),
+          ("distance4-cover", 200, 163),
+          ("flagslift-quotient-geometry", 200, 195),
+          ("flagslift-tq2prime-tq2doubleprime", 200, 120),
+          ("forest-chamber-lift", 200, 1009),
+          ("rank3-quotient", 200, 200),
+          ("shadowable-quotient", 200, 200),
+          ("tq1-iff-tq2-both", 200, 200),
+          ("tq3-tq1-pq1-flagslift", 200, 183)],
     "1": [("coset-quotient-closed", 200, 200),
           ("cover-properties", 200, 159),
           ("cover-semiregular", 200, 57),

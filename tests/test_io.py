@@ -25,6 +25,34 @@ def test_geometry_roundtrip_text():
     assert format_geometry(parse_geometry(text)) == text
 
 
+def test_quotient_roundtrip_with_commas_in_names():
+    # block names "{...}" join member names with commas; element names may
+    # hold commas and braces, so two blocks can get one name.  Every
+    # partition's quotient is written with distinct whitespace-free names
+    # and parses back as itself; names that are distinct are kept
+    from itertools import combinations
+    from geoq.quotient import Partition, quotient
+    geom = parse_geometry("type P\ntype L\nelem a P\nelem b P\n"
+                          "elem a,b P\nelem b} P\nelem {a P\n"
+                          "elem b},{a P\nelem l L\n"
+                          "inc a l\ninc b l\ninc a,b l\ninc {a l\n")
+    points, renamed = geom.by_type[0], 0
+    for r in range(1, len(points) + 1):
+        for block in combinations(points, r):
+            rest = [(x,) for x in range(geom.size) if x not in block]
+            q, _ = quotient(geom, Partition(geom, [block] + rest))
+            assert parse_geometry(format_geometry(q)) == q
+            plain = ["{%s}" % ",".join(geom.flag_names(b))
+                     for b in Partition(geom, [block] + rest).blocks]
+            if len(set(plain)) == len(plain):
+                assert list(q.elem_names) == plain
+            else:
+                assert list(q.elem_names) == [
+                    "%s~%d" % (name, k) for k, name in enumerate(plain)]
+                renamed += 1
+    assert renamed >= 2
+
+
 def test_geometry_comments_and_blanks():
     text = "# a comment\ntype A\n\nelem x A  # trailing comment\n"
     geom = parse_geometry(text)

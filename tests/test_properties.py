@@ -116,11 +116,13 @@ def test_warm_draws_equal_cold_draws():
             assert _same_instance(cached(*a), cached.__wrapped__(*a)), (
                 cached, a)
     # an orbit-quotient kept with a shared geometry and used by both runs
-    # answers every row as one built afresh on a copy
+    # answers every row as one built afresh on a copy, and so does every
+    # verdict it and its projection keep: each kept value is recomputed
+    # by its function on the fresh copy
     from geoq.axioms import OrbitQuotient, axioms_report
     from geoq.geometry import Pregeometry
     from geoq.perms import PermGroup
-    kept = 0
+    kept, names = 0, set()
     for geom in _shared_geometries(shared):
         for key, oq in list((geom._memo or {}).items()):
             if not (isinstance(key, tuple) and key[0] == "OrbitQuotient"):
@@ -129,10 +131,17 @@ def test_warm_draws_equal_cold_draws():
                                geom.elem_type, geom.pairs)
             fresh = OrbitQuotient(copy, PermGroup(oq.group.gens,
                                                   degree=geom.size))
+            for have, build in ((oq, fresh), (oq.proj, fresh.proj)):
+                for fn, value in dict(have._memo or {}).items():
+                    assert fn(build) == value, (fn.__name__, geom)
+                    names.add(fn.__name__)
             assert axioms_report(oq) == axioms_report(fresh)
             assert oq.block_distance == fresh.block_distance
             kept += 1
     assert kept >= 20, kept
+    assert names == {"check_TQ1", "check_TQ2prime", "check_TQ2doubleprime",
+                     "block_distance", "_chamber_lift_misses",
+                     "check_flagslift", "is_cover", "check_PQ1"}, names
 
 
 def _shared_geometries(shared):
@@ -152,7 +161,8 @@ def _shared_geometries(shared):
 def test_orbit_quotients_are_built_once_per_drawn_pair(monkeypatch):
     # random_orbit_quotient keeps one OrbitQuotient per drawn (geometry,
     # generators): at GEOQ_SEED=1 the suites accept 1,042 orbit-quotient
-    # draws and build 599
+    # draws and build 600, the cover suites' half-turn quotients of the
+    # 8-, 12- and 16-cycles included (the 16-cycle's is the one they add)
     for cached, _ in _shared_instances():
         cached.cache_clear()
     built, accepted = [], []
@@ -174,6 +184,34 @@ def test_orbit_quotients_are_built_once_per_drawn_pair(monkeypatch):
     monkeypatch.setattr(lemmas, "OrbitQuotient", Counted)
     monkeypatch.setattr(lemmas, "random_orbit_quotient", counted_draw)
     lemmas.run_all_suites(seed=1, count=200)
-    assert (len(built), len(accepted)) == (599, 1042)
+    assert (len(built), len(accepted)) == (600, 1042)
     for cached, _ in _shared_instances():  # drop the counted instances
         cached.cache_clear()
+
+
+def test_a_repeated_draw_builds_no_chain(monkeypatch):
+    # a draw that lands on a kept orbit-quotient finds it by its
+    # generators before reading the group's order, so repeating the draw
+    # builds no Schreier-Sims chain; the hits cover the symmetric actions
+    # and multipartite(2, 3, 2), whose drawn subgroups are new groups
+    from geoq import perms
+    chains = []
+    real_init = perms._Chain.__init__
+
+    def counted(self, *args, **kwargs):
+        chains.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(perms._Chain, "__init__", counted)
+    repeated = []
+    for seed in range(40):
+        first = lemmas.random_orbit_quotient(random.Random(seed))
+        chains.clear()
+        again = lemmas.random_orbit_quotient(random.Random(seed))
+        if first is not None and again is first:
+            assert chains == [], seed
+            repeated.append(first.geom)
+    new_groups = [lemmas._multipartite_geometry(2, 3, 2)[0]] + [
+        lemmas._ssg_symmetric_action(*vk)[0] for vk in ((3, 2), (4, 2), (4, 3))]
+    hits = [g for g in new_groups if any(g is h for h in repeated)]
+    assert len(hits) >= 2, len(repeated)
