@@ -8,12 +8,17 @@ The fixed instances the draws pick from are built once per process and
 shared: the cycles and their rotations, the symmetric actions on
 ssg(v, k), multipartite_geometry(2, 3, 2), the hexagon, the eight-cycle
 and the pool of small groups.  So each keeps its flags, verdicts, flag
-orbits and chain across draws, and one OrbitQuotient per drawn group
-(_orbit_quotient, found before the group's order is read) that keeps
-its verdicts, its chamber lifts and its projection's verdicts.  Every
-rng call is made as before and no check changes what it is given, so
-the draws are unchanged and a shared instance answers as a fresh one
-would.  The public constructors stay uncached.
+orbits and chain across draws, and one OrbitQuotient per drawn subgroup
+(_orbit_quotient: found by the drawn generators before the group's
+order is read, else by _per_subgroup among the kept groups of that
+order) that keeps its verdicts, its chamber lifts and its projection's
+verdicts.  The quotient conditions depend on the group, not on the
+generators drawn for it.  An ssg geometry keeps the shadowable suite's
+verdict per orbit partition and its normal-closure orbits per subgroup,
+and a projection keeps its block distance.  Every rng call is made as
+before and no check changes what it is given, so the draws are
+unchanged and a shared instance answers as a fresh one would.  The
+public constructors stay uncached.
 """
 
 from __future__ import annotations
@@ -223,13 +228,29 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
 
 
 def _orbit_quotient(geom, group):
-    """The OrbitQuotient kept with geom per group generators, or None when
-    the group has over 60 elements; one is kept only after that test."""
+    """The OrbitQuotient kept with geom for the group, found by its
+    generators before its order is read, or None when the group has over
+    60 elements; one is kept only after that test."""
     kept = _memo(geom)
     key = ("OrbitQuotient", tuple(g.images for g in group.gens))
     if key not in kept and group.order() <= 60:
-        kept[key] = OrbitQuotient(geom, group)
+        kept[key] = _per_subgroup(kept, "orbit-quotient", group,
+                                  lambda: OrbitQuotient(geom, group))
     return kept.get(key)
+
+
+def _per_subgroup(kept, kind, group, make):
+    """make(), kept in kept once per subgroup: a value kept for a group of
+    the same order that holds every generator of group was made for this
+    group, as H' <= H and |H'| = |H| give H' = H.  Membership is read off
+    the kept group's chain, so no group is listed."""
+    same = kept.setdefault(("per subgroup", kind, group.order()), [])
+    for other, value in same:
+        if all(g in other for g in group.gens):
+            return value
+    value = make()
+    same.append((group, value))
+    return value
 
 
 def _draw(rng, maker, count):
@@ -339,7 +360,7 @@ def suite_distance4_cover(rng, count=200):
     res = SuiteResult("distance4-cover")
     for proj in _draw(rng, _cover_instances, count):
         res.checked += 1
-        d = min_block_distance(proj.source, proj.partition)
+        d = _block_distance(proj)
         if corank1_surjective(proj) and d >= 4:
             res.nonvacuous += 1
             if not is_cover(proj):
@@ -348,6 +369,12 @@ def suite_distance4_cover(rng, count=200):
         if is_cover(proj) and d < 3:
             res.violations.append(("cover-short-distance", proj.source))
     return res
+
+
+@_per_geometry
+def _block_distance(proj):
+    """min_block_distance of the projection's partition, kept with it."""
+    return min_block_distance(proj.source, proj.partition)
 
 
 def suite_tq_equivalences(rng, count=200):
@@ -422,7 +449,10 @@ def suite_coset_quotient(rng, count=200):
 def suite_shadowable_quotient(rng, count=200):
     """Orbit-quotients of shadowable geometries are geometries; a
     flag-transitive overgroup stays flag-transitive on the quotient of a
-    normal subgroup's orbits."""
+    normal subgroup's orbits.  Each partition is decided once per
+    geometry, whose action is fixed: the quotient verdict is kept by the
+    subgroup's orbits, the normal closure's orbits per subgroup, and the
+    flag-transitivity verdict by those orbits."""
     res = SuiteResult("shadowable-quotient")
     for _ in range(count):
         v = rng.choice([3, 4, 5])
@@ -431,18 +461,30 @@ def suite_shadowable_quotient(rng, count=200):
         sub = random_subgroup(rng, action)
         res.checked += 1
         res.nonvacuous += 1
+        kept = _memo(geom)
         part = orbit_partition(sub, geom)
-        proj = Projection(geom, part)
-        if not is_geometry(proj.quotient)[0]:
+        key = ("quotient is a geometry", part.blocks)
+        if key not in kept:
+            kept[key] = is_geometry(Projection(geom, part).quotient)[0]
+        if not kept[key]:
             res.violations.append(("quotient-not-geometry", v, k))
             continue
-        n = normal_closure(action, sub)
-        npart = orbit_partition(n, geom)
-        nproj = Projection(geom, npart)
-        induced = induced_quotient_group(nproj, action)
-        if not transitivity(induced, nproj.quotient, "flag")[0]:
+        npart = _per_subgroup(
+            kept, "normal-closure orbits", sub,
+            lambda: orbit_partition(normal_closure(action, sub), geom))
+        key = ("flag-transitive", npart.blocks)
+        if key not in kept:
+            kept[key] = _induced_flag_transitive(Projection(geom, npart),
+                                                 action)
+        if not kept[key]:
             res.violations.append(("not-flag-transitive", v, k))
     return res
+
+
+def _induced_flag_transitive(proj, action):
+    """Whether the action induced on proj's quotient is flag-transitive."""
+    induced = induced_quotient_group(proj, action)
+    return transitivity(induced, proj.quotient, "flag")[0]
 
 
 def suite_chamber_lift(rng, count=200):

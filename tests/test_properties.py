@@ -141,7 +141,42 @@ def test_warm_draws_equal_cold_draws():
     assert kept >= 20, kept
     assert names == {"check_TQ1", "check_TQ2prime", "check_TQ2doubleprime",
                      "block_distance", "_chamber_lift_misses",
-                     "check_flagslift", "is_cover", "check_PQ1"}, names
+                     "check_flagslift", "is_cover", "check_PQ1",
+                     "_block_distance"}, names
+    # what the shadowable suite keeps with an ssg geometry: each kept
+    # group's orbit-quotient or normal-closure orbits, and each partition's
+    # verdict, recomputed on a fresh copy
+    from geoq.geometry import is_geometry
+    from geoq.perms import normal_closure, orbit_partition
+    from geoq.quotient import Partition, Projection
+    kinds = {}
+    for v, k in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3)):
+        geom, action = lemmas._shadowable_ssg_action(v, k)
+        copy = Pregeometry(geom.type_names, geom.elem_names,
+                           geom.elem_type, geom.pairs)
+        for key, value in (geom._memo or {}).items():
+            if not isinstance(key, tuple):
+                continue
+            kind = key[:2] if key[0] == "per subgroup" else key[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if key[0] == "per subgroup":
+                for group, made in value:
+                    assert group.order() == key[2]
+                    if key[1] == "normal-closure orbits":
+                        assert made.blocks == orbit_partition(
+                            normal_closure(action, group), copy).blocks
+                    else:
+                        assert made.group is group
+            elif key[0] == "quotient is a geometry":
+                part = Partition._of_blocks(copy, key[1])
+                assert value == is_geometry(Projection(copy, part).quotient)[0]
+            elif key[0] == "flag-transitive":
+                part = Partition._of_blocks(copy, key[1])
+                assert value == lemmas._induced_flag_transitive(
+                    Projection(copy, part), action)
+    assert {("per subgroup", "normal-closure orbits"),
+            ("per subgroup", "orbit-quotient"), "quotient is a geometry",
+            "flag-transitive"} <= set(kinds), kinds
 
 
 def _shared_geometries(shared):
@@ -158,11 +193,12 @@ def _shared_geometries(shared):
     return list(found.values())
 
 
-def test_orbit_quotients_are_built_once_per_drawn_pair(monkeypatch):
+def test_orbit_quotients_are_built_once_per_drawn_subgroup(monkeypatch):
     # random_orbit_quotient keeps one OrbitQuotient per drawn (geometry,
-    # generators): at GEOQ_SEED=1 the suites accept 1,042 orbit-quotient
-    # draws and build 600, the cover suites' half-turn quotients of the
-    # 8-, 12- and 16-cycles included (the 16-cycle's is the one they add)
+    # subgroup), whatever generators were drawn for it: at GEOQ_SEED=1 the
+    # suites accept 1,042 orbit-quotient draws and build 462, the cover
+    # suites' half-turn quotients of the 8-, 12- and 16-cycles included
+    # (the 16-cycle's is the one they add)
     for cached, _ in _shared_instances():
         cached.cache_clear()
     built, accepted = [], []
@@ -184,9 +220,107 @@ def test_orbit_quotients_are_built_once_per_drawn_pair(monkeypatch):
     monkeypatch.setattr(lemmas, "OrbitQuotient", Counted)
     monkeypatch.setattr(lemmas, "random_orbit_quotient", counted_draw)
     lemmas.run_all_suites(seed=1, count=200)
-    assert (len(built), len(accepted)) == (600, 1042)
+    assert (len(built), len(accepted)) == (462, 1042)
     for cached, _ in _shared_instances():  # drop the counted instances
         cached.cache_clear()
+
+
+def test_kept_orbit_quotient_agrees_with_a_fresh_one(monkeypatch):
+    # a drawn group answers from the orbit-quotient kept for its subgroup,
+    # which may have been built for other generators; every verdict and
+    # witness it gives is the one an OrbitQuotient of the drawn group gives
+    from geoq.axioms import (OrbitQuotient, check_TQ1, check_TQ2doubleprime,
+                             check_TQ2prime, check_TQ3)
+    from geoq.diagram import _forest_trees
+    from geoq.geometry import is_geometry, is_residually_connected
+    from geoq.perms import is_semiregular
+    from geoq.quotient import check_flagslift, check_PQ1, is_cover
+    drawn = []
+    real = lemmas._orbit_quotient
+
+    def recorded(geom, group):
+        oq = real(geom, group)
+        if oq is not None:
+            drawn.append((oq, group))
+        return oq
+
+    monkeypatch.setattr(lemmas, "_orbit_quotient", recorded)
+    rng = random.Random(2024)
+    while len(drawn) < 400:
+        lemmas.random_orbit_quotient(rng, need_geometry=rng.random() < 0.5)
+    shared = lifted = 0
+    for oq, group in drawn:
+        fresh = OrbitQuotient(oq.geom, group)
+        shared += oq.group.gens != group.gens
+        assert oq.partition.blocks == fresh.partition.blocks
+        for check in (check_TQ1, check_TQ2prime, check_TQ2doubleprime,
+                      check_TQ3):
+            assert check(oq) == check(fresh), check.__name__
+        for check in (check_PQ1, check_flagslift, is_cover):
+            assert check(oq.proj) == check(fresh.proj), check.__name__
+        assert is_semiregular(oq.group) == is_semiregular(group)
+        if (is_geometry(oq.geom)[0] and is_residually_connected(oq.geom)[0]
+                and _forest_trees(oq.geom) is not None):
+            assert (lemmas._chamber_lift_misses(oq)
+                    == lemmas._chamber_lift_misses(fresh))
+            lifted += 1
+    assert shared >= 30 and lifted >= 100, (shared, lifted)
+
+
+def test_a_subgroup_shares_its_orbit_quotient_whatever_its_generators():
+    # <a, b> and <b, a> are one subgroup, and so are <a> and <a^-1>; two
+    # subgroups of the same order are not
+    from geoq.constructions import multipartite_geometry
+    from geoq.perms import PermGroup
+    geom, n_group, _ = multipartite_geometry(2, 3, 2)  # not the shared one
+    elems = [g for g in n_group if not g.is_identity()]
+    a = next(g for g in elems if (g * g * g).is_identity())
+    b, c = [g for g in elems if (g * g).is_identity()][:2]
+
+    def kept(*gens):
+        return lemmas._orbit_quotient(geom, PermGroup(gens, degree=geom.size))
+
+    assert kept(a, b) is kept(b, a) is not None
+    assert kept(a) is kept(a.inv()) is not None
+    assert a.images != a.inv().images
+    assert kept(b) is not kept(c)
+    assert kept(b).group.order() == kept(c).group.order() == 2
+
+
+def test_kept_shadowable_verdict_agrees_with_fresh_projections():
+    # the shadowable suite keeps each partition's verdict with the ssg
+    # geometry; replaying its draws, each verdict and kept normal-closure
+    # partition is the one recomputed from fresh projections
+    from geoq.geometry import is_geometry
+    from geoq.perms import (induced_quotient_group, normal_closure,
+                            orbit_partition, transitivity)
+    from geoq.quotient import Projection
+
+    def unkept():
+        raise AssertionError("normal-closure orbits not kept")
+
+    for seed in range(4):
+        name = "%d:suite_shadowable_quotient" % seed
+        lemmas.suite_shadowable_quotient(random.Random(name), 200)
+        rng = random.Random(name)
+        for _ in range(200):  # the suite's draws, in its order
+            v = rng.choice([3, 4, 5])
+            k = rng.randint(2, min(3, v - 1))
+            geom, action = lemmas._shadowable_ssg_action(v, k)
+            sub = lemmas.random_subgroup(rng, action)
+            part = orbit_partition(sub, geom)
+            quotient = Projection(geom, part).quotient
+            verdict = geom._memo[("quotient is a geometry", part.blocks)]
+            assert verdict == is_geometry(quotient)[0]
+            if not verdict:
+                continue
+            npart = orbit_partition(normal_closure(action, sub), geom)
+            assert lemmas._per_subgroup(geom._memo, "normal-closure orbits",
+                                        sub, unkept).blocks == npart.blocks
+            nproj = Projection(geom, npart)
+            induced = induced_quotient_group(nproj, action)
+            assert (geom._memo[("flag-transitive", npart.blocks)]
+                    == transitivity(induced, nproj.quotient, "flag")[0])
 
 
 def test_a_repeated_draw_builds_no_chain(monkeypatch):
