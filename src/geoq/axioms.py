@@ -7,13 +7,14 @@ its block distance and (TQ1), (TQ2'), (TQ2'') verdicts.  No decider
 lists the elements of G; the G-orbits on flags come from
 perms._flag_orbits, keyed by the flags themselves.  G keeps types, so x,
 y in the residue of F share a G_F-orbit exactly when F + {x} and F + {y}
-share a G-orbit.  The blocks are the G-orbits, so every per-flag
-condition decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1), (PQ2) and
-residual surjectivity in axioms_report -- has the same verdict at F and
-at every gF.  So each decider scans only the least flag of each orbit:
-the first failing one is the least failing flag, and the rest of a
-witness depends on that flag alone.  For the same reason the cover test
-and the block distance look at the least member of each block only.
+share a G-orbit.  The blocks are the G-orbits, so F and every gF
+project onto the same quotient flag, and every per-flag condition
+decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1), (PQ2) and residual
+surjectivity in axioms_report -- has the same verdict at F and at gF.
+So each decider scans only the least flag of each orbit: the first
+failing one is the least failing flag, and the rest of a witness depends
+on that flag alone.  For the same reason the cover test and the block
+distance look at the least member of each block only.
 """
 
 from __future__ import annotations
@@ -76,10 +77,11 @@ def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
     leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
+    inside = oq.proj.inside
     for flag in leaders[1:]:  # the first is the empty flag
-        ext = _extensions(oq.proj, flag)[0]
-        for members in oq.proj.inside:  # block by block, in block order
-            xs = bits(ext & members)
+        ext, qext = _extensions(oq.proj, flag)
+        for k in bits(qext):  # the blocks that can meet the residue
+            xs = bits(ext & inside[k])
             if len(xs) > 1:
                 first = orbit_of[_plus(flag, xs[0])]
                 for x in xs[1:]:
@@ -169,7 +171,7 @@ def axioms_report(oq):
                            residual_surjectivity)
     reps = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)[0]
     return {  # the deciders run in this order
-        "flagslift": check_flagslift(oq.proj),
+        "flagslift": check_flagslift(oq.proj, reps),
         "pq1": check_PQ1(oq.proj, reps),
         "pq2": check_PQ2(oq.proj, reps),
         "tq1": check_TQ1(oq),

@@ -13,10 +13,11 @@ geoq.perms.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 
 from .geometry import (Pregeometry, all_flags, bfs, components,
                        incident_pairs, is_connected, is_geometry)
-from .perms import (Perm, PermGroup, _incidence_maps, _profile,
+from .perms import (CapExceeded, Perm, PermGroup, _incidence_maps, _profile,
                     automorphism_group)
 from .quotient import Partition, Projection
 
@@ -124,13 +125,21 @@ def _part_symmetric_gens(perm, parts, n):
     return gens
 
 
+SSG_MAX_ELEMENTS = 5_000  # admits ssg(13, 6), 4,095 elements, not ssg(14, 7)
+
+
 def ssg(v, k):
     """The subset geometry: all subsets of sizes 1..k of a v-set under
-    (symmetrized) inclusion, typed by cardinality minus one."""
+    (symmetrized) inclusion, typed by cardinality minus one.  Refused
+    with CapExceeded, before it is built, above SSG_MAX_ELEMENTS."""
     if v <= 1:
         raise ValueError("need v > 1")
     if not 0 < k < v:
         raise ValueError("need 0 < k < v")
+    size = sum(comb(v, i) for i in range(1, k + 1))
+    if size > SSG_MAX_ELEMENTS:
+        raise CapExceeded("element count %d exceeds cap %d"
+                          % (size, SSG_MAX_ELEMENTS))
     ground = list(range(1, v + 1))
     elems = []
     sets = []

@@ -13,7 +13,8 @@ from itertools import combinations
 
 from .geometry import (_per_geometry, bits, components, extensions,
                        flags_of_type, is_flag, is_geometry,
-                       is_residually_connected, mask_of, non_incident_pair)
+                       is_residually_connected, least, mask_of,
+                       non_incident_pair)
 
 
 class _Record:
@@ -186,7 +187,7 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
                        if geom.masks[bl] & block_i), None)
         if beta_l is None:
             raise RuntimeError("incident blocks with no incident members")
-        beta_i = bits(geom.masks[beta_l] & block_i)[0]
+        beta_i = least(geom.masks[beta_l] & block_i)
         a = oq.group.element_mapping(beta_l, placed[ell])
         if a is None:
             raise RuntimeError("block is not a single orbit")

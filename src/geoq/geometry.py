@@ -8,7 +8,7 @@ with bit y set when x * y (reflexivity is implicit): every query reads
 them, equality and hashing compare them, and library code builds from
 them (`_of_masks`).  `incident_pairs`, the pairs a < b in order, and
 `pairs`, their set, are read off them once.  `bits` and `mask_of` turn
-a mask into its indices and back.
+a mask into its indices and back; `least` reads its least index alone.
 Flags are sorted tuples of element indices.
 
 A flag's common neighbours are the AND of its members' masks, and
@@ -153,7 +153,7 @@ def same_type_incidence(geom):
         same = geom.masks[a] & of_type[t]
         if same:
             return ("same-type incidence: %s * %s (type %s)"
-                    % (geom.elem_names[a], geom.elem_names[bits(same)[0]],
+                    % (geom.elem_names[a], geom.elem_names[least(same)],
                        geom.type_names[t]))
     return None
 
@@ -203,7 +203,7 @@ def non_incident_pair(geom, xs, ys):
     for x in xs:
         missing = want & ~masks[x]
         if missing:
-            return x, bits(missing)[0]
+            return x, least(missing)
     return None
 
 
@@ -215,6 +215,11 @@ def bits(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def least(mask):
+    """The least set bit of a nonzero mask, for callers that read one."""
+    return (mask & -mask).bit_length() - 1
 
 
 def mask_of(elements):

@@ -4,15 +4,21 @@ Type-refining partitions, quotient pregeometries and the projection map.
 Deciders for flag lifting, (PQ1)/(PQ2), residual surjectivity, covers
 and m-covers live here, on masks: a projection keeps each block as a
 mask, and a decider ANDs a flag's members' masks and their blocks'
-quotient masks (_extensions).  Witnesses are minimal under (rank, lex)
-order.  A projection never changes; it keeps its check_flagslift verdict
-and those of check_PQ1 and is_cover on all flags and elements.
+quotient masks (_extensions).  FlagsLift compares projected flag sets,
+rank by rank: a quotient flag lifts exactly when some source flag
+projects onto it (lift_flag searches for one such flag).  Witnesses
+are minimal under (rank, lex) order.  A projection never changes; it
+keeps its check_flagslift verdict and those of check_PQ1 and is_cover
+on all flags and elements.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .geometry import (INF, Pregeometry, _per_geometry, as_flag, all_flags,
-                       bfs, bits, flags_by_rank_lex, flags_of_type, mask_of)
+                       bfs, bits, flags_by_rank_lex, flags_of_type, least,
+                       mask_of)
 
 
 class Partition:
@@ -139,22 +145,51 @@ def lift_flag(proj, qflag):
     return rec(0, [], (1 << proj.source.size) - 1)
 
 
+def _rank_slice(flags, r):
+    """The rank-r flags of a (rank, lex)-ordered flag list."""
+    return flags[bisect_left(flags, r, key=len):
+                 bisect_right(flags, r, key=len)]
+
+
+def _first_unlifted(proj, qflags, flags):
+    """The least of the quotient flags that is the projection of none of
+    the source flags, all of one rank, or None.  A lift of a quotient
+    flag is exactly a source flag projecting onto it, so the scan of the
+    source flags ends once every quotient flag has one."""
+    image = proj.block_of.__getitem__
+    unlifted = set(qflags)
+    for flag in flags:
+        if not unlifted:
+            return None
+        unlifted.discard(tuple(sorted(map(image, flag))))
+    return min(unlifted, default=None)
+
+
 @_per_geometry
-def check_flagslift(proj):
+def check_flagslift(proj, flags=None):
     """True iff every quotient flag lifts; the witness is a minimal
-    non-lifting quotient flag.  Flags of rank <= 2 always lift."""
-    for qflag in flags_by_rank_lex(proj.quotient):
-        if len(qflag) > 2 and lift_flag(proj, qflag) is None:
-            return False, qflag
+    non-lifting quotient flag.  Flags of rank <= 2 always lift; at each
+    rank r >= 3 the witness is the least rank-r quotient flag that no
+    rank-r source flag projects onto.  The source flags default to all
+    of them; a caller may pass a sublist in (rank, lex) order with the
+    same projections (an orbit-quotient's least flag per G-orbit)."""
+    if proj.quotient.rank < 3:
+        return True, None  # read no flag table
+    qflags = flags_by_rank_lex(proj.quotient)
+    flags = flags_by_rank_lex(proj.source) if flags is None else flags
+    for r in range(3, proj.quotient.rank + 1):
+        missing = _first_unlifted(proj, _rank_slice(qflags, r),
+                                  _rank_slice(flags, r))
+        if missing is not None:
+            return False, missing
     return True, None
 
 
 def check_jflags_lift(proj, types):
     """FlagsLift restricted to quotient flags of the given type set."""
-    for qflag in flags_of_type(proj.quotient, types):
-        if lift_flag(proj, qflag) is None:
-            return False, qflag
-    return True, None
+    missing = _first_unlifted(proj, flags_of_type(proj.quotient, types),
+                              flags_of_type(proj.source, types))
+    return (True, None) if missing is None else (False, missing)
 
 
 def _extensions(proj, flag):
@@ -321,7 +356,7 @@ def check_PQ2(proj, flags=None):
     for flag in flags_by_rank_lex(proj.source) if flags is None else flags:
         if len(flag) == proj.source.rank - 1:
             ext = _extensions(proj, flag)[0]
-            if not ext or not ext & ~proj.inside[proj.block_of[bits(ext)[0]]]:
+            if not ext or not ext & ~proj.inside[proj.block_of[least(ext)]]:
                 return False, flag
     return True, None
 

@@ -338,8 +338,9 @@ def _pair_image(g, pair):
 
 def _sweep_report(oq):
     from geoq.geometry import extensions, flags_by_rank_lex, mask_of
-    from geoq.quotient import (_residue_map_failure, check_flagslift,
-                               check_PQ1, check_PQ2, is_cover)
+    from geoq.quotient import (_residue_map_failure, check_PQ1, check_PQ2,
+                               is_cover)
+    from test_quotient import _search_flagslift
     geom, q, block_of = oq.geom, oq.quotient, oq.proj.block_of
     flags = flags_by_rank_lex(geom)
     items = [(f, x) for f in flags for x in extensions(geom, f)]
@@ -393,7 +394,7 @@ def _sweep_report(oq):
         return True, None
 
     return {
-        "flagslift": check_flagslift(oq.proj),
+        "flagslift": _search_flagslift(oq.proj),
         "pq1": check_PQ1(oq.proj),
         "pq2": check_PQ2(oq.proj),
         "tq1": tq1(),
@@ -421,7 +422,7 @@ def _fixed_orbit_quotients():
 
 def test_orbit_representatives_agree_with_full_sweep(rng):
     from geoq.lemmas import random_orbit_quotient
-    names = ("tq1", "tq2prime", "tq2doubleprime", "pq1", "pq2",
+    names = ("flagslift", "tq1", "tq2prime", "tq2doubleprime", "pq1", "pq2",
              "residually-surjective", "is-cover")
     seen = {(name, v): 0 for name in names for v in (True, False)}
     oqs = [OrbitQuotient(g, grp) for g, grp in _fixed_orbit_quotients()]

@@ -332,6 +332,24 @@ def test_gen_coseteg_group_order_is_capped_before_building(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_ssg_element_count_is_capped_before_building(
+        tmp_path, capsys, monkeypatch):
+    # ssg(14, 7) has 14 + 91 + ... + 3432 = 9,907 elements, above the
+    # cap of 5,000: refused with exit 3 before any subset is listed
+    import geoq.constructions as cons
+
+    def unbuilt(*args):
+        raise AssertionError("subsets listed")
+
+    monkeypatch.setattr(cons, "combinations", unbuilt)
+    code, out, err = run(capsys, "gen", "ssg", "14", "7", "--dir",
+                         str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: element count 9907 exceeds cap 5000\n"
+    assert cons.SSG_MAX_ELEMENTS == 5000
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_all_kinds(tmp_path, capsys):
     gen_file(tmp_path, capsys, "affine", "2", "2")
     assert (tmp_path / "affine-2-2.geo").exists()

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 
 from geoq.constructions import (blowup_projection, eight_cycle,
                                 flnotpq1_witness, hexagon, isomorphic,
                                 SimpleGraph, ssg)
-from geoq.geometry import (INF, all_flags, incidence_distance, is_connected,
+from geoq.geometry import (INF, Pregeometry, all_flags, flags_by_rank_lex,
+                           flags_of_type, incidence_distance, is_connected,
                            is_generalized_digon, is_geometry)
 from geoq.lemmas import (random_geometry, random_orbit_quotient,
                          random_partition)
@@ -126,6 +129,88 @@ def test_check_jflags_lift():
     assert check_jflags_lift(proj, [0, 1])[0]
     ok, witness = check_jflags_lift(proj, [0, 1, 2])
     assert not ok and witness == (0, 1, 2)
+
+
+def _search_flagslift(proj):
+    """FlagsLift by one lift_flag search per quotient flag of rank >= 3,
+    in (rank, lex) order: the oracle of check_flagslift."""
+    for qflag in flags_by_rank_lex(proj.quotient):
+        if len(qflag) > 2 and lift_flag(proj, qflag) is None:
+            return False, qflag
+    return True, None
+
+
+def test_flagslift_witness_past_rank_three():
+    # four triangles a1b1c1, a2b2d1, a3c2d2, b3c3d3 and one block per
+    # type: the quotient is one chamber whose four rank-3 faces each lift
+    # through one triangle, and the chamber itself does not lift
+    names = ["a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3",
+             "d1", "d2", "d3"]
+    x = {name: k for k, name in enumerate(names)}
+    pairs = [(x[p], x[q]) for tri in ("a1 b1 c1", "a2 b2 d1", "a3 c2 d2",
+                                      "b3 c3 d3")
+             for p, q in combinations(tri.split(), 2)]
+    geom = Pregeometry(list("abcd"), names, [k // 3 for k in range(12)],
+                       pairs)
+    proj = Projection(geom, Partition(geom, [range(3 * t, 3 * t + 3)
+                                             for t in range(4)]))
+    assert check_flagslift(proj) == _search_flagslift(proj) == (
+        False, (0, 1, 2, 3))
+    for types in combinations(range(4), 3):
+        assert check_jflags_lift(proj, types) == (True, None)
+    assert check_jflags_lift(proj, range(4)) == (False, (0, 1, 2, 3))
+
+
+def _drawn_projection(rng):
+    """A projection by a random partition (of a geometry or of a
+    pregeometry), the singleton partition, a blow-up, a cover instance
+    of the suites or an orbit-quotient; None for a missed draw."""
+    from geoq.lemmas import _cover_instances, random_pregeometry
+    kind = rng.randrange(6)
+    if kind == 0:
+        geom = random_geometry(rng)
+        return Projection(geom, random_partition(rng, geom))
+    if kind == 1:
+        geom = random_pregeometry(rng, 5, 3)
+        return Projection(geom, random_partition(rng, geom))
+    if kind == 2:
+        geom = random_geometry(rng)
+        return Projection(geom, singleton_partition(geom))
+    if kind == 3:
+        geom = random_geometry(rng, max_rank=3, max_per_type=3)
+        graph = rng.choice([SimpleGraph.matching(1), SimpleGraph.matching(2),
+                            SimpleGraph.path(3), SimpleGraph.cycle(4)])
+        return blowup_projection(geom, graph)[1]
+    if kind == 4:
+        return _cover_instances(rng)
+    oq = random_orbit_quotient(rng)
+    return None if oq is None else oq.proj
+
+
+def test_flagslift_agrees_with_lift_search(rng):
+    # verdict and least witness of the projected-set decider match one
+    # lift search per quotient flag; check_jflags_lift matches lift_flag
+    # over the flags of every type set
+    seen = {True: 0, False: 0}
+    drawn = 0
+    while drawn < 1000:
+        proj = _drawn_projection(rng)
+        if proj is None:
+            continue
+        drawn += 1
+        want = _search_flagslift(proj)
+        assert check_flagslift.__wrapped__(proj) == want
+        assert check_flagslift(proj) == want
+        seen[want[0]] += 1
+        q = proj.quotient
+        for r in range(q.rank + 1):
+            for types in combinations(range(q.rank), r):
+                qflags = flags_of_type(q, types)
+                missing = next((f for f in qflags
+                                if lift_flag(proj, f) is None), None)
+                assert check_jflags_lift(proj, types) == (
+                    (True, None) if missing is None else (False, missing))
+    assert min(seen.values()) >= 50, seen
 
 
 def _neighbours(geom):

@@ -187,7 +187,7 @@ def test_no_dataclasses_in_the_library():
 def test_masks_are_the_only_incidence():
     # incidence is read from the masks alone: no `adj` attribute is read,
     # defined or listed in __slots__, and the lowest-set-bit idiom
-    # `m & -m` appears only in bits and in all_flags, the flag walker
+    # `m & -m` appears only in bits, least and all_flags, the flag walker
     adj, lowbit = [], []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -206,7 +206,8 @@ def test_masks_are_the_only_incidence():
                            and isinstance(node.right.op, ast.USub)]
     assert not adj, adj
     assert sorted(set(lowbit)) == [("geometry.py", "all_flags"),
-                                   ("geometry.py", "bits")], lowbit
+                                   ("geometry.py", "bits"),
+                                   ("geometry.py", "least")], lowbit
 
 
 def test_one_generator_picker():
