@@ -11,15 +11,20 @@ and the core (geometry, quotient, perms, axioms); on top of that `check`
 and `diagram` load diagram, `iso` loads constructions, `gen` loads
 constructions and cosets, and `reproduce` loads all of them with lemmas
 and reproduce.  `axioms` and `quotient` load nothing more.
+
+The command line is read from one table, COMMANDS, by parse_args: no
+argparse parser is built, so no command loads argparse or gettext.  -h
+prints help rendered from the table; a refused line prints its command's
+usage line and the reason, and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import io as gio
 from .axioms import OrbitQuotient, axioms_report, format_witness
@@ -124,7 +129,7 @@ def cmd_check(args):
 def _load_projection(args, geom):
     """The projection, and with --orbits the orbit-quotient it is
     taken from (None with --partition)."""
-    if args.partition:
+    if args.partition is not None:  # an empty path too, refused unread
         part = gio.parse_partition(_read(args.partition), geom)
         return Projection(geom, part), None
     group = _load_group(args.orbits, geom, args.max_group_order)
@@ -298,92 +303,158 @@ def cmd_reproduce(args):
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="geoq",
-        description="finite incidence pregeometries: checks, quotients, "
-                    "axioms, diagrams and example generators")
-    top.add_argument("--machine", action="store_true",
-                     help="stable line-oriented key=value output")
-    sub = top.add_subparsers(dest="command", required=True)
+class UsageError(Exception):
+    """A command line that COMMANDS refuses: (usage line, reason)."""
 
-    def flag_cap(p):
-        p.add_argument("--max-flags", type=int, default=2_000_000)
 
-    def common(p):
-        p.add_argument("--max-group-order", type=int, default=200_000)
-        flag_cap(p)
+def cmd_help(args):
+    from textwrap import fill
+    _, _, about, sub = args.entry
+    print(_usage(args.path, args.entry), fill(about, 79), sep="\n\n")
+    if isinstance(sub, dict):
+        print()
+        for name, (_, _, text, _) in sub.items():
+            print(fill(text, 79, initial_indent="  %-11s" % name,
+                       subsequent_indent=" " * 13))
+    return EXIT_OK
 
-    p = sub.add_parser("check", help="validate a geometry file and run the "
-                                     "structural checks")
-    p.add_argument("geometry")
-    common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("quotient", help="quotient by a partition or orbits")
-    p.add_argument("geometry")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--partition")
-    g.add_argument("--orbits")
-    p.add_argument("--normal-closure", metavar="OVERGROUP",
-                   help="replace the orbit group by its normal closure in "
-                        "this overgroup before orbiting")
-    p.add_argument("-o", "--output")
-    common(p)
-    p.set_defaults(func=cmd_quotient)
+# name: (positionals, options, help, its cmd_* or a table of kinds).  A
+# positional "dest:metavar" is an int and "dest*" takes the rest; an
+# option's default gives its type: None a string, False a switch.  No
+# option's name is a prefix of another's.
+_CAPS = {"max-group-order": 200_000, "max-flags": 2_000_000}
+_SHORT = {"-h": "help", "-o": "output", "-v": "verbose"}
+GEN_KINDS = {what: (params, {"output": None, "dir": None}, about, cmd_gen)
+             for what, params, about in (
+    ("ssg", "a:v b:k", "subset geometry of the 1..k-subsets of a v-set"),
+    ("affine", "a:d b:q", "affine space AG(d, q) and its translation group"),
+    ("coseteg", "a:n", "rank-4 coset example over Z_n and its two groups"),
+    ("blowup", "geometry graph", "blow-up of a geometry along a graph"),
+    ("lift", "geometry a:n b:j", "multipartite lift of a shadowable geometry"),
+    ("catalogue", "name", "a named example of the catalogue"))}
+COMMANDS = {
+    "check": ("geometry", _CAPS, "validate a geometry file and run the "
+              "structural checks", cmd_check),
+    "quotient": ("geometry", dict.fromkeys(("partition", "orbits",
+                 "normal-closure", "output")) | _CAPS, "quotient by a "
+                 "partition or orbits; --normal-closure OVERGROUP replaces "
+                 "the orbit group by its normal closure in OVERGROUP",
+                 cmd_quotient),
+    "axioms": ("geometry group", _CAPS, "quotient-axiom table for an "
+               "orbit-quotient", cmd_axioms),
+    "diagram": ("geometry", {"max-flags": _CAPS["max-flags"]},  # no group
+                "basic diagram with witnesses", cmd_diagram),
+    "iso": ("first second", {}, "type-respecting isomorphism test", cmd_iso),
+    "gen": ("what", {}, "emit example files", GEN_KINDS),
+    "reproduce": ("names*", {"count": 200, "verbose": False}, "run the "
+                  "reproduction scenarios; --count: instances per "
+                  "randomized suite", cmd_reproduce)}
+_TOP = ("command", {"machine": False}, "finite incidence pregeometries: "
+        "checks, quotients, axioms, diagrams and example generators; "
+        "--machine: stable line-oriented key=value output; COMMAND -h: "
+        "that command's help", COMMANDS)
 
-    p = sub.add_parser("axioms", help="quotient-axiom table for an "
-                                      "orbit-quotient")
-    p.add_argument("geometry")
-    p.add_argument("group")
-    common(p)
-    p.set_defaults(func=cmd_axioms)
 
-    p = sub.add_parser("diagram", help="basic diagram with witnesses")
-    p.add_argument("geometry")
-    flag_cap(p)  # reads no group, so no --max-group-order
-    p.set_defaults(func=cmd_diagram)
+def _is_value(token):  # not an option: "-", a negative number, no "-"
+    return (token[:1] != "-" or token == "-"
+            or token[1:].replace(".", "", 1).isdecimal())
 
-    p = sub.add_parser("iso", help="type-respecting isomorphism test")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("gen", help="emit example files")
-    gensub = p.add_subparsers(dest="what", required=True)
-    # each kind's positionals; a dest:metavar is an int
-    for what, params in (("ssg", "a:v b:k"), ("affine", "a:d b:q"),
-                         ("coseteg", "a:n"), ("blowup", "geometry graph"),
-                         ("lift", "geometry a:n b:j"), ("catalogue", "name")):
-        q = gensub.add_parser(what)
-        for param in params.split():
-            dest, _, metavar = param.partition(":")
-            q.add_argument(dest, **{"type": int, "metavar": metavar}
-                           if metavar else {})
-        q.add_argument("-o", "--output")
-        q.add_argument("--dir")
-        q.set_defaults(func=cmd_gen)
+def _usage(path, entry):
+    names, options, _, sub = entry
+    short = {long: s for s, long in _SHORT.items()}
+    words = path + ["[-h]"]
+    for option, default in options.items():
+        metavar = ("" if default is False else " N" if default is not None
+                   else " " + option.upper().replace("-", "_"))
+        words.append("[%s%s]" % (short.get(option, "--" + option), metavar))
+    if isinstance(sub, dict):
+        return "usage: %s {%s} ..." % (" ".join(words), ",".join(sub))
+    for spec in names.split():
+        dest, _, metavar = spec.partition(":")
+        words.append("[%s ...]" % dest[:-1] if dest[-1] == "*"
+                     else metavar or dest)
+    return "usage: " + " ".join(words)
 
-    p = sub.add_parser("reproduce", help="run the reproduction scenarios")
-    p.add_argument("names", nargs="*")
-    p.add_argument("--count", type=int, default=200,
-                   help="instances per randomized suite")
-    p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(func=cmd_reproduce)
 
-    return top
+def parse_args(argv):
+    """argv as argparse read it: a namespace of machine, command, gen's
+    what, func and each option's dest.  Options follow their command
+    anywhere, as --opt value, --opt=value or a unique prefix, up to
+    "--"; -h gives cmd_help.  Raises UsageError on a refused line."""
+    path, entry, given, ended = ["geoq"], _TOP, [], False
+    values, tokens = dict(_TOP[1]), iter(argv)
+
+    def refuse(reason):
+        return UsageError(_usage(path, entry),
+                          "%s: error: %s" % (" ".join(path), reason))
+
+    def typed(value, default):  # an int when the default is one
+        try:
+            return int(value) if type(default) is int else value
+        except ValueError:
+            raise refuse("invalid int value: %r" % value) from None
+
+    for token in tokens:
+        names, options, _, sub = entry
+        if ended or _is_value(token):
+            if not isinstance(sub, dict):
+                given.append(token)
+            elif token not in sub:
+                raise refuse("invalid choice: %r" % token)
+            else:  # its option defaults; options so far were its parent's
+                values[names], path, entry = token, path + [token], sub[token]
+                values.update(entry[1])
+            continue
+        if token == "--" and not isinstance(sub, dict):
+            ended = True
+            continue
+        name, eq, value = token.partition("=")
+        name = _SHORT.get(name, name[2:] if name[:2] == "--" else "")
+        match = [o for o in [*options, "help"] if name and o.startswith(name)]
+        if len(match) != 1:
+            raise refuse("%s option: %s" % (
+                "ambiguous" if match else "unrecognized", token))
+        name, default = match[0], options.get(match[0], False)
+        if default is False and eq:
+            raise refuse("argument --%s takes no value" % name)
+        if name == "help":
+            return SimpleNamespace(func=cmd_help, path=path, entry=entry)
+        if default is not False and not eq:
+            value = next(tokens, "--")  # none left reads as an option
+            if not _is_value(value):
+                raise refuse("argument --%s expects a value" % name)
+        values[name] = default is False or typed(value, default)
+    for spec in entry[0].split():
+        dest, _, metavar = spec.partition(":")
+        if dest[-1] == "*":
+            values[dest[:-1]], given = given, []
+        elif not given:
+            raise refuse("the following arguments are required: %s" % dest)
+        else:
+            values[dest] = typed(given.pop(0), 0 if metavar else None)
+    if given:
+        raise refuse("unrecognized arguments: %s" % " ".join(given))
+    if entry[3] is cmd_quotient and (values["partition"] is None) == (
+            values["orbits"] is None):
+        raise refuse("give one of --partition and --orbits")
+    return SimpleNamespace(func=entry[3], **{
+        key.replace("-", "_"): value for key, value in values.items()})
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:  # the buffered rest goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except UsageError as exc:
+        print("%s\n%s" % exc.args, file=sys.stderr)
+        return EXIT_PARSE
     except gio.ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

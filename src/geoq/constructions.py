@@ -128,6 +128,13 @@ def _part_symmetric_gens(perm, parts, n):
 SSG_MAX_ELEMENTS = 5_000  # admits ssg(13, 6), 4,095 elements, not ssg(14, 7)
 
 
+def _cap_elements(size):
+    """ssg, blowup and shadowable_lift refuse above the cap, unbuilt."""
+    if size > SSG_MAX_ELEMENTS:
+        raise CapExceeded("element count %d exceeds cap %d"
+                          % (size, SSG_MAX_ELEMENTS))
+
+
 def ssg(v, k):
     """The subset geometry: all subsets of sizes 1..k of a v-set under
     (symmetrized) inclusion, typed by cardinality minus one.  Refused
@@ -136,10 +143,7 @@ def ssg(v, k):
         raise ValueError("need v > 1")
     if not 0 < k < v:
         raise ValueError("need 0 < k < v")
-    size = sum(comb(v, i) for i in range(1, k + 1))
-    if size > SSG_MAX_ELEMENTS:
-        raise CapExceeded("element count %d exceeds cap %d"
-                          % (size, SSG_MAX_ELEMENTS))
+    _cap_elements(sum(comb(v, i) for i in range(1, k + 1)))
     ground = list(range(1, v + 1))
     elems = []
     sets = []
@@ -213,8 +217,10 @@ def is_shadowable(geom):
 def blowup(geom, graph):
     """The blow-up along a graph: element (a, d) for each element a and
     vertex d; two of them incident iff the first parts are distinct and
-    incident and the second parts are adjacent."""
+    incident and the second parts are adjacent.  Refused, unbuilt, above
+    SSG_MAX_ELEMENTS elements."""
     nv = graph.size
+    _cap_elements(geom.size * nv)
     names = []
     etype = []
     for a in range(geom.size):
@@ -257,7 +263,8 @@ class ShadowLift:
     """The multipartite lift of a shadowable geometry: type-0 elements are
     the vertices of a complete multipartite graph with one part of size n
     per type-0 element; higher elements are complete multipartite
-    subgraphs with parts of size j labelled by a shadow."""
+    subgraphs with parts of size j labelled by a shadow.  Refused,
+    unbuilt, above SSG_MAX_ELEMENTS elements."""
 
     __slots__ = ("parent", "n", "j", "geometry", "vsets", "parent_of",
                  "_vset_index", "classes")
@@ -274,6 +281,10 @@ class ShadowLift:
         self.n = n
         self.j = j
         base = parent.by_type[0]
+        shadows = {alpha: sorted(shadow(parent, 0, alpha)) for t in
+                   range(1, parent.rank) for alpha in parent.by_type[t]}
+        _cap_elements(len(base) * n + sum(comb(n, j) ** len(sh)
+                                          for sh in shadows.values()))
         self.classes = tuple(base)
         pos = {c: i for i, c in enumerate(base)}
         names = []
@@ -286,19 +297,17 @@ class ShadowLift:
                 etype.append(0)
                 vsets.append(frozenset({(c, s)}))
                 parent_of.append(c)
-        for t in range(1, parent.rank):
-            for alpha in parent.by_type[t]:
-                sh = sorted(shadow(parent, 0, alpha))
-                for choice in product(*[combinations(range(n), j) for _ in sh]):
-                    vset = frozenset((c, s) for c, sub in zip(sh, choice)
-                                     for s in sub)
-                    label = "%s/%s" % (
-                        parent.elem_names[alpha],
-                        "+".join("".join(map(str, sub)) for sub in choice))
-                    names.append(label)
-                    etype.append(t)
-                    vsets.append(vset)
-                    parent_of.append(alpha)
+        for alpha, sh in shadows.items():  # by type, then element
+            for choice in product(*[combinations(range(n), j) for _ in sh]):
+                vset = frozenset((c, s) for c, sub in zip(sh, choice)
+                                 for s in sub)
+                label = "%s/%s" % (
+                    parent.elem_names[alpha],
+                    "+".join("".join(map(str, sub)) for sub in choice))
+                names.append(label)
+                etype.append(parent.elem_type[alpha])
+                vsets.append(vset)
+                parent_of.append(alpha)
         self.geometry = Pregeometry(parent.type_names, names, etype,
                                     _inclusion_pairs(vsets, etype))
         self.vsets = tuple(vsets)

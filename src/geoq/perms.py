@@ -45,9 +45,14 @@ class CapExceeded(Exception):
     """Raised when a group enumeration grows past its configured cap."""
 
 
+@functools.cache  # one int object per point, shared by every inverse
+def _points(n):
+    return tuple(range(n))
+
+
 def _inverse(images):
     out = [0] * len(images)
-    for x, y in enumerate(images):
+    for x, y in zip(_points(len(images)), images):
         out[y] = x
     return tuple(out)
 
@@ -224,7 +229,7 @@ class _Chain:
     with a cap, add raises CapExceeded as soon as size passes it."""
 
     def __init__(self, degree, base=(), cap=None):
-        self.identity = tuple(range(degree))
+        self.identity = _points(degree)
         self.base, self.gens, self.trans, self.orbit = [], [], [], []
         self.done = []  # done[i][k]: gens[i] applied to orbit[i][k]
         self.size = 1

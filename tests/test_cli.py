@@ -201,6 +201,12 @@ def test_quotient_with_partition(tmp_path, capsys):
                        "-o", str(out_file))
     assert "quotient-geometry=true" in out
     assert out_file.exists()
+    # an empty path is given, not absent: it is refused as unreadable
+    code, out, err = run(capsys, "quotient",
+                         str(tmp_path / "grid-complement.geo"),
+                         "--partition", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 0: cannot read : ")
 
 
 def test_quotient_block_names_stay_distinct(tmp_path, capsys):
@@ -348,6 +354,44 @@ def test_gen_ssg_element_count_is_capped_before_building(
     assert err == "cap exceeded: element count 9907 exceeds cap 5000\n"
     assert cons.SSG_MAX_ELEMENTS == 5000
     assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_blowup_element_count_is_capped_before_building(
+        tmp_path, capsys, monkeypatch):
+    # ssg(3, 2)'s 6 elements along a 1,000-vertex graph make 6,000
+    # elements, above the cap of 5,000: refused before any pair is made
+    import geoq.constructions as cons
+
+    def unbuilt(*args):
+        raise AssertionError("blow-up built")
+
+    gen_file(tmp_path, capsys, "ssg", "3", "2")
+    graph = tmp_path / "big.graph"
+    graph.write_text("".join("vert v%d\n" % d for d in range(1000)))
+    monkeypatch.setattr(cons, "incident_pairs", unbuilt)
+    code, out, err = run(capsys, "gen", "blowup", str(tmp_path / "ssg-3-2.geo"),
+                         str(graph), "--dir", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: element count 6000 exceeds cap 5000\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_lift_element_count_is_capped_before_building(
+        tmp_path, capsys, monkeypatch):
+    # lift(ssg(3, 2), 8, 4): 3 * 8 vertices and, per line, C(8, 4)^2
+    # choices of its two parts, 24 + 3 * 4,900 = 14,724 elements
+    import geoq.constructions as cons
+
+    def unbuilt(*args):
+        raise AssertionError("lift built")
+
+    gen_file(tmp_path, capsys, "ssg", "3", "2")
+    monkeypatch.setattr(cons, "product", unbuilt)
+    code, out, err = run(capsys, "gen", "lift", str(tmp_path / "ssg-3-2.geo"),
+                         "8", "4", "--dir", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: element count 14724 exceeds cap 5000\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_all_kinds(tmp_path, capsys):
@@ -688,3 +732,200 @@ def test_closed_pipe_in_a_fresh_interpreter():
         err = proc.stderr.read()
     assert proc.wait(timeout=120) == EXIT_PIPE
     assert err == b""
+
+
+def argparse_parser():
+    """The argparse parser the command line was read with before
+    COMMANDS, kept as the oracle of parse_args."""
+    import argparse
+    from geoq import cli
+    top = argparse.ArgumentParser(prog="geoq")
+    top.add_argument("--machine", action="store_true")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def flag_cap(p):
+        p.add_argument("--max-flags", type=int, default=2_000_000)
+
+    def common(p):
+        p.add_argument("--max-group-order", type=int, default=200_000)
+        flag_cap(p)
+
+    p = sub.add_parser("check")
+    p.add_argument("geometry")
+    common(p)
+    p.set_defaults(func=cli.cmd_check)
+    p = sub.add_parser("quotient")
+    p.add_argument("geometry")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--partition")
+    g.add_argument("--orbits")
+    p.add_argument("--normal-closure")
+    p.add_argument("-o", "--output")
+    common(p)
+    p.set_defaults(func=cli.cmd_quotient)
+    p = sub.add_parser("axioms")
+    p.add_argument("geometry")
+    p.add_argument("group")
+    common(p)
+    p.set_defaults(func=cli.cmd_axioms)
+    p = sub.add_parser("diagram")
+    p.add_argument("geometry")
+    flag_cap(p)
+    p.set_defaults(func=cli.cmd_diagram)
+    p = sub.add_parser("iso")
+    p.add_argument("first")
+    p.add_argument("second")
+    p.set_defaults(func=cli.cmd_iso)
+    p = sub.add_parser("gen")
+    gensub = p.add_subparsers(dest="what", required=True)
+    for what, params in (("ssg", "a:v b:k"), ("affine", "a:d b:q"),
+                         ("coseteg", "a:n"), ("blowup", "geometry graph"),
+                         ("lift", "geometry a:n b:j"), ("catalogue", "name")):
+        q = gensub.add_parser(what)
+        for param in params.split():
+            dest, _, metavar = param.partition(":")
+            q.add_argument(dest, **{"type": int, "metavar": metavar}
+                           if metavar else {})
+        q.add_argument("-o", "--output")
+        q.add_argument("--dir")
+        q.set_defaults(func=cli.cmd_gen)
+    p = sub.add_parser("reproduce")
+    p.add_argument("names", nargs="*")
+    p.add_argument("--count", type=int, default=200)
+    p.add_argument("-v", "--verbose", action="store_true")
+    p.set_defaults(func=cli.cmd_reproduce)
+    return top
+
+
+VALID_ARGVS = [
+    ["check", "a.geo"], ["--machine", "check", "a.geo"],
+    ["check", "--max-flags", "5", "a.geo"], ["check", "a.geo", "--max-flags=5"],
+    ["check", "a.geo", "--max-g", "7"], ["--mach", "check", "--max-f=-3", "a"],
+    ["check", "--", "-x.geo"], ["check", "a.geo", "--"], ["check", "-5"],
+    ["check", "-"], ["check", ""], ["check", "-1.5"],
+    ["quotient", "a.geo", "--partition", "p.part"],
+    ["quotient", "--orbits", "g.grp", "a.geo", "-o", "out.geo"],
+    ["quotient", "a.geo", "--orbits=g.grp", "--normal-closure", "o.grp",
+     "--output=x"],
+    ["quotient", "a.geo", "--part", "p", "--out", "x"],
+    ["quotient", "a.geo", "--orb", "g", "--norm=o", "--max-group-order", "9"],
+    ["quotient", "a.geo", "--partition", "p", "-o=x"],
+    ["quotient", "a.geo", "--partition", "p", "--partition", "q"],
+    ["quotient", "a.geo", "--orbits", "-", "--output="],
+    ["axioms", "a.geo", "g.grp"], ["axioms", "a.geo", "--max-flags", "10", "g"],
+    ["--machine", "axioms", "--max-group-order=400000", "a.geo", "g.grp"],
+    ["axioms", "--", "a.geo", "g.grp"], ["axioms", "a", "--", "-g"],
+    ["diagram", "a.geo"], ["diagram", "a.geo", "--max-flags", "-1"],
+    ["diagram", "--max=4", "a.geo"],
+    ["iso", "a.geo", "b.geo"], ["--machine", "iso", "a", "b"],
+    ["iso", "a", "--", "-b"],
+    ["gen", "ssg", "4", "3"], ["gen", "ssg", "4", "3", "-o", "x", "--dir", "d"],
+    ["gen", "ssg", "--dir=d", "4", "3"], ["gen", "ssg", " 4", "3"],
+    ["gen", "affine", "3", "2"], ["gen", "affine", "--out", "x", "2", "3"],
+    ["gen", "coseteg", "5"], ["gen", "coseteg", "-5"],
+    ["gen", "coseteg", "--", "7"],
+    ["gen", "blowup", "a.geo", "k.graph"],
+    ["gen", "blowup", "a.geo", "--d", "d", "k.graph"],
+    ["gen", "lift", "a.geo", "3", "2"],
+    ["gen", "lift", "a.geo", "3", "-2", "--output=-"],
+    ["gen", "catalogue", "hexagon"],
+    ["--machine", "gen", "catalogue", "-o", "h", "eightcycle"],
+    ["reproduce"], ["reproduce", "hexagon", "blowup"],
+    ["reproduce", "--count", "3", "hexagon"], ["reproduce", "-v", "--count=7"],
+    ["reproduce", "--verb", "--co", "-4"], ["reproduce", "hexagon", "-v"],
+    ["--machine", "reproduce", "--", "-v"],
+]
+
+MALFORMED_ARGVS = [
+    [], ["--machine"], ["nope"], ["--machine=1", "check", "a"], ["check"],
+    ["check", "a", "b"], ["check", "a", "--machine"],
+    ["check", "a", "--max", "3"], ["check", "a", "--max-flags", "x"],
+    ["check", "a", "--max-flags"], ["check", "a", "--max-flags", "--"],
+    ["check", "a", "--nope"], ["check", "-x"], ["check", "--", "a", "b"],
+    ["quotient", "a.geo"], ["quotient", "a.geo", "--o", "x"],
+    ["quotient", "a.geo", "--partition", "p", "--orbits", "g"],
+    ["axioms", "only-one.geo"], ["iso", "a"], ["iso", "a", "b", "-x"],
+    ["diagram", "a", "--max-group-order", "3"],
+    ["gen"], ["gen", "nope"], ["gen", "ssg", "4"], ["gen", "ssg", "4", "x"],
+    ["gen", "--dir", "d", "ssg", "4", "3"], ["gen", "--", "ssg", "4", "3"],
+    ["gen", "coseteg", "5", "--max-flags", "3"], ["-o", "x", "check", "a"],
+    ["reproduce", "--count"], ["reproduce", "--count", "-x"],
+    ["reproduce", "-v=1"], ["reproduce", "--verbose=yes"],
+]
+
+
+def by_name(namespace):
+    return {key: value.__name__ if key == "func" else value
+            for key, value in vars(namespace).items()}
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_parse_args_agrees_with_argparse(argv):
+    from geoq.cli import parse_args
+    assert by_name(parse_args(argv)) == by_name(
+        argparse_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGVS, ids=" ".join)
+def test_refusals_agree_with_argparse(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        argparse_parser().parse_args(argv)
+    assert refused.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, reason = err.splitlines()
+    assert usage.startswith("usage: geoq") and ": error: " in reason
+
+
+def test_help_is_rendered_from_the_table(capsys):
+    from geoq.cli import COMMANDS, GEN_KINDS
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    usage, _, listed = out.split("\n\n")
+    assert usage == ("usage: geoq [-h] [--machine] {check,quotient,axioms,"
+                     "diagram,iso,gen,reproduce} ...")
+    assert " ".join(listed.split()) == " ".join(
+        "%s %s" % (name, entry[2]) for name, entry in COMMANDS.items())
+    argvs = [[name, "--help"] for name in COMMANDS] + [
+        ["gen", kind, "-h"] for kind in GEN_KINDS]
+    for argv in argvs + [["check", "a.geo", "--he"], ["--machine", "-h"]]:
+        with pytest.raises(SystemExit) as shown:
+            argparse_parser().parse_args(argv)
+        assert shown.value.code == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: geoq ")
+    assert run(capsys, "gen", "ssg", "-h")[1].splitlines() == [
+        "usage: geoq gen ssg [-h] [-o OUTPUT] [--dir DIR] v k", "",
+        GEN_KINDS["ssg"][2]]
+
+
+def test_no_option_name_is_a_prefix_of_another():
+    # so a token matches an option exactly when it is a prefix of one
+    from geoq.cli import _TOP, COMMANDS, GEN_KINDS
+    for _, options, _, _ in [_TOP, *COMMANDS.values(), *GEN_KINDS.values()]:
+        names = [*options, "help"]
+        assert not [(a, b) for a in names for b in names
+                    if a != b and b.startswith(a)]
+
+
+def test_console_script_path():
+    # the console script calls main() and exits with what it returns:
+    # help exits 0, and a refused line exits 2 with no traceback
+    from geoq.cli import COMMANDS
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = "import sys; from geoq.cli import main; sys.exit(main())"
+    shown = subprocess.run([sys.executable, "-c", script, "-h"], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert all(name in shown.stdout for name in COMMANDS)
+    refused = subprocess.run([sys.executable, "-c", script, "axioms",
+                              "only-one.geo"], env=env, capture_output=True,
+                             text=True, timeout=120)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.splitlines() == [
+        "usage: geoq axioms [-h] [--max-group-order N] [--max-flags N] "
+        "geometry group",
+        "geoq axioms: error: the following arguments are required: group"]

@@ -90,7 +90,7 @@ def test_axioms_loads_only_the_core():
         CORE | {"geoq.cli", "geoq.io"})
     assert not modules & {"geoq.constructions", "geoq.cosets",
                           "geoq.diagram", "geoq.lemmas", "geoq.reproduce",
-                          "dataclasses", "inspect"}
+                          "dataclasses", "inspect", "argparse", "gettext"}
 
 
 def test_check_loads_no_lemmas_or_constructions():
@@ -100,7 +100,7 @@ def test_check_loads_no_lemmas_or_constructions():
     assert "geoq.diagram" in modules
     assert not modules & {"geoq.lemmas", "geoq.reproduce",
                           "geoq.constructions", "geoq.cosets",
-                          "dataclasses", "inspect"}
+                          "dataclasses", "inspect", "argparse", "gettext"}
 
 
 def test_package_loads_lazy_modules_on_first_access():

@@ -166,9 +166,8 @@ def test_only_elements_lists_a_group():
         (name, fn) for name, calls in by_name.items() for fn, _ in calls}
 
 
-def test_no_dataclasses_in_the_library():
-    # dataclasses imports inspect, ast, dis and tokenize; every command
-    # would pay for them at start-up
+def imports_of(package):
+    """Where a library module imports package or one of its modules."""
     hits = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -180,8 +179,20 @@ def test_no_dataclasses_in_the_library():
             else:
                 continue
             hits += ["%s:%d" % (path.name, node.lineno)
-                     for name in names if name.split(".")[0] == "dataclasses"]
-    assert not hits, hits
+                     for name in names if name.split(".")[0] == package]
+    return hits
+
+
+def test_no_dataclasses_in_the_library():
+    # dataclasses imports inspect, ast, dis and tokenize; every command
+    # would pay for them at start-up
+    assert imports_of("dataclasses") == []
+
+
+def test_no_argparse_in_the_library():
+    # the command line is read from cli.COMMANDS; argparse built 13
+    # parsers and loaded gettext on every run
+    assert imports_of("argparse") == []
 
 
 def test_masks_are_the_only_incidence():
