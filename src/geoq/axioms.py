@@ -1,5 +1,6 @@
 """
-Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3).
+Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3), and
+DECIDERS, the one table the decider rows of `axioms` and `quotient` come from.
 
 All deciders are exhaustive; witnesses are minimal under (flag rank,
 lexicographic) order, and an orbit-quotient, which never changes, keeps
@@ -10,7 +11,7 @@ y in the residue of F share a G_F-orbit exactly when F + {x} and F + {y}
 share a G-orbit.  The blocks are the G-orbits, so F and every gF
 project onto the same quotient flag, and every per-flag condition
 decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1), (PQ2) and residual
-surjectivity in axioms_report -- has the same verdict at F and at gF.
+surjectivity in DECIDERS -- has the same verdict at F and at gF.
 So each decider scans only the least flag of each orbit: the first
 failing one is the least failing flag, and the rest of a witness depends
 on that flag alone.  For the same reason the cover test and the block
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 from .geometry import INF, _per_geometry, bfs, bits, flag_text
 from .perms import _flag_orbits, orbit_partition
-from .quotient import Projection, _extensions, _residue_map_failure
+from .quotient import (Projection, _extensions, _residue_map_failure,
+                       check_flagslift, check_PQ1, check_PQ2, is_cover,
+                       residual_surjectivity)
 
 
 class OrbitQuotient:
@@ -40,6 +43,11 @@ class OrbitQuotient:
     @property
     def quotient(self):
         return self.proj.quotient
+
+    @property
+    def leaders(self):
+        """The least flag of each G-orbit, which the deciders scan."""
+        return _flag_orbits(self.geom, self.group.gens, self.geom.rank)[0]
 
     @property
     @_per_geometry
@@ -138,49 +146,47 @@ def check_TQ1(oq):
     return True, None
 
 
-def format_witness(oq, name, witness):
-    """Readable rendering of a decider witness, by element name."""
-    if witness is None:
-        return None
-    geom, q = oq.geom, oq.quotient
-    if name == "flagslift":
-        return flag_text(q, witness)
-    if name == "pq1":
-        f, k = witness
-        return "%s + block %s" % (flag_text(geom, f), q.elem_names[k])
-    if name == "pq2":
-        return flag_text(geom, witness)
-    if name == "tq2prime":
-        f, x, y = witness
-        return "%s splits %s,%s" % (flag_text(geom, f), geom.elem_names[x],
-                                    geom.elem_names[y])
-    if name == "tq2doubleprime":
-        f, a, b = witness
-        return "%s vs pair %s*%s" % (flag_text(geom, f), geom.elem_names[a],
-                                     geom.elem_names[b])
-    if name == "tq1":
-        f, reason = witness
-        return "%s: %s" % (flag_text(geom, f), reason)
-    return str(witness)
+# The decider rows, in run order: name, decider and witness text.  A
+# decider reads a projection and its orbit-quotient (None when there is no
+# group: then only PROJECTION_ROWS run), and looks its function up by name
+# when it runs, so that a rebound name (perfbench's tracer) is called.
+# The text names a witness's elements; None for a row that gives none.
+DECIDERS = (
+    ("flagslift", lambda p, oq: check_flagslift(p, oq and oq.leaders),
+     lambda p, qflag: flag_text(p.quotient, qflag)),
+    ("pq1", lambda p, oq: check_PQ1(p, oq and oq.leaders),
+     lambda p, w: "%s + block %s" % (flag_text(p.source, w[0]),
+                                     p.quotient.elem_names[w[1]])),
+    ("pq2", lambda p, oq: check_PQ2(p, oq and oq.leaders),
+     lambda p, flag: flag_text(p.source, flag)),
+    ("tq1", lambda p, oq: check_TQ1(oq),
+     lambda p, w: "%s: %s" % (flag_text(p.source, w[0]), w[1])),
+    ("tq2prime", lambda p, oq: check_TQ2prime(oq),
+     lambda p, w: "%s splits %s,%s" % (flag_text(p.source, w[0]),
+                                       *p.source.flag_names(w[1:]))),
+    ("tq2doubleprime", lambda p, oq: check_TQ2doubleprime(oq),
+     lambda p, w: "%s vs pair %s*%s" % (flag_text(p.source, w[0]),
+                                        *p.source.flag_names(w[1:]))),
+    ("tq3", lambda p, oq: (check_TQ3(oq), None), None),
+    ("residually-surjective", lambda p, oq: (
+        residual_surjectivity(p, oq and oq.leaders), None), None),
+    ("is-cover", lambda p, oq: (is_cover(p, oq and [
+        block[0] for block in p.partition.blocks]), None), None),
+)
+PROJECTION_ROWS = ("flagslift", "pq1", "pq2", "is-cover")
 
 
 def axioms_report(oq):
     """All quotient-axiom deciders on one orbit-quotient, as a dict of
     name -> (bool, witness-or-None)."""
-    from .quotient import (check_flagslift, check_PQ1, check_PQ2, is_cover,
-                           residual_surjectivity)
-    reps = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)[0]
-    return {  # the deciders run in this order
-        "flagslift": check_flagslift(oq.proj, reps),
-        "pq1": check_PQ1(oq.proj, reps),
-        "pq2": check_PQ2(oq.proj, reps),
-        "tq1": check_TQ1(oq),
-        "tq2prime": check_TQ2prime(oq),
-        "tq2doubleprime": check_TQ2doubleprime(oq),
-        "tq3": (check_TQ3(oq), None),
-        "residually-surjective": (residual_surjectivity(oq.proj, reps),
-                                  None),
-        "is-cover": (is_cover(oq.proj,
-                              [block[0] for block in oq.partition.blocks]),
-                     None),
-    }
+    return {name: decide(oq.proj, oq) for name, decide, _ in DECIDERS}
+
+
+def decider_rows(proj, oq=None):
+    """(name, verdict, witness text or None) for each row of DECIDERS, in
+    run order: every row on the orbit-quotient oq of proj, or without one
+    the PROJECTION_ROWS on proj, which then scan every flag and element."""
+    return [(name, verdict, None if witness is None else text(proj, witness))
+            for name, decide, text in DECIDERS
+            if oq is not None or name in PROJECTION_ROWS
+            for verdict, witness in [decide(proj, oq)]]

@@ -10,7 +10,10 @@ Each command imports only the modules it runs.  Every command loads io
 and the core (geometry, quotient, perms, axioms); on top of that `check`
 and `diagram` load diagram, `iso` loads constructions, `gen` loads
 constructions and cosets, and `reproduce` loads all of them with lemmas
-and reproduce.  `axioms` and `quotient` load nothing more.
+and reproduce.  `axioms` and `quotient` load nothing more.  Of the
+commands only `gen` loads pathlib, which brings re, enum, fnmatch and
+urllib.parse with it; the others read and write files with open and
+os.path.
 
 The command line is read from one table, COMMANDS, by parse_args: no
 argparse parser is built, so no command loads argparse or gettext.  -h
@@ -23,17 +26,15 @@ from __future__ import annotations
 import os
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import io as gio
-from .axioms import OrbitQuotient, axioms_report, format_witness
+from .axioms import OrbitQuotient, decider_rows
 from .geometry import (all_flags, flag_text, is_connected, is_firm,
                        is_geometry, is_residually_connected, keep_flags,
                        validate)
 from .perms import CapExceeded, PermGroup, normal_closure
-from .quotient import (Partition, Projection, check_flagslift, check_PQ1,
-                       check_PQ2, is_cover, min_block_distance)
+from .quotient import Partition, Projection, min_block_distance
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -44,7 +45,8 @@ EXIT_PIPE = 141
 
 def _read(path):
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise gio.ParseError(0, "cannot read %s: %s" % (path, exc))
 
@@ -146,32 +148,21 @@ def cmd_quotient(args):
     t0 = time.time()
     proj, oq = _load_projection(args, geom)
     _count_flags_capped(proj.quotient, args.max_flags, "quotient flag count")
-    out = args.output or (Path(args.geometry).stem + ".quotient.geo")
-    Path(out).write_text(gio.format_geometry(proj.quotient))
+    base = os.path.basename(args.geometry)
+    stem, suffix = os.path.splitext(base)  # as Path.stem, "a." keeps its dot
+    out = args.output or (base if suffix == "." else stem) + ".quotient.geo"
+    with open(out, "w") as f:
+        f.write(gio.format_geometry(proj.quotient))
     q = proj.quotient
-    if oq is None:
-        report = {"flagslift": check_flagslift(proj),
-                  "pq1": check_PQ1(proj), "pq2": check_PQ2(proj),
-                  "is-cover": (is_cover(proj), None)}
-    else:  # decided once per G-orbit, rows kept under this command's keys
-        report = axioms_report(oq)
-    fl, w = report.pop("flagslift")
-    rows = [("flagslift", fl, flag_text(q, w))]
+    rows = [({"is-cover": "cover"}.get(name, name), value, witness)
+            for name, value, witness in decider_rows(proj, oq)]
     geo, w = is_geometry(q)
-    rows.append(("quotient-geometry", geo, flag_text(q, w)))
-    rows.append(("cover", report.pop("is-cover")[0], None))
-    pq1, w = report.pop("pq1")
-    rows.append(("pq1", pq1,
-                 None if pq1 else flag_text(geom, w[0])))
-    pq2, w = report.pop("pq2")
-    rows.append(("pq2", pq2, flag_text(geom, w)))
     dist = (min_block_distance(geom, proj.partition) if oq is None
             else oq.block_distance)
-    rows.append(("min-block-distance", str(dist), None))
-    for name, (value, witness) in sorted(report.items()):
-        rows.append((name, value, format_witness(oq, name, witness)))
-    notes = ["quotient written to %s" % out]
-    _emit(rows, notes, args.machine, time.time() - t0)
+    rows += [("quotient-geometry", geo, flag_text(q, w)),
+             ("min-block-distance", str(dist), None)]
+    _emit(rows, ["quotient written to %s" % out], args.machine,
+          time.time() - t0)
     return _exit_from_rows(rows)
 
 
@@ -182,9 +173,7 @@ def cmd_axioms(args):
     t0 = time.time()
     oq = OrbitQuotient(geom, group)
     _count_flags_capped(oq.quotient, args.max_flags, "quotient flag count")
-    rows = []
-    for name, (value, witness) in sorted(axioms_report(oq).items()):
-        rows.append((name, value, format_witness(oq, name, witness)))
+    rows = decider_rows(oq.proj, oq)
     _emit(rows, [], args.machine, time.time() - t0)
     return _exit_from_rows(rows)
 
@@ -221,6 +210,7 @@ def cmd_iso(args):
 
 
 def cmd_gen(args):
+    from pathlib import Path
     from .constructions import (affine_geometry, blowup, example_generators,
                                 shadowable_lift, ssg)
     from .cosets import FiniteGroup, coseteg_family

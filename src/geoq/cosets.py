@@ -76,7 +76,9 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n):
-        """The rotations of n points."""
+        """The rotations of n points; n must be at least 1."""
+        if n < 1:
+            raise ValueError("cyclic group needs n >= 1, got n=%d" % n)
         return cls([str(i) for i in range(n)],
                    [tuple(range(i, n)) + tuple(range(i)) for i in range(n)])
 

@@ -167,11 +167,11 @@ def _small_groups():
     )
 
 
-def random_coset_instance(rng, max_types=4):
-    """A coset pregeometry over a random small group with random
-    subgroups, plus its right-multiplication action."""
+def random_coset_instance(rng):
+    """A coset pregeometry of 2 to 4 types over a random small group with
+    random subgroups, plus its right-multiplication action."""
     G = rng.choice(_small_groups())
-    k = rng.randint(2, max_types)
+    k = rng.randint(2, 4)
     subs = []
     for i in range(k):
         seed = [rng.randrange(len(G)) for _ in range(rng.randint(0, 2))]
@@ -183,16 +183,16 @@ def random_coset_instance(rng, max_types=4):
     return cg.geometry, cg.action_group()
 
 
-def random_subgroup(rng, group, max_gens=2):
+def random_subgroup(rng, group):
     elems = list(group)  # sorted, and listed once per group
-    gens = [rng.choice(elems) for _ in range(rng.randint(1, max_gens))]
+    gens = [rng.choice(elems) for _ in range(rng.randint(1, 2))]
     return PermGroup([g for g in gens if not g.is_identity()],
                      degree=group.degree)
 
 
-def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
-    """Draw an orbit-quotient from a mixed pool; returns None for draws
-    that miss the requested constraints (caller retries)."""
+def random_orbit_quotient(rng, need_geometry=False):
+    """Draw an orbit-quotient of at most 400 flags from a mixed pool; returns
+    None for draws that miss the requested constraints (caller retries)."""
     kind = rng.randrange(6)
     try:
         if kind == 0:
@@ -222,7 +222,7 @@ def random_orbit_quotient(rng, need_geometry=False, max_flags=400):
         return None
     if need_geometry and not is_geometry(geom)[0]:
         return None
-    if not keep_flags(geom, all_flags(geom), max_flags):
+    if not keep_flags(geom, all_flags(geom), 400):
         return None
     return _orbit_quotient(geom, group)
 

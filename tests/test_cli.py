@@ -319,7 +319,8 @@ def test_iso_prints_the_first_map_found(tmp_path, capsys):
 def test_gen_coseteg_group_order_is_capped_before_building(
         tmp_path, capsys, monkeypatch):
     # 59^3 = 205,379 is above the default --max-group-order: refused with
-    # exit 3 before the cube is built; orders 0 and 1 stay usage errors
+    # exit 3 before the cube is built; orders below 2 stay usage errors,
+    # and one below 1 is named
     from geoq.cosets import FiniteGroup
 
     def unbuilt(*groups):
@@ -331,7 +332,8 @@ def test_gen_coseteg_group_order_is_capped_before_building(
     assert (code, out) == (3, "")
     assert err == "cap exceeded: group order 205379 exceeds cap 200000\n"
     monkeypatch.undo()
-    for n, msg in (("0", "no identity element"),
+    for n, msg in (("0", "cyclic group needs n >= 1, got n=0"),
+                   ("-5", "cyclic group needs n >= 1, got n=-5"),
                    ("1", "base group must have order at least 2")):
         assert run(capsys, "gen", "coseteg", n, "--dir", str(tmp_path)) == (
             2, "", "error: %s\n" % msg)

@@ -176,6 +176,13 @@ def test_flag_transitive_coset_pregeometry_is_geometry():
         assert is_geometry(fam.geometry)[0]
 
 
+def test_cyclic_refuses_an_order_below_one():
+    # no group has order 0; the refusal names the order it was given
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="got n=%d$" % n):
+            FiniteGroup.cyclic(n)
+
+
 def test_coseteg_rejects_bad_base():
     with pytest.raises(ValueError):
         coseteg_family(FiniteGroup.symmetric(3))

@@ -56,11 +56,12 @@ CORE = {"geoq", "geoq.geometry", "geoq.quotient", "geoq.perms",
         "geoq.axioms"}
 
 
-def python(code, *args):
-    """Run code in a fresh interpreter; return its parsed JSON output."""
+def python(code, *args, flags=()):
+    """Run code in a fresh interpreter, started with the given flags;
+    return its parsed JSON output."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("GEOQ_SEED", None)
-    proc = subprocess.run([sys.executable, "-c", code] + list(args),
+    proc = subprocess.run([sys.executable, *flags, "-c", code] + list(args),
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -101,6 +102,34 @@ def test_check_loads_no_lemmas_or_constructions():
     assert not modules & {"geoq.lemmas", "geoq.reproduce",
                           "geoq.constructions", "geoq.cosets",
                           "dataclasses", "inspect", "argparse", "gettext"}
+
+
+RUN_BARE = """
+import sys
+from geoq.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(sys.modules)
+import json  # after the list is taken: json loads re
+print(json.dumps([code, loaded]))
+"""
+# pathlib and what importing it loads besides
+PATHLIB = {"pathlib", "re", "enum", "fnmatch", "urllib.parse", "ipaddress"}
+
+
+def test_only_gen_loads_pathlib(tmp_path):
+    # run without site (python -S): a site that loads pathlib itself
+    # would hide what the commands load
+    geo, grp = str(DATA / "eightcycle.geo"), str(DATA / "eightcycle.grp")
+    for argv in (["axioms", geo, grp], ["check", geo], ["diagram", geo],
+                 ["iso", geo, geo], ["quotient", geo, "--orbits", grp,
+                                     "-o", str(tmp_path / "q.geo")]):
+        code, modules = python(RUN_BARE, "--machine", *argv, flags=["-S"])
+        assert code in (0, 1), argv
+        assert not PATHLIB & set(modules), argv
+    assert (tmp_path / "q.geo").exists()
+    code, modules = python(RUN_BARE, "gen", "ssg", "3", "2", "--dir",
+                           str(tmp_path), flags=["-S"])
+    assert code == 0 and PATHLIB <= set(modules)
 
 
 def test_package_loads_lazy_modules_on_first_access():

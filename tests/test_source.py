@@ -249,3 +249,50 @@ def test_projection_layer_reads_no_pair_set():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Attribute) and node.attr == "pairs"]
     assert not hits, hits
+
+
+def _source(name):
+    return [p for p in SOURCES if p.name == name][0].read_text()
+
+
+def test_only_gen_imports_pathlib():
+    # pathlib loads re, enum, fnmatch, urllib.parse and ipaddress: the
+    # commands that decide read and write files with open and os.path
+    gen = [fn for fn in ast.walk(ast.parse(_source("cli.py")))
+           if isinstance(fn, ast.FunctionDef) and fn.name == "cmd_gen"][0]
+    inside = ["cli.py:%d" % n for n in range(gen.lineno, gen.end_lineno + 1)]
+    hits = imports_of("pathlib")
+    assert hits and set(hits) <= set(inside), hits
+
+
+def test_decider_rows_come_from_one_table():
+    # axioms.DECIDERS names every decider row: no row is picked by an
+    # `==` on its name, and the row code of `axioms` and `quotient` names
+    # no decider; `quotient` only renames is-cover to cover, by a map
+    from geoq.axioms import DECIDERS
+    names = {name for name, _, _ in DECIDERS} | {"cover"}
+    deciders = {"check_flagslift", "check_PQ1", "check_PQ2", "check_TQ1",
+                "check_TQ2prime", "check_TQ2doubleprime", "check_TQ3",
+                "residual_surjectivity", "is_cover", "format_witness"}
+    compared = []
+    for name in ("cli.py", "axioms.py"):
+        tree = ast.parse(_source(name))
+        compared += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                     if isinstance(node, ast.Compare)
+                     and any(isinstance(op, (ast.Eq, ast.NotEq))
+                             for op in node.ops)
+                     and any(isinstance(c, ast.Constant) and c.value in names
+                             for c in [node.left, *node.comparators])]
+    assert not compared, compared
+    cli = ast.parse(_source("cli.py"))
+    for fn in ast.walk(cli):
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("cmd_axioms",
+                                                           "cmd_quotient"):
+            named = [n.value for n in ast.walk(fn)
+                     if isinstance(n, ast.Constant) and n.value in names]
+            called = [n.id for n in ast.walk(fn)
+                      if isinstance(n, ast.Name) and n.id in deciders]
+            assert sorted(named) == (["cover", "is-cover"]
+                                     if fn.name == "cmd_quotient" else [])
+            assert not called, (fn.name, called)
+    assert "format_witness" not in _source("axioms.py")
