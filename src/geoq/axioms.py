@@ -15,7 +15,10 @@ surjectivity in DECIDERS -- has the same verdict at F and at gF.
 So each decider scans only the least flag of each orbit: the first
 failing one is the least failing flag, and the rest of a witness depends
 on that flag alone.  For the same reason the cover test and the block
-distance look at the least member of each block only.
+distance look at the least member of each block only.  An OrbitQuotient
+names them its leaders and block_leaders, and carries its projection's
+source, block_of and inside: geoq.quotient's deciders take it as they
+take a projection.
 """
 
 from __future__ import annotations
@@ -29,15 +32,19 @@ from .quotient import (Projection, _extensions, _residue_map_failure,
 
 class OrbitQuotient:
     """A pregeometry together with an automorphism group, its orbit
-    partition and the projection onto the orbit quotient."""
+    partition and the projection onto the orbit quotient; block_leaders
+    are the least member of each block, which the cover test scans."""
 
-    __slots__ = ("geom", "group", "partition", "proj", "_memo")
+    __slots__ = ("geom", "source", "group", "partition", "proj", "block_of",
+                 "inside", "block_leaders", "_memo")
 
     def __init__(self, geom, group):
-        self.geom = geom
+        self.geom = self.source = geom
         self.group = group
         self.partition = orbit_partition(group, geom)
-        self.proj = Projection(geom, self.partition)
+        self.proj = proj = Projection(geom, self.partition)
+        self.block_of, self.inside = proj.block_of, proj.inside
+        self.block_leaders = [block[0] for block in self.partition.blocks]
         self._memo = None  # see _per_geometry
 
     @property
@@ -85,9 +92,9 @@ def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
     leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
-    inside = oq.proj.inside
+    inside = oq.inside
     for flag in leaders[1:]:  # the first is the empty flag
-        ext, qext = _extensions(oq.proj, flag)
+        ext, qext = _extensions(oq, flag)
         for k in bits(qext):  # the blocks that can meet the residue
             xs = bits(ext & inside[k])
             if len(xs) > 1:
@@ -107,7 +114,7 @@ def check_TQ2doubleprime(oq):
     G-orbit of the incident pair.  The incident pairs are the rank-2
     flags, and whether a pair fails at a flag depends only on its orbit,
     so a scan of their orbit leaders finds the first failing pair."""
-    masks, block_of = oq.geom.masks, oq.proj.block_of
+    masks, block_of = oq.geom.masks, oq.block_of
     leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
     pair_orbits = [(k, pair) for k, pair in enumerate(leaders)
                    if len(pair) == 2]
@@ -136,42 +143,40 @@ def check_TQ1(oq):
     projected flag in the quotient."""
     leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
     for flag in leaders:
-        ext, target = _extensions(oq.proj, flag)
+        ext, target = _extensions(oq, flag)
         orbits = {}
         for x in bits(ext):
             orbits.setdefault(orbit_of[_plus(flag, x)], []).append(x)
-        reason = _residue_map_failure(oq.proj, list(orbits.values()), target)
+        reason = _residue_map_failure(oq, list(orbits.values()), target)
         if reason is not None:
             return False, (flag, _TQ1_REASON.get(reason, reason))
     return True, None
 
 
 # The decider rows, in run order: name, decider and witness text.  A
-# decider reads a projection and its orbit-quotient (None when there is no
-# group: then only PROJECTION_ROWS run), and looks its function up by name
-# when it runs, so that a rebound name (perfbench's tracer) is called.
-# The text names a witness's elements; None for a row that gives none.
+# decider reads one quotient, a Projection (then only PROJECTION_ROWS
+# run) or an OrbitQuotient, and looks its function up by name when it
+# runs, so that a rebound name (perfbench's tracer) is called.  The text
+# names a witness's elements; None for a row that gives none.
 DECIDERS = (
-    ("flagslift", lambda p, oq: check_flagslift(p, oq and oq.leaders),
-     lambda p, qflag: flag_text(p.quotient, qflag)),
-    ("pq1", lambda p, oq: check_PQ1(p, oq and oq.leaders),
-     lambda p, w: "%s + block %s" % (flag_text(p.source, w[0]),
-                                     p.quotient.elem_names[w[1]])),
-    ("pq2", lambda p, oq: check_PQ2(p, oq and oq.leaders),
-     lambda p, flag: flag_text(p.source, flag)),
-    ("tq1", lambda p, oq: check_TQ1(oq),
-     lambda p, w: "%s: %s" % (flag_text(p.source, w[0]), w[1])),
-    ("tq2prime", lambda p, oq: check_TQ2prime(oq),
-     lambda p, w: "%s splits %s,%s" % (flag_text(p.source, w[0]),
-                                       *p.source.flag_names(w[1:]))),
-    ("tq2doubleprime", lambda p, oq: check_TQ2doubleprime(oq),
-     lambda p, w: "%s vs pair %s*%s" % (flag_text(p.source, w[0]),
-                                        *p.source.flag_names(w[1:]))),
-    ("tq3", lambda p, oq: (check_TQ3(oq), None), None),
-    ("residually-surjective", lambda p, oq: (
-        residual_surjectivity(p, oq and oq.leaders), None), None),
-    ("is-cover", lambda p, oq: (is_cover(p, oq and [
-        block[0] for block in p.partition.blocks]), None), None),
+    ("flagslift", lambda q: check_flagslift(q),
+     lambda q, qflag: flag_text(q.quotient, qflag)),
+    ("pq1", lambda q: check_PQ1(q),
+     lambda q, w: "%s + block %s" % (flag_text(q.source, w[0]),
+                                     q.quotient.elem_names[w[1]])),
+    ("pq2", lambda q: check_PQ2(q), lambda q, flag: flag_text(q.source, flag)),
+    ("tq1", lambda q: check_TQ1(q),
+     lambda q, w: "%s: %s" % (flag_text(q.source, w[0]), w[1])),
+    ("tq2prime", lambda q: check_TQ2prime(q),
+     lambda q, w: "%s splits %s,%s" % (flag_text(q.source, w[0]),
+                                       *q.source.flag_names(w[1:]))),
+    ("tq2doubleprime", lambda q: check_TQ2doubleprime(q),
+     lambda q, w: "%s vs pair %s*%s" % (flag_text(q.source, w[0]),
+                                        *q.source.flag_names(w[1:]))),
+    ("tq3", lambda q: (check_TQ3(q), None), None),
+    ("residually-surjective",
+     lambda q: (residual_surjectivity(q, q.leaders), None), None),
+    ("is-cover", lambda q: (is_cover(q), None), None),
 )
 PROJECTION_ROWS = ("flagslift", "pq1", "pq2", "is-cover")
 
@@ -179,14 +184,14 @@ PROJECTION_ROWS = ("flagslift", "pq1", "pq2", "is-cover")
 def axioms_report(oq):
     """All quotient-axiom deciders on one orbit-quotient, as a dict of
     name -> (bool, witness-or-None)."""
-    return {name: decide(oq.proj, oq) for name, decide, _ in DECIDERS}
+    return {name: decide(oq) for name, decide, _ in DECIDERS}
 
 
-def decider_rows(proj, oq=None):
+def decider_rows(q):
     """(name, verdict, witness text or None) for each row of DECIDERS, in
-    run order: every row on the orbit-quotient oq of proj, or without one
-    the PROJECTION_ROWS on proj, which then scan every flag and element."""
-    return [(name, verdict, None if witness is None else text(proj, witness))
+    run order: every row on an orbit-quotient, which has a group, the
+    PROJECTION_ROWS on a projection."""
+    return [(name, verdict, None if witness is None else text(q, witness))
             for name, decide, text in DECIDERS
-            if oq is not None or name in PROJECTION_ROWS
-            for verdict, witness in [decide(proj, oq)]]
+            if hasattr(q, "group") or name in PROJECTION_ROWS
+            for verdict, witness in [decide(q)]]

@@ -2,9 +2,9 @@
 Command-line front end.
 
 Exit codes: 0 when every requested check holds, 1 when some reported
-check is false or a comparison fails, 2 for parse/usage errors, 3 when a
-size cap is exceeded (a refusal, never a wrong answer), 141 when the
-reader of stdout left early (SIGPIPE).
+check is false or a comparison fails, 2 for parse/usage errors and paths
+that cannot be read or written, 3 when a size cap is exceeded (a
+refusal, never a wrong answer), 141 when stdout's reader left (SIGPIPE).
 
 Each command imports only the modules it runs.  Every command loads io
 and the core (geometry, quotient, perms, axioms); on top of that `check`
@@ -34,7 +34,7 @@ from .geometry import (all_flags, flag_text, is_connected, is_firm,
                        is_geometry, is_residually_connected, keep_flags,
                        validate)
 from .perms import CapExceeded, PermGroup, normal_closure
-from .quotient import Partition, Projection, min_block_distance
+from .quotient import Partition, Projection
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,6 +49,19 @@ def _read(path):
             return f.read()
     except OSError as exc:
         raise gio.ParseError(0, "cannot read %s: %s" % (path, exc))
+
+
+def _write(path, text=None):
+    """Write text to path, or without text make the directory path;
+    refuse (exit 2) where the system does."""
+    try:
+        if text is None:
+            os.makedirs(path, exist_ok=True)
+        else:
+            with open(path, "w") as f:
+                f.write(text)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (path, exc))
 
 
 def _load_geometry(path):
@@ -128,39 +141,34 @@ def cmd_check(args):
     return _exit_from_rows(rows)
 
 
-def _load_projection(args, geom):
-    """The projection, and with --orbits the orbit-quotient it is
-    taken from (None with --partition)."""
+def _load_quotient(args, geom):
+    """The projection by --partition, or the orbit-quotient by --orbits."""
     if args.partition is not None:  # an empty path too, refused unread
         part = gio.parse_partition(_read(args.partition), geom)
-        return Projection(geom, part), None
+        return Projection(geom, part)
     group = _load_group(args.orbits, geom, args.max_group_order)
     if args.normal_closure:
         over = _load_group(args.normal_closure, geom, args.max_group_order)
         group = normal_closure(over, group)
-    oq = OrbitQuotient(geom, group)
-    return oq.proj, oq
+    return OrbitQuotient(geom, group)
 
 
 def cmd_quotient(args):
     geom = _load_geometry(args.geometry)
     _count_flags_capped(geom, args.max_flags)
     t0 = time.time()
-    proj, oq = _load_projection(args, geom)
+    proj = _load_quotient(args, geom)
     _count_flags_capped(proj.quotient, args.max_flags, "quotient flag count")
     base = os.path.basename(args.geometry)
     stem, suffix = os.path.splitext(base)  # as Path.stem, "a." keeps its dot
     out = args.output or (base if suffix == "." else stem) + ".quotient.geo"
-    with open(out, "w") as f:
-        f.write(gio.format_geometry(proj.quotient))
+    _write(out, gio.format_geometry(proj.quotient))
     q = proj.quotient
     rows = [({"is-cover": "cover"}.get(name, name), value, witness)
-            for name, value, witness in decider_rows(proj, oq)]
+            for name, value, witness in decider_rows(proj)]
     geo, w = is_geometry(q)
-    dist = (min_block_distance(geom, proj.partition) if oq is None
-            else oq.block_distance)
     rows += [("quotient-geometry", geo, flag_text(q, w)),
-             ("min-block-distance", str(dist), None)]
+             ("min-block-distance", str(proj.block_distance), None)]
     _emit(rows, ["quotient written to %s" % out], args.machine,
           time.time() - t0)
     return _exit_from_rows(rows)
@@ -173,7 +181,7 @@ def cmd_axioms(args):
     t0 = time.time()
     oq = OrbitQuotient(geom, group)
     _count_flags_capped(oq.quotient, args.max_flags, "quotient flag count")
-    rows = decider_rows(oq.proj, oq)
+    rows = decider_rows(oq)
     _emit(rows, [], args.machine, time.time() - t0)
     return _exit_from_rows(rows)
 
@@ -258,10 +266,10 @@ def cmd_gen(args):
                  if isinstance(x, Partition) else gio.format_group(x, geom))
                 for suffix, x in extras]
     base = Path(args.dir or ".")
-    base.mkdir(parents=True, exist_ok=True)
+    _write(base)
     for suffix, text in outputs:
         path = base / ((args.output or prefix) + suffix)
-        path.write_text(text)
+        _write(path, text)
         print("wrote %s" % path)
     return EXIT_OK
 

@@ -232,12 +232,10 @@ def mask_of(elements):
 
 def _per_geometry(fn):
     """Memoize fn(obj) on obj, a Pregeometry, Projection or OrbitQuotient,
-    none of which changes, for as long as obj lives.  Calls with further
-    arguments compute, and exceptions are raised again on the next call."""
+    none of which changes, for as long as obj lives.  Exceptions are
+    raised again on the next call."""
     @functools.wraps(fn)
-    def cached(obj, *args, **kwargs):
-        if args or kwargs:
-            return fn(obj, *args, **kwargs)
+    def cached(obj):
         memo = _memo(obj)
         try:
             return memo[fn]

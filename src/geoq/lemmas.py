@@ -46,7 +46,7 @@ from .perms import (CapExceeded, PermGroup, automorphism_group,
                     orbit_partition, transitivity)
 from .quotient import (Partition, Projection, check_flagslift, check_PQ1,
                        corank1_surjective, is_cover, lift_flag,
-                       min_block_distance, singleton_partition)
+                       singleton_partition)
 
 DEFAULT_SEED = 20260808
 
@@ -360,7 +360,7 @@ def suite_distance4_cover(rng, count=200):
     res = SuiteResult("distance4-cover")
     for proj in _draw(rng, _cover_instances, count):
         res.checked += 1
-        d = _block_distance(proj)
+        d = proj.block_distance
         if corank1_surjective(proj) and d >= 4:
             res.nonvacuous += 1
             if not is_cover(proj):
@@ -369,12 +369,6 @@ def suite_distance4_cover(rng, count=200):
         if is_cover(proj) and d < 3:
             res.violations.append(("cover-short-distance", proj.source))
     return res
-
-
-@_per_geometry
-def _block_distance(proj):
-    """min_block_distance of the projection's partition, kept with it."""
-    return min_block_distance(proj.source, proj.partition)
 
 
 def suite_tq_equivalences(rng, count=200):

@@ -7,9 +7,11 @@ mask, and a decider ANDs a flag's members' masks and their blocks'
 quotient masks (_extensions).  FlagsLift compares projected flag sets,
 rank by rank: a quotient flag lifts exactly when some source flag
 projects onto it (lift_flag searches for one such flag).  Witnesses
-are minimal under (rank, lex) order.  A projection never changes; it
-keeps its check_flagslift verdict and those of check_PQ1 and is_cover
-on all flags and elements.
+are minimal under (rank, lex) order.  check_flagslift, check_PQ1,
+check_PQ2 and is_cover take one quotient and scan its leaders (flags, in
+(rank, lex) order) and block_leaders (elements): all of them on a
+Projection, which never changes and keeps its block distance and those
+verdicts; one per G-orbit on an orbit-quotient (geoq.axioms).
 """
 
 from __future__ import annotations
@@ -107,6 +109,22 @@ class Projection:
                                               qmasks)
         self._memo = None  # see _per_geometry
 
+    @property
+    def leaders(self):
+        """The flags the deciders scan: every source flag."""
+        return flags_by_rank_lex(self.source)
+
+    @property
+    def block_leaders(self):
+        """The elements the cover test scans: every source element."""
+        return range(self.source.size)
+
+    @property
+    @_per_geometry
+    def block_distance(self):
+        """min_block_distance of the partition, kept."""
+        return min_block_distance(self.source, self.partition)
+
     def project_flag(self, flag):
         """The quotient flag of a source flag; raises ValueError when the
         argument is not a flag."""
@@ -166,17 +184,14 @@ def _first_unlifted(proj, qflags, flags):
 
 
 @_per_geometry
-def check_flagslift(proj, flags=None):
+def check_flagslift(proj):
     """True iff every quotient flag lifts; the witness is a minimal
     non-lifting quotient flag.  Flags of rank <= 2 always lift; at each
     rank r >= 3 the witness is the least rank-r quotient flag that no
-    rank-r source flag projects onto.  The source flags default to all
-    of them; a caller may pass a sublist in (rank, lex) order with the
-    same projections (an orbit-quotient's least flag per G-orbit)."""
+    rank-r leader projects onto."""
     if proj.quotient.rank < 3:
         return True, None  # read no flag table
-    qflags = flags_by_rank_lex(proj.quotient)
-    flags = flags_by_rank_lex(proj.source) if flags is None else flags
+    qflags, flags = flags_by_rank_lex(proj.quotient), proj.leaders
     for r in range(3, proj.quotient.rank + 1):
         missing = _first_unlifted(proj, _rank_slice(qflags, r),
                                   _rank_slice(flags, r))
@@ -206,9 +221,8 @@ def _extensions(proj, flag):
 def residual_surjectivity(proj, flags=None):
     """True iff projecting a residue gives the whole quotient residue
     (every block of it met, no element outside them), for every flag of
-    the source.  A caller that knows the verdict is the same on whole
-    classes of flags (an orbit-quotient's G-orbits) passes one flag of
-    each class; the default scans every flag."""
+    the source.  flags, every flag by default, may be one flag of each
+    class on which the verdict is the same (a quotient's leaders)."""
     q, inside, et = proj.quotient, proj.inside, proj.source.elem_type
     of_type = [mask_of(members) for members in q.by_type]
     for flag in all_flags(proj.source) if flags is None else flags:
@@ -314,14 +328,11 @@ def is_m_cover(proj, m):
 
 
 @_per_geometry
-def is_cover(proj, elements=None):
-    """A covering restricts to residue isomorphisms at every element.
-    The elements tested default to all of them; a caller that knows the
-    verdict is the same on each block (an orbit-quotient, whose blocks
-    are the G-orbits) may pass one member of each block."""
+def is_cover(proj):
+    """A covering restricts to residue isomorphisms at every element;
+    the block leaders decide it."""
     return all(_residue_isomorphic_onto(proj, (x,)) is None
-               for x in (range(proj.source.size) if elements is None
-                         else elements))
+               for x in proj.block_leaders)
 
 
 def is_incidence_graph_cover(proj):
@@ -331,14 +342,10 @@ def is_incidence_graph_cover(proj):
 
 
 @_per_geometry
-def check_PQ1(proj, flags=None):
+def check_PQ1(proj):
     """(PQ1): whenever the projection of a flag extends by a block in the
-    quotient, the flag itself extends by an element of that block.  The
-    flags scanned default to all of them in (rank, lex) order; a caller
-    may pass a sublist in that order that contains the least failing
-    flag whenever one exists (an orbit-quotient's least flag per
-    G-orbit), and gets the same answer."""
-    for flag in flags_by_rank_lex(proj.source) if flags is None else flags:
+    quotient, the flag itself extends by an element of that block."""
+    for flag in proj.leaders:
         if not flag:
             continue  # the empty flag extends by any member of any block
         ext, qext = _extensions(proj, flag)
@@ -348,12 +355,11 @@ def check_PQ1(proj, flags=None):
     return True, None
 
 
-def check_PQ2(proj, flags=None):
+def check_PQ2(proj):
     """(PQ2): every rank-1 residue (of a corank-1 flag) meets at least
     two blocks of the partition: it is not empty, and not inside the
-    block of its least member.  The flags scanned, and the caller's
-    promise about them, are those of check_PQ1."""
-    for flag in flags_by_rank_lex(proj.source) if flags is None else flags:
+    block of its least member."""
+    for flag in proj.leaders:
         if len(flag) == proj.source.rank - 1:
             ext = _extensions(proj, flag)[0]
             if not ext or not ext & ~proj.inside[proj.block_of[least(ext)]]:

@@ -421,7 +421,13 @@ def _fixed_orbit_quotients():
 
 
 def test_orbit_representatives_agree_with_full_sweep(rng):
+    # the deciders scan what an orbit-quotient names (its orbit leaders
+    # and block leaders); a fresh projection onto the same partition names
+    # every flag and element, and gives the same projection rows, witness
+    # texts included, and the same block distance
+    from geoq.axioms import PROJECTION_ROWS, decider_rows
     from geoq.lemmas import random_orbit_quotient
+    from geoq.quotient import Projection
     names = ("flagslift", "tq1", "tq2prime", "tq2doubleprime", "pq1", "pq2",
              "residually-surjective", "is-cover")
     seen = {(name, v): 0 for name in names for v in (True, False)}
@@ -436,6 +442,10 @@ def test_orbit_representatives_agree_with_full_sweep(rng):
         for name in names:
             seen[name, report[name][0]] += 1
         _check_flag_orbit_labelling(oq)
+        proj = Projection(oq.geom, oq.partition)
+        assert decider_rows(proj) == [row for row in decider_rows(oq)
+                                      if row[0] in PROJECTION_ROWS]
+        assert proj.block_distance == oq.block_distance
     assert min(seen.values()) >= 10, seen
 
 

@@ -209,6 +209,29 @@ def test_quotient_with_partition(tmp_path, capsys):
     assert err.startswith("parse error: line 0: cannot read : ")
 
 
+def test_unwritable_output_is_refused(tmp_path, capsys):
+    # an output path that cannot be written is refused like an input that
+    # cannot be read (exit 2, one line), not with a traceback and exit 1
+    gen_file(tmp_path, capsys, "catalogue", "hexagon")
+    orbits = ["quotient", str(tmp_path / "hexagon.geo"),
+              "--orbits", str(tmp_path / "hexagon.grp"), "-o"]
+    gen = ["gen", "ssg", "3", "2", "--dir"]
+    missing, plain = tmp_path / "missing" / "q.geo", tmp_path / "plain"
+    plain.write_text("kept")
+    blocked = tmp_path / "ssg-3-2.geo"  # where gen writes, a directory
+    blocked.mkdir()
+    for argv, path, named, code in (
+            (orbits, missing, missing, errno.ENOENT),
+            (orbits, tmp_path, tmp_path, errno.EISDIR),
+            (gen, plain, plain, errno.EEXIST),
+            (gen, tmp_path, blocked, errno.EISDIR)):
+        got, out, err = run(capsys, *argv, str(path))
+        assert (got, out) == (2, ""), argv
+        assert err.startswith("error: cannot write %s: [Errno %d] "
+                              % (named, code)), err
+    assert plain.read_text() == "kept"
+
+
 def test_quotient_block_names_stay_distinct(tmp_path, capsys):
     # "{a,b}" names both the block of a and b and the block of the element
     # "a,b"; colliding names get the block index, and the quotient written
@@ -664,7 +687,7 @@ def test_quotient_orbits_computes_the_block_distance_once(tmp_path, capsys,
     # the min-block-distance row and check_TQ3 read one value kept on the
     # orbit-quotient: at most one search from the least member of each
     # block, and no min_block_distance
-    from geoq import axioms, cli, io
+    from geoq import axioms, io
     from geoq.perms import orbit_partition
     from geoq.quotient import min_block_distance
     searches = []
@@ -678,7 +701,8 @@ def test_quotient_orbits_computes_the_block_distance_once(tmp_path, capsys,
         raise AssertionError("min_block_distance called")
 
     monkeypatch.setattr(axioms, "bfs", counted)
-    monkeypatch.setattr(cli, "min_block_distance", refused)
+    monkeypatch.setattr(sys.modules["geoq.quotient"], "min_block_distance",
+                        refused)
     gen_file(tmp_path, capsys, "coseteg", "2")
     geo, grp = tmp_path / "coseteg-2.geo", tmp_path / "coseteg-2-n.grp"
     code, out, _ = run(capsys, "--machine", "quotient", str(geo),

@@ -141,8 +141,7 @@ def test_warm_draws_equal_cold_draws():
     assert kept >= 20, kept
     assert names == {"check_TQ1", "check_TQ2prime", "check_TQ2doubleprime",
                      "block_distance", "_chamber_lift_misses",
-                     "check_flagslift", "is_cover", "check_PQ1",
-                     "_block_distance"}, names
+                     "check_flagslift", "is_cover", "check_PQ1"}, names
     # what the shadowable suite keeps with an ssg geometry: each kept
     # group's orbit-quotient or normal-closure orbits, and each partition's
     # verdict, recomputed on a fresh copy

@@ -265,6 +265,29 @@ def test_only_gen_imports_pathlib():
     assert hits and set(hits) <= set(inside), hits
 
 
+def test_deciders_take_one_quotient():
+    # a quotient names what its deciders scan (leaders, block_leaders) and
+    # keeps its block distance, so no decider takes a second argument
+    # naming flags or elements, the memo passes no argument through, and
+    # cli and lemmas compute no block distance of their own
+    import inspect
+    from geoq.axioms import (check_TQ1, check_TQ2doubleprime, check_TQ2prime,
+                             decider_rows)
+    from geoq.geometry import is_geometry
+    from geoq.quotient import check_flagslift, check_PQ1, check_PQ2, is_cover
+    one = [inspect.Parameter.POSITIONAL_OR_KEYWORD]
+    for fn in (check_flagslift, check_PQ1, check_PQ2, is_cover, check_TQ1,
+               check_TQ2prime, check_TQ2doubleprime, decider_rows):
+        params = inspect.signature(fn).parameters.values()
+        assert [p.kind for p in params] == one, fn.__name__
+    wrapper = inspect.signature(is_geometry, follow_wrapped=False)
+    assert [p.kind for p in wrapper.parameters.values()] == one
+    assert "min_block_distance" not in _source("cli.py")
+    assert "_block_distance" not in [
+        fn.name for fn in ast.walk(ast.parse(_source("lemmas.py")))
+        if isinstance(fn, ast.FunctionDef)]
+
+
 def test_decider_rows_come_from_one_table():
     # axioms.DECIDERS names every decider row: no row is picked by an
     # `==` on its name, and the row code of `axioms` and `quotient` names
