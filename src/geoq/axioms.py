@@ -2,23 +2,20 @@
 Quotient axioms for orbit-quotients: (TQ1), (TQ2'), (TQ2''), (TQ3), and
 DECIDERS, the one table the decider rows of `axioms` and `quotient` come from.
 
-All deciders are exhaustive; witnesses are minimal under (flag rank,
-lexicographic) order, and an orbit-quotient, which never changes, keeps
-its block distance and (TQ1), (TQ2'), (TQ2'') verdicts.  No decider
-lists the elements of G; the G-orbits on flags come from
-perms._flag_orbits, keyed by the flags themselves.  G keeps types, so x,
-y in the residue of F share a G_F-orbit exactly when F + {x} and F + {y}
-share a G-orbit.  The blocks are the G-orbits, so F and every gF
-project onto the same quotient flag, and every per-flag condition
-decided here -- (TQ1), (TQ2'), (TQ2''), and (PQ1), (PQ2) and residual
-surjectivity in DECIDERS -- has the same verdict at F and at gF.
-So each decider scans only the least flag of each orbit: the first
-failing one is the least failing flag, and the rest of a witness depends
-on that flag alone.  For the same reason the cover test and the block
-distance look at the least member of each block only.  An OrbitQuotient
-names them its leaders and block_leaders, and carries its projection's
-source, block_of and inside: geoq.quotient's deciders take it as they
-take a projection.
+An orbit-quotient is the projection of its orbit partition, keeping one
+set of verdicts; all deciders are exhaustive, and witnesses are minimal
+under (flag rank, lexicographic) order.  No decider lists the elements
+of G; the G-orbits on flags come from perms._flag_orbits, keyed by the
+flags themselves.  G keeps types, so x, y in the residue of F share a
+G_F-orbit exactly when F + {x} and F + {y} share a G-orbit.  The blocks
+are the G-orbits, so F and every gF project onto the same quotient
+flag, and every per-flag condition decided here -- (TQ1), (TQ2'),
+(TQ2''), and (PQ1), (PQ2) and residual surjectivity in DECIDERS -- has
+the same verdict at F and at gF.  So each decider scans only the least
+flag of each orbit: the first failing one is the least failing flag,
+and the rest of a witness depends on that flag alone.  For the same
+reason the cover test and the block distance look at the least member
+of each block only: an OrbitQuotient's leaders and block_leaders.
 """
 
 from __future__ import annotations
@@ -30,31 +27,30 @@ from .quotient import (Projection, _extensions, _residue_map_failure,
                        residual_surjectivity)
 
 
-class OrbitQuotient:
-    """A pregeometry together with an automorphism group, its orbit
-    partition and the projection onto the orbit quotient; block_leaders
-    are the least member of each block, which the cover test scans."""
+class OrbitQuotient(Projection):
+    """Projection onto the quotient by the orbits of an automorphism
+    group; deciders scan one flag per G-orbit, one member per block."""
 
-    __slots__ = ("geom", "source", "group", "partition", "proj", "block_of",
-                 "inside", "block_leaders", "_memo")
+    __slots__ = ("group",)
 
     def __init__(self, geom, group):
-        self.geom = self.source = geom
+        super().__init__(geom, orbit_partition(group, geom))
         self.group = group
-        self.partition = orbit_partition(group, geom)
-        self.proj = proj = Projection(geom, self.partition)
-        self.block_of, self.inside = proj.block_of, proj.inside
-        self.block_leaders = [block[0] for block in self.partition.blocks]
-        self._memo = None  # see _per_geometry
 
     @property
-    def quotient(self):
-        return self.proj.quotient
+    def flag_orbits(self):
+        """The least flag of each G-orbit and each flag's orbit index."""
+        return _flag_orbits(self.source, self.group.gens, self.source.rank)
 
     @property
     def leaders(self):
         """The least flag of each G-orbit, which the deciders scan."""
-        return _flag_orbits(self.geom, self.group.gens, self.geom.rank)[0]
+        return self.flag_orbits[0]
+
+    @property
+    def block_leaders(self):
+        """The least member of each block, which the cover test scans."""
+        return [block[0] for block in self.partition.blocks]
 
     @property
     @_per_geometry
@@ -65,7 +61,7 @@ class OrbitQuotient:
         over the u incident with y: one search from each x0 ends at the
         first layer that holds such a u, or where it cannot beat the
         best distance so far."""
-        best, masks = INF, self.geom.masks
+        best, masks = INF, self.source.masks
         for block in self.partition.blocks:
             near = 0  # the elements incident with a block-mate of x0
             for y in block[1:]:
@@ -91,7 +87,7 @@ def check_TQ3(oq):
 def check_TQ2prime(oq):
     """(TQ2'): orbit members inside a residue lie in one stabilizer orbit;
     the witness is a failing flag and two members it splits."""
-    leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
+    leaders, orbit_of = oq.flag_orbits
     inside = oq.inside
     for flag in leaders[1:]:  # the first is the empty flag
         ext, qext = _extensions(oq, flag)
@@ -114,8 +110,8 @@ def check_TQ2doubleprime(oq):
     G-orbit of the incident pair.  The incident pairs are the rank-2
     flags, and whether a pair fails at a flag depends only on its orbit,
     so a scan of their orbit leaders finds the first failing pair."""
-    masks, block_of = oq.geom.masks, oq.block_of
-    leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
+    masks, block_of = oq.source.masks, oq.block_of
+    leaders, orbit_of = oq.flag_orbits
     pair_orbits = [(k, pair) for k, pair in enumerate(leaders)
                    if len(pair) == 2]
     for flag in leaders:
@@ -141,7 +137,7 @@ def check_TQ1(oq):
     """(TQ1): for every flag, quotienting the residue by the flag
     stabilizer is isomorphic (via orbit -> block) to the residue of the
     projected flag in the quotient."""
-    leaders, orbit_of = _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank)
+    leaders, orbit_of = oq.flag_orbits
     for flag in leaders:
         ext, target = _extensions(oq, flag)
         orbits = {}
@@ -154,10 +150,10 @@ def check_TQ1(oq):
 
 
 # The decider rows, in run order: name, decider and witness text.  A
-# decider reads one quotient, a Projection (then only PROJECTION_ROWS
-# run) or an OrbitQuotient, and looks its function up by name when it
-# runs, so that a rebound name (perfbench's tracer) is called.  The text
-# names a witness's elements; None for a row that gives none.
+# decider reads one quotient, an OrbitQuotient or another Projection
+# (then only PROJECTION_ROWS run), and looks its function up by name
+# when it runs, so that a rebound name (perfbench's tracer) is called.
+# The text names a witness's elements; None for a row that gives none.
 DECIDERS = (
     ("flagslift", lambda q: check_flagslift(q),
      lambda q, qflag: flag_text(q.quotient, qflag)),
@@ -174,8 +170,7 @@ DECIDERS = (
      lambda q, w: "%s vs pair %s*%s" % (flag_text(q.source, w[0]),
                                         *q.source.flag_names(w[1:]))),
     ("tq3", lambda q: (check_TQ3(q), None), None),
-    ("residually-surjective",
-     lambda q: (residual_surjectivity(q, q.leaders), None), None),
+    ("residually-surjective", lambda q: (residual_surjectivity(q), None), None),
     ("is-cover", lambda q: (is_cover(q), None), None),
 )
 PROJECTION_ROWS = ("flagslift", "pq1", "pq2", "is-cover")
@@ -189,9 +184,9 @@ def axioms_report(oq):
 
 def decider_rows(q):
     """(name, verdict, witness text or None) for each row of DECIDERS, in
-    run order: every row on an orbit-quotient, which has a group, the
-    PROJECTION_ROWS on a projection."""
+    run order: every row on an orbit-quotient, the PROJECTION_ROWS on
+    any other projection."""
     return [(name, verdict, None if witness is None else text(q, witness))
             for name, decide, text in DECIDERS
-            if hasattr(q, "group") or name in PROJECTION_ROWS
+            if isinstance(q, OrbitQuotient) or name in PROJECTION_ROWS
             for verdict, witness in [decide(q)]]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .geometry import Pregeometry, flags_of_type, mask_of, same_type_incidence
-from .perms import (DEFAULT_CAP, CapExceeded, Perm, PermGroup, _Chain,
+from .perms import (CapExceeded, Perm, PermGroup, _Chain,
                     _closure, _flag_orbits, _inverse, _then,
                     check_automorphisms, transitivity)
 
@@ -257,15 +257,17 @@ class CosetExampleFamily:
     as the designated normal subgroup."""
 
     __slots__ = ("A", "G", "subgroups", "N", "cg", "geometry")
+    MAX_ELEMENTS = 10_000  # admits n = 20, 9,200 elements, refuses n = 21
 
     def __init__(self, A):
         if not A.is_abelian():
             raise ValueError("base group must be abelian")
         if len(A) < 2:
             raise ValueError("base group must have order at least 2")
-        if len(A) ** 3 > DEFAULT_CAP:  # |A^3|, before building it
-            raise CapExceeded("group order %d exceeds cap %d"
-                              % (len(A) ** 3, DEFAULT_CAP))
+        size = 3 * len(A) ** 2 + len(A) ** 3  # the cosets, before building
+        if size > self.MAX_ELEMENTS:
+            raise CapExceeded("element count %d exceeds cap %d"
+                              % (size, self.MAX_ELEMENTS))
         self.A = A
         G = FiniteGroup.direct_product(A, A, A)
         self.G = G

@@ -155,7 +155,7 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
     root element in the root block, place one element per block so that
     tree-adjacent types give incident elements (outward induction along
     the tree; guaranteed under the hypotheses, so failure raises)."""
-    geom = oq.geom
+    geom = oq.source
     q = oq.quotient
     by_type = {}
     for k in qflag:
@@ -167,7 +167,7 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
             raise ValueError("tree edge %r outside the flag's type set" % (sorted(e),))
     if root_type not in by_type:
         raise ValueError("root type not in the flag")
-    if root_elem not in oq.proj.fiber(by_type[root_type]):
+    if root_elem not in oq.fiber(by_type[root_type]):
         raise ValueError("root element not in the root block")
     placed = {root_type: root_elem}
     while len(placed) < len(J):
@@ -180,10 +180,10 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
             # rank-1 trees are empty; nothing further to place
             raise ValueError("disconnected tree on the flag types: %r left" % missing)
         ell, i = frontier[0]
-        block_i = oq.proj.inside[by_type[i]]
+        block_i = oq.inside[by_type[i]]
         # the first member of block l incident with block i, and its least
         # incident member there
-        beta_l = next((bl for bl in oq.proj.fiber(by_type[ell])
+        beta_l = next((bl for bl in oq.fiber(by_type[ell])
                        if geom.masks[bl] & block_i), None)
         if beta_l is None:
             raise RuntimeError("incident blocks with no incident members")
@@ -212,7 +212,7 @@ def lift_chamber_forest(oq, qchamber):
     """Lift a quotient chamber through a forest diagram: place a flag per
     diagram component along its tree, close it up inside the component,
     and join components by total cross incidence."""
-    geom = oq.geom
+    geom = oq.source
     ok, w = is_geometry(geom)
     if not ok:
         raise ValueError("chamber lifting requires a geometry")
@@ -230,7 +230,7 @@ def lift_chamber_forest(oq, qchamber):
     for comp, tree in trees:
         sub_qflag = tuple(sorted(block_by_type[t] for t in comp))
         root = comp[0]
-        root_elem = oq.proj.fiber(block_by_type[root])[0]
+        root_elem = oq.fiber(block_by_type[root])[0]
         placed = place_tree_flag(oq, sub_qflag, tree, root, root_elem)
         if not is_flag(geom, placed.values()):
             raise RuntimeError(
@@ -239,7 +239,7 @@ def lift_chamber_forest(oq, qchamber):
     flag = tuple(sorted(lifted.values()))
     if not is_flag(geom, flag):
         raise RuntimeError("direct-sum join failed across components")
-    got = oq.proj.project_flag(flag)
+    got = oq.project_flag(flag)
     if got != tuple(sorted(qchamber)):
         raise RuntimeError("lifted chamber projects incorrectly")
     return flag

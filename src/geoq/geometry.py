@@ -231,9 +231,9 @@ def mask_of(elements):
 
 
 def _per_geometry(fn):
-    """Memoize fn(obj) on obj, a Pregeometry, Projection or OrbitQuotient,
-    none of which changes, for as long as obj lives.  Exceptions are
-    raised again on the next call."""
+    """Memoize fn(obj) on obj, a Pregeometry or a Projection (an
+    OrbitQuotient is one), neither of which changes, for as long as obj
+    lives.  Exceptions are raised again on the next call."""
     @functools.wraps(fn)
     def cached(obj):
         memo = _memo(obj)

@@ -11,7 +11,7 @@ and the pool of small groups.  So each keeps its flags, verdicts, flag
 orbits and chain across draws, and one OrbitQuotient per drawn subgroup
 (_orbit_quotient: found by the drawn generators before the group's
 order is read, else by _per_subgroup among the kept groups of that
-order) that keeps its verdicts, its chamber lifts and its projection's
+order) that keeps its chamber lifts and, in one memo, all its
 verdicts.  The quotient conditions depend on the group, not on the
 generators drawn for it.  An ssg geometry keeps the shadowable suite's
 verdict per orbit partition and its normal-closure orbits per subgroup,
@@ -305,7 +305,7 @@ def _cover_instances(rng):
     if kind == 0:
         two_m = rng.choice([8, 12, 16])
         return _orbit_quotient(_cycle_geometry(two_m),
-                               _cycle_rotation(two_m, two_m // 2)).proj
+                               _cycle_rotation(two_m, two_m // 2))
     if kind == 1:
         geom = random_geometry(rng, max_rank=2, max_per_type=4)
         big, proj = blowup_projection(geom, SimpleGraph.matching(rng.randint(1, 2)))
@@ -346,11 +346,11 @@ def suite_cover_semiregular(rng, count=200):
     res = SuiteResult("cover-semiregular")
     for oq in _draw(rng, random_orbit_quotient, count):
         res.checked += 1
-        if not (is_connected(oq.geom) and is_cover(oq.proj)):
+        if not (is_connected(oq.source) and is_cover(oq)):
             continue
         res.nonvacuous += 1
         if not is_semiregular(oq.group):
-            res.violations.append(oq.geom)
+            res.violations.append(oq.source)
     return res
 
 
@@ -382,7 +382,7 @@ def suite_tq_equivalences(rng, count=200):
         tq1 = check_TQ1(oq)[0]
         both = check_TQ2prime(oq)[0] and check_TQ2doubleprime(oq)[0]
         if tq1 != both:
-            res.violations.append((oq.geom, tq1, both))
+            res.violations.append((oq.source, tq1, both))
     return res
 
 
@@ -394,12 +394,12 @@ def suite_tq_chain(rng, count=200):
         res.checked += 1
         tq3 = check_TQ3(oq)
         tq1 = check_TQ1(oq)[0]
-        pq1 = check_PQ1(oq.proj)[0]
-        fl = check_flagslift(oq.proj)[0]
+        pq1 = check_PQ1(oq)[0]
+        fl = check_flagslift(oq)[0]
         if tq3 or tq1 or pq1:
             res.nonvacuous += 1
         if (tq3 and not tq1) or (tq1 and not pq1) or (pq1 and not fl):
-            res.violations.append((oq.geom, tq3, tq1, pq1, fl))
+            res.violations.append((oq.source, tq3, tq1, pq1, fl))
     return res
 
 
@@ -408,11 +408,11 @@ def suite_flagslift_tq2(rng, count=200):
     res = SuiteResult("flagslift-tq2prime-tq2doubleprime")
     for oq in _draw(rng, random_orbit_quotient, count):
         res.checked += 1
-        if not (check_flagslift(oq.proj)[0] and check_TQ2prime(oq)[0]):
+        if not (check_flagslift(oq)[0] and check_TQ2prime(oq)[0]):
             continue
         res.nonvacuous += 1
         if not check_TQ2doubleprime(oq)[0]:
-            res.violations.append(oq.geom)
+            res.violations.append(oq.source)
     return res
 
 
@@ -488,8 +488,8 @@ def suite_chamber_lift(rng, count=200):
 
     def maker(rng):
         oq = random_orbit_quotient(rng, need_geometry=True)
-        if (oq is None or not is_residually_connected(oq.geom)[0]
-                or _forest_trees(oq.geom) is None):
+        if (oq is None or not is_residually_connected(oq.source)[0]
+                or _forest_trees(oq.source) is None):
             return None
         return oq
 
@@ -497,7 +497,7 @@ def suite_chamber_lift(rng, count=200):
         res.checked += 1
         chambers, misses = _chamber_lift_misses(oq)
         res.nonvacuous += chambers
-        res.violations += [(oq.geom, cham) for cham in misses]
+        res.violations += [(oq.source, cham) for cham in misses]
     return res
 
 
@@ -509,8 +509,8 @@ def _chamber_lift_misses(oq):
     misses = []
     for cham in chams:
         lifted = lift_chamber_forest(oq, cham)
-        oracle = lift_flag(oq.proj, cham)
-        if oracle is None or oq.proj.project_flag(lifted) != cham:
+        oracle = lift_flag(oq, cham)
+        if oracle is None or oq.project_flag(lifted) != cham:
             misses.append(cham)
     return len(chams), tuple(misses)
 

@@ -8,17 +8,17 @@ quotient masks (_extensions).  FlagsLift compares projected flag sets,
 rank by rank: a quotient flag lifts exactly when some source flag
 projects onto it (lift_flag searches for one such flag).  Witnesses
 are minimal under (rank, lex) order.  check_flagslift, check_PQ1,
-check_PQ2 and is_cover take one quotient and scan its leaders (flags, in
-(rank, lex) order) and block_leaders (elements): all of them on a
-Projection, which never changes and keeps its block distance and those
-verdicts; one per G-orbit on an orbit-quotient (geoq.axioms).
+check_PQ2, residual_surjectivity and is_cover take one quotient and scan
+its leaders (flags, in (rank, lex) order) and block_leaders (elements):
+all of them on a Projection, which never changes and keeps its verdicts;
+one per G-orbit on an orbit-quotient, the projection of its orbit partition.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .geometry import (INF, Pregeometry, _per_geometry, as_flag, all_flags,
+from .geometry import (INF, Pregeometry, _per_geometry, all_flags, as_flag,
                        bfs, bits, flags_by_rank_lex, flags_of_type, least,
                        mask_of)
 
@@ -218,14 +218,17 @@ def _extensions(proj, flag):
     return ext, qext
 
 
-def residual_surjectivity(proj, flags=None):
-    """True iff projecting a residue gives the whole quotient residue
-    (every block of it met, no element outside them), for every flag of
-    the source.  flags, every flag by default, may be one flag of each
-    class on which the verdict is the same (a quotient's leaders)."""
+def residual_surjectivity(proj):
+    """True iff every flag's residue projects onto the whole quotient
+    residue (every block of it met, no element outside them); the
+    quotient's leaders decide it."""
+    return _surjective_at(proj, proj.leaders)
+
+
+def _surjective_at(proj, flags):
     q, inside, et = proj.quotient, proj.inside, proj.source.elem_type
     of_type = [mask_of(members) for members in q.by_type]
-    for flag in all_flags(proj.source) if flags is None else flags:
+    for flag in flags:
         ext, target = _extensions(proj, flag)
         for x in flag:
             target &= ~of_type[et[x]]
@@ -241,7 +244,7 @@ def residual_surjectivity(proj, flags=None):
 
 def corank1_surjective(proj):
     """Residual surjectivity restricted to rank-1 flags."""
-    return residual_surjectivity(proj, [(x,) for x in range(proj.source.size)])
+    return _surjective_at(proj, [(x,) for x in range(proj.source.size)])
 
 
 def corank1_injective(proj):
@@ -319,7 +322,7 @@ def is_m_cover(proj, m):
     rank = proj.source.rank
     if not 1 <= m <= rank - 1:
         raise ValueError("m must satisfy 1 <= m <= rank-1, got %r" % (m,))
-    for flag in flags_by_rank_lex(proj.source):
+    for flag in all_flags(proj.source):
         if len(flag) == rank - m:
             reason = _residue_isomorphic_onto(proj, flag)
             if reason is not None:

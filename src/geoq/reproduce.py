@@ -346,7 +346,7 @@ def scenario_tq1_vs_ressurj():
     rep.expect("residually-connected", is_residually_connected(geom)[0], True)
     rep.expect("group-order", group.order(), 4)
     oq = OrbitQuotient(geom, group)
-    rep.expect("residually-surjective", residual_surjectivity(oq.proj), True)
+    rep.expect("residually-surjective", residual_surjectivity(oq), True)
     rep.expect("tq2prime", check_TQ2prime(oq)[0], False)
     rep.expect("tq1", check_TQ1(oq)[0], False)
     # the distinguished witness flag {a1, a2} of type {1, 2}
@@ -356,7 +356,7 @@ def scenario_tq1_vs_ressurj():
     res_members = extensions(geom, flag)
     rep.expect("residue-size", len(res_members), 2)
     rep.expect("residue-single-block",
-               len({oq.proj.block_of[x] for x in res_members}), 1)
+               len({oq.block_of[x] for x in res_members}), 1)
     rep.expect("stabilizer-orbits-in-residue",
                len(orbits_on(stab.gens, res_members, Perm.__getitem__)), 2)
     return rep

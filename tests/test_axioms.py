@@ -41,7 +41,7 @@ def test_block_distance_agrees_with_min_block_distance(rng):
     while len(cases) < 504:
         oq = random_orbit_quotient(rng)
         if oq is not None:
-            cases.append((oq.geom, oq.group))
+            cases.append((oq.source, oq.group))
     seen = set()
     for geom, group in cases:
         oq = OrbitQuotient(geom, group)  # a fresh one computes it anew
@@ -69,7 +69,7 @@ def test_counterexample_tq2prime_fails_at_type12_flag():
     stab = stabilizer(group, flag)
     members = extensions(geom, flag)
     assert len(members) == 2
-    assert len({oq.proj.block_of[x] for x in members}) == 1
+    assert len({oq.block_of[x] for x in members}) == 1
     assert len(orbits_on(stab.gens, members, Perm.__getitem__)) == 2
 
 
@@ -89,7 +89,7 @@ def test_counterexample_tq1_fails_but_residually_surjective():
     geom, group = tq1_counterexample()
     oq = OrbitQuotient(geom, group)
     assert not check_TQ1(oq)[0]
-    assert residual_surjectivity(oq.proj)
+    assert residual_surjectivity(oq)
 
 
 def test_covering_orbit_quotient_satisfies_tq1():
@@ -97,7 +97,7 @@ def test_covering_orbit_quotient_satisfies_tq1():
     geom, group = eight_cycle()
     oq = OrbitQuotient(geom, group)
     from geoq.quotient import is_cover
-    assert is_cover(oq.proj)
+    assert is_cover(oq)
     assert check_TQ1(oq)[0]
     assert check_TQ2prime(oq)[0]
     assert check_TQ2doubleprime(oq)[0]
@@ -126,8 +126,8 @@ def _tq2prime_by_conjugacy(oq):
     # conjugate under the group (one orbit search per projection class)
     from geoq.geometry import all_flags
     classes = {}
-    for flag in all_flags(oq.geom):
-        key = frozenset(oq.proj.block_of[x] for x in flag)
+    for flag in all_flags(oq.source):
+        key = frozenset(oq.block_of[x] for x in flag)
         classes.setdefault(key, []).append(frozenset(flag))
     for flags in classes.values():
         seen = {flags[0]}
@@ -166,7 +166,7 @@ def _tq2doubleprime_by_sweep(oq):
     # whose end orbits both meet the flag's reflexive residue, look for
     # one element of G bringing both ends into it
     from geoq.geometry import flags_by_rank_lex
-    geom = oq.geom
+    geom = oq.source
     orbit_of = {x: set(block) for block in oq.partition.blocks
                 for x in block}
     elements = sorted(oq.group.elements())
@@ -256,16 +256,16 @@ def _tq2prime_by_stabilizers(oq):
     # the per-flag formulation: list G, keep the flag stabilizer and take
     # its orbits on the residue
     from geoq.geometry import extensions, flags_by_rank_lex
-    for flag in flags_by_rank_lex(oq.geom):
+    for flag in flags_by_rank_lex(oq.source):
         if not flag:
             continue
-        members = extensions(oq.geom, flag)
+        members = extensions(oq.source, flag)
         orbit_of = {x: k for k, orbit in enumerate(
                         _stabilizer_residue_orbits(oq.group, flag, members))
                     for x in orbit}
         per_block = {}
         for x in members:
-            per_block.setdefault(oq.proj.block_of[x], []).append(x)
+            per_block.setdefault(oq.block_of[x], []).append(x)
         for k, xs in sorted(per_block.items()):
             for x in xs[1:]:
                 if orbit_of[x] != orbit_of[xs[0]]:
@@ -275,13 +275,13 @@ def _tq2prime_by_stabilizers(oq):
 
 def _tq1_by_stabilizers(oq):
     from geoq.geometry import extensions, flags_by_rank_lex
-    geom, q = oq.geom, oq.quotient
+    geom, q = oq.source, oq.quotient
     for flag in flags_by_rank_lex(geom):
         orbits = _stabilizer_residue_orbits(oq.group, flag,
                                             extensions(geom, flag))
-        qflag = oq.proj.project_flag(flag)
+        qflag = oq.project_flag(flag)
         target = set(extensions(q, qflag))
-        image = [oq.proj.block_of[orb[0]] for orb in orbits]
+        image = [oq.block_of[orb[0]] for orb in orbits]
         if len(set(image)) != len(image):
             return False, (flag, "orbit map not injective")
         if set(image) != target:
@@ -338,10 +338,11 @@ def _pair_image(g, pair):
 
 def _sweep_report(oq):
     from geoq.geometry import extensions, flags_by_rank_lex, mask_of
-    from geoq.quotient import (_residue_map_failure, check_PQ1, check_PQ2,
-                               is_cover)
+    from geoq.quotient import (Projection, _residue_map_failure, check_PQ1,
+                               check_PQ2, is_cover)
     from test_quotient import _search_flagslift
-    geom, q, block_of = oq.geom, oq.quotient, oq.proj.block_of
+    proj = Projection(oq.source, oq.partition)  # names every flag
+    geom, q, block_of = oq.source, proj.quotient, proj.block_of
     flags = flags_by_rank_lex(geom)
     items = [(f, x) for f in flags for x in extensions(geom, f)]
     member_orbit = {item: k for k, orbit in enumerate(
@@ -367,8 +368,8 @@ def _sweep_report(oq):
             classes = {}
             for x in extensions(geom, flag):
                 classes.setdefault(member_orbit[flag, x], []).append(x)
-            target = set(extensions(q, oq.proj.project_flag(flag)))
-            reason = _residue_map_failure(oq.proj, list(classes.values()),
+            target = set(extensions(q, proj.project_flag(flag)))
+            reason = _residue_map_failure(proj, list(classes.values()),
                                           mask_of(target))
             if reason is not None:
                 return False, (flag, reasons.get(reason, reason))
@@ -394,15 +395,15 @@ def _sweep_report(oq):
         return True, None
 
     return {
-        "flagslift": _search_flagslift(oq.proj),
-        "pq1": check_PQ1(oq.proj),
-        "pq2": check_PQ2(oq.proj),
+        "flagslift": _search_flagslift(proj),
+        "pq1": check_PQ1(proj),
+        "pq2": check_PQ2(proj),
         "tq1": tq1(),
         "tq2prime": tq2prime(),
         "tq2doubleprime": tq2doubleprime(),
         "tq3": (check_TQ3(oq), None),
-        "residually-surjective": (residual_surjectivity(oq.proj), None),
-        "is-cover": (is_cover(oq.proj), None),
+        "residually-surjective": (residual_surjectivity(proj), None),
+        "is-cover": (is_cover(proj), None),
     }
 
 
@@ -442,7 +443,7 @@ def test_orbit_representatives_agree_with_full_sweep(rng):
         for name in names:
             seen[name, report[name][0]] += 1
         _check_flag_orbit_labelling(oq)
-        proj = Projection(oq.geom, oq.partition)
+        proj = Projection(oq.source, oq.partition)
         assert decider_rows(proj) == [row for row in decider_rows(oq)
                                       if row[0] in PROJECTION_ROWS]
         assert proj.block_distance == oq.block_distance
@@ -458,7 +459,7 @@ def test_orbit_representatives_agree_with_full_sweep(rng):
 
 def _mask_orbit_index(oq):
     from geoq.geometry import _flag_table, bits
-    flags = _flag_table(oq.geom)
+    flags = _flag_table(oq.source)
     fmasks, parents, last = [0], [0], [0]
     for i in range(1, len(flags)):
         k = len(flags[i])
@@ -484,7 +485,7 @@ def _check_flag_orbit_labelling(oq):
     from geoq.geometry import Pregeometry
     from geoq.perms import _flag_orbits
     leaders, orbit_of = _mask_orbit_index(oq)
-    geom = oq.geom
+    geom = oq.source
     assert _flag_orbits(geom, oq.group.gens, geom.rank) == (leaders, orbit_of)
     for r in range(geom.rank):
         fresh = Pregeometry(geom.type_names, geom.elem_names,
@@ -549,7 +550,7 @@ def _flag_image(g, flag):
 
 def _tuple_index(oq):
     from geoq.geometry import flags_by_rank_lex
-    orbits = orbits_on(oq.group.gens, flags_by_rank_lex(oq.geom),
+    orbits = orbits_on(oq.group.gens, flags_by_rank_lex(oq.source),
                        _flag_image)
     return orbits, {f: k for k, orbit in enumerate(orbits) for f in orbit}
 
@@ -557,7 +558,7 @@ def _tuple_index(oq):
 def _tuple_deciders(oq):
     from geoq.geometry import bits, extensions, mask_of
     from geoq.quotient import _residue_map_failure
-    geom, q, block_of = oq.geom, oq.quotient, oq.proj.block_of
+    geom, q, block_of = oq.source, oq.quotient, oq.block_of
     orbits, orbit_of = _tuple_index(oq)
     reps = [orbit[0] for orbit in orbits]
 
@@ -570,8 +571,8 @@ def _tuple_deciders(oq):
             for x in extensions(geom, flag):
                 classes.setdefault(orbit_of[tuple(sorted(flag + (x,)))],
                                    []).append(x)
-            target = set(extensions(q, oq.proj.project_flag(flag)))
-            reason = _residue_map_failure(oq.proj, list(classes.values()),
+            target = set(extensions(q, oq.project_flag(flag)))
+            reason = _residue_map_failure(oq, list(classes.values()),
                                           mask_of(target))
             if reason is not None:
                 return False, (flag, reasons.get(reason, reason))
@@ -620,7 +621,7 @@ def test_flag_orbit_index_agrees_with_flag_image_orbits(rng):
     failed = [0, 0, 0]
     for oq in oqs:
         orbits, orbit_of = _tuple_index(oq)
-        assert _flag_orbits(oq.geom, oq.group.gens, oq.geom.rank) == (
+        assert _flag_orbits(oq.source, oq.group.gens, oq.source.rank) == (
             [orbit[0] for orbit in orbits], orbit_of)
         got = (check_TQ1(oq), check_TQ2prime(oq), check_TQ2doubleprime(oq))
         assert got == _tuple_deciders(oq)

@@ -341,19 +341,21 @@ def test_iso_prints_the_first_map_found(tmp_path, capsys):
 
 def test_gen_coseteg_group_order_is_capped_before_building(
         tmp_path, capsys, monkeypatch):
-    # 59^3 = 205,379 is above the default --max-group-order: refused with
-    # exit 3 before the cube is built; orders below 2 stay usage errors,
-    # and one below 1 is named
+    # coseteg-n has 3n^2 + n^3 elements: above 10,000 (n = 21 has 10,584,
+    # n = 59 has 215,822) it is refused with exit 3 before the cube is
+    # built; orders below 2 stay usage errors, and one below 1 is named
     from geoq.cosets import FiniteGroup
 
     def unbuilt(*groups):
         raise AssertionError("cube built")
 
     monkeypatch.setattr(FiniteGroup, "direct_product", unbuilt)
-    code, out, err = run(capsys, "gen", "coseteg", "59", "--dir",
-                         str(tmp_path))
-    assert (code, out) == (3, "")
-    assert err == "cap exceeded: group order 205379 exceeds cap 200000\n"
+    for n, size in (("21", 10584), ("59", 215822)):
+        code, out, err = run(capsys, "gen", "coseteg", n, "--dir",
+                             str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err == "cap exceeded: element count %d exceeds cap 10000\n" % (
+            size)
     monkeypatch.undo()
     for n, msg in (("0", "cyclic group needs n >= 1, got n=0"),
                    ("-5", "cyclic group needs n >= 1, got n=-5"),
@@ -659,17 +661,17 @@ def test_other_commands_refuse_invalid_geometry(tmp_path, capsys):
 
 def test_quotient_orbits_builds_one_projection(tmp_path, capsys, monkeypatch):
     # the flag-lift, PQ1, PQ2 and cover rows come from the orbit-quotient's
-    # axiom report; no second partition or projection is built
-    from geoq import axioms, cli
+    # axiom report, and the orbit-quotient is itself the projection: no
+    # second partition or projection is built
     from geoq.quotient import Projection
     built = []
+    real_init = Projection.__init__
 
-    def counted(source, partition):
+    def counted(self, source, partition):
         built.append(partition)
-        return Projection(source, partition)
+        real_init(self, source, partition)
 
-    monkeypatch.setattr(axioms, "Projection", counted)
-    monkeypatch.setattr(cli, "Projection", counted)
+    monkeypatch.setattr(Projection, "__init__", counted)
     gen_file(tmp_path, capsys, "coseteg", "2")
     code, out, _ = run(capsys, "--machine", "quotient",
                        str(tmp_path / "coseteg-2.geo"),

@@ -183,13 +183,22 @@ def test_cyclic_refuses_an_order_below_one():
             FiniteGroup.cyclic(n)
 
 
-def test_coseteg_rejects_bad_base():
+def test_coseteg_rejects_bad_base(monkeypatch):
     with pytest.raises(ValueError):
         coseteg_family(FiniteGroup.symmetric(3))
     with pytest.raises(ValueError):
         coseteg_family(FiniteGroup.cyclic(1))
-    with pytest.raises(CapExceeded, match="group order 205379 exceeds"):
+    with pytest.raises(CapExceeded, match="element count 215822 exceeds"):
         coseteg_family(FiniteGroup.cyclic(59))  # before building Z59^3
+    with pytest.raises(CapExceeded, match="element count 10584 exceeds"):
+        coseteg_family(FiniteGroup.cyclic(21))
+
+    def reached(*groups):  # coseteg-20, 9,200 elements, passes the cap
+        raise LookupError("cube built")
+
+    monkeypatch.setattr(FiniteGroup, "direct_product", reached)
+    with pytest.raises(LookupError):
+        coseteg_family(FiniteGroup.cyclic(20))
 
 
 def test_is_coset_pregeometry_roundtrip():
@@ -687,7 +696,7 @@ def _recognition_draws(rng):
         oq = random_orbit_quotient(rng)
         if oq is not None:
             drawn += 1
-            out.append((oq.geom, oq.group))
+            out.append((oq.source, oq.group))
     chamberless = 0
     while chamberless < 60:
         geom, action = small_instance()

@@ -126,7 +126,7 @@ def test_place_tree_flag_rank1():
     geom, action = ssg_symmetric_action(4, 3)
     group = random_subgroup_named(action, 7)
     oq = OrbitQuotient(geom, group)
-    k = oq.proj.block_of[0]
+    k = oq.block_of[0]
     placed = place_tree_flag(oq, (k,), [], oq.quotient.elem_type[k], 0)
     assert placed == {oq.quotient.elem_type[k]: 0}
 
@@ -142,7 +142,7 @@ def test_place_tree_flag_path():
     oq = OrbitQuotient(geom, group)
     for cham in flags_of_type(oq.quotient, range(3)):
         blocks = {oq.quotient.elem_type[k]: k for k in cham}
-        root_elem = oq.proj.fiber(blocks[0])[0]
+        root_elem = oq.fiber(blocks[0])[0]
         placed = place_tree_flag(oq, cham, [(0, 1), (1, 2)], 0, root_elem)
         assert geom.incident(placed[0], placed[1])
         assert geom.incident(placed[1], placed[2])
@@ -154,7 +154,7 @@ def test_place_tree_flag_star_on_hexagon():
     geom, group = hexagon()
     oq = OrbitQuotient(geom, group)
     cham = (0, 1, 2)
-    assert lift_flag(oq.proj, cham) is None
+    assert lift_flag(oq, cham) is None
     placed = place_tree_flag(oq, cham, [(0, 1), (0, 2)], 0, 0)
     assert geom.incident(placed[0], placed[1])
     assert geom.incident(placed[0], placed[2])
@@ -178,8 +178,8 @@ def test_lift_chamber_forest_ssg():
         oq = OrbitQuotient(geom, group)
         for cham in flags_of_type(oq.quotient, range(3)):
             lifted = lift_chamber_forest(oq, cham)
-            assert oq.proj.project_flag(lifted) == cham
-            assert lift_flag(oq.proj, cham) is not None
+            assert oq.project_flag(lifted) == cham
+            assert lift_flag(oq, cham) is not None
 
 
 def test_lift_chamber_forest_affine():
@@ -189,7 +189,7 @@ def test_lift_chamber_forest_affine():
     assert len(chams) == 21
     for cham in chams:
         lifted = lift_chamber_forest(oq, cham)
-        assert oq.proj.project_flag(lifted) == cham
+        assert oq.project_flag(lifted) == cham
 
 
 def test_lift_chamber_forest_rejects_cyclic_diagram():

@@ -862,7 +862,7 @@ def test_orbit_partition_agrees_with_checked_partition(rng):
     while len(instances) < 14 + 300:
         oq = random_orbit_quotient(rng)
         if oq is not None:
-            instances.append((oq.geom, oq.group))
+            instances.append((oq.source, oq.group))
     sizes = set()
     for geom, group in instances:
         got = orbit_partition(group, geom)
@@ -945,7 +945,7 @@ def test_multicover_array_agrees_with_sorted_pair_scan(rng):
         if oq is None:
             continue
         draws += 1
-        geom = oq.geom
+        geom = oq.source
         want = _pair_multicover_array(geom, oq.group)
         try:
             got = multicover_array(geom, oq.group)

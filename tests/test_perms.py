@@ -203,7 +203,7 @@ def test_enumerated_elements_are_automorphisms(rng):
         if oq is None:
             continue
         for g in oq.group.elements():
-            assert is_automorphism(oq.geom, g)
+            assert is_automorphism(oq.source, g)
 
 
 def test_stabilizer_and_normal_closure():
@@ -437,7 +437,7 @@ def test_transitivity_agrees_with_per_kind_branches(rng):
     while len(cases) < 200:
         oq = random_orbit_quotient(rng)
         if oq is not None:
-            cases.append((oq.group, oq.geom))
+            cases.append((oq.group, oq.source))
     for _ in range(30):
         geom, action = random_coset_instance(rng)
         cases.append((action, geom))
@@ -549,7 +549,7 @@ def test_is_semiregular_agrees_with_element_scan(rng):
         if oq is None:
             continue
         draws += 1
-        geom, group = oq.geom, oq.group
+        geom, group = oq.source, oq.group
         got = is_semiregular(group)
         assert got == semiregular_by_elements(group)
         seen["all", got] = seen.get(("all", got), 0) + 1
@@ -678,17 +678,16 @@ def test_jflag_transitivity_descends_iff_jflags_lift(rng):
         oq = random_orbit_quotient(rng)
         if oq is None:
             continue
-        geom, group = oq.geom, oq.group
-        proj = oq.proj
-        induced = induced_quotient_group(proj, group)
+        geom, group = oq.source, oq.group
+        induced = induced_quotient_group(oq, group)
         for r in range(1, geom.rank + 1):
             for J in combinations(range(geom.rank), r):
                 if not flags_of_type(geom, J):
                     continue
                 if not transitivity(group, geom, "jflags", types=J)[0]:
                     continue
-                lifted = check_jflags_lift(proj, J)[0]
-                down = transitivity(induced, proj.quotient, "jflags", types=J)[0]
+                lifted = check_jflags_lift(oq, J)[0]
+                down = transitivity(induced, oq.quotient, "jflags", types=J)[0]
                 assert down == lifted
 
 
@@ -697,8 +696,8 @@ def test_incidence_transitivity_descends(rng):
         oq = random_orbit_quotient(rng)
         if oq is None:
             continue
-        if transitivity(oq.group, oq.geom, "incidence")[0]:
-            induced = induced_quotient_group(oq.proj, oq.group)
+        if transitivity(oq.group, oq.source, "incidence")[0]:
+            induced = induced_quotient_group(oq, oq.group)
             assert transitivity(induced, oq.quotient, "incidence")[0]
 
 
@@ -736,7 +735,7 @@ def test_orbits_on_agrees_with_bfs(rng):
         if oq is None:
             continue
         tried += 1
-        gens, geom = oq.group.gens, oq.geom
+        gens, geom = oq.group.gens, oq.source
         points = list(range(geom.size))
         rng.shuffle(points)
         flags = sorted(all_flags(geom), key=lambda f: (len(f), f))
@@ -774,8 +773,8 @@ def test_kept_transversals_equal_fresh_ones_on_chamber_lift_draws(
     lifted = 0
     while lifted < 300:
         oq = random_orbit_quotient(rng, need_geometry=True)
-        if (oq is None or not is_residually_connected(oq.geom)[0]
-                or _forest_trees(oq.geom) is None):
+        if (oq is None or not is_residually_connected(oq.source)[0]
+                or _forest_trees(oq.source) is None):
             continue
         for cham in flags_of_type(oq.quotient, range(oq.quotient.rank)):
             lift_chamber_forest(oq, cham)

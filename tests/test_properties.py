@@ -122,6 +122,7 @@ def test_warm_draws_equal_cold_draws():
     from geoq.axioms import OrbitQuotient, axioms_report
     from geoq.geometry import Pregeometry
     from geoq.perms import PermGroup
+    from geoq.quotient import Projection
     kept, names = 0, set()
     for geom in _shared_geometries(shared):
         for key, oq in list((geom._memo or {}).items()):
@@ -131,12 +132,15 @@ def test_warm_draws_equal_cold_draws():
                                geom.elem_type, geom.pairs)
             fresh = OrbitQuotient(copy, PermGroup(oq.group.gens,
                                                   degree=geom.size))
-            for have, build in ((oq, fresh), (oq.proj, fresh.proj)):
-                for fn, value in dict(have._memo or {}).items():
-                    assert fn(build) == value, (fn.__name__, geom)
-                    names.add(fn.__name__)
+            full = Projection(copy, oq.partition)  # scans every flag
+            for fn, value in dict(oq._memo or {}).items():
+                assert fn(fresh) == value, (fn.__name__, geom)
+                if fn.__module__ == "geoq.quotient":
+                    assert fn(full) == value, (fn.__name__, geom)
+                names.add(fn.__name__)
             assert axioms_report(oq) == axioms_report(fresh)
-            assert oq.block_distance == fresh.block_distance
+            assert (oq.block_distance == fresh.block_distance
+                    == full.block_distance)
             kept += 1
     assert kept >= 20, kept
     assert names == {"check_TQ1", "check_TQ2prime", "check_TQ2doubleprime",
@@ -233,7 +237,7 @@ def test_kept_orbit_quotient_agrees_with_a_fresh_one(monkeypatch):
     from geoq.diagram import _forest_trees
     from geoq.geometry import is_geometry, is_residually_connected
     from geoq.perms import is_semiregular
-    from geoq.quotient import check_flagslift, check_PQ1, is_cover
+    from geoq.quotient import Projection, check_flagslift, check_PQ1, is_cover
     drawn = []
     real = lemmas._orbit_quotient
 
@@ -249,17 +253,19 @@ def test_kept_orbit_quotient_agrees_with_a_fresh_one(monkeypatch):
         lemmas.random_orbit_quotient(rng, need_geometry=rng.random() < 0.5)
     shared = lifted = 0
     for oq, group in drawn:
-        fresh = OrbitQuotient(oq.geom, group)
+        geom = oq.source
+        fresh = OrbitQuotient(geom, group)
         shared += oq.group.gens != group.gens
         assert oq.partition.blocks == fresh.partition.blocks
         for check in (check_TQ1, check_TQ2prime, check_TQ2doubleprime,
                       check_TQ3):
             assert check(oq) == check(fresh), check.__name__
+        full = Projection(geom, oq.partition)  # scans every flag
         for check in (check_PQ1, check_flagslift, is_cover):
-            assert check(oq.proj) == check(fresh.proj), check.__name__
+            assert check(oq) == check(fresh) == check(full), check.__name__
         assert is_semiregular(oq.group) == is_semiregular(group)
-        if (is_geometry(oq.geom)[0] and is_residually_connected(oq.geom)[0]
-                and _forest_trees(oq.geom) is not None):
+        if (is_geometry(geom)[0] and is_residually_connected(geom)[0]
+                and _forest_trees(geom) is not None):
             assert (lemmas._chamber_lift_misses(oq)
                     == lemmas._chamber_lift_misses(fresh))
             lifted += 1
@@ -343,7 +349,7 @@ def test_a_repeated_draw_builds_no_chain(monkeypatch):
         again = lemmas.random_orbit_quotient(random.Random(seed))
         if first is not None and again is first:
             assert chains == [], seed
-            repeated.append(first.geom)
+            repeated.append(first.source)
     new_groups = [lemmas._multipartite_geometry(2, 3, 2)[0]] + [
         lemmas._ssg_symmetric_action(*vk)[0] for vk in ((3, 2), (4, 2), (4, 3))]
     hits = [g for g in new_groups if any(g is h for h in repeated)]

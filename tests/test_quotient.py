@@ -184,7 +184,7 @@ def _drawn_projection(rng):
     if kind == 4:
         return _cover_instances(rng)
     oq = random_orbit_quotient(rng)
-    return None if oq is None else oq.proj
+    return None if oq is None else Projection(oq.source, oq.partition)
 
 
 def test_flagslift_agrees_with_lift_search(rng):
@@ -248,8 +248,8 @@ def test_corank1_surjective_on_orbit_quotients(rng):
         oq = random_orbit_quotient(rng)
         if oq is None:
             continue
-        assert corank1_surjective(oq.proj)
-        covers.add(assert_graph_cover_is_corank1_bijection(oq.proj))
+        assert corank1_surjective(oq)
+        covers.add(assert_graph_cover_is_corank1_bijection(oq))
     assert covers == {False, True}
 
 
@@ -320,8 +320,8 @@ def test_min_block_distance_agrees_with_pairwise_loop(rng):
         if oq is None:
             continue
         orbit_draws += 1
-        got = min_block_distance(oq.geom, oq.partition)
-        assert got == pairwise_block_distance(oq.geom, oq.partition)
+        got = min_block_distance(oq.source, oq.partition)
+        assert got == pairwise_block_distance(oq.source, oq.partition)
         seen[got] = seen.get(got, 0) + 1
     for _ in range(200):
         geom = random_pregeometry(rng, max_rank=4, max_per_type=4)
@@ -351,9 +351,9 @@ def test_cover_iff_graph_cover_plus_rank3_lift(rng):
         oq = random_orbit_quotient(rng, need_geometry=True)
         if oq is None:
             continue
-        cov = is_cover(oq.proj)
-        gcov = is_incidence_graph_cover(oq.proj)
-        rank3 = all(lift_flag(oq.proj, f) is not None
+        cov = is_cover(oq)
+        gcov = is_incidence_graph_cover(oq)
+        rank3 = all(lift_flag(oq, f) is not None
                     for f in all_flags(oq.quotient) if len(f) == 3)
         assert cov == (gcov and rank3)
 
@@ -478,7 +478,7 @@ def test_tq1_agrees_with_generic_quotient_machinery(rng):
     from geoq.perms import Perm, PermGroup, stabilizer
 
     def oracle(oq):
-        geom = oq.geom
+        geom = oq.source
         q = oq.quotient
         for flag in all_flags(geom):
             stab = stabilizer(oq.group, flag)
@@ -490,11 +490,11 @@ def test_tq1_agrees_with_generic_quotient_machinery(rng):
             stab_on_res = PermGroup(gens, degree=res.size)
             part = Partition(res, stab_on_res.orbits())
             inner = Projection(res, part)
-            qflag = oq.proj.project_flag(flag)
+            qflag = oq.project_flag(flag)
             target = {k for k in range(q.size)
                       if k not in qflag and
                       all(q.incident(k, m) for m in qflag)}
-            image = [oq.proj.block_of[emap[block[0]]]
+            image = [oq.block_of[emap[block[0]]]
                      for block in part.blocks]
             if len(set(image)) != len(image) or set(image) != target:
                 return False
@@ -584,7 +584,7 @@ def test_residue_maps_agree_with_pairwise_loops(rng):
             oq = random_orbit_quotient(rng, need_geometry=True)
             if oq is None:
                 continue
-            proj = oq.proj
+            proj = oq
         draws += 1
         cover = is_cover(proj)
         assert cover == all(_residue_isomorphic_by_pairs(proj, (x,))[0]

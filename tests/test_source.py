@@ -274,10 +274,12 @@ def test_deciders_take_one_quotient():
     from geoq.axioms import (check_TQ1, check_TQ2doubleprime, check_TQ2prime,
                              decider_rows)
     from geoq.geometry import is_geometry
-    from geoq.quotient import check_flagslift, check_PQ1, check_PQ2, is_cover
+    from geoq.quotient import (check_flagslift, check_PQ1, check_PQ2,
+                               is_cover, residual_surjectivity)
     one = [inspect.Parameter.POSITIONAL_OR_KEYWORD]
-    for fn in (check_flagslift, check_PQ1, check_PQ2, is_cover, check_TQ1,
-               check_TQ2prime, check_TQ2doubleprime, decider_rows):
+    for fn in (check_flagslift, check_PQ1, check_PQ2, is_cover,
+               residual_surjectivity, check_TQ1, check_TQ2prime,
+               check_TQ2doubleprime, decider_rows):
         params = inspect.signature(fn).parameters.values()
         assert [p.kind for p in params] == one, fn.__name__
     wrapper = inspect.signature(is_geometry, follow_wrapped=False)
@@ -286,6 +288,25 @@ def test_deciders_take_one_quotient():
     assert "_block_distance" not in [
         fn.name for fn in ast.walk(ast.parse(_source("lemmas.py")))
         if isinstance(fn, ast.FunctionDef)]
+
+
+def test_an_orbit_quotient_is_a_projection():
+    # an orbit-quotient is the projection of its orbit partition, with one
+    # memo: it holds no second projection (`proj`) and no second name for
+    # its source (`geom`), and no library code reads a `.proj` attribute
+    from geoq.axioms import OrbitQuotient
+    from geoq.constructions import hexagon
+    from geoq.quotient import Projection
+    assert issubclass(OrbitQuotient, Projection)
+    oq = OrbitQuotient(*hexagon())
+    for name in ("proj", "geom"):
+        assert not hasattr(OrbitQuotient, name), name
+        assert not hasattr(oq, name), name
+    hits = ["%s:%d" % (path.name, node.lineno)
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "proj"]
+    assert not hits, hits
 
 
 def test_decider_rows_come_from_one_table():
