@@ -121,7 +121,7 @@ def cmd_check(args):
     from .diagram import basic_diagram
     geom = gio.parse_geometry(_read(args.geometry))  # validated below
     _count_flags_capped(geom, args.max_flags)
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = validate(geom)
     rows = [("validate", bad is None, bad)]
     if bad is None:
@@ -137,7 +137,7 @@ def cmd_check(args):
             edges = sorted(basic_diagram(geom).edges, key=sorted)
             rows.append(("diagram-edges", ";".join(
                 "%d-%d" % tuple(sorted(e)) for e in edges) or "none", None))
-    _emit(rows, [], args.machine, time.time() - t0)
+    _emit(rows, [], args.machine, time.perf_counter() - t0)
     return _exit_from_rows(rows)
 
 
@@ -156,7 +156,7 @@ def _load_quotient(args, geom):
 def cmd_quotient(args):
     geom = _load_geometry(args.geometry)
     _count_flags_capped(geom, args.max_flags)
-    t0 = time.time()
+    t0 = time.perf_counter()
     proj = _load_quotient(args, geom)
     _count_flags_capped(proj.quotient, args.max_flags, "quotient flag count")
     base = os.path.basename(args.geometry)
@@ -170,7 +170,7 @@ def cmd_quotient(args):
     rows += [("quotient-geometry", geo, flag_text(q, w)),
              ("min-block-distance", str(proj.block_distance), None)]
     _emit(rows, ["quotient written to %s" % out], args.machine,
-          time.time() - t0)
+          time.perf_counter() - t0)
     return _exit_from_rows(rows)
 
 
@@ -178,11 +178,11 @@ def cmd_axioms(args):
     geom = _load_geometry(args.geometry)
     _count_flags_capped(geom, args.max_flags)
     group = _load_group(args.group, geom, args.max_group_order)
-    t0 = time.time()
+    t0 = time.perf_counter()
     oq = OrbitQuotient(geom, group)
     _count_flags_capped(oq.quotient, args.max_flags, "quotient flag count")
     rows = decider_rows(oq)
-    _emit(rows, [], args.machine, time.time() - t0)
+    _emit(rows, [], args.machine, time.perf_counter() - t0)
     return _exit_from_rows(rows)
 
 
@@ -190,7 +190,7 @@ def cmd_diagram(args):
     from .diagram import basic_diagram
     geom = _load_geometry(args.geometry)
     _count_flags_capped(geom, args.max_flags)
-    t0 = time.time()
+    t0 = time.perf_counter()
     diag = basic_diagram(geom)
     rows = []
     for (i, j), (kind, flag) in sorted(diag.evidence.items()):
@@ -200,7 +200,7 @@ def cmd_diagram(args):
         else:
             rows.append((key, kind, None))
     rows.append(("forest", diag.is_forest(), None))
-    _emit(rows, [], args.machine, time.time() - t0)
+    _emit(rows, [], args.machine, time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -441,9 +441,23 @@ def parse_args(argv):
         key.replace("-", "_"): value for key, value in values.items()})
 
 
+def _refuse_negative(args):
+    """Refuse a negative cap or count before any work: parse_args reads
+    one as argparse did, but no flag set or group fits a negative cap,
+    and a negative count would check nothing and pass."""
+    for option in ("max-flags", "max-group-order", "count"):
+        value = getattr(args, option.replace("-", "_"), 0)
+        if value < 0:
+            path = ["geoq", args.command]
+            raise UsageError(_usage(path, COMMANDS[args.command]),
+                             "%s: error: argument --%s: must not be "
+                             "negative: %d" % (" ".join(path), option, value))
+
+
 def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
+        _refuse_negative(args)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

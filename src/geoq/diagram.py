@@ -150,16 +150,20 @@ def direct_sum_check(geom):
     return DirectSumResult(True, True, None)
 
 
-def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
+def place_tree_flag(proj, qflag, tree_edges, root_type, root_elem):
     """Given a quotient flag, a tree on its type set, a root type and a
     root element in the root block, place one element per block so that
-    tree-adjacent types give incident elements (outward induction along
-    the tree; guaranteed under the hypotheses, so failure raises)."""
-    geom = oq.source
-    q = oq.quotient
-    by_type = {}
-    for k in qflag:
-        by_type[q.elem_type[k]] = k
+    tree-adjacent types give incident elements: outward along the tree,
+    type i takes the least member of its block incident with the element
+    placed at its parent.  Blocks that are G-orbits make one exist: if
+    b * c with b, c in incident blocks, each g(b) of b's block is
+    incident with g(c) in c's.  A placement incident along a forest
+    diagram's tree is a flag of a residually connected geometry, by the
+    direct-sum property of its residues (Buekenhout & Cohen, Diagram
+    Geometry, 2013); lift_chamber_forest checks it.  An empty choice
+    raises: the blocks are then not orbits."""
+    geom = proj.source
+    by_type = {proj.quotient.elem_type[k]: k for k in qflag}
     J = sorted(by_type)
     edges = {frozenset(e) for e in tree_edges}
     for e in edges:
@@ -167,31 +171,20 @@ def place_tree_flag(oq, qflag, tree_edges, root_type, root_elem):
             raise ValueError("tree edge %r outside the flag's type set" % (sorted(e),))
     if root_type not in by_type:
         raise ValueError("root type not in the flag")
-    if root_elem not in oq.fiber(by_type[root_type]):
+    if root_elem not in proj.fiber(by_type[root_type]):
         raise ValueError("root element not in the root block")
     placed = {root_type: root_elem}
     while len(placed) < len(J):
-        frontier = [(ell, i) for ell in placed for i in J
-                    if i not in placed and frozenset((ell, i)) in edges]
-        if not frontier:
-            missing = [i for i in J if i not in placed]
-            if edges:
-                raise ValueError("tree does not span the flag types: %r left" % missing)
-            # rank-1 trees are empty; nothing further to place
-            raise ValueError("disconnected tree on the flag types: %r left" % missing)
-        ell, i = frontier[0]
-        block_i = oq.inside[by_type[i]]
-        # the first member of block l incident with block i, and its least
-        # incident member there
-        beta_l = next((bl for bl in oq.fiber(by_type[ell])
-                       if geom.masks[bl] & block_i), None)
-        if beta_l is None:
-            raise RuntimeError("incident blocks with no incident members")
-        beta_i = least(geom.masks[beta_l] & block_i)
-        a = oq.group.element_mapping(beta_l, placed[ell])
-        if a is None:
-            raise RuntimeError("block is not a single orbit")
-        placed[i] = a[beta_i]
+        ell, i = next(((ell, i) for ell in placed for i in J if i not in placed
+                       and frozenset((ell, i)) in edges), (None, None))
+        if i is None:
+            raise ValueError("tree does not span the flag types: %r left"
+                             % [t for t in J if t not in placed])
+        near = geom.masks[placed[ell]] & proj.inside[by_type[i]]
+        if not near:
+            raise RuntimeError("no member of a block is incident with the "
+                               "element placed at its tree parent")
+        placed[i] = least(near)
     for e in edges:
         i, j = sorted(e)
         if not geom.incident(placed[i], placed[j]):
@@ -208,11 +201,11 @@ def _forest_trees(geom):
             for comp in diag.components()] if diag.is_forest() else None
 
 
-def lift_chamber_forest(oq, qchamber):
+def lift_chamber_forest(proj, qchamber):
     """Lift a quotient chamber through a forest diagram: place a flag per
     diagram component along its tree, close it up inside the component,
     and join components by total cross incidence."""
-    geom = oq.source
+    geom = proj.source
     ok, w = is_geometry(geom)
     if not ok:
         raise ValueError("chamber lifting requires a geometry")
@@ -222,7 +215,7 @@ def lift_chamber_forest(oq, qchamber):
     trees = _forest_trees(geom)
     if trees is None:
         raise ValueError("chamber lifting requires a forest diagram")
-    q = oq.quotient
+    q = proj.quotient
     if len(qchamber) != geom.rank:
         raise ValueError("not a chamber of the quotient")
     block_by_type = {q.elem_type[k]: k for k in qchamber}
@@ -230,8 +223,8 @@ def lift_chamber_forest(oq, qchamber):
     for comp, tree in trees:
         sub_qflag = tuple(sorted(block_by_type[t] for t in comp))
         root = comp[0]
-        root_elem = oq.fiber(block_by_type[root])[0]
-        placed = place_tree_flag(oq, sub_qflag, tree, root, root_elem)
+        root_elem = proj.fiber(block_by_type[root])[0]
+        placed = place_tree_flag(proj, sub_qflag, tree, root, root_elem)
         if not is_flag(geom, placed.values()):
             raise RuntimeError(
                 "path closure failed inside a diagram component")
@@ -239,7 +232,7 @@ def lift_chamber_forest(oq, qchamber):
     flag = tuple(sorted(lifted.values()))
     if not is_flag(geom, flag):
         raise RuntimeError("direct-sum join failed across components")
-    got = oq.project_flag(flag)
+    got = proj.project_flag(flag)
     if got != tuple(sorted(qchamber)):
         raise RuntimeError("lifted chamber projects incorrectly")
     return flag

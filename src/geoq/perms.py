@@ -342,7 +342,6 @@ class PermGroup:
         self.cap = cap
         self._elements = None
         self._sorted = None  # the elements as a sorted tuple, see __iter__
-        self._transversals = {}
         self._sims = None
 
     @classmethod
@@ -383,27 +382,6 @@ class PermGroup:
     def orbits(self):
         """All orbits on 0..degree-1, each sorted, listed by least point."""
         return _orbits([g.images for g in self.gens], self.degree)
-
-    def orbit_transversal(self, x):
-        """Map y -> group element sending x to y, for y in the orbit of x."""
-        if x in self._transversals:
-            return self._transversals[x]
-        reps = self._transversals[x] = {x: Perm.identity(self.degree)}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in self.gens:
-                    z = g[y]
-                    if z not in reps:
-                        reps[z] = reps[y] * g
-                        nxt.append(z)
-            frontier = nxt
-        return reps
-
-    def element_mapping(self, x, y):
-        """Some group element with x -> y, or None."""
-        return self.orbit_transversal(x).get(y)
 
 
 def is_automorphism(geom, perm):

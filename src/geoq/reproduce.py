@@ -439,11 +439,11 @@ def run_scenarios(names=None, count=200, seed=None):
     import time
     reports = []
     for name, func in chosen:
-        t0 = time.time()
+        t0 = time.perf_counter()
         if name == "lemma-suites":
             rep = func(count=count, seed=seed)
         else:
             rep = func()
-        rep.elapsed = time.time() - t0
+        rep.elapsed = time.perf_counter() - t0
         reports.append(rep)
     return reports

@@ -541,6 +541,28 @@ def test_reproduce_output_is_pinned(seed):
     assert out == (DATA / ("reproduce-%s.txt" % seed)).read_text()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["check", "F", "--max-flags", "-5"], "max-flags"),
+    (["diagram", "F", "--max-f=-1"], "max-flags"),
+    (["axioms", "F", "G", "--max-group-order", "-3"], "max-group-order"),
+    (["quotient", "F", "--orbits", "G", "--max-g=-2"], "max-group-order"),
+    (["--machine", "reproduce", "--count", "-1", "lemma-suites"], "count"),
+    (["reproduce", "--co", "-4"], "count"),
+])
+def test_negative_caps_and_counts_are_refused(argv, option, capsys,
+                                              monkeypatch):
+    # parse_args reads these as argparse did; main refuses them before any
+    # command runs: no file is read and reproduce prints no suite
+    from geoq import cli
+    read = []
+    monkeypatch.setattr(cli, "_read", read.append)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, read) == (2, "", [])
+    usage, reason = err.splitlines()
+    assert usage.startswith("usage: geoq %s " % argv[argv[0] == "--machine"])
+    assert ("error: argument --%s: must not be negative" % option) in reason
+
+
 def test_reproduce_unknown_scenario(capsys):
     code, _, err = run(capsys, "reproduce", "made-up")
     assert code == 2

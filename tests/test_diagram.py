@@ -1,15 +1,18 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from geoq.axioms import OrbitQuotient
 from geoq.constructions import (affine_geometry, eight_cycle, grid_complement,
                                 hexagon, ssg, ssg_symmetric_action)
-from geoq.diagram import (Diagram, basic_diagram, direct_sum_check, is_pure,
-                          lift_chamber_forest, no_triangle_check,
-                          place_tree_flag, star_transitive_on_paths)
-from geoq.geometry import Pregeometry, flags_of_type, is_geometry, residue
-from geoq.lemmas import random_geometry, random_subgroup
+from geoq.diagram import (Diagram, _forest_trees, basic_diagram,
+                          direct_sum_check, is_pure, lift_chamber_forest,
+                          no_triangle_check, place_tree_flag,
+                          star_transitive_on_paths)
+from geoq.geometry import (Pregeometry, bits, flags_of_type, is_flag,
+                           is_geometry, is_residually_connected, residue)
+from geoq.lemmas import (_draw, random_geometry, random_orbit_quotient,
+                         random_subgroup)
 from geoq.perms import Perm, PermGroup, normal_closure, orbit_partition, transitivity
 from geoq.quotient import Projection, lift_flag
 
@@ -112,7 +115,6 @@ def test_direct_sum_inapplicable():
 
 
 def test_direct_sum_random_never_violates(rng):
-    from geoq.geometry import is_residually_connected
     hits = 0
     for _ in range(40):
         geom = random_geometry(rng, max_rank=3, max_per_type=3)
@@ -201,6 +203,78 @@ def test_lift_chamber_forest_rejects_cyclic_diagram():
     cham = flags_of_type(oq.quotient, range(3))[0]
     with pytest.raises(ValueError):
         lift_chamber_forest(oq, cham)
+
+
+def test_lift_chamber_forest_needs_only_the_orbit_partition():
+    # the placement reads incidence and blocks, not the group, so a plain
+    # projection onto the orbits lifts each chamber as the orbit-quotient does
+    geom, trans = affine_geometry(3, 2)
+    oq = OrbitQuotient(geom, trans)
+    proj = Projection(geom, orbit_partition(trans, geom))
+    chams = flags_of_type(proj.quotient, range(3))
+    assert len(chams) == 21
+    for cham in chams:
+        assert lift_chamber_forest(proj, cham) == lift_chamber_forest(oq, cham)
+
+
+def _tree_placements(oq, qflag, tree, root, root_elem, cap=64):
+    """Up to cap placements with the root at root_elem and each other type
+    anywhere in its block incident with its tree parent's element, in
+    increasing order of choices; asserts that every such choice exists."""
+    geom = oq.source
+    block = {oq.quotient.elem_type[k]: k for k in qflag}
+    order, parent = [root], {}
+    for t in order:
+        for e in tree:
+            u = e[0] + e[1] - t
+            if t in e and u != root and u not in parent:
+                parent[u] = t
+                order.append(u)
+
+    def rec(placed, rest):
+        if not rest:
+            yield dict(placed)
+            return
+        t = rest[0]
+        near = geom.masks[placed[parent[t]]] & oq.inside[block[t]]
+        assert near, (qflag, t)
+        for x in bits(near):
+            placed[t] = x
+            yield from rec(placed, rest[1:])
+        del placed[t]
+
+    return list(islice(rec({root: root_elem}, order[1:]), cap))
+
+
+def test_every_incident_tree_placement_lifts_the_chamber(rng):
+    # the guarantee the forest lift rests on: in a residually connected
+    # geometry with a forest diagram, each child block meets the element
+    # placed at its parent, and any placement incident along the tree is a
+    # flag onto the chamber; the least choices are the lift's own, and the
+    # group element the lift once built chose among these placements too
+    def maker(rng):
+        oq = random_orbit_quotient(rng, need_geometry=True)
+        if (oq is None or not is_residually_connected(oq.source)[0]
+                or _forest_trees(oq.source) is None):
+            return None
+        return oq
+
+    placements = 0
+    for oq in _draw(rng, maker, 200):
+        q = oq.quotient
+        for cham in flags_of_type(q, range(q.rank)):
+            for comp, tree in _forest_trees(oq.source):
+                sub = tuple(k for k in cham if q.elem_type[k] in comp)
+                (root_block,) = [k for k in sub if q.elem_type[k] == comp[0]]
+                for x in oq.fiber(root_block):
+                    got = _tree_placements(oq, sub, tree, comp[0], x)
+                    assert got[0] == place_tree_flag(oq, sub, tree, comp[0], x)
+                    for placed in got:
+                        flag = tuple(sorted(placed.values()))
+                        assert is_flag(oq.source, flag)
+                        assert oq.project_flag(flag) == sub
+                    placements += len(got)
+    assert placements > 1000
 
 
 def test_star_transitive_and_no_triangle():

@@ -753,37 +753,3 @@ def test_orbits_on_rejects_image_outside_items():
     assert orbits_on([], [3, 1], Perm.__getitem__) == [(3,), (1,)]
     with pytest.raises(ValueError):
         orbits_on([g], [0, 1], Perm.__getitem__)
-
-
-def test_kept_transversals_equal_fresh_ones_on_chamber_lift_draws(
-        rng, monkeypatch):
-    # forest chamber lifting asks element_mapping once per tree edge it
-    # places; a group builds each point's orbit transversal once and
-    # keeps it, and the kept map equals one built afresh
-    from geoq.diagram import _forest_trees, lift_chamber_forest
-    from geoq.geometry import is_residually_connected
-    asked = []
-    real = PermGroup.element_mapping
-
-    def element_mapping(group, x, y):
-        asked.append((group, x))
-        return real(group, x, y)
-
-    monkeypatch.setattr(PermGroup, "element_mapping", element_mapping)
-    lifted = 0
-    while lifted < 300:
-        oq = random_orbit_quotient(rng, need_geometry=True)
-        if (oq is None or not is_residually_connected(oq.source)[0]
-                or _forest_trees(oq.source) is None):
-            continue
-        for cham in flags_of_type(oq.quotient, range(oq.quotient.rank)):
-            lift_chamber_forest(oq, cham)
-            lifted += 1
-    points = set(asked)
-    assert len(points) < len(asked)  # some transversal is read again
-    for group, x in points:
-        kept = group.orbit_transversal(x)
-        assert kept is group._transversals[x]
-        assert kept == PermGroup(group.gens,
-                                 degree=group.degree).orbit_transversal(x)
-        assert all(kept[y][x] == y for y in kept)

@@ -96,9 +96,8 @@ def test_one_breadth_first_search():
     # geometry.bfs is the only graph search; a `while frontier` loop
     # anywhere else is a new one, except the one closure that grows a
     # group by generators (perms._closure, behind mulclose and the
-    # subgroups of cosets) and the orbit transversal
-    allowed = {("geometry.py", "bfs"), ("perms.py", "_closure"),
-               ("perms.py", "orbit_transversal")}
+    # subgroups of cosets)
+    allowed = {("geometry.py", "bfs"), ("perms.py", "_closure")}
     loops = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
