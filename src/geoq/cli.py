@@ -321,7 +321,8 @@ def cmd_help(args):
 # positional "dest:metavar" is an int and "dest*" takes the rest; an
 # option's default gives its type: None a string, False a switch.  No
 # option's name is a prefix of another's.
-_CAPS = {"max-group-order": 200_000, "max-flags": 2_000_000}
+_FLAG_CAP = {"max-flags": 2_000_000}  # check and diagram load no group
+_CAPS = {"max-group-order": 200_000, **_FLAG_CAP}
 _SHORT = {"-h": "help", "-o": "output", "-v": "verbose"}
 GEN_KINDS = {what: (params, {"output": None, "dir": None}, about, cmd_gen)
              for what, params, about in (
@@ -332,7 +333,7 @@ GEN_KINDS = {what: (params, {"output": None, "dir": None}, about, cmd_gen)
     ("lift", "geometry a:n b:j", "multipartite lift of a shadowable geometry"),
     ("catalogue", "name", "a named example of the catalogue"))}
 COMMANDS = {
-    "check": ("geometry", _CAPS, "validate a geometry file and run the "
+    "check": ("geometry", _FLAG_CAP, "validate a geometry file and run the "
               "structural checks", cmd_check),
     "quotient": ("geometry", dict.fromkeys(("partition", "orbits",
                  "normal-closure", "output")) | _CAPS, "quotient by a "
@@ -341,8 +342,8 @@ COMMANDS = {
                  cmd_quotient),
     "axioms": ("geometry group", _CAPS, "quotient-axiom table for an "
                "orbit-quotient", cmd_axioms),
-    "diagram": ("geometry", {"max-flags": _CAPS["max-flags"]},  # no group
-                "basic diagram with witnesses", cmd_diagram),
+    "diagram": ("geometry", _FLAG_CAP, "basic diagram with witnesses",
+                cmd_diagram),
     "iso": ("first second", {}, "type-respecting isomorphism test", cmd_iso),
     "gen": ("what", {}, "emit example files", GEN_KINDS),
     "reproduce": ("names*", {"count": 200, "verbose": False}, "run the "
@@ -442,16 +443,19 @@ def parse_args(argv):
 
 
 def _refuse_negative(args):
-    """Refuse a negative cap or count before any work: parse_args reads
-    one as argparse did, but no flag set or group fits a negative cap,
-    and a negative count would check nothing and pass."""
-    for option in ("max-flags", "max-group-order", "count"):
-        value = getattr(args, option.replace("-", "_"), 0)
-        if value < 0:
+    """Refuse a negative cap or a count below one before any work:
+    parse_args reads one as argparse did, but no flag set or group fits
+    a negative cap, and a count of zero or less would check nothing and
+    pass."""
+    for option, low in (("max-flags", 0), ("max-group-order", 0),
+                        ("count", 1)):
+        value = getattr(args, option.replace("-", "_"), low)
+        if value < low:
             path = ["geoq", args.command]
+            need = "not be negative" if value < 0 else "be positive"
             raise UsageError(_usage(path, COMMANDS[args.command]),
-                             "%s: error: argument --%s: must not be "
-                             "negative: %d" % (" ".join(path), option, value))
+                             "%s: error: argument --%s: must %s: %d"
+                             % (" ".join(path), option, need, value))
 
 
 def main(argv=None):

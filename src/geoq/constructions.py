@@ -3,7 +3,14 @@ Example generators and lifting constructions: subset geometries, shadows
 and shadowable lifts, graph blow-ups, affine spaces with their translation
 groups, the bespoke example catalogue, and isomorphism testing.
 
-SimpleGraph searches nothing itself: its cliques, connectivity,
+The subset geometries, shadowable lifts, affine spaces, multipartite
+examples and the Fano plane are set systems, built by _set_system: each
+element is a named point set of one type, elements of distinct types are
+incident when their sets are nested, and a map of the points induces a
+permutation of the elements through one (type, set) index.
+
+SimpleGraph is a Pregeometry of one type, vertex, whose incidences are
+its edges, so it searches nothing itself: its cliques, connectivity,
 bipartite test and automorphisms come from geometry.all_flags,
 geometry.is_connected, geometry.bfs and perms.automorphism_group, and
 isomorphic returns the first map found by the incidence-map search of
@@ -16,38 +23,36 @@ from itertools import combinations, product
 from math import comb
 
 from .geometry import (Pregeometry, all_flags, bfs, components,
-                       incident_pairs, is_connected, is_geometry)
+                       incident_pairs, is_connected, is_geometry, least)
 from .perms import (CapExceeded, Perm, PermGroup, _incidence_maps, _profile,
                     automorphism_group)
 from .quotient import Partition, Projection
 
 
-class SimpleGraph:
-    """Undirected loop-free graph on named vertices."""
+class SimpleGraph(Pregeometry):
+    """Undirected loop-free graph on named vertices: a pregeometry of one
+    type, vertex, whose incidences are the edges."""
 
-    __slots__ = ("names", "edges", "masks")
+    __slots__ = ()
 
     def __init__(self, names, edges):
-        self.names = tuple(names)
-        n = len(self.names)
-        norm, masks = set(), [0] * n
-        for a, b in edges:
-            if a == b:
-                raise ValueError("loops not allowed")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError("vertex index out of range")
-            norm.add((min(a, b), max(a, b)))
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        self.edges = frozenset(norm)
-        self.masks = tuple(masks)
+        edges = list(edges)
+        if any(a == b for a, b in edges):
+            raise ValueError("loops not allowed")
+        names = tuple(names)
+        super().__init__(["vertex"], names, [0] * len(names), edges)
 
     @property
-    def size(self):
-        return len(self.names)
+    def names(self):
+        return self.elem_names
+
+    @property
+    def edges(self):
+        """The edges as pairs a < b."""
+        return frozenset(incident_pairs(self))
 
     def adjacent(self, a, b):
-        return (min(a, b), max(a, b)) in self.edges
+        return a != b and self.incident(a, b)
 
     @classmethod
     def complete(cls, n):
@@ -71,8 +76,7 @@ class SimpleGraph:
 
     def cliques_of_size(self, r):
         """All r-cliques, as sorted tuples in lexicographic order (the
-        empty clique for r=0): the cliques are the flags of the graph
-        read as a one-type geometry, and all_flags needs only masks."""
+        empty clique for r=0): the cliques are the graph's flags."""
         return [c for c in all_flags(self) if len(c) == r]
 
     def is_matching(self):
@@ -90,26 +94,27 @@ class SimpleGraph:
         return all((dist[a][0] - dist[b][0]) % 2 for a, b in self.edges)
 
     def automorphisms(self):
-        """The automorphism group of the graph read as a one-type
-        pregeometry."""
-        n = self.size
-        return automorphism_group(Pregeometry(
-            ["vertex"], [str(x) for x in range(n)], [0] * n, self.edges))
+        return automorphism_group(self)
 
 
-def _inclusion_pairs(sets, etype):
-    """Incidence by inclusion: the pairs a < b of elements of distinct
-    types whose sets are nested."""
-    return [(a, b) for a in range(len(sets)) for b in range(a + 1, len(sets))
-            if etype[a] != etype[b]
-            and (sets[a] <= sets[b] or sets[b] <= sets[a])]
+def _set_system(type_names, names, etype, sets):
+    """The pregeometry on named point sets, element x of type etype[x]
+    with point set sets[x], two elements of distinct types incident when
+    their sets are nested; and induced(vmap), the permutation that a map
+    of the points induces on the elements, through one (type, set)
+    index.  Two elements with one type and one set are refused."""
+    sets = tuple(map(frozenset, sets))
+    index = {(t, s): x for x, (t, s) in enumerate(zip(etype, sets))}
+    if len(index) != len(sets):
+        raise RuntimeError("two elements share a type and point set")
+    geom = Pregeometry(type_names, names, etype, [
+        (a, b) for a in range(len(sets)) for b in range(a + 1, len(sets))
+        if etype[a] != etype[b] and (sets[a] <= sets[b] or sets[b] <= sets[a])])
 
-
-def _induced_perm(sets, etype, index, vmap):
-    """The permutation that a map of points induces on elements given by
-    their type and point set; index maps (type, set) to the element."""
-    return Perm([index[(t, frozenset(map(vmap, s)))]
-                 for t, s in zip(etype, sets)])
+    def induced(vmap):
+        return Perm([index[(t, frozenset(map(vmap, s)))]
+                     for t, s in zip(etype, sets)])
+    return geom, induced
 
 
 def _part_symmetric_gens(perm, parts, n):
@@ -135,43 +140,33 @@ def _cap_elements(size):
                           % (size, SSG_MAX_ELEMENTS))
 
 
-def ssg(v, k):
-    """The subset geometry: all subsets of sizes 1..k of a v-set under
-    (symmetrized) inclusion, typed by cardinality minus one.  Refused
-    with CapExceeded, before it is built, above SSG_MAX_ELEMENTS."""
+def _ssg(v, k):
+    """ssg(v, k) as a set system: the geometry and its induced map."""
     if v <= 1:
         raise ValueError("need v > 1")
     if not 0 < k < v:
         raise ValueError("need 0 < k < v")
     _cap_elements(sum(comb(v, i) for i in range(1, k + 1)))
-    ground = list(range(1, v + 1))
-    elems = []
-    sets = []
-    etype = []
-    for i in range(k):
-        for s in combinations(ground, i + 1):
-            elems.append("{%s}" % ",".join(map(str, s)))
-            sets.append(frozenset(s))
-            etype.append(i)
-    return Pregeometry([str(i) for i in range(k)], elems, etype,
-                       _inclusion_pairs(sets, etype))
+    subsets = [(i, s) for i in range(k)
+               for s in combinations(range(1, v + 1), i + 1)]
+    return _set_system([str(i) for i in range(k)],
+                       ["{%s}" % ",".join(map(str, s)) for _, s in subsets],
+                       [i for i, _ in subsets], [s for _, s in subsets])
+
+
+def ssg(v, k):
+    """The subset geometry: all subsets of sizes 1..k of a v-set under
+    (symmetrized) inclusion, typed by cardinality minus one.  Refused
+    with CapExceeded, before it is built, above SSG_MAX_ELEMENTS."""
+    return _ssg(v, k)[0]
 
 
 def ssg_symmetric_action(v, k):
-    """The induced action of the symmetric group on ssg(v, k)."""
-    geom = ssg(v, k)
-    index = {name: x for x, name in enumerate(geom.elem_names)}
-
-    def induced(ground_perm):
-        images = []
-        for name in geom.elem_names:
-            s = sorted(ground_perm[int(t) - 1] + 1
-                       for t in name[1:-1].split(","))
-            images.append(index["{%s}" % ",".join(map(str, s))])
-        return Perm(images)
-
-    swap = list(range(v)); swap[0], swap[1] = 1, 0  # ssg needs v >= 2
-    gens = [induced(swap), induced([(i + 1) % v for i in range(v)])]
+    """The induced action of the symmetric group on ssg(v, k), generated
+    by the swap of points 1 and 2 and the cycle p -> p mod v + 1."""
+    geom, induced = _ssg(v, k)
+    gens = [induced(lambda p: {1: 2, 2: 1}.get(p, p)),
+            induced(lambda p: p % v + 1)]
     return geom, PermGroup(gens, degree=geom.size)
 
 
@@ -203,14 +198,12 @@ def is_shadowable(geom):
         return False, "two types share a shadow size"
     if len(set(shadows)) != geom.size:
         return False, "shadow operator not injective"
-    for a in range(geom.size):
-        for b in range(a + 1, geom.size):
-            if geom.elem_type[a] == geom.elem_type[b]:
-                continue
-            contained = shadows[a] < shadows[b] or shadows[b] < shadows[a]
-            if geom.incident(a, b) != contained:
-                return False, ("incidence/containment mismatch",
-                               geom.flag_names((a, b)))
+    nested, _ = _set_system(geom.type_names, geom.elem_names,
+                            geom.elem_type, shadows)
+    for a, (mask, want) in enumerate(zip(geom.masks, nested.masks)):
+        if mask != want:  # the least b of the first row is above a
+            return False, ("incidence/containment mismatch",
+                           geom.flag_names((a, least(mask ^ want))))
     return True, sizes
 
 
@@ -263,11 +256,12 @@ class ShadowLift:
     """The multipartite lift of a shadowable geometry: type-0 elements are
     the vertices of a complete multipartite graph with one part of size n
     per type-0 element; higher elements are complete multipartite
-    subgraphs with parts of size j labelled by a shadow.  Refused,
-    unbuilt, above SSG_MAX_ELEMENTS elements."""
+    subgraphs with parts of size j labelled by a shadow.  induced(vmap)
+    is the permutation that a map of the vertices (part, slot) induces.
+    Refused, unbuilt, above SSG_MAX_ELEMENTS elements."""
 
-    __slots__ = ("parent", "n", "j", "geometry", "vsets", "parent_of",
-                 "_vset_index", "classes")
+    __slots__ = ("parent", "n", "j", "geometry", "induced", "vsets",
+                 "parent_of", "classes")
 
     def __init__(self, parent, n, j):
         okinfo = is_shadowable(parent)
@@ -286,7 +280,6 @@ class ShadowLift:
         _cap_elements(len(base) * n + sum(comb(n, j) ** len(sh)
                                           for sh in shadows.values()))
         self.classes = tuple(base)
-        pos = {c: i for i, c in enumerate(base)}
         names = []
         etype = []
         vsets = []
@@ -308,27 +301,20 @@ class ShadowLift:
                 etype.append(parent.elem_type[alpha])
                 vsets.append(vset)
                 parent_of.append(alpha)
-        self.geometry = Pregeometry(parent.type_names, names, etype,
-                                    _inclusion_pairs(vsets, etype))
+        self.geometry, self.induced = _set_system(parent.type_names, names,
+                                                  etype, vsets)
         self.vsets = tuple(vsets)
         self.parent_of = tuple(parent_of)
-        self._vset_index = {(etype[x], vsets[x]): x for x in range(len(names))}
-        if len(self._vset_index) != len(names):
-            raise RuntimeError("two lifted elements share a type and vertex set")
-
-    def _perm_from_vertex_map(self, vmap):
-        return _induced_perm(self.vsets, self.geometry.elem_type,
-                             self._vset_index, vmap)
 
     def base_group(self):
         """The product of one symmetric group per part, acting on slots."""
-        return PermGroup(_part_symmetric_gens(self._perm_from_vertex_map,
-                                              self.classes, self.n),
+        return PermGroup(_part_symmetric_gens(self.induced, self.classes,
+                                              self.n),
                          degree=self.geometry.size)
 
     def lift_parent_perm(self, g):
         """Push a parent automorphism up: parts move with their labels."""
-        return self._perm_from_vertex_map(lambda cs: (g[cs[0]], cs[1]))
+        return self.induced(lambda cs: (g[cs[0]], cs[1]))
 
     def wreath_group(self, h_group):
         """The wreath-style action generated by the per-part symmetric
@@ -394,15 +380,12 @@ def affine_geometry(d, q):
             else:
                 elems.append("{%s}" % ",".join(pname[pindex[p]]
                                                for p in sorted(flat)))
-    geom = Pregeometry([str(i) for i in range(d)], elems, etype,
-                       _inclusion_pairs(flats, etype))
-
-    flat_index = {(etype[x], flats[x]): x for x in range(len(flats))}
+    geom, induced = _set_system([str(i) for i in range(d)], elems, etype,
+                                flats)
     gens = []
     for t in range(d):
         e = tuple(1 if i == t else 0 for i in range(d))
-        gens.append(_induced_perm(
-            flats, etype, flat_index,
+        gens.append(induced(
             lambda p, e=e: tuple((p[i] + e[i]) % q for i in range(d))))
     return geom, PermGroup(gens, degree=geom.size)
 
@@ -422,13 +405,9 @@ def fano_plane():
     names = ["q%s" % "".join(map(str, p)) for p in points]
     names += ["{%s}" % ",".join("q%s" % "".join(map(str, p))
                                 for p in sorted(l)) for l in lines]
-    etype = [0] * len(points) + [1] * len(lines)
-    pairs = []
-    for i, p in enumerate(points):
-        for j, l in enumerate(lines):
-            if p in l:
-                pairs.append((i, len(points) + j))
-    return Pregeometry(["0", "1"], names, etype, pairs)
+    return _set_system(["0", "1"], names,
+                       [0] * len(points) + [1] * len(lines),
+                       [{p} for p in points] + lines)[0]
 
 
 def multipartite_geometry(m, n, i):
@@ -441,45 +420,24 @@ def multipartite_geometry(m, n, i):
     if not 1 < i < n:
         raise ValueError("need 1 < i < n")
     vname = {(c, s): "v%d.%d" % (c, s) for c in range(m) for s in range(n)}
-    names = []
-    etype = []
-    vsets = []
-    for c in range(m):
-        for s in range(n):
-            names.append(vname[(c, s)])
-            etype.append(0)
-            vsets.append(frozenset({(c, s)}))
+    elems = [(name, 0, {v}) for v, name in vname.items()]  # (name, type, set)
     for c1, c2 in combinations(range(m), 2):
-        for s1 in range(n):
-            for s2 in range(n):
-                pairset = frozenset({(c1, s1), (c2, s2)})
-                names.append("{%s,%s}" % (vname[(c1, s1)], vname[(c2, s2)]))
-                etype.append(1)
-                vsets.append(pairset)
+        elems += [("{%s,%s}" % (vname[(c1, s1)], vname[(c2, s2)]), 1,
+                   {(c1, s1), (c2, s2)}) for s1 in range(n) for s2 in range(n)]
     for c1, c2 in combinations(range(m), 2):
-        for sub1 in combinations(range(n), i):
-            for sub2 in combinations(range(n), i):
-                vset = frozenset({(c1, s) for s in sub1}
-                                 | {(c2, s) for s in sub2})
-                names.append("K{%s|%s}" % (
-                    ",".join(vname[(c1, s)] for s in sub1),
-                    ",".join(vname[(c2, s)] for s in sub2)))
-                etype.append(2)
-                vsets.append(vset)
-    geom = Pregeometry(["vertex", "edge", "K%d%d" % (i, i)],
-                       names, etype, _inclusion_pairs(vsets, etype))
-    index = {(etype[x], vsets[x]): x for x in range(len(names))}
-
-    def vertex_perm(vmap):
-        return _induced_perm(vsets, etype, index, vmap)
-
-    ngens = _part_symmetric_gens(vertex_perm, range(m), n)
+        for sub1, sub2 in product(combinations(range(n), i), repeat=2):
+            elems.append(("K{%s|%s}" % (",".join(vname[(c1, s)] for s in sub1),
+                                        ",".join(vname[(c2, s)] for s in sub2)),
+                          2, {(c1, s) for s in sub1} | {(c2, s) for s in sub2}))
+    names, etype, vsets = zip(*elems)
+    geom, induced = _set_system(["vertex", "edge", "K%d%d" % (i, i)],
+                                names, etype, vsets)
+    ngens = _part_symmetric_gens(induced, range(m), n)
     n_group = PermGroup(ngens, degree=geom.size)
     ggens = list(ngens)
-    ggens.append(vertex_perm(
-        lambda cs: ({0: 1, 1: 0}.get(cs[0], cs[0]), cs[1])))
+    ggens.append(induced(lambda cs: ({0: 1, 1: 0}.get(cs[0], cs[0]), cs[1])))
     if m > 2:
-        ggens.append(vertex_perm(lambda cs: ((cs[0] + 1) % m, cs[1])))
+        ggens.append(induced(lambda cs: ((cs[0] + 1) % m, cs[1])))
     g_group = PermGroup(ggens, degree=geom.size)
     return geom, n_group, g_group
 

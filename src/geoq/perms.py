@@ -524,7 +524,9 @@ def transitivity(group, geom, kind, types=None):
 def is_semiregular(group, geom=None, types=None):
     """True iff every point stabilizer (of an element of the given types,
     if any) is trivial: as |orbit(x)| = |G : G_x|, iff every orbit
-    meeting the domain has length |G|."""
+    meeting the domain has length |G|.  The types are read from geom."""
+    if types is not None and geom is None:
+        raise ValueError("is_semiregular: types given without a geometry")
     allowed = None if types is None else set(types)
     order = group.order()
     return all(len(orbit) == order for orbit in group.orbits()

@@ -109,6 +109,35 @@ def test_graph_helpers():
         SimpleGraph(["a"], [(0, 0)])
 
 
+def test_simple_graph_is_a_one_type_pregeometry():
+    # the names, edges, size and automorphism generators of the graph
+    # from before it was a pregeometry; its edges are its incidences
+    cases = [
+        (SimpleGraph.complete(5), combinations(range(5), 2), 120,
+         [(0, 1, 2, 4, 3), (0, 1, 3, 2, 4), (0, 2, 1, 3, 4),
+          (1, 0, 2, 3, 4)]),
+        (SimpleGraph.cycle(7), [(0, 1), (0, 6), (1, 2), (2, 3), (3, 4),
+                                (4, 5), (5, 6)], 14,
+         [(0, 6, 5, 4, 3, 2, 1), (1, 0, 6, 5, 4, 3, 2)]),
+        (SimpleGraph.path(4), [(0, 1), (1, 2), (2, 3)], 2, [(3, 2, 1, 0)]),
+        (SimpleGraph.matching(3), [(0, 1), (2, 3), (4, 5)], 48,
+         [(0, 1, 2, 3, 5, 4), (0, 1, 3, 2, 4, 5), (0, 1, 4, 5, 2, 3),
+          (1, 0, 2, 3, 4, 5), (2, 3, 0, 1, 4, 5)]),
+        (SimpleGraph([], []), [], 1, [])]
+    for graph, edges, order, gens in cases:
+        assert isinstance(graph, Pregeometry) and graph.rank == 1
+        assert graph.names == tuple(map(str, range(graph.size)))
+        assert graph.edges == frozenset(edges) == graph.pairs
+        group = graph.automorphisms()
+        assert group.order() == order
+        assert [g.images for g in group.gens] == gens
+    assert SimpleGraph.path(4).size == 4 and SimpleGraph([], []).size == 0
+    with pytest.raises(ValueError, match="duplicate element name"):
+        SimpleGraph(["a", "a"], [(0, 1)])
+    with pytest.raises(ValueError, match="loops not allowed"):
+        SimpleGraph(["a", "b"], [(0, 1), (1, 1)])
+
+
 def test_shadowable_lift_rank1_is_vertices_only():
     lift = shadowable_lift(ssg(3, 1), 3, 2)
     assert lift.geometry.rank == 1

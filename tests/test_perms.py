@@ -523,6 +523,9 @@ def test_is_semiregular():
     assert is_semiregular(trans, geom, types=[0])
     assert not is_semiregular(trans, geom)
     assert is_semiregular(PermGroup.trivial(geom.size))
+    # the types are read from a geometry: without one they are refused
+    with pytest.raises(ValueError, match="types given without a geometry"):
+        is_semiregular(trans, types=[0])
 
 
 def semiregular_by_elements(group, geom=None, types=None):

@@ -255,8 +255,8 @@ def _source(name):
 
 
 def test_only_gen_imports_pathlib():
-    # pathlib loads re, enum, fnmatch, urllib.parse and ipaddress: the
-    # commands that decide read and write files with open and os.path
+    # pathlib loads re and, by Python version, more: the commands that
+    # decide read and write files with open and os.path
     gen = [fn for fn in ast.walk(ast.parse(_source("cli.py")))
            if isinstance(fn, ast.FunctionDef) and fn.name == "cmd_gen"][0]
     inside = ["cli.py:%d" % n for n in range(gen.lineno, gen.end_lineno + 1)]
@@ -339,3 +339,33 @@ def test_decider_rows_come_from_one_table():
                                      if fn.name == "cmd_quotient" else [])
             assert not called, (fn.name, called)
     assert "format_witness" not in _source("axioms.py")
+
+
+def test_one_set_system_builder():
+    # constructions._set_system is the one place where set inclusion is
+    # decided (an order comparison of two indexed sets) and where a map of
+    # points induces a permutation: the set-system constructions and the
+    # shadow test go through it, no set is read back from an element's
+    # name, and a graph is a one-type pregeometry with no incidence
+    # storage of its own
+    from geoq.constructions import SimpleGraph
+    from geoq.geometry import Pregeometry
+    hits = [(path.name, fn.name)
+            for path in SOURCES
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                    for op in node.ops)
+            and all(isinstance(x, ast.Subscript)
+                    for x in [node.left, *node.comparators])]
+    assert set(hits) == {("constructions.py", "_set_system")}, hits
+    tree = ast.parse(_source("constructions.py"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_inclusion_pairs", "_induced_perm",
+                          "_vset_index", "_perm_from_vertex_map"}
+    assert ".split(" not in _source("constructions.py")
+    assert issubclass(SimpleGraph, Pregeometry)
+    assert SimpleGraph.__slots__ == ()
