@@ -51,9 +51,6 @@ class SimpleGraph(Pregeometry):
         """The edges as pairs a < b."""
         return frozenset(incident_pairs(self))
 
-    def adjacent(self, a, b):
-        return a != b and self.incident(a, b)
-
     @classmethod
     def complete(cls, n):
         return cls([str(i) for i in range(n)],
@@ -260,8 +257,7 @@ class ShadowLift:
     is the permutation that a map of the vertices (part, slot) induces.
     Refused, unbuilt, above SSG_MAX_ELEMENTS elements."""
 
-    __slots__ = ("parent", "n", "j", "geometry", "induced", "vsets",
-                 "parent_of", "classes")
+    __slots__ = ("parent", "n", "j", "geometry", "induced", "classes")
 
     def __init__(self, parent, n, j):
         okinfo = is_shadowable(parent)
@@ -283,13 +279,11 @@ class ShadowLift:
         names = []
         etype = []
         vsets = []
-        parent_of = []
         for c in base:
             for s in range(n):
                 names.append("%s.%d" % (parent.elem_names[c], s))
                 etype.append(0)
                 vsets.append(frozenset({(c, s)}))
-                parent_of.append(c)
         for alpha, sh in shadows.items():  # by type, then element
             for choice in product(*[combinations(range(n), j) for _ in sh]):
                 vset = frozenset((c, s) for c, sub in zip(sh, choice)
@@ -300,11 +294,8 @@ class ShadowLift:
                 names.append(label)
                 etype.append(parent.elem_type[alpha])
                 vsets.append(vset)
-                parent_of.append(alpha)
         self.geometry, self.induced = _set_system(parent.type_names, names,
                                                   etype, vsets)
-        self.vsets = tuple(vsets)
-        self.parent_of = tuple(parent_of)
 
     def base_group(self):
         """The product of one symmetric group per part, acting on slots."""

@@ -350,7 +350,12 @@ def chamber_count_through(geom, flag):
 def is_geometry(geom):
     """True iff every maximal flag is a chamber; on failure returns the
     lexicographically least maximal flag of rank below the rank of the
-    geometry.  Scans the flag table, walked and kept on first use."""
+    geometry.  Scans the flag table, walked and kept on first use.  A
+    same-type incidence raises ValueError: the flag walk reads masks
+    alone, and would take an incident pair of one type for a flag."""
+    bad = same_type_incidence(geom)
+    if bad is not None:
+        raise ValueError("is_geometry: %s" % bad)
     flag = _short_maximal_flag(geom.masks, geom.rank, _flag_table(geom))
     return (True, None) if flag is None else (False, flag)
 

@@ -4,6 +4,13 @@ instances (random repaired geometries, coset pregeometries, cycles,
 blow-ups, subset geometries with random subgroups) and checks one of the
 quotient implications on every instance, reporting any violation.
 
+A suite is a row of SUITES: the name its report prints, the name its rng
+is seeded by (the name of the function the suite once was, so every draw
+stays the same), a maker that draws one instance or None to retry, and a
+check that returns the instance's count of hypothesis-true cases and its
+violations.  run_suite is the one loop that draws and checks, so each
+check can also be called on a single instance.
+
 The fixed instances the draws pick from are built once per process and
 shared: the cycles and their rotations, the symmetric actions on
 ssg(v, k), multipartite_geometry(2, 3, 2), the hexagon, the eight-cycle
@@ -61,10 +68,6 @@ class SuiteResult(_Record):
         self.checked = checked
         self.nonvacuous = nonvacuous
         self.violations = [] if violations is None else violations
-
-    @property
-    def ok(self):
-        return not self.violations
 
     def line(self):
         return "%s: checked=%d nonvacuous=%d violations=%d" % (
@@ -270,34 +273,22 @@ def _draw(rng, maker, count):
 
 # ------------------------------------------------------------------- suites
 
-def suite_rank3_quotient(rng, count=200):
+def _partitioned_geometry(rng, max_rank=4):
+    geom = random_geometry(rng, max_rank=max_rank)
+    return geom, random_partition(rng, geom)
+
+
+def _rank3_quotient(inst):
     """Quotients of geometries of rank at most 3 are geometries."""
-    res = SuiteResult("rank3-quotient")
-    for _ in range(count):
-        geom = random_geometry(rng, max_rank=3)
-        part = random_partition(rng, geom)
-        q = Projection(geom, part).quotient
-        res.checked += 1
-        res.nonvacuous += 1
-        if not is_geometry(q)[0]:
-            res.violations.append((geom, part))
-    return res
+    return 1, [] if is_geometry(Projection(*inst).quotient)[0] else [inst]
 
 
-def suite_flagslift_geometry(rng, count=200):
+def _flagslift_quotient_geometry(inst):
     """FlagsLift forces the quotient of a geometry to be a geometry."""
-    res = SuiteResult("flagslift-quotient-geometry")
-    for _ in range(count):
-        geom = random_geometry(rng)
-        part = random_partition(rng, geom)
-        proj = Projection(geom, part)
-        res.checked += 1
-        if not check_flagslift(proj)[0]:
-            continue
-        res.nonvacuous += 1
-        if not is_geometry(proj.quotient)[0]:
-            res.violations.append((geom, part))
-    return res
+    proj = Projection(*inst)
+    if not check_flagslift(proj)[0]:
+        return 0, []
+    return 1, [] if is_geometry(proj.quotient)[0] else [inst]
 
 
 def _cover_instances(rng):
@@ -314,165 +305,120 @@ def _cover_instances(rng):
         geom = random_geometry(rng)
         return Projection(geom, singleton_partition(geom))
     geom = random_geometry(rng, max_rank=3, max_per_type=3)
-    part = random_partition(rng, geom)
-    return Projection(geom, part)
+    return Projection(geom, random_partition(rng, geom))
 
 
-def suite_cover_properties(rng, count=200):
+def _cover_properties(proj):
     """A covering lifts flags; a covering of a (firm) geometry of rank at
     least 2 gives a (firm) geometry quotient."""
-    res = SuiteResult("cover-properties")
-    for proj in _draw(rng, _cover_instances, count):
-        res.checked += 1
-        if not is_cover(proj):
-            continue
-        res.nonvacuous += 1
-        if not check_flagslift(proj)[0]:
-            res.violations.append(("flagslift", proj.source))
-            continue
-        geo = is_geometry(proj.source)[0]
-        if geo and proj.source.rank >= 2:
-            if not is_geometry(proj.quotient)[0]:
-                res.violations.append(("quotient-geometry", proj.source))
-                continue
-            if is_firm(proj.source)[0] and not is_firm(proj.quotient)[0]:
-                res.violations.append(("quotient-firm", proj.source))
-    return res
+    if not is_cover(proj):
+        return 0, []
+    if not check_flagslift(proj)[0]:
+        return 1, [("flagslift", proj.source)]
+    if is_geometry(proj.source)[0] and proj.source.rank >= 2:
+        if not is_geometry(proj.quotient)[0]:
+            return 1, [("quotient-geometry", proj.source)]
+        if is_firm(proj.source)[0] and not is_firm(proj.quotient)[0]:
+            return 1, [("quotient-firm", proj.source)]
+    return 1, []
 
 
-def suite_cover_semiregular(rng, count=200):
+def _cover_semiregular(oq):
     """A cover onto an orbit-quotient of a connected pregeometry forces
     the group to act semiregularly."""
-    res = SuiteResult("cover-semiregular")
-    for oq in _draw(rng, random_orbit_quotient, count):
-        res.checked += 1
-        if not (is_connected(oq.source) and is_cover(oq)):
-            continue
-        res.nonvacuous += 1
-        if not is_semiregular(oq.group):
-            res.violations.append(oq.source)
-    return res
+    if not (is_connected(oq.source) and is_cover(oq)):
+        return 0, []
+    return 1, [] if is_semiregular(oq.group) else [oq.source]
 
 
-def suite_distance4_cover(rng, count=200):
+def _distance4_cover(proj):
     """Corank-1 surjectivity plus same-block distance at least 4 forces a
     covering; covers keep same-block distance at least 3."""
-    res = SuiteResult("distance4-cover")
-    for proj in _draw(rng, _cover_instances, count):
-        res.checked += 1
-        d = proj.block_distance
-        if corank1_surjective(proj) and d >= 4:
-            res.nonvacuous += 1
-            if not is_cover(proj):
-                res.violations.append(("not-cover", proj.source))
-                continue
-        if is_cover(proj) and d < 3:
-            res.violations.append(("cover-short-distance", proj.source))
-    return res
+    d = proj.block_distance
+    nonvacuous = int(corank1_surjective(proj) and d >= 4)
+    if nonvacuous and not is_cover(proj):
+        return 1, [("not-cover", proj.source)]
+    if is_cover(proj) and d < 3:
+        return nonvacuous, [("cover-short-distance", proj.source)]
+    return nonvacuous, []
 
 
-def suite_tq_equivalences(rng, count=200):
+def _geometry_orbit_quotient(rng):
+    return random_orbit_quotient(rng, need_geometry=True)
+
+
+def _tq1_iff_tq2_both(oq):
     """On orbit-quotients of geometries: TQ1 holds exactly when TQ2' and
     TQ2'' both do."""
-    res = SuiteResult("tq1-iff-tq2-both")
-    maker = lambda rng: random_orbit_quotient(rng, need_geometry=True)
-    for oq in _draw(rng, maker, count):
-        res.checked += 1
-        res.nonvacuous += 1
-        tq1 = check_TQ1(oq)[0]
-        both = check_TQ2prime(oq)[0] and check_TQ2doubleprime(oq)[0]
-        if tq1 != both:
-            res.violations.append((oq.source, tq1, both))
-    return res
+    tq1 = check_TQ1(oq)[0]
+    both = check_TQ2prime(oq)[0] and check_TQ2doubleprime(oq)[0]
+    return 1, [] if tq1 == both else [(oq.source, tq1, both)]
 
 
-def suite_tq_chain(rng, count=200):
+def _tq_chain(oq):
     """TQ3 => TQ1 => PQ1 => FlagsLift on orbit-quotients of geometries."""
-    res = SuiteResult("tq3-tq1-pq1-flagslift")
-    maker = lambda rng: random_orbit_quotient(rng, need_geometry=True)
-    for oq in _draw(rng, maker, count):
-        res.checked += 1
-        tq3 = check_TQ3(oq)
-        tq1 = check_TQ1(oq)[0]
-        pq1 = check_PQ1(oq)[0]
-        fl = check_flagslift(oq)[0]
-        if tq3 or tq1 or pq1:
-            res.nonvacuous += 1
-        if (tq3 and not tq1) or (tq1 and not pq1) or (pq1 and not fl):
-            res.violations.append((oq.source, tq3, tq1, pq1, fl))
-    return res
+    tq3 = check_TQ3(oq)
+    tq1 = check_TQ1(oq)[0]
+    pq1 = check_PQ1(oq)[0]
+    fl = check_flagslift(oq)[0]
+    bad = (tq3 and not tq1) or (tq1 and not pq1) or (pq1 and not fl)
+    return (int(tq3 or tq1 or pq1),
+            [(oq.source, tq3, tq1, pq1, fl)] if bad else [])
 
 
-def suite_flagslift_tq2(rng, count=200):
+def _flagslift_tq2(oq):
     """FlagsLift together with TQ2' forces TQ2'' on orbit-quotients."""
-    res = SuiteResult("flagslift-tq2prime-tq2doubleprime")
-    for oq in _draw(rng, random_orbit_quotient, count):
-        res.checked += 1
-        if not (check_flagslift(oq)[0] and check_TQ2prime(oq)[0]):
-            continue
-        res.nonvacuous += 1
-        if not check_TQ2doubleprime(oq)[0]:
-            res.violations.append(oq.source)
-    return res
+    if not (check_flagslift(oq)[0] and check_TQ2prime(oq)[0]):
+        return 0, []
+    return 1, [] if check_TQ2doubleprime(oq)[0] else [oq.source]
 
 
-def suite_coset_quotient(rng, count=200):
+def _coset_instance(rng):
+    geom, action = random_coset_instance(rng)
+    if geom.size > 30 or action.order() > 30:
+        return None
+    return geom, action, random_subgroup(rng, action)
+
+
+def _coset_quotient(inst):
     """Quotients of coset pregeometries by invariant partitions are coset
     pregeometries."""
-    res = SuiteResult("coset-quotient-closed")
-
-    def maker(rng):
-        geom, action = random_coset_instance(rng)
-        if geom.size > 30 or action.order() > 30:
-            return None
-        return geom, action, random_subgroup(rng, action)
-
-    for geom, action, sub in _draw(rng, maker, count):
-        n = normal_closure(action, sub)
-        part = orbit_partition(n, geom)
-        proj = Projection(geom, part)
-        induced = induced_quotient_group(proj, action)
-        res.checked += 1
-        res.nonvacuous += 1
-        ok, detail = is_coset_pregeometry(proj.quotient, induced)
-        if not ok:
-            res.violations.append((geom, detail))
-    return res
+    geom, action, sub = inst
+    proj = Projection(geom, orbit_partition(normal_closure(action, sub), geom))
+    induced = induced_quotient_group(proj, action)
+    ok, detail = is_coset_pregeometry(proj.quotient, induced)
+    return 1, [] if ok else [(geom, detail)]
 
 
-def suite_shadowable_quotient(rng, count=200):
+def _shadowable_instance(rng):
+    v = rng.choice([3, 4, 5])
+    k = rng.randint(2, min(3, v - 1))
+    geom, action = _shadowable_ssg_action(v, k)
+    return v, k, geom, action, random_subgroup(rng, action)
+
+
+def _shadowable_quotient(inst):
     """Orbit-quotients of shadowable geometries are geometries; a
     flag-transitive overgroup stays flag-transitive on the quotient of a
     normal subgroup's orbits.  Each partition is decided once per
     geometry, whose action is fixed: the quotient verdict is kept by the
     subgroup's orbits, the normal closure's orbits per subgroup, and the
     flag-transitivity verdict by those orbits."""
-    res = SuiteResult("shadowable-quotient")
-    for _ in range(count):
-        v = rng.choice([3, 4, 5])
-        k = rng.randint(2, min(3, v - 1))
-        geom, action = _shadowable_ssg_action(v, k)
-        sub = random_subgroup(rng, action)
-        res.checked += 1
-        res.nonvacuous += 1
-        kept = _memo(geom)
-        part = orbit_partition(sub, geom)
-        key = ("quotient is a geometry", part.blocks)
-        if key not in kept:
-            kept[key] = is_geometry(Projection(geom, part).quotient)[0]
-        if not kept[key]:
-            res.violations.append(("quotient-not-geometry", v, k))
-            continue
-        npart = _per_subgroup(
-            kept, "normal-closure orbits", sub,
-            lambda: orbit_partition(normal_closure(action, sub), geom))
-        key = ("flag-transitive", npart.blocks)
-        if key not in kept:
-            kept[key] = _induced_flag_transitive(Projection(geom, npart),
-                                                 action)
-        if not kept[key]:
-            res.violations.append(("not-flag-transitive", v, k))
-    return res
+    v, k, geom, action, sub = inst
+    kept = _memo(geom)
+    part = orbit_partition(sub, geom)
+    key = ("quotient is a geometry", part.blocks)
+    if key not in kept:
+        kept[key] = is_geometry(Projection(geom, part).quotient)[0]
+    if not kept[key]:
+        return 1, [("quotient-not-geometry", v, k)]
+    npart = _per_subgroup(
+        kept, "normal-closure orbits", sub,
+        lambda: orbit_partition(normal_closure(action, sub), geom))
+    key = ("flag-transitive", npart.blocks)
+    if key not in kept:
+        kept[key] = _induced_flag_transitive(Projection(geom, npart), action)
+    return 1, [] if kept[key] else [("not-flag-transitive", v, k)]
 
 
 def _induced_flag_transitive(proj, action):
@@ -481,24 +427,19 @@ def _induced_flag_transitive(proj, action):
     return transitivity(induced, proj.quotient, "flag")[0]
 
 
-def suite_chamber_lift(rng, count=200):
+def _forest_orbit_quotient(rng):
+    oq = _geometry_orbit_quotient(rng)
+    if (oq is None or not is_residually_connected(oq.source)[0]
+            or _forest_trees(oq.source) is None):
+        return None
+    return oq
+
+
+def _chamber_lift(oq):
     """Forest-diagram chamber lifting succeeds on every quotient chamber
-    and agrees with the exhaustive lift oracle."""
-    res = SuiteResult("forest-chamber-lift")
-
-    def maker(rng):
-        oq = random_orbit_quotient(rng, need_geometry=True)
-        if (oq is None or not is_residually_connected(oq.source)[0]
-                or _forest_trees(oq.source) is None):
-            return None
-        return oq
-
-    for oq in _draw(rng, maker, count):
-        res.checked += 1
-        chambers, misses = _chamber_lift_misses(oq)
-        res.nonvacuous += chambers
-        res.violations += [(oq.source, cham) for cham in misses]
-    return res
+    and agrees with the exhaustive lift oracle; each chamber counts."""
+    chambers, misses = _chamber_lift_misses(oq)
+    return chambers, [(oq.source, cham) for cham in misses]
 
 
 @_per_geometry
@@ -515,25 +456,48 @@ def _chamber_lift_misses(oq):
     return len(chams), tuple(misses)
 
 
-ALL_SUITES = [
-    suite_rank3_quotient,
-    suite_flagslift_geometry,
-    suite_cover_properties,
-    suite_cover_semiregular,
-    suite_distance4_cover,
-    suite_tq_equivalences,
-    suite_tq_chain,
-    suite_flagslift_tq2,
-    suite_coset_quotient,
-    suite_shadowable_quotient,
-    suite_chamber_lift,
-]
+# (report name, rng seed name, maker, check).  A maker that draws an
+# orbit-quotient calls random_orbit_quotient by name, so a rebinding of
+# that name (a tracer, a test) sees every draw.
+SUITES = (
+    ("rank3-quotient", "suite_rank3_quotient",
+     lambda rng: _partitioned_geometry(rng, max_rank=3), _rank3_quotient),
+    ("flagslift-quotient-geometry", "suite_flagslift_geometry",
+     _partitioned_geometry, _flagslift_quotient_geometry),
+    ("cover-properties", "suite_cover_properties",
+     _cover_instances, _cover_properties),
+    ("cover-semiregular", "suite_cover_semiregular",
+     lambda rng: random_orbit_quotient(rng), _cover_semiregular),
+    ("distance4-cover", "suite_distance4_cover",
+     _cover_instances, _distance4_cover),
+    ("tq1-iff-tq2-both", "suite_tq_equivalences",
+     _geometry_orbit_quotient, _tq1_iff_tq2_both),
+    ("tq3-tq1-pq1-flagslift", "suite_tq_chain",
+     _geometry_orbit_quotient, _tq_chain),
+    ("flagslift-tq2prime-tq2doubleprime", "suite_flagslift_tq2",
+     lambda rng: random_orbit_quotient(rng), _flagslift_tq2),
+    ("coset-quotient-closed", "suite_coset_quotient",
+     _coset_instance, _coset_quotient),
+    ("shadowable-quotient", "suite_shadowable_quotient",
+     _shadowable_instance, _shadowable_quotient),
+    ("forest-chamber-lift", "suite_chamber_lift",
+     _forest_orbit_quotient, _chamber_lift),
+)
+
+
+def run_suite(row, rng, count=200):
+    """Draw count instances with the row's maker and check each one."""
+    name, _, maker, check = row
+    res = SuiteResult(name)
+    for inst in _draw(rng, maker, count):
+        nonvacuous, violations = check(inst)
+        res.checked += 1
+        res.nonvacuous += nonvacuous
+        res.violations += violations
+    return res
 
 
 def run_all_suites(seed=None, count=200):
     seed = seed_from_env() if seed is None else seed
-    out = []
-    for suite in ALL_SUITES:
-        rng = random.Random("%d:%s" % (seed, suite.__name__))
-        out.append(suite(rng, count))
-    return out
+    return [run_suite(row, random.Random("%d:%s" % (seed, row[1])), count)
+            for row in SUITES]

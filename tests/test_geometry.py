@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -39,6 +40,18 @@ def test_validate_same_type_incidence():
                       set(geom.pairs) | {(0, 3)})
     report = validate(bad)
     assert report is not None and "same-type" in report
+
+
+def test_is_geometry_refuses_a_same_type_incidence():
+    # the flag walk reads masks alone, so {a1, a2} would pass for a
+    # chamber; is_geometry and is_firm raise validate's report instead
+    geom = Pregeometry(["A", "B"], ["a1", "a2", "b1", "b2"], [0, 0, 1, 1],
+                       [(0, 1), (2, 3)])
+    report = validate(geom)
+    assert report == "same-type incidence: a1 * a2 (type A)"
+    for decide in (is_geometry, is_firm):
+        with pytest.raises(ValueError, match=re.escape(report)):
+            decide(geom)
 
 
 def test_validate_empty_type():

@@ -23,11 +23,10 @@ MIN_NONVACUOUS = {
 }
 
 
-@pytest.mark.parametrize("suite", lemmas.ALL_SUITES,
-                         ids=lambda s: s.__name__)
-def test_suite(suite):
-    rng = random.Random("%d:%s" % (SEED, suite.__name__))
-    res = suite(rng, COUNT)
+@pytest.mark.parametrize("row", lemmas.SUITES, ids=lambda row: row[1])
+def test_suite(row):
+    rng = random.Random("%d:%s" % (SEED, row[1]))
+    res = lemmas.run_suite(row, rng, COUNT)
     assert res.checked >= COUNT
     floor = MIN_NONVACUOUS.get(res.name, COUNT // 4)
     assert res.nonvacuous >= min(floor, COUNT), res.line()
@@ -54,6 +53,62 @@ def test_draws_are_streamed():
     assert list(draws) == [4, 6] and len(made) == 6
     with pytest.raises(RuntimeError):
         list(lemmas._draw(random.Random(0), lambda rng: None, 2))
+
+
+def _row(name):
+    return next(row for row in lemmas.SUITES if row[0] == name)
+
+
+def test_run_suite_reports_a_planted_violation():
+    # rank3-quotient's maker with its conclusion negated: every checked
+    # instance is hypothesis-true and a violation, and a maker's None
+    # draws are retried, not checked
+    _, seed_name, maker, check = _row("rank3-quotient")
+    made = []
+
+    def every_other(rng):
+        made.append(None)
+        return None if len(made) % 2 else maker(rng)
+
+    def negated(inst):
+        nonvacuous, violations = check(inst)
+        return nonvacuous, [] if violations else [inst]
+
+    res = lemmas.run_suite(("planted", seed_name, every_other, negated),
+                           random.Random(0), 12)
+    assert res.name == "planted" and len(made) == 24
+    assert res.checked == res.nonvacuous == len(res.violations) == 12
+
+
+def test_orbit_quotient_draws_go_through_the_module_name(monkeypatch):
+    # a maker looks random_orbit_quotient up when it draws, so a rebinding
+    # of the name (perfbench's tracer) sees every draw of every row that
+    # draws orbit-quotients
+    real = lemmas.random_orbit_quotient
+    seen = []
+
+    def counted(rng, **kwargs):
+        seen.append(kwargs)
+        return real(rng, **kwargs)
+
+    monkeypatch.setattr(lemmas, "random_orbit_quotient", counted)
+    for name, need in (("cover-semiregular", False),
+                       ("flagslift-tq2prime-tq2doubleprime", False),
+                       ("tq1-iff-tq2-both", True),
+                       ("tq3-tq1-pq1-flagslift", True),
+                       ("forest-chamber-lift", True)):
+        _, seed_name, maker, check = _row(name)
+        made = []
+
+        def recorded(rng):
+            made.append(rng)
+            return maker(rng)
+
+        seen.clear()
+        lemmas.run_suite((name, seed_name, recorded, check),
+                         random.Random(seed_name), 20)
+        assert len(made) >= 20, name
+        assert seen == [{"need_geometry": True} if need else {}] * len(made)
 
 
 
@@ -306,7 +361,8 @@ def test_kept_shadowable_verdict_agrees_with_fresh_projections():
 
     for seed in range(4):
         name = "%d:suite_shadowable_quotient" % seed
-        lemmas.suite_shadowable_quotient(random.Random(name), 200)
+        lemmas.run_suite(_row("shadowable-quotient"), random.Random(name),
+                         200)
         rng = random.Random(name)
         for _ in range(200):  # the suite's draws, in its order
             v = rng.choice([3, 4, 5])

@@ -369,3 +369,20 @@ def test_one_set_system_builder():
     assert ".split(" not in _source("constructions.py")
     assert issubclass(SimpleGraph, Pregeometry)
     assert SimpleGraph.__slots__ == ()
+
+
+def test_one_suite_runner():
+    # a lemma suite is a row of lemmas.SUITES: no suite_* function and no
+    # ALL_SUITES list, and run_suite is the one loop, the one caller of
+    # _draw and the one function that builds a SuiteResult
+    tree = ast.parse(_source("lemmas.py"))
+    suites = [node.name for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("suite_")]
+    assert not suites, suites
+    assert "ALL_SUITES" not in _source("lemmas.py")
+    lemmas = [p for p in SOURCES if p.name == "lemmas.py"][0]
+    calls = _calls_by_function(lemmas)
+    for name in ("SuiteResult", "_draw"):
+        callers = [fn for fn, called in calls if called == name]
+        assert callers == ["run_suite"], (name, callers)
