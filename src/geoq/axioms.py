@@ -40,7 +40,7 @@ class OrbitQuotient(Projection):
     @property
     def flag_orbits(self):
         """The least flag of each G-orbit and each flag's orbit index."""
-        return _flag_orbits(self.source, self.group.gens, self.source.rank)
+        return _flag_orbits(self.source, self.group.gens)
 
     @property
     def leaders(self):

@@ -24,9 +24,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .geometry import Pregeometry, flags_of_type, mask_of, same_type_incidence
-from .perms import (CapExceeded, Perm, PermGroup, _Chain,
-                    _closure, _flag_orbits, _inverse, _then,
-                    check_automorphisms, transitivity)
+from .perms import (CapExceeded, Perm, PermGroup, _Chain, _closure,
+                    _inverse, _then, check_automorphisms, transitivity)
 
 
 class FiniteGroup:
@@ -225,9 +224,9 @@ class CosetGeometry:
         H_i x g is the coset of type i that contains x g."""
         group, coset_of = self.group, self.coset_of
         ag, index, then = group.act[g], group._of, group._then
-        return Perm._trusted(tuple([
+        return Perm._trusted([
             coset_of[i][index[then[x](ag)]]
-            for i, x in zip(self.geometry.elem_type, self.reps)]))
+            for i, x in zip(self.geometry.elem_type, self.reps)])
 
     def action_group(self, members=None):
         """Right-multiplication action of the whole group (or of the given
@@ -327,7 +326,6 @@ def is_coset_pregeometry(geom, group):
     if bad is not None:
         return False, bad
     check_automorphisms(geom, group)
-    _flag_orbits(geom, group.gens, 2)  # one labelling for both tests
     ok, w = transitivity(group, geom, "vertex")
     if not ok:
         return False, ("not vertex-transitive", w)

@@ -235,7 +235,7 @@ def _orbit_quotient(geom, group):
     generators before its order is read, or None when the group has over
     60 elements; one is kept only after that test."""
     kept = _memo(geom)
-    key = ("OrbitQuotient", tuple(g.images for g in group.gens))
+    key = ("OrbitQuotient", group.gens)
     if key not in kept and group.order() <= 60:
         kept[key] = _per_subgroup(kept, "orbit-quotient", group,
                                   lambda: OrbitQuotient(geom, group))

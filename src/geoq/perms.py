@@ -1,6 +1,8 @@
 """
 Permutation groups acting on a pregeometry.
 
+A Perm is the tuple of its images (Seress 2003, ch. 1), so the chain,
+the closure loop and the union-find below take Perms as they are.
 A group is given by generators.  Its order, membership, point
 stabilizers and normal closures come from one deterministic
 Schreier-Sims chain (_Chain: a base, strong generators per level and
@@ -13,8 +15,8 @@ lists G, by _closure, the one closure loop, under a configurable cap;
 the chain refuses a group with the same CapExceeded as soon as it grows
 past that cap.  Every orbit question goes through _orbits, the one
 union-find, on the generators' images of indices, never listing the
-group: of points, flags (_flag_orbits, keyed by the flag table's own
-tuples) or any items (orbits_on).  Products and inverses are built
+group: of points, every flag (_flag_orbits, keyed by the flag table's
+own tuples) or any items (orbits_on).  Products and inverses are built
 without re-checking that they are permutations; every Perm made from
 outside data is checked.  Whether a generator is an automorphism is
 decided once per geometry and kept with it.
@@ -57,17 +59,18 @@ def _inverse(images):
     return tuple(out)
 
 
-class Perm:
-    """A permutation of 0..n-1 as a tuple of images; x**-like action is
-    written p[x], and (p * q)[x] == q[p[x]]."""
+class Perm(tuple):
+    """A permutation of 0..n-1: the tuple of its images, so p[x] is the
+    image of x, and (p * q)[x] == q[p[x]]."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images):
+    def __new__(cls, images):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        if (not all(type(x) is int for x in images)
+                or sorted(images) != list(range(len(images)))):
             raise ValueError("not a permutation: %r" % (images,))
-        self.images = images
+        return tuple.__new__(cls, images)
 
     @classmethod
     @functools.cache  # shared: a Perm never changes
@@ -84,61 +87,46 @@ class Perm:
 
     @property
     def degree(self):
-        return len(self.images)
-
-    def __getitem__(self, x):
-        return self.images[x]
+        return len(self)
 
     @classmethod
     def _trusted(cls, images):
-        """A Perm from an images tuple that is a permutation by
-        construction (products, inverses), skipping the check."""
-        perm = object.__new__(cls)
-        perm.images = images
-        return perm
+        """A Perm from images that are a permutation by construction
+        (products, inverses), skipping the check."""
+        return tuple.__new__(cls, images)
 
     def __mul__(self, other):
-        images = other.images
-        if len(images) != len(self.images):
+        if len(other) != len(self):
             raise ValueError("degree mismatch: %d and %d"
-                             % (len(self.images), len(images)))
-        return Perm._trusted(_then(self.images)(images))
+                             % (len(self), len(other)))
+        return Perm._trusted(_then(self)(other))
 
     def inv(self):
-        return Perm._trusted(_inverse(self.images))
+        return Perm._trusted(_inverse(self))
 
     def is_identity(self):
-        return all(i == x for i, x in enumerate(self.images))
+        return self == _points(len(self))
 
     def cycles(self):
         """Nontrivial cycles, each starting at its least point."""
         seen = set()
         out = []
-        for x in range(len(self.images)):
-            if x in seen or self.images[x] == x:
+        for x in range(len(self)):
+            if x in seen or self[x] == x:
                 continue
             cyc = [x]
-            y = self.images[x]
+            y = self[x]
             while y != x:
                 cyc.append(y)
-                y = self.images[y]
+                y = self[y]
             seen.update(cyc)
             out.append(tuple(cyc))
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __lt__(self, other):
-        return self.images < other.images
-
     def __repr__(self):
         cyc = self.cycles()
         if not cyc:
-            return "Perm(id/%d)" % len(self.images)
+            return "Perm(id/%d)" % len(self)
         return "Perm(%s)" % "".join("(%s)" % " ".join(map(str, c)) for c in cyc)
 
 
@@ -211,7 +199,7 @@ def mulclose(gens, cap=DEFAULT_CAP):
     if not gens:
         return set()
     return {Perm._trusted(images) for images in _closure(
-        [g.images for g in gens], Perm.identity(gens[0].degree).images, cap)}
+        gens, Perm.identity(gens[0].degree), cap)}
 
 
 class _Chain:
@@ -329,7 +317,7 @@ class PermGroup:
     freeze; all queries after construction are pure)."""
 
     def __init__(self, gens, degree=None, cap=DEFAULT_CAP):
-        gens = [g for g in gens if not g.is_identity()]
+        gens = list(gens)
         if degree is None:
             if not gens:
                 raise ValueError("degree required for a trivial group")
@@ -337,7 +325,7 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
-        self.gens = tuple(gens)
+        self.gens = tuple(g for g in gens if not g.is_identity())
         self.degree = degree
         self.cap = cap
         self._elements = None
@@ -354,7 +342,7 @@ class PermGroup:
         if self._sims is None:
             sims = _Chain(self.degree, cap=self.cap)
             for g in self.gens:
-                sims.add(g.images)
+                sims.add(g)
             self._sims = sims  # only once complete
         return self._sims
 
@@ -371,7 +359,7 @@ class PermGroup:
 
     def __contains__(self, perm):
         return (isinstance(perm, Perm) and perm.degree == self.degree
-                and perm.images in self._chain())
+                and perm in self._chain())
 
     def __iter__(self):
         """The elements in increasing order, sorted once per group."""
@@ -381,7 +369,7 @@ class PermGroup:
 
     def orbits(self):
         """All orbits on 0..degree-1, each sorted, listed by least point."""
-        return _orbits([g.images for g in self.gens], self.degree)
+        return _orbits(self.gens, self.degree)
 
 
 def is_automorphism(geom, perm):
@@ -389,25 +377,25 @@ def is_automorphism(geom, perm):
     makes edge-set preservation sufficient in a finite group.  Each
     incident pair's images are looked up in the masks; the pairs are
     listed once per geometry, for all the generators checked on it."""
-    im, et, masks = perm.images, geom.elem_type, geom.masks
+    et, masks = geom.elem_type, geom.masks
     return (perm.degree == geom.size
-            and all(et[y] == t for y, t in zip(im, et))
-            and all(masks[im[a]] >> im[b] & 1
+            and all(et[y] == t for y, t in zip(perm, et))
+            and all(masks[perm[a]] >> perm[b] & 1
                     for a, b in incident_pairs(geom)))
 
 
 def check_automorphisms(geom, group):
     """Raise ValueError unless every generator is an automorphism of the
     geometry.  A (geometry, generator) pair is checked once, and the
-    images of the verified ones are kept with the geometry; a failure is
-    never kept and is raised again on every call."""
+    verified ones are kept with the geometry; a failure is never kept
+    and is raised again on every call."""
     verified = _memo(geom).setdefault(check_automorphisms, set())
     for g in group.gens:
-        if g.images in verified:
+        if g in verified:
             continue
         if not is_automorphism(geom, g):
             raise ValueError("generator %r is not an automorphism" % (g,))
-        verified.add(g.images)
+        verified.add(g)
 
 
 def orbit_partition(group, geom):
@@ -438,50 +426,50 @@ def normal_closure(group, sub):
     gens = list(sub.gens)
     chain = _Chain(group.degree)
     for h in gens:
-        chain.add(h.images)
+        chain.add(h)
     conjugators = [(g.inv(), g) for g in group.gens]
     # one pass over the growing generator list of N: once h^g lies in N
     # for every generator h of N and g of G, N^g is inside N
     for h in gens:
         for ginv, g in conjugators:
             c = ginv * h * g
-            if chain.add(c.images):
+            if chain.add(c):
                 gens.append(c)
     out = PermGroup(gens, degree=group.degree, cap=group.cap)
     out._sims = chain
     return out
 
 
-def _flag_orbits(geom, gens, rank):
-    """The orbits of the group generated by gens on the flags of rank at
-    most rank: the least flag of each, in (rank, lex) order, and each
-    flag's orbit index, keyed by the flag table's own tuples.  g keeps
-    types, so it maps a flag's members in type order to its image's in
-    type order, and each image is looked up as that tuple: the table's
-    own where elements are numbered type by type.  Kept with the
-    geometry per generator images, for the largest rank asked."""
-    key = tuple(g.images for g in gens)
-    got = _memo(geom).get((_flag_orbits, key))
-    if got is None or got[0] < rank:
+def _flag_orbits(geom, gens):
+    """The orbits of the group generated by gens on the flags: the least
+    flag of each, in (rank, lex) order, and each flag's orbit index,
+    keyed by the flag table's own tuples.  g keeps types, so it maps a
+    flag's members in type order to its image's in type order, and each
+    image is looked up as that tuple: the table's own where elements are
+    numbered type by type.  Kept with the geometry per generator tuple."""
+    key = (_flag_orbits, gens)
+    got = _memo(geom).get(key)
+    if got is None:
         flags = flags_by_rank_lex(geom)
-        ends = [bisect_right(flags, r, key=len) for r in range(rank + 1)]
+        ends = [bisect_right(flags, r, key=len)
+                for r in range(len(flags[-1]) + 1)]
         et = geom.elem_type  # typed: each flag's members in type order
         typed = flags if list(et) == sorted(et) else [
-            tuple(sorted(f, key=et.__getitem__)) for f in flags[:ends[-1]]]
-        at = dict(zip(typed, range(ends[-1])))  # position in the table
+            tuple(sorted(f, key=et.__getitem__)) for f in flags]
+        at = dict(zip(typed, range(len(flags))))  # position in the table
         rows = []
-        for images in key:
-            image = images.__getitem__
+        for g in gens:
+            image = g.__getitem__
             row = [0]  # the empty flag; then each r images of rank r
-            for r in range(1, rank + 1):  # make one flag's images tuple
+            for r in range(1, len(ends)):  # make one flag's images tuple
                 xs = chain.from_iterable(typed[ends[r - 1]:ends[r]])
                 row += map(at.__getitem__, zip(*[map(image, xs)] * r))
             rows.append(row)
-        orbits = _orbits(rows, ends[-1])
-        got = _memo(geom)[_flag_orbits, key] = (
-            rank, [flags[orbit[0]] for orbit in orbits],
+        orbits = _orbits(rows, len(flags))
+        got = _memo(geom)[key] = (
+            [flags[orbit[0]] for orbit in orbits],
             {flags[p]: k for k, orbit in enumerate(orbits) for p in orbit})
-    return got[1:]
+    return got
 
 
 def transitivity(group, geom, kind, types=None):
@@ -511,8 +499,7 @@ def transitivity(group, geom, kind, types=None):
         flags_of_type(geom, types)  # raises on an unknown type id
         sets = [mask_of(types)]
     leaders = {}  # type set mask -> its orbit leaders, in lex order
-    for flag in _flag_orbits(geom, group.gens,
-                             max(map(int.bit_count, sets), default=0))[0]:
+    for flag in _flag_orbits(geom, group.gens)[0]:
         leaders.setdefault(mask_of(geom.elem_type[x] for x in flag),
                            []).append(flag)
     for s in sets:

@@ -35,6 +35,10 @@ class Partition:
             block = tuple(sorted(set(block)))
             if not block:
                 raise ValueError("empty block")
+            for x in block:
+                if type(x) is not int or not 0 <= x < geom.size:
+                    raise ValueError("element index %r not in 0..%d"
+                                     % (x, geom.size - 1))
             if len({geom.elem_type[x] for x in block}) > 1:
                 raise ValueError("block %r crosses types"
                                  % (geom.flag_names(block),))
@@ -120,9 +124,8 @@ class Projection:
         return range(self.source.size)
 
     @property
-    @_per_geometry
     def block_distance(self):
-        """min_block_distance of the partition, kept."""
+        """min_block_distance of the partition."""
         return min_block_distance(self.source, self.partition)
 
     def project_flag(self, flag):

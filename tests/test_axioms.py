@@ -468,9 +468,9 @@ def _mask_orbit_index(oq):
         last[k:] = [i]
     maps = []
     for g in oq.group.gens:
-        images, image = g.images, [0]
+        image = [0]
         for k in range(1, len(flags)):
-            image.append(image[parents[k]] | 1 << images[flags[k][-1]])
+            image.append(image[parents[k]] | 1 << g[flags[k][-1]])
         maps.append(dict(zip(fmasks, image)))
     orbits = orbits_on(maps, sorted(fmasks, key=int.bit_count),
                        dict.__getitem__)
@@ -480,21 +480,9 @@ def _mask_orbit_index(oq):
 
 
 def _check_flag_orbit_labelling(oq):
-    """The labelling equals the oracle, and so does the labelling of the
-    flags of each rank r and below, built first on a fresh copy."""
-    from geoq.geometry import Pregeometry
+    """The labelling equals the oracle."""
     from geoq.perms import _flag_orbits
-    leaders, orbit_of = _mask_orbit_index(oq)
-    geom = oq.source
-    assert _flag_orbits(geom, oq.group.gens, geom.rank) == (leaders, orbit_of)
-    for r in range(geom.rank):
-        fresh = Pregeometry(geom.type_names, geom.elem_names,
-                            geom.elem_type, geom.pairs)
-        low = [flag for flag in leaders if len(flag) <= r]
-        assert _flag_orbits(fresh, oq.group.gens, r) == (
-            low, {m: k for m, k in orbit_of.items() if k < len(low)})
-        assert _flag_orbits(fresh, oq.group.gens, geom.rank) == (
-            leaders, orbit_of)
+    assert _flag_orbits(oq.source, oq.group.gens) == _mask_orbit_index(oq)
 
 
 def _bundled_orbit_quotients():
@@ -532,7 +520,7 @@ def test_flag_orbit_keys_are_the_flag_table_tuples():
     for geom, group in _bundled_orbit_quotients():
         table = {id(flag) for flag in _flag_table(geom)}
         axioms_report(OrbitQuotient(geom, group))
-        orbit_of = _flag_orbits(geom, group.gens, geom.rank)[1]
+        orbit_of = _flag_orbits(geom, group.gens)[1]
         assert len(orbit_of) == len(table)
         assert all(id(flag) in table for flag in orbit_of)
         count += 1
@@ -621,7 +609,7 @@ def test_flag_orbit_index_agrees_with_flag_image_orbits(rng):
     failed = [0, 0, 0]
     for oq in oqs:
         orbits, orbit_of = _tuple_index(oq)
-        assert _flag_orbits(oq.source, oq.group.gens, oq.source.rank) == (
+        assert _flag_orbits(oq.source, oq.group.gens) == (
             [orbit[0] for orbit in orbits], orbit_of)
         got = (check_TQ1(oq), check_TQ2prime(oq), check_TQ2doubleprime(oq))
         assert got == _tuple_deciders(oq)

@@ -218,8 +218,8 @@ def test_is_coset_pregeometry_roundtrip():
 
 
 def test_is_coset_pregeometry_labels_flag_orbits_once(monkeypatch):
-    # the vertex and incidence tests read one labelling of the flags of
-    # rank <= 2, made by one call of the union-find
+    # the vertex and incidence tests read one labelling of the flags,
+    # made by one call of the union-find
     from geoq import perms
     calls = []
 
@@ -484,7 +484,7 @@ def _agrees_with_table_cosets(cg, T):
     assert cg.coset_of == cosets[0]
     assert list(cg.reps) == cosets[2]
     for g in range(len(T)):
-        assert cg.action_of(g).images == T.coset_action(cosets, g)
+        assert cg.action_of(g) == T.coset_action(cosets, g)
 
 
 def test_action_model_agrees_with_table_model(rng):
@@ -594,7 +594,7 @@ def _rebuilt_is_coset_pregeometry(geom, group):
     chamber = chams[0]
     elems = sorted(group.elements())
     index = {g: i for i, g in enumerate(elems)}
-    fin = FiniteGroup([repr(g) for g in elems], [g.images for g in elems])
+    fin = FiniteGroup([repr(g) for g in elems], elems)
     subgroups = [Subgroup(fin, {index[g] for g in elems if g[x] == x},
                           "S%d" % geom.elem_type[x]) for x in chamber]
     model = _SetCosets(fin, subgroups)
@@ -626,7 +626,7 @@ def _agrees_with_set_cosets(cg, acting):
     old = _SetCosets(cg.group, cg.subgroups)
     assert _same_geometry(cg.geometry, old.geometry)
     for g in acting:
-        assert cg.action_of(g).images == old.action_of(g)
+        assert cg.action_of(g) == old.action_of(g)
 
 
 def test_coset_table_agrees_with_set_cosets(rng):

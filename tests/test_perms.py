@@ -25,6 +25,28 @@ def test_perm_basics():
         Perm([0, 0, 1])
 
 
+def test_perm_is_its_images_tuple():
+    p = Perm([2, 0, 1])
+    assert isinstance(p, tuple) and p == (2, 0, 1)
+    assert hash(p) == hash((2, 0, 1))
+    assert sorted([p, Perm.identity(3)]) == [(0, 1, 2), (2, 0, 1)]
+    assert p.degree == 3 and list(p) == [2, 0, 1]
+
+
+def test_perm_refuses_images_that_are_not_ints():
+    # 1.0 == 1, so sorting alone would take a float image for an int
+    for images in ([1.0, 0.0], [1, 0.0], ["1", "0"], [None]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Perm(images)
+
+
+def test_group_of_identity_generators_keeps_their_degree():
+    group = PermGroup([Perm.identity(3)])
+    assert group.degree == 3 and group.gens == () and group.order() == 1
+    with pytest.raises(ValueError, match="degree mismatch"):
+        PermGroup([Perm.identity(3), Perm.identity(2)])
+
+
 def test_product_of_different_degrees_raises():
     p = Perm.from_cycles(2, [(0, 1)])
     q = Perm.from_cycles(3, [(0, 1)])
@@ -149,13 +171,13 @@ def test_automorphism_check_is_kept_per_geometry_and_stays_exact(
     calls = []
 
     def counting(geom, perm):
-        calls.append(perm.images)
+        calls.append(perm)
         return is_automorphism(geom, perm)
 
     monkeypatch.setattr(perms, "is_automorphism", counting)
     geom, group = hexagon()
     orbit_partition(group, geom)
-    assert calls == [g.images for g in group.gens]
+    assert calls == list(group.gens)
     orbit_partition(group, geom)
     transitivity(group, geom, "vertex")
     assert len(calls) == len(group.gens)
@@ -169,7 +191,7 @@ def test_automorphism_check_is_kept_per_geometry_and_stays_exact(
     calls.clear()
     fresh, _ = hexagon()
     orbit_partition(group, fresh)
-    assert calls == [g.images for g in group.gens]
+    assert calls == list(group.gens)
 
 
 def test_automorphism_checks_read_the_masks_once_per_geometry(monkeypatch):
@@ -612,9 +634,8 @@ def test_automorphism_group_agrees_with_brute_force(rng):
         # gens[:k], so each pick at least doubles the order
         leaves = list(perms._incidence_maps(geom, geom))
         for k, g in enumerate(got.gens):
-            have = {h.images for h in mulclose(list(got.gens[:k]))} or {
-                Perm.identity(geom.size).images}
-            assert g.images == next(x for x in leaves if x not in have)
+            have = mulclose(list(got.gens[:k])) or {Perm.identity(geom.size)}
+            assert g == next(x for x in leaves if x not in have)
         assert 2 ** len(got.gens) <= len(want)
         orders.add(len(want))
     assert len(orders) > 5  # not only trivial or tiny groups

@@ -49,6 +49,17 @@ def test_partition_validation():
         Partition(geom, [(0, 3), (0, 3), (1, 4), (2, 5)])  # overlap
 
 
+def test_partition_refuses_indices_outside_the_elements():
+    # the constructor is the checked path: an index below 0 or past the
+    # end would reach Projection as a negative shift or an IndexError,
+    # and a float index as a TypeError
+    geom = Pregeometry(["A"], ["a", "b"], [0, 0], [])
+    for blocks, bad in (([(0,), (-1,)], "-1"), ([(0,), (1,), (2,)], "2"),
+                        ([(0, 1, 5)], "5"), ([(0.0,), (1,)], "0.0")):
+        with pytest.raises(ValueError, match=r"index %s not in 0\.\.1" % bad):
+            Partition(geom, blocks)
+
+
 def test_quotient_of_valid_pregeometry_is_valid(rng):
     from geoq.geometry import validate
     from geoq.lemmas import random_pregeometry

@@ -386,3 +386,20 @@ def test_one_suite_runner():
     for name in ("SuiteResult", "_draw"):
         callers = [fn for fn, called in calls if called == name]
         assert callers == ["run_suite"], (name, callers)
+
+
+def test_a_perm_is_its_images_tuple():
+    # a Perm subclasses tuple, so the group algorithms take it as it is:
+    # no library code reads an `.images` attribute, and the flag-orbit
+    # labelling covers every flag, with no rank argument
+    import inspect
+
+    from geoq.perms import Perm, _flag_orbits
+    assert issubclass(Perm, tuple) and Perm.__slots__ == ()
+    hits = ["%s:%d" % (path.name, node.lineno)
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "images"]
+    assert not hits, hits
+    assert list(inspect.signature(_flag_orbits).parameters) == ["geom",
+                                                                "gens"]
