@@ -10,10 +10,10 @@ Each command imports only the modules it runs.  Every command loads io
 and the core (geometry, quotient, perms, axioms); on top of that `check`
 and `diagram` load diagram, `iso` loads constructions, `gen` loads
 constructions and cosets, and `reproduce` loads all of them with lemmas
-and reproduce.  `axioms` and `quotient` load nothing more.  Of the
-commands only `gen` loads pathlib, which brings re, enum, fnmatch and
-urllib.parse with it; the others read and write files with open and
-os.path.
+and reproduce.  `axioms` and `quotient` load nothing more.  Only `gen`
+and `reproduce` (importlib.resources, for its goldens) load pathlib,
+which brings re, enum, fnmatch and urllib.parse with it; the others read
+and write files with open and os.path.
 
 The command line is read from one table, COMMANDS, by parse_args: no
 argparse parser is built, so no command loads argparse or gettext.  -h
@@ -33,7 +33,7 @@ from .axioms import OrbitQuotient, decider_rows
 from .geometry import (all_flags, flag_text, is_connected, is_firm,
                        is_geometry, is_residually_connected, keep_flags,
                        validate)
-from .perms import CapExceeded, PermGroup, normal_closure
+from .perms import DEFAULT_CAP, CapExceeded, PermGroup, normal_closure
 from .quotient import Partition, Projection
 
 EXIT_OK = 0
@@ -322,7 +322,7 @@ def cmd_help(args):
 # option's default gives its type: None a string, False a switch.  No
 # option's name is a prefix of another's.
 _FLAG_CAP = {"max-flags": 2_000_000}  # check and diagram load no group
-_CAPS = {"max-group-order": 200_000, **_FLAG_CAP}
+_CAPS = {"max-group-order": DEFAULT_CAP, **_FLAG_CAP}
 _SHORT = {"-h": "help", "-o": "output", "-v": "verbose"}
 GEN_KINDS = {what: (params, {"output": None, "dir": None}, about, cmd_gen)
              for what, params, about in (

@@ -11,7 +11,7 @@ permutation of the elements through one (type, set) index.
 
 SimpleGraph is a Pregeometry of one type, vertex, whose incidences are
 its edges, so it searches nothing itself: its cliques, connectivity,
-bipartite test and automorphisms come from geometry.all_flags,
+bipartite test and automorphisms come from geometry.flags_by_rank_lex,
 geometry.is_connected, geometry.bfs and perms.automorphism_group, and
 isomorphic returns the first map found by the incidence-map search of
 geoq.perms.
@@ -22,11 +22,11 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import comb
 
-from .geometry import (Pregeometry, all_flags, bfs, components,
+from .geometry import (Pregeometry, bfs, components, flags_by_rank_lex,
                        incident_pairs, is_connected, is_geometry, least)
 from .perms import (CapExceeded, Perm, PermGroup, _incidence_maps, _profile,
                     automorphism_group)
-from .quotient import Partition, Projection
+from .quotient import Partition, Projection, _rank_slice
 
 
 class SimpleGraph(Pregeometry):
@@ -73,8 +73,8 @@ class SimpleGraph(Pregeometry):
 
     def cliques_of_size(self, r):
         """All r-cliques, as sorted tuples in lexicographic order (the
-        empty clique for r=0): the cliques are the graph's flags."""
-        return [c for c in all_flags(self) if len(c) == r]
+        empty clique for r=0): the cliques are the graph's kept flags."""
+        return list(_rank_slice(flags_by_rank_lex(self), r))
 
     def is_matching(self):
         """Every vertex has exactly one neighbour."""

@@ -108,7 +108,7 @@ def _split_cycles(body, lineno):
     return groups
 
 
-def parse_group(text, geom, cap=None):
+def parse_group(text, geom, cap=DEFAULT_CAP):
     """One generator per line in cycle notation over element names; an
     empty file is the trivial group."""
     gens = []
@@ -130,8 +130,7 @@ def parse_group(text, geom, cap=None):
         if len(set(flat)) != len(flat):
             raise ParseError(lineno, "cycles are not disjoint")
         gens.append(Perm.from_cycles(geom.size, cycles))
-    return PermGroup(gens, degree=geom.size,
-                     cap=cap if cap is not None else DEFAULT_CAP)
+    return PermGroup(gens, degree=geom.size, cap=cap)
 
 
 def format_group(group, geom):

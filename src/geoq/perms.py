@@ -446,10 +446,14 @@ def _flag_orbits(geom, gens):
     keyed by the flag table's own tuples.  g keeps types, so it maps a
     flag's members in type order to its image's in type order, and each
     image is looked up as that tuple: the table's own where elements are
-    numbered type by type.  Kept with the geometry per generator tuple."""
+    numbered type by type.  Kept with the geometry per generator tuple;
+    a same-type incidence (the walk takes it for a flag) raises ValueError."""
     key = (_flag_orbits, gens)
     got = _memo(geom).get(key)
     if got is None:
+        bad = same_type_incidence(geom)
+        if bad is not None:
+            raise ValueError("flag orbits: %s" % bad)
         flags = flags_by_rank_lex(geom)
         ends = [bisect_right(flags, r, key=len)
                 for r in range(len(flags[-1]) + 1)]
@@ -482,9 +486,6 @@ def transitivity(group, geom, kind, types=None):
     the least flags of its first two orbits, i.e. its first two orbit
     leaders.  A type set with no flags passes; an unknown type id or a
     same-type incidence raises ValueError."""
-    bad = same_type_incidence(geom)
-    if bad is not None:
-        raise ValueError("transitivity: %s" % bad)
     check_automorphisms(geom, group)
     sizes = {"vertex": [1], "incidence": [2], "chamber": [geom.rank],
              "flag": range(1, geom.rank + 1), "jflags": []}

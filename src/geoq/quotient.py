@@ -6,7 +6,7 @@ and m-covers live here, on masks: a projection keeps each block as a
 mask, and a decider ANDs a flag's members' masks and their blocks'
 quotient masks (_extensions).  FlagsLift compares projected flag sets,
 rank by rank: a quotient flag lifts exactly when some source flag
-projects onto it (lift_flag searches for one such flag).  Witnesses
+projects onto it (lift_flag walks all_flags for the least one).  Witnesses
 are minimal under (rank, lex) order.  check_flagslift, check_PQ1,
 check_PQ2, residual_surjectivity and is_cover take one quotient and scan
 its leaders (flags, in (rank, lex) order) and block_leaders (elements):
@@ -17,6 +17,7 @@ one per G-orbit on an orbit-quotient, the projection of its orbit partition.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from types import SimpleNamespace
 
 from .geometry import (INF, Pregeometry, _per_geometry, all_flags, as_flag,
                        bfs, bits, flags_by_rank_lex, flags_of_type, least,
@@ -146,24 +147,23 @@ def quotient(geom, partition):
 
 
 def lift_flag(proj, qflag):
-    """Search for a source flag projecting onto the quotient flag, or
-    certify none exists.  Deterministic: blocks are scanned in quotient
-    order and the least workable element is chosen from each, so the
-    returned lift is least under that choice order."""
+    """The least source flag projecting onto the quotient flag (under
+    block order, least member first), or None: the first flag meeting
+    every block in the all_flags walk of the blocks' members, numbered
+    block by block, with their incidences across blocks."""
     qflag = as_flag(proj.quotient, qflag)
     masks, inside = proj.source.masks, proj.inside
-
-    def rec(i, chosen, common):
-        # common: the elements incident with every chosen one, as a mask
-        if i == len(qflag):
-            return tuple(sorted(chosen))
-        for x in bits(common & inside[qflag[i]]):
-            got = rec(i + 1, chosen + [x], common & masks[x])
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, [], (1 << proj.source.size) - 1)
+    members = [x for k in qflag for x in proj.fiber(k)]
+    within = mask_of(members)
+    at = {x: i for i, x in enumerate(members)}
+    local = SimpleNamespace(masks=[  # what all_flags reads
+        mask_of(map(at.__getitem__,
+                    bits(masks[x] & within & ~inside[proj.block_of[x]])))
+        for x in members])
+    for flag in all_flags(local):
+        if len(flag) == len(qflag):
+            return tuple(sorted(members[i] for i in flag))
+    return None
 
 
 def _rank_slice(flags, r):
@@ -325,11 +325,10 @@ def is_m_cover(proj, m):
     rank = proj.source.rank
     if not 1 <= m <= rank - 1:
         raise ValueError("m must satisfy 1 <= m <= rank-1, got %r" % (m,))
-    for flag in all_flags(proj.source):
-        if len(flag) == rank - m:
-            reason = _residue_isomorphic_onto(proj, flag)
-            if reason is not None:
-                return False, (flag, reason)
+    for flag in _rank_slice(flags_by_rank_lex(proj.source), rank - m):
+        reason = _residue_isomorphic_onto(proj, flag)
+        if reason is not None:
+            return False, (flag, reason)
     return True, None
 
 

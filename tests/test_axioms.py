@@ -121,6 +121,24 @@ def test_axioms_report_keys():
     assert rep["flagslift"][0] is False
 
 
+def test_orbit_quotient_refuses_a_same_type_incidence():
+    # the flag walk reads masks alone, so an incident pair of one type
+    # walks as a flag that no type-keeping image finds in the table; the
+    # flag orbits refuse it by name
+    import pytest
+
+    from geoq.geometry import Pregeometry
+    from geoq.perms import _flag_orbits
+    geom = Pregeometry(["A", "B"], ["a", "b", "c"], [0, 0, 1],
+                       [(0, 1), (0, 2), (1, 2)])
+    group = PermGroup([Perm([1, 0, 2])])
+    why = "flag orbits: same-type incidence: a \\* b \\(type A\\)"
+    with pytest.raises(ValueError, match=why):
+        axioms_report(OrbitQuotient(geom, group))
+    with pytest.raises(ValueError, match=why):  # on every call, not once
+        _flag_orbits(geom, group.gens)
+
+
 def _tq2prime_by_conjugacy(oq):
     # the equivalent formulation: flags with equal projection are
     # conjugate under the group (one orbit search per projection class)

@@ -9,9 +9,13 @@ of them.  `flags_of_type` is checked against the filter over the whole
 flag list that its per-geometry index replaced.
 
 `all_flags` walks on an explicit stack; the recursive mask walker it
-replaced is its oracle, and the flag table kept from a walk (by
-`is_geometry`, by the cap test of `keep_flags`, and `is_geometry` read
-from the table) is checked against the flags themselves.
+replaced is its oracle.  `lift_flag` walks it on the members of its
+blocks, with the set-based lift search as oracle, also on relabelled
+draws whose element order is not block order; `is_m_cover` and graph
+cliques read the flag table, with the `all_flags` filters they replaced
+as oracles.  The flag table kept from a walk (by `is_geometry`, by the
+cap test of `keep_flags`, and `is_geometry` read from the table) is
+checked against the flags themselves.
 `repair_to_geometry` adds incidences to local masks and builds one
 pregeometry; the loop that rebuilt one after each incidence is its
 oracle, with the same draws from the same random generator.
@@ -309,6 +313,29 @@ def _set_is_m_cover(proj, adj, qadj, m):
     return True, None
 
 
+def _walked_is_m_cover(proj, m):
+    # is_m_cover before it read the flag table: the corank-m flags
+    # filtered from a fresh all_flags walk
+    for flag in all_flags(proj.source):
+        if len(flag) == proj.source.rank - m:
+            reason = _residue_isomorphic_onto(proj, flag)
+            if reason is not None:
+                return False, (flag, reason)
+    return True, None
+
+
+def _relabelled(geom, rng):
+    """geom with its elements renumbered at random, so that they are no
+    longer numbered type by type."""
+    new = list(range(geom.size))
+    rng.shuffle(new)
+    names, etype = [None] * geom.size, [None] * geom.size
+    for x, y in enumerate(new):
+        names[y], etype[y] = geom.elem_names[x], geom.elem_type[x]
+    return Pregeometry(geom.type_names, names, etype,
+                       [(new[a], new[b]) for a, b in geom.pairs])
+
+
 def _set_total_order_flagslift(proj, adj, qadj, order):
     src, q = proj.source, proj.quotient
     pos = {t: i for i, t in enumerate(order)}
@@ -480,11 +507,15 @@ def _check_flag_layer(geom):
     return flags
 
 
-def _check_projection(proj, reasons, lifts=True):
+def _check_projection(proj, reasons):
     src, q = proj.source, proj.quotient
     adj = _neighbours(src)
-    for qflag in flags_by_rank_lex(q) if lifts else ():
-        assert lift_flag(proj, qflag) == _set_lift_flag(proj, adj, qflag)
+    for qflag in flags_by_rank_lex(q):
+        if is_flag(q, qflag):
+            assert lift_flag(proj, qflag) == _set_lift_flag(proj, adj, qflag)
+        else:  # two blocks of one type, on a same-type incidence
+            with pytest.raises(ValueError, match="not a flag"):
+                lift_flag(proj, qflag)
     for flag in flags_by_rank_lex(src):
         ext = extensions(src, flag)
         target = set(extensions(q, _project(proj, flag)))
@@ -563,8 +594,9 @@ def test_projection_deciders_agree_with_same_type_incidences(rng):
     # Pregeometry accepts incidences inside a type (validate refuses
     # them), and the deciders stay exact there too: a block then meets
     # its own neighbourhood, and a target can hold blocks of a flag's
-    # types.  Lifts are not compared: lift_flag refuses a quotient
-    # "flag" with two blocks of one type
+    # types.  A lift takes one member per block, never two incident
+    # members of one block, and lift_flag refuses a quotient "flag" with
+    # two blocks of one type
     reasons, decided, same = set(), {}, 0
     for _ in range(150):
         geom = random_pregeometry(rng, max_rank=3, max_per_type=4)
@@ -574,12 +606,40 @@ def test_projection_deciders_agree_with_same_type_incidences(rng):
                            set(geom.pairs) | extra)
         same += bool(extra)
         proj = Projection(geom, random_partition(rng, geom))
-        _check_projection(proj, reasons, lifts=False)
+        _check_projection(proj, reasons)
         _check_deciders(proj, decided)
         _check_automorphisms(geom, rng, decided)
     assert same >= 100, same
     assert decided.pop("total-order") <= BOTH | {"raised"}
     assert decided == {name: BOTH for name in DECIDERS}, decided
+
+
+def test_lifts_and_m_covers_agree_on_relabelled_projections():
+    # lift_flag numbers the members of a quotient flag's blocks block by
+    # block, so its first lift is the search's least one only if that
+    # numbering holds: half the draws are relabelled, so that element
+    # order and block order differ.  is_m_cover reads the flag table's
+    # rank slice, and its verdict and witness are the walked filter's
+    rng = random.Random(5)
+    lifts, verdicts, unordered = set(), set(), 0
+    for i in range(600):
+        geom = (random_geometry(rng) if i % 4 < 2
+                else random_pregeometry(rng))
+        if i % 2:
+            geom = _relabelled(geom, rng)
+            unordered += list(geom.elem_type) != sorted(geom.elem_type)
+        proj = Projection(geom, random_partition(rng, geom))
+        adj = _neighbours(geom)
+        for qflag in flags_by_rank_lex(proj.quotient):
+            got = lift_flag(proj, qflag)
+            assert got == _set_lift_flag(proj, adj, qflag), (geom, qflag)
+            lifts.add(got is None)
+        for m in range(1, geom.rank):
+            got = is_m_cover(proj, m)
+            assert got == _walked_is_m_cover(proj, m)
+            verdicts.add(got[0])
+    assert lifts == verdicts == BOTH
+    assert unordered >= 250, unordered
 
 
 DECIDERS = ("pq1", "pq2", "residually-surjective", "residue-isomorphic",
@@ -623,9 +683,11 @@ def test_cliques_agree_with_set_backtracker(rng):
              if rng.random() < 0.5]))
     for graph in graphs:
         assert list(all_flags(graph)) == list(_set_all_flags(graph))
-        for r in range(4):
-            assert graph.cliques_of_size(r) == [
-                c for c in _set_all_flags(graph) if len(c) == r]
+        for r in range(-1, 11):
+            got = graph.cliques_of_size(r)
+            assert got == [c for c in _set_all_flags(graph) if len(c) == r]
+            # the walked filter that reading the flag table replaced
+            assert got == [c for c in all_flags(graph) if len(c) == r]
 
 
 def test_is_flag_reads_masks():

@@ -29,14 +29,14 @@ def test_suite(row):
     res = lemmas.run_suite(row, rng, COUNT)
     assert res.checked >= COUNT
     floor = MIN_NONVACUOUS.get(res.name, COUNT // 4)
-    assert res.nonvacuous >= min(floor, COUNT), res.line()
-    assert res.violations == [], res.line()
+    assert res.nonvacuous >= min(floor, COUNT), res
+    assert res.violations == [], res
 
 
 def test_suites_are_deterministic():
     a = lemmas.run_all_suites(seed=SEED, count=15)
     b = lemmas.run_all_suites(seed=SEED, count=15)
-    assert [r.line() for r in a] == [r.line() for r in b]
+    assert a == b
 
 
 def test_draws_are_streamed():
@@ -78,6 +78,33 @@ def test_run_suite_reports_a_planted_violation():
                            random.Random(0), 12)
     assert res.name == "planted" and len(made) == 24
     assert res.checked == res.nonvacuous == len(res.violations) == 12
+
+
+def test_forest_suite_reports_a_chamber_the_forest_lift_refuses(
+        monkeypatch):
+    # lift_chamber_forest raises RuntimeError unless its lift is a flag
+    # projecting onto the chamber; the suite records that chamber as a
+    # violation and goes on, and counts every chamber
+    from geoq.axioms import OrbitQuotient
+    from geoq.constructions import affine_geometry
+    from geoq.geometry import flags_of_type
+    geom, trans = affine_geometry(3, 2)
+    name, seed_name, _, check = _row("forest-chamber-lift")
+    row = (name, seed_name, lambda rng: OrbitQuotient(geom, trans), check)
+    clean = lemmas.run_suite(row, random.Random(0), 1)
+    assert (clean.checked, clean.nonvacuous, clean.violations) == (1, 21, [])
+    chams = flags_of_type(OrbitQuotient(geom, trans).quotient, range(3))
+    real = lemmas.lift_chamber_forest
+
+    def refusing(proj, cham):
+        if cham == chams[5]:
+            raise RuntimeError("lifted chamber projects incorrectly")
+        return real(proj, cham)
+
+    monkeypatch.setattr(lemmas, "lift_chamber_forest", refusing)
+    res = lemmas.run_suite(row, random.Random(0), 1)
+    assert (res.checked, res.nonvacuous) == (1, 21)
+    assert res.violations == [(geom, chams[5])]
 
 
 def test_orbit_quotient_draws_go_through_the_module_name(monkeypatch):

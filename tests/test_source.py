@@ -62,10 +62,10 @@ def test_one_residue_map_comparison():
     assert len(hits) == 1, hits
 
 
-def test_two_recursive_searches_and_no_permutation_scans():
-    # the incidence-map search and lift_flag are the only recursive
-    # searches: a nested function that calls itself anywhere else is a
-    # new backtracker (all_flags walks on an explicit stack)
+def test_one_recursive_search_and_no_permutation_scans():
+    # the incidence-map search is the only recursive search: a nested
+    # function that calls itself anywhere else is a new backtracker
+    # (all_flags walks on an explicit stack, and lift_flag walks with it)
     recursive = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -77,8 +77,7 @@ def test_two_recursive_searches_and_no_permutation_scans():
                         and any(isinstance(n, ast.Name) and n.id == inner.name
                                 for n in ast.walk(inner))):
                     recursive.add((path.name, outer.name, inner.name))
-    assert recursive == {("perms.py", "_incidence_maps", "rec"),
-                         ("quotient.py", "lift_flag", "rec")}
+    assert recursive == {("perms.py", "_incidence_maps", "rec")}
     # no scan over all n! permutations in the group and search modules
     for path in SOURCES:
         if path.name not in ("constructions.py", "perms.py"):
@@ -90,6 +89,20 @@ def test_two_recursive_searches_and_no_permutation_scans():
         attrs = {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute)}
         assert "permutations" not in names | attrs, path.name
+
+
+def test_all_flags_is_the_one_flag_search():
+    # flags are walked by all_flags alone, and a geometry's flags once,
+    # into its kept table: the other callers walk a geometry that is
+    # being built or capped, or lift_flag's local masks
+    callers = {(path.name, fn) for path in SOURCES
+               for fn, called in _calls_by_function(path)
+               if called == "all_flags"}
+    assert callers == {("geometry.py", "_flag_table"),
+                       ("cli.py", "_count_flags_capped"),
+                       ("lemmas.py", "repair_to_geometry"),
+                       ("lemmas.py", "random_orbit_quotient"),
+                       ("quotient.py", "lift_flag")}, callers
 
 
 def test_one_breadth_first_search():
