@@ -221,7 +221,7 @@ def cmd_gen(args):
     from pathlib import Path
     from .constructions import (affine_geometry, blowup, example_generators,
                                 shadowable_lift, ssg)
-    from .cosets import FiniteGroup, coseteg_family
+    from .cosets import CosetExampleFamily, FiniteGroup
     kind = args.what
     extras = []  # (suffix, group or partition) written beside the geometry
     if kind == "ssg":
@@ -232,7 +232,8 @@ def cmd_gen(args):
         extras = [(".grp", trans)]
     elif kind == "coseteg":
         prefix = "coseteg-%d" % args.a
-        fam = coseteg_family(FiniteGroup.cyclic(args.a))
+        CosetExampleFamily.refuse_order(args.a)  # before Z_n is built
+        fam = CosetExampleFamily(FiniteGroup.cyclic(args.a))
         geom = fam.geometry
         extras = [(".grp", fam.action_group()),
                   ("-n.grp", fam.n_action_group())]

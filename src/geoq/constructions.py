@@ -19,13 +19,13 @@ geoq.perms.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 from .geometry import (Pregeometry, bfs, components, flags_by_rank_lex,
                        incident_pairs, is_connected, is_geometry, least)
-from .perms import (CapExceeded, Perm, PermGroup, _incidence_maps, _profile,
-                    automorphism_group)
+from .perms import (COUNT_CEILING, Perm, PermGroup, _cap_count,
+                    _incidence_maps, _profile, automorphism_group)
 from .quotient import Partition, Projection, _rank_slice
 
 
@@ -130,20 +130,13 @@ def _part_symmetric_gens(perm, parts, n):
 SSG_MAX_ELEMENTS = 5_000  # admits ssg(13, 6), 4,095 elements, not ssg(14, 7)
 
 
-def _cap_elements(size):
-    """ssg, blowup and shadowable_lift refuse above the cap, unbuilt."""
-    if size > SSG_MAX_ELEMENTS:
-        raise CapExceeded("element count %d exceeds cap %d"
-                          % (size, SSG_MAX_ELEMENTS))
-
-
 def _ssg(v, k):
     """ssg(v, k) as a set system: the geometry and its induced map."""
     if v <= 1:
         raise ValueError("need v > 1")
     if not 0 < k < v:
         raise ValueError("need 0 < k < v")
-    _cap_elements(sum(comb(v, i) for i in range(1, k + 1)))
+    _cap_count((comb(v, i) for i in range(1, k + 1)), SSG_MAX_ELEMENTS)
     subsets = [(i, s) for i in range(k)
                for s in combinations(range(1, v + 1), i + 1)]
     return _set_system([str(i) for i in range(k)],
@@ -210,7 +203,7 @@ def blowup(geom, graph):
     incident and the second parts are adjacent.  Refused, unbuilt, above
     SSG_MAX_ELEMENTS elements."""
     nv = graph.size
-    _cap_elements(geom.size * nv)
+    _cap_count([geom.size * nv], SSG_MAX_ELEMENTS)
     names = []
     etype = []
     for a in range(geom.size):
@@ -273,8 +266,14 @@ class ShadowLift:
         base = parent.by_type[0]
         shadows = {alpha: sorted(shadow(parent, 0, alpha)) for t in
                    range(1, parent.rank) for alpha in parent.by_type[t]}
-        _cap_elements(len(base) * n + sum(comb(n, j) ** len(sh)
-                                          for sh in shadows.values()))
+        part = 1  # comb(n, j), built as comb(n, i), which grows with i,
+        for i in range(min(j, n - j)):  # and left once past the ceiling
+            part = part * (n - i) // (i + 1)
+            if part > COUNT_CEILING:
+                break
+        _cap_count(chain([len(base) * n], (part ** len(sh)
+                                           for sh in shadows.values())),
+                   SSG_MAX_ELEMENTS)
         self.classes = tuple(base)
         names = []
         etype = []

@@ -7,9 +7,9 @@ A FiniteGroup is the faithful permutation action of its construction:
 element x is the images tuple act[x], and x*y is the element whose
 action is act[x] followed by act[y] (Perm's product).  The identity and
 inverses are looked up in one {action: index} dict.  Generators are
-picked, and outside actions checked closed, by perms' one generator
-picker (_Chain.add); subgroups are closed by perms' one closure loop;
-no product table is kept.
+picked, and outside actions and a caller's subgroup members checked
+closed, by perms' one generator picker (_Chain.add); subgroup_generated
+closes its seeds by perms' one closure loop; no product table is kept.
 
 A coset pregeometry is one index table, coset_of[i][x]: the coset of
 type i that holds group element x.  Incidences are the pairs
@@ -24,8 +24,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .geometry import Pregeometry, flags_of_type, mask_of, same_type_incidence
-from .perms import (CapExceeded, Perm, PermGroup, _Chain, _closure,
-                    _inverse, _then, check_automorphisms, transitivity)
+from .perms import (CapExceeded, Perm, PermGroup, _Chain, _cap_count,
+                    _closure, _inverse, _then, check_automorphisms,
+                    transitivity)
 
 
 class FiniteGroup:
@@ -123,8 +124,8 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup, given by its members: made by a closure, or checked to
-    be closed when a caller lists them."""
+    """A subgroup, given by its members: made by a closure, or checked by
+    its group's chain when a caller lists them."""
 
     __slots__ = ("parent", "members", "name")
 
@@ -134,13 +135,15 @@ class Subgroup:
         self.members = tuple(sorted(set(members)))
         if not check:
             return
-        # members lie in the group they generate: equal sizes make it them
-        act = parent.act
         if parent.id not in self.members:
             raise ValueError("subgroup must contain the identity")
-        if len(_closure({act[x] for x in self.members},
-                        act[parent.id])) != len(self.members):
-            raise ValueError("subgroup not closed under products")
+        if not 0 <= self.members[0] <= self.members[-1] < len(parent):
+            raise ValueError("subgroup members must lie in 0..%d"
+                             % (len(parent) - 1))
+        try:  # as FiniteGroup's: the members' group, capped at their count
+            parent._pick(self.members, len(self.members))
+        except CapExceeded:
+            raise ValueError("subgroup not closed under products") from None
 
     def __len__(self):
         return len(self.members)
@@ -263,10 +266,7 @@ class CosetExampleFamily:
             raise ValueError("base group must be abelian")
         if len(A) < 2:
             raise ValueError("base group must have order at least 2")
-        size = 3 * len(A) ** 2 + len(A) ** 3  # the cosets, before building
-        if size > self.MAX_ELEMENTS:
-            raise CapExceeded("element count %d exceeds cap %d"
-                              % (size, self.MAX_ELEMENTS))
+        self.refuse_order(len(A))
         self.A = A
         G = FiniteGroup.direct_product(A, A, A)
         self.G = G
@@ -280,6 +280,12 @@ class CosetExampleFamily:
                           Subgroup(G, g3, "G3"), Subgroup(G, g4, "G4"))
         self.N = Subgroup(G, diag, "N")
         self.geometry, self.cg = coset_pregeometry(G, self.subgroups)
+
+    @classmethod
+    def refuse_order(cls, n):
+        """Refuse with CapExceeded, before any group is built, a base
+        group of order n whose family has more than MAX_ELEMENTS cosets."""
+        _cap_count([3 * n ** 2 + n ** 3], cls.MAX_ELEMENTS)
 
     def element(self, x, y, z):
         """Index in the cube of the triple with the given base-group parts

@@ -9,6 +9,7 @@ the masks; no residue pregeometry is built.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations
 
 from .geometry import (_per_geometry, bits, components, extensions,
@@ -17,42 +18,11 @@ from .geometry import (_per_geometry, bits, components, extensions,
                        non_incident_pair)
 
 
-class _Record:
-    """A plain record: repr and equality over the attributes __init__
-    sets, in order, as @dataclass makes them; unhashable unless frozen."""
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % item for item in vars(self).items()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-
-class _FrozenRecord(_Record):
-    """A record whose __init__ fills vars(self); it hashes by value, and
-    its attributes cannot be set or deleted afterwards."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
-
-class Diagram(_FrozenRecord):
+class Diagram(namedtuple("Diagram", "rank edges evidence")):
     """rank; edges, a frozenset of frozensets {i, j}; evidence, mapping
     (i, j) to ("edge", flag), ("digons", None) or ("no-flags", None)."""
 
-    def __init__(self, rank, edges, evidence):
-        vars(self).update(rank=rank, edges=edges, evidence=evidence)
+    __slots__ = ()
 
     def adjacent(self, i, j):
         return frozenset((i, j)) in self.edges
@@ -122,9 +92,7 @@ def is_pure(geom):
     return True
 
 
-class DirectSumResult(_FrozenRecord):
-    def __init__(self, applicable, ok, detail):
-        vars(self).update(applicable=applicable, ok=ok, detail=detail)
+DirectSumResult = namedtuple("DirectSumResult", "applicable ok detail")
 
 
 def direct_sum_check(geom):

@@ -45,7 +45,7 @@ from .constructions import (SimpleGraph, blowup_projection, cycle_geometry,
                             cycle_rotation, eight_cycle, hexagon,
                             is_shadowable, multipartite_geometry,
                             ssg_symmetric_action)
-from .diagram import _Record, _forest_trees, lift_chamber_forest
+from .diagram import _forest_trees, lift_chamber_forest
 from .geometry import (Pregeometry, _memo, _per_geometry,
                        _short_maximal_flag, all_flags, flags_of_type,
                        is_connected, is_firm, is_geometry,
@@ -63,7 +63,7 @@ def seed_from_env():
     return int(os.environ.get("GEOQ_SEED", DEFAULT_SEED))
 
 
-class SuiteResult(_Record):
+class SuiteResult(SimpleNamespace):
     def __init__(self, name, checked=0, nonvacuous=0, violations=None):
         self.name = name
         self.checked = checked

@@ -47,6 +47,23 @@ class CapExceeded(Exception):
     """Raised when a group enumeration grows past its configured cap."""
 
 
+COUNT_CEILING = 1_000_000  # a count past it is named as more than it
+
+
+def _cap_count(counts, cap):
+    """Raise CapExceeded when the element counts, read lazily, sum past
+    cap.  Reading stops once the sum passes COUNT_CEILING, so a huge
+    count is refused in bounded time and named in bounded length."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > COUNT_CEILING:
+            raise CapExceeded("element count more than %d exceeds cap %d"
+                              % (COUNT_CEILING, cap))
+    if total > cap:
+        raise CapExceeded("element count %d exceeds cap %d" % (total, cap))
+
+
 @functools.cache  # one int object per point, shared by every inverse
 def _points(n):
     return tuple(range(n))

@@ -150,10 +150,13 @@ def lift_flag(proj, qflag):
     """The least source flag projecting onto the quotient flag (under
     block order, least member first), or None: the first flag meeting
     every block in the all_flags walk of the blocks' members, numbered
-    block by block, with their incidences across blocks."""
+    block by block, with their incidences across blocks.  A lift meets
+    the first block, so the walk ends at the first flag that starts
+    past it."""
     qflag = as_flag(proj.quotient, qflag)
     masks, inside = proj.source.masks, proj.inside
     members = [x for k in qflag for x in proj.fiber(k)]
+    first = len(proj.fiber(qflag[0])) if qflag else 0
     within = mask_of(members)
     at = {x: i for i, x in enumerate(members)}
     local = SimpleNamespace(masks=[  # what all_flags reads
@@ -163,6 +166,8 @@ def lift_flag(proj, qflag):
     for flag in all_flags(local):
         if len(flag) == len(qflag):
             return tuple(sorted(members[i] for i in flag))
+        if flag and flag[0] >= first:  # past the first block
+            return None
     return None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 from .axioms import OrbitQuotient, check_TQ1, check_TQ2prime
 from .cosets import FiniteGroup, coseteg_family, product_condition, rank2_connectivity
@@ -17,7 +18,7 @@ from .constructions import (SimpleGraph, blowup_group, blowup_projection,
                             hexagon, isomorphic, multipartite_geometry,
                             shadowable_lift, ssg_symmetric_action,
                             conneg_witness, flnotpq1_witness, affine_geometry)
-from .diagram import _Record, basic_diagram
+from .diagram import basic_diagram
 from .io import format_geometry, format_group, format_partition
 from .geometry import (Pregeometry, chamber_count_through,
                        components, corank1_chambers_at_least, extensions,
@@ -31,7 +32,7 @@ from .quotient import (Projection, check_flagslift, is_cover,
                        residual_surjectivity, total_order_flagslift)
 
 
-class Report(_Record):
+class Report(SimpleNamespace):
     def __init__(self, name, ok=True, lines=None, notes=None, elapsed=0.0):
         self.name = name
         self.ok = ok

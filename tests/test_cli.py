@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -419,6 +420,28 @@ def test_gen_lift_element_count_is_capped_before_building(
     assert (code, out) == (3, "")
     assert err == "cap exceeded: element count 14724 exceeds cap 5000\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_gen_refuses_huge_counts_in_bounded_time(tmp_path, capsys):
+    # Z_n is not built, and no count is carried past a million: each
+    # refusal takes milliseconds and names the cap, where building Z_3000
+    # took seconds and a count of thousands of digits could not be printed
+    gen_file(tmp_path, capsys, "ssg", "4", "3")
+    out_dir = tmp_path / "out"
+    for argv, cap in ((["coseteg", "3000"], 10000),
+                      (["coseteg", "6000"], 10000),
+                      (["coseteg", "9" * 4000], 10000),
+                      (["ssg", "10000", "5000"], 5000),
+                      (["ssg", "20000", "10000"], 5000),
+                      (["ssg", "5000", "4999"], 5000),
+                      (["lift", str(tmp_path / "ssg-4-3.geo"), "30000",
+                        "15000"], 5000)):
+        start = time.perf_counter()
+        got = run(capsys, "gen", *argv, "--dir", str(out_dir))
+        assert time.perf_counter() - start < 1, argv[:2]
+        assert got == (3, "", "cap exceeded: element count more than "
+                       "1000000 exceeds cap %d\n" % cap), argv[:2]
+    assert not out_dir.exists()
 
 
 def test_gen_all_kinds(tmp_path, capsys):

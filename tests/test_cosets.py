@@ -70,6 +70,44 @@ def test_subgroup_verification():
         Subgroup(z6, {0, 2})  # not closed
     with pytest.raises(ValueError):
         Subgroup(z6, {2, 4})  # no identity
+    # a negative index would name an element from the end, and two names
+    # of one element would pass as a larger subgroup
+    for members in ({0, 7}, {0, -3}, {0, 3, -3}):
+        with pytest.raises(ValueError, match=r"members must lie in 0\.\.5$"):
+            Subgroup(z6, members)
+
+
+def test_subgroup_check_agrees_with_closure(rng):
+    # Subgroup asks its group's chain; the closure of the members, as it
+    # was checked before, accepts exactly the same sets, and a refusal
+    # names the identity first, then closure
+    from geoq.lemmas import _small_groups
+    from geoq.perms import _closure
+    verdicts = []
+    for G in _small_groups():
+        n = len(G)
+        for _ in range(40):
+            members = set(G.subgroup_generated(
+                rng.sample(range(n), rng.randint(0, 2))).members)
+            if rng.random() < 0.5:
+                members ^= set(rng.sample(range(n), rng.randint(1, 2)))
+            if rng.random() < 0.2:
+                members.discard(G.id)
+            if G.id not in members:
+                want = "subgroup must contain the identity"
+            elif len(_closure({G.act[x] for x in members},
+                              G.act[G.id])) != len(members):
+                want = "subgroup not closed under products"
+            else:
+                want = None
+            try:
+                got = Subgroup(G, members).members == tuple(sorted(members))
+            except ValueError as exc:
+                got = str(exc)
+            assert got == (want or True), (G.names, sorted(members))
+            verdicts.append(want)
+    assert len(verdicts) >= 300 and len(set(verdicts)) == 3
+    assert min(verdicts.count(v) for v in set(verdicts)) >= 50
 
 
 def test_subgroup_generated_and_generators():

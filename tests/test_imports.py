@@ -1,7 +1,8 @@
 """Each command loads only the modules it runs, and the package exports
 every name it always had.  The loading tests run a fresh interpreter,
 since the test process itself has imported the whole package.  The
-record classes that replaced dataclasses keep their behaviour."""
+records, now the stdlib's namedtuple and SimpleNamespace, keep the
+behaviour they had as dataclasses."""
 
 import json
 import os

@@ -1,6 +1,10 @@
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+
+import geoq
+from geoq import io as gio
 
 from geoq.constructions import (blowup_projection, eight_cycle,
                                 flnotpq1_witness, hexagon, isomorphic,
@@ -110,6 +114,35 @@ def test_project_flag_is_flag():
 def test_lift_flag_hexagon_chamber_none():
     geom, proj = hexagon_projection()
     assert lift_flag(proj, (0, 1, 2)) is None
+
+
+def test_lift_flag_stops_past_the_first_block(monkeypatch):
+    # a lift meets every block once, and members are numbered block by
+    # block: the walk ends at the first flag whose least member lies
+    # past the first block.  coseteg-2 by its N-orbits has 4 quotient
+    # flags that do not lift; their walks read 32 local flags, not 52
+    import sys
+    data = Path(geoq.__file__).parent / "data"
+    geom = gio.parse_geometry((data / "coseteg-2.geo").read_text())
+    group = gio.parse_group((data / "coseteg-2-n.grp").read_text(), geom)
+    proj = Projection(geom, orbit_partition(group, geom))
+    module = sys.modules["geoq.quotient"]
+    walked = []
+
+    def counted(local):
+        for flag in all_flags(local):
+            walked.append(flag)
+            yield flag
+
+    monkeypatch.setattr(module, "all_flags", counted)
+    assert lift_flag(proj, ()) == ()
+    walks = []  # the flags read by each lift that fails
+    for qflag in flags_by_rank_lex(proj.quotient):
+        walked.clear()
+        if lift_flag(proj, qflag) is None:
+            assert walked[-1][0] == len(proj.fiber(qflag[0])), qflag
+            walks.append(len(walked))
+    assert (len(walks), sum(walks)) == (4, 32)
 
 
 def test_rank_le2_quotient_flags_always_lift(rng):

@@ -234,10 +234,10 @@ def test_masks_are_the_only_incidence():
 
 
 def test_one_generator_picker():
-    # _Chain.add picks every generator the library keeps (sifting decides
-    # membership): no group is built from its element list, and no picker
-    # re-closes its picks; _closure serves mulclose and the subgroups of
-    # cosets alone
+    # _Chain.add picks every generator the library keeps and checks every
+    # listed subgroup (sifting decides membership): no group is built from
+    # its element list, and no picker re-closes its picks; _closure serves
+    # mulclose and cosets' generated subgroups alone
     hits = ["%s:%d" % (path.name, n)
             for path in SOURCES
             for n, line in enumerate(path.read_text().splitlines(), 1)
@@ -247,8 +247,7 @@ def test_one_generator_picker():
                for fn, called in _calls_by_function(path)
                if called == "_closure"}
     assert callers == {"perms.py:mulclose",
-                       "cosets.py:FiniteGroup.subgroup_generated",
-                       "cosets.py:Subgroup.__init__"}, callers
+                       "cosets.py:FiniteGroup.subgroup_generated"}, callers
 
 
 def test_projection_layer_reads_no_pair_set():
