@@ -27,12 +27,12 @@ from .perms import (Perm, PermGroup, CapExceeded, orbit_partition,
                     is_semiregular, automorphism_group, multicover_array,
                     induced_quotient_group)
 from .axioms import (OrbitQuotient, check_TQ1, check_TQ2prime,
-                     check_TQ2doubleprime, check_TQ3, axioms_report)
+                     check_TQ2doubleprime, check_TQ3)
 
 _LAZY = {
     "cosets": """FiniteGroup Subgroup CosetGeometry coset_pregeometry
-        rank2_connectivity rank3_ft_condition product_condition
-        coseteg_family is_coset_pregeometry""",
+        rank2_connectivity product_condition coseteg_family
+        is_coset_pregeometry""",
     "diagram": """Diagram basic_diagram is_pure direct_sum_check
         place_tree_flag lift_chamber_forest star_transitive_on_paths
         no_triangle_check""",

@@ -10,12 +10,14 @@ flags themselves.  G keeps types, so x, y in the residue of F share a
 G_F-orbit exactly when F + {x} and F + {y} share a G-orbit.  The blocks
 are the G-orbits, so F and every gF project onto the same quotient
 flag, and every per-flag condition decided here -- (TQ1), (TQ2'),
-(TQ2''), and (PQ1), (PQ2) and residual surjectivity in DECIDERS -- has
-the same verdict at F and at gF.  So each decider scans only the least
-flag of each orbit: the first failing one is the least failing flag,
-and the rest of a witness depends on that flag alone.  For the same
-reason the cover test and the block distance look at the least member
-of each block only: an OrbitQuotient's leaders and block_leaders.
+(TQ2''), and (PQ1) and (PQ2) in DECIDERS -- has the same verdict at F
+and at gF.  So each decider scans only the least flag of each orbit:
+the first failing one is the least failing flag, and the rest of a
+witness depends on that flag alone.  For the same reason the cover test
+and the block distance look at the least member of each block only: an
+OrbitQuotient's leaders and block_leaders.  The residually-surjective
+row is (PQ1), witness and all (quotient.residual_surjectivity), since a
+projection refuses a source with a same-type incidence.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from __future__ import annotations
 from .geometry import INF, _per_geometry, bfs, bits, flag_text
 from .perms import _flag_orbits, orbit_partition
 from .quotient import (Projection, _extensions, _residue_map_failure,
-                       check_flagslift, check_PQ1, check_PQ2, is_cover,
-                       residual_surjectivity)
+                       check_flagslift, check_PQ1, check_PQ2, is_cover)
 
 
 class OrbitQuotient(Projection):
@@ -149,6 +150,11 @@ def check_TQ1(oq):
     return True, None
 
 
+def _pq1_text(q, w):
+    return "%s + block %s" % (flag_text(q.source, w[0]),
+                              q.quotient.elem_names[w[1]])
+
+
 # The decider rows, in run order: name, decider and witness text.  A
 # decider reads one quotient, an OrbitQuotient or another Projection
 # (then only PROJECTION_ROWS run), and looks its function up by name
@@ -157,9 +163,7 @@ def check_TQ1(oq):
 DECIDERS = (
     ("flagslift", lambda q: check_flagslift(q),
      lambda q, qflag: flag_text(q.quotient, qflag)),
-    ("pq1", lambda q: check_PQ1(q),
-     lambda q, w: "%s + block %s" % (flag_text(q.source, w[0]),
-                                     q.quotient.elem_names[w[1]])),
+    ("pq1", lambda q: check_PQ1(q), _pq1_text),
     ("pq2", lambda q: check_PQ2(q), lambda q, flag: flag_text(q.source, flag)),
     ("tq1", lambda q: check_TQ1(q),
      lambda q, w: "%s: %s" % (flag_text(q.source, w[0]), w[1])),
@@ -170,16 +174,10 @@ DECIDERS = (
      lambda q, w: "%s vs pair %s*%s" % (flag_text(q.source, w[0]),
                                         *q.source.flag_names(w[1:]))),
     ("tq3", lambda q: (check_TQ3(q), None), None),
-    ("residually-surjective", lambda q: (residual_surjectivity(q), None), None),
+    ("residually-surjective", lambda q: check_PQ1(q), _pq1_text),
     ("is-cover", lambda q: (is_cover(q), None), None),
 )
 PROJECTION_ROWS = ("flagslift", "pq1", "pq2", "is-cover")
-
-
-def axioms_report(oq):
-    """All quotient-axiom deciders on one orbit-quotient, as a dict of
-    name -> (bool, witness-or-None)."""
-    return {name: decide(oq) for name, decide, _ in DECIDERS}
 
 
 def decider_rows(q):

@@ -166,12 +166,6 @@ def product_condition(G, pivot, others):
     return lhs == set_product(G, pivot.members, inter)
 
 
-def rank3_ft_condition(G, G1, G2, G3):
-    """Rank-3 flag-transitivity criterion: the product condition with
-    pivot G1, G1G2 & G1G3 == G1(G2 & G3)."""
-    return product_condition(G, G1, [G2, G3])
-
-
 class CosetGeometry:
     """The coset pregeometry of a group with designated subgroups, plus
     the right-multiplication action.

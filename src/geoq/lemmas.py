@@ -330,12 +330,16 @@ def _cover_semiregular(oq):
 
 def _distance4_cover(proj):
     """Corank-1 surjectivity plus same-block distance at least 4 forces a
-    covering; covers keep same-block distance at least 3."""
+    covering; covers keep same-block distance at least 4.  At distance 2,
+    x * u * x', the residue map at u is not injective.  At distance 3,
+    x * u * v * x', u and x' lie in v's residue and their blocks are
+    incident (u * x), so the residue isomorphism at v forces u * x', and
+    the distance is 2."""
     d = proj.block_distance
     nonvacuous = int(corank1_surjective(proj) and d >= 4)
     if nonvacuous and not is_cover(proj):
         return 1, [("not-cover", proj.source)]
-    if is_cover(proj) and d < 3:
+    if is_cover(proj) and d < 4:
         return nonvacuous, [("cover-short-distance", proj.source)]
     return nonvacuous, []
 

@@ -614,8 +614,8 @@ def multicover_array(geom, group):
     for a, b in incident_pairs(geom):
         for x, y in ((a, b), (b, a)):
             i, j = geom.elem_type[x], geom.elem_type[y]
-            k = ((geom.masks[x] | 1 << x)  # incident with x, or x
-                 & mask_of(part.blocks[part.block_of[y]])).bit_count()
+            orbit = mask_of(part.blocks[part.block_of[y]])
+            k = (geom.masks[x] & orbit).bit_count()
             k0, pair = first.setdefault((i, j), (k, (x, y)))
             if k0 != k:
                 raise ValueError(

@@ -1,17 +1,19 @@
 """
 Type-refining partitions, quotient pregeometries and the projection map.
 
-Deciders for flag lifting, (PQ1)/(PQ2), residual surjectivity, covers
-and m-covers live here, on masks: a projection keeps each block as a
-mask, and a decider ANDs a flag's members' masks and their blocks'
-quotient masks (_extensions).  FlagsLift compares projected flag sets,
-rank by rank: a quotient flag lifts exactly when some source flag
-projects onto it (lift_flag walks all_flags for the least one).  Witnesses
-are minimal under (rank, lex) order.  check_flagslift, check_PQ1,
-check_PQ2, residual_surjectivity and is_cover take one quotient and scan
-its leaders (flags, in (rank, lex) order) and block_leaders (elements):
-all of them on a Projection, which never changes and keeps its verdicts;
-one per G-orbit on an orbit-quotient, the projection of its orbit partition.
+Deciders for flag lifting, (PQ1)/(PQ2), covers and m-covers live here,
+on masks: a projection keeps each block as a mask, and a decider ANDs a
+flag's members' masks and their blocks' quotient masks (_extensions).
+A projection refuses a source with a same-type incidence, as
+is_geometry does, so residual surjectivity is (PQ1).  FlagsLift
+compares projected flag sets, rank by rank: a quotient flag lifts
+exactly when some source flag projects onto it (lift_flag walks
+all_flags for the least one).  Witnesses are minimal under (rank, lex)
+order.  check_flagslift, check_PQ1, check_PQ2 and is_cover take one
+quotient and scan its leaders (flags, in (rank, lex) order) and
+block_leaders (elements): all of them on a Projection, which never
+changes and keeps its verdicts; one per G-orbit on an orbit-quotient,
+the projection of its orbit partition.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from types import SimpleNamespace
 
 from .geometry import (INF, Pregeometry, _per_geometry, all_flags, as_flag,
                        bfs, bits, flags_by_rank_lex, flags_of_type, least,
-                       mask_of)
+                       mask_of, same_type_incidence)
 
 
 class Partition:
@@ -86,7 +88,8 @@ def singleton_partition(geom):
 
 
 class Projection:
-    """Projection onto the quotient by a partition; inside[k] masks block k."""
+    """Projection onto the quotient by a partition; inside[k] masks block k.
+    A source with a same-type incidence raises ValueError."""
 
     __slots__ = ("source", "partition", "block_of", "quotient", "inside",
                  "_memo")
@@ -96,18 +99,21 @@ class Projection:
         self.block_of = block_of = partition.block_of
         self.inside = [mask_of(block) for block in partition.blocks]
         names, etype, qmasks = [], [], [0] * len(partition.blocks)
+        of_type = [mask_of(members) for members in source.by_type]
         later = (1 << source.size) - 1  # the members of the blocks after k
         for k, block in enumerate(partition.blocks):
             later &= ~self.inside[k]
-            near = 0
+            near, t = 0, source.elem_type[block[0]]
             for x in block:
                 near |= source.masks[x]
+            if near & of_type[t]:
+                raise ValueError("projection: " + same_type_incidence(source))
             # each pair of incident blocks once, from the earlier block
             for y in bits(near & later):
                 qmasks[k] |= 1 << block_of[y]
                 qmasks[block_of[y]] |= 1 << k
             names.append("{%s}" % ",".join(source.elem_names[x] for x in block))
-            etype.append(source.elem_type[block[0]])
+            etype.append(t)
         if len(set(names)) < len(names):  # commas in element names
             names = ["%s~%d" % (name, k) for k, name in enumerate(names)]
         self.quotient = Pregeometry._of_masks(source.type_names, names, etype,
@@ -150,18 +156,15 @@ def lift_flag(proj, qflag):
     """The least source flag projecting onto the quotient flag (under
     block order, least member first), or None: the first flag meeting
     every block in the all_flags walk of the blocks' members, numbered
-    block by block, with their incidences across blocks.  A lift meets
-    the first block, so the walk ends at the first flag that starts
-    past it."""
+    block by block.  A lift meets the first block, so the walk ends at
+    the first flag that starts past it."""
     qflag = as_flag(proj.quotient, qflag)
-    masks, inside = proj.source.masks, proj.inside
     members = [x for k in qflag for x in proj.fiber(k)]
     first = len(proj.fiber(qflag[0])) if qflag else 0
     within = mask_of(members)
     at = {x: i for i, x in enumerate(members)}
     local = SimpleNamespace(masks=[  # what all_flags reads
-        mask_of(map(at.__getitem__,
-                    bits(masks[x] & within & ~inside[proj.block_of[x]])))
+        mask_of(map(at.__getitem__, bits(proj.source.masks[x] & within)))
         for x in members])
     for flag in all_flags(local):
         if len(flag) == len(qflag):
@@ -228,31 +231,16 @@ def _extensions(proj, flag):
 
 def residual_surjectivity(proj):
     """True iff every flag's residue projects onto the whole quotient
-    residue (every block of it met, no element outside them); the
-    quotient's leaders decide it."""
-    return _surjective_at(proj, proj.leaders)
-
-
-def _surjective_at(proj, flags):
-    q, inside, et = proj.quotient, proj.inside, proj.source.elem_type
-    of_type = [mask_of(members) for members in q.by_type]
-    for flag in flags:
-        ext, target = _extensions(proj, flag)
-        for x in flag:
-            target &= ~of_type[et[x]]
-        cover = 0
-        for k in bits(target):
-            if not ext & inside[k]:
-                return False
-            cover |= inside[k]
-        if ext & ~cover:
-            return False
-    return True
+    residue (every block of it met, no element outside them): (PQ1).  An
+    element incident with all of a flag F is in a block incident with all
+    of F's, of a type F lacks (the source has no same-type incidence), so
+    never outside the quotient residue; what is left is (PQ1)'s test."""
+    return check_PQ1(proj)[0]
 
 
 def corank1_surjective(proj):
-    """Residual surjectivity restricted to rank-1 flags."""
-    return _surjective_at(proj, [(x,) for x in range(proj.source.size)])
+    """Residual surjectivity, so (PQ1), restricted to rank-1 flags."""
+    return _unextended(proj, [(x,) for x in range(proj.source.size)]) is None
 
 
 def corank1_injective(proj):
@@ -312,7 +300,7 @@ def _residue_map_failure(proj, classes, target):
         k, met = block_of[c[0]], 0
         for y in bits(near & members):
             met |= 1 << block_of[y]
-        if met & ~(1 << k) != qmasks[k] & target:
+        if met != qmasks[k] & target:
             return "incidence not matched"
     return None
 
@@ -355,14 +343,19 @@ def is_incidence_graph_cover(proj):
 def check_PQ1(proj):
     """(PQ1): whenever the projection of a flag extends by a block in the
     quotient, the flag itself extends by an element of that block."""
-    for flag in proj.leaders:
-        if not flag:
-            continue  # the empty flag extends by any member of any block
+    failure = _unextended(proj, proj.leaders)
+    return failure is None, failure
+
+
+def _unextended(proj, flags):
+    """The one (PQ1) scan: the first of the flags whose projection extends
+    by a block holding no extension of the flag, and that block; or None."""
+    for flag in flags:
         ext, qext = _extensions(proj, flag)
         for k in bits(qext):
             if not ext & proj.inside[k]:
-                return False, (flag, k)
-    return True, None
+                return flag, k
+    return None
 
 
 def check_PQ2(proj):

@@ -1,5 +1,6 @@
-from geoq.axioms import (OrbitQuotient, axioms_report, check_TQ1,
-                         check_TQ2doubleprime, check_TQ2prime, check_TQ3)
+from geoq.axioms import (DECIDERS, OrbitQuotient, check_TQ1,
+                         check_TQ2doubleprime, check_TQ2prime, check_TQ3,
+                         decider_rows)
 from geoq.constructions import eight_cycle, hexagon, ssg
 from geoq.perms import Perm, PermGroup, orbits_on
 from geoq.quotient import residual_surjectivity
@@ -17,6 +18,12 @@ def _neighbours(geom):
 
 def trivial_oq(geom):
     return OrbitQuotient(geom, PermGroup.trivial(geom.size))
+
+
+def _report(oq):
+    """Every row of DECIDERS on one orbit-quotient, as a dict of
+    name -> (bool, witness or None)."""
+    return {name: decide(oq) for name, decide, _ in DECIDERS}
 
 
 def test_tq3():
@@ -111,20 +118,23 @@ def test_hexagon_axiom_values_are_stable():
     assert not check_TQ1(oq)[0]
 
 
-def test_axioms_report_keys():
+def test_decider_rows_on_an_orbit_quotient():
     geom, group = hexagon()
-    rep = axioms_report(OrbitQuotient(geom, group))
-    assert set(rep) == {"flagslift", "pq1", "pq2", "tq1", "tq2prime",
-                        "tq2doubleprime", "tq3", "residually-surjective",
-                        "is-cover"}
-    assert rep["tq2prime"][0] is True
-    assert rep["flagslift"][0] is False
+    rows = {name: verdict
+            for name, verdict, _ in decider_rows(OrbitQuotient(geom, group))}
+    assert set(rows) == {"flagslift", "pq1", "pq2", "tq1", "tq2prime",
+                         "tq2doubleprime", "tq3", "residually-surjective",
+                         "is-cover"}
+    assert rows["tq2prime"] is True
+    assert rows["flagslift"] is False
 
 
 def test_orbit_quotient_refuses_a_same_type_incidence():
-    # the flag walk reads masks alone, so an incident pair of one type
-    # walks as a flag that no type-keeping image finds in the table; the
-    # flag orbits refuse it by name
+    # an orbit-quotient is a projection, which refuses the source by
+    # name; the flag walk reads masks alone, so an incident pair of one
+    # type walks as a flag that no type-keeping image finds in the table,
+    # and the flag orbits, which transitivity reads directly, refuse it
+    # by name too
     import pytest
 
     from geoq.geometry import Pregeometry
@@ -132,11 +142,12 @@ def test_orbit_quotient_refuses_a_same_type_incidence():
     geom = Pregeometry(["A", "B"], ["a", "b", "c"], [0, 0, 1],
                        [(0, 1), (0, 2), (1, 2)])
     group = PermGroup([Perm([1, 0, 2])])
-    why = "flag orbits: same-type incidence: a \\* b \\(type A\\)"
-    with pytest.raises(ValueError, match=why):
-        axioms_report(OrbitQuotient(geom, group))
-    with pytest.raises(ValueError, match=why):  # on every call, not once
-        _flag_orbits(geom, group.gens)
+    why = "same-type incidence: a \\* b \\(type A\\)"
+    with pytest.raises(ValueError, match="^projection: " + why):
+        OrbitQuotient(geom, group)
+    for _ in range(2):  # on every call, not once
+        with pytest.raises(ValueError, match="^flag orbits: " + why):
+            _flag_orbits(geom, group.gens)
 
 
 def _tq2prime_by_conjugacy(oq):
@@ -229,8 +240,7 @@ def test_tq2doubleprime_never_enumerates_the_group():
     capped = PermGroup(wreath.gens, degree=wreath.degree, cap=1000)
     oq = OrbitQuotient(lift.geometry, capped)
     assert check_TQ2doubleprime(oq) == (True, None)
-    assert axioms_report(oq) == axioms_report(OrbitQuotient(lift.geometry,
-                                                            wreath))
+    assert _report(oq) == _report(OrbitQuotient(lift.geometry, wreath))
     assert wreath.order() == 1296
     with pytest.raises(CapExceeded):
         capped.order()
@@ -254,14 +264,14 @@ def test_residue_orbit_map_is_built_once_per_orbit_quotient(monkeypatch):
     for geom, group in (hexagon(), eight_cycle(), tq1_counterexample()):
         oq = OrbitQuotient(geom, group)
         builds.clear()
-        report = axioms_report(oq)
+        report = _report(oq)
         assert builds == [len(flags_by_rank_lex(geom))]
         assert ((check_TQ1(oq), check_TQ2prime(oq), check_TQ2doubleprime(oq))
                 == (report["tq1"], report["tq2prime"],
                     report["tq2doubleprime"]))
         again = OrbitQuotient(geom, PermGroup(group.gens))
         builds.clear()
-        assert axioms_report(again) == report
+        assert _report(again) == report
         assert builds == []
 
 
@@ -341,8 +351,8 @@ def test_tq1_and_tq2prime_agree_with_stabilizer_scans(rng):
 # flag-orbit index, kept as the oracle for the scans over one flag per
 # G-orbit: (TQ1) and (TQ2') on the G-orbits of incident (flag, residue
 # member) pairs, (TQ2'') on the G-orbits of incident pairs, and (PQ1),
-# (PQ2), residual surjectivity and the cover test by their default full
-# scan.
+# (PQ2) and the cover test by their default full scan; the
+# residually-surjective row is (PQ1), witness included.
 
 def _member_image(g, item):
     flag, x = item
@@ -420,7 +430,7 @@ def _sweep_report(oq):
         "tq2prime": tq2prime(),
         "tq2doubleprime": tq2doubleprime(),
         "tq3": (check_TQ3(oq), None),
-        "residually-surjective": (residual_surjectivity(proj), None),
+        "residually-surjective": check_PQ1(proj),
         "is-cover": (is_cover(proj), None),
     }
 
@@ -444,7 +454,7 @@ def test_orbit_representatives_agree_with_full_sweep(rng):
     # and block leaders); a fresh projection onto the same partition names
     # every flag and element, and gives the same projection rows, witness
     # texts included, and the same block distance
-    from geoq.axioms import PROJECTION_ROWS, decider_rows
+    from geoq.axioms import PROJECTION_ROWS
     from geoq.lemmas import random_orbit_quotient
     from geoq.quotient import Projection
     names = ("flagslift", "tq1", "tq2prime", "tq2doubleprime", "pq1", "pq2",
@@ -456,7 +466,7 @@ def test_orbit_representatives_agree_with_full_sweep(rng):
         if oq is not None:
             oqs.append(oq)
     for oq in oqs:
-        report = axioms_report(oq)
+        report = _report(oq)
         assert report == _sweep_report(oq)
         for name in names:
             seen[name, report[name][0]] += 1
@@ -521,6 +531,27 @@ def _bundled_orbit_quotients():
             yield geom, automorphism_group(geom)
 
 
+def test_residually_surjective_row_is_the_pq1_row(rng):
+    # a projection refuses a same-type incidence, so residual
+    # surjectivity is (PQ1): its row gives (PQ1)'s verdict and witness
+    from geoq.lemmas import random_orbit_quotient
+    from geoq.quotient import check_PQ1
+    oqs = [OrbitQuotient(g, grp) for g, grp in _bundled_orbit_quotients()]
+    bundled = len(oqs)
+    while len(oqs) < bundled + 300:
+        oq = random_orbit_quotient(rng)
+        if oq is not None:
+            oqs.append(oq)
+    seen = set()
+    for oq in oqs:
+        rows = {name: (verdict, text)
+                for name, verdict, text in decider_rows(oq)}
+        assert rows["residually-surjective"] == rows["pq1"]
+        assert residual_surjectivity(oq) == check_PQ1(oq)[0]
+        seen.add(rows["pq1"][0])
+    assert seen == {True, False}
+
+
 def test_flag_orbit_labelling_agrees_with_mask_orbits_on_bundled():
     count = 0
     for geom, group in _bundled_orbit_quotients():
@@ -537,7 +568,7 @@ def test_flag_orbit_keys_are_the_flag_table_tuples():
     count = 0
     for geom, group in _bundled_orbit_quotients():
         table = {id(flag) for flag in _flag_table(geom)}
-        axioms_report(OrbitQuotient(geom, group))
+        _report(OrbitQuotient(geom, group))
         orbit_of = _flag_orbits(geom, group.gens)[1]
         assert len(orbit_of) == len(table)
         assert all(id(flag) in table for flag in orbit_of)

@@ -5,7 +5,7 @@ import pytest
 from geoq.cosets import (CosetGeometry, FiniteGroup, Subgroup,
                          coset_pregeometry, coseteg_family,
                          is_coset_pregeometry, product_condition,
-                         rank2_connectivity, rank3_ft_condition, set_product)
+                         rank2_connectivity, set_product)
 from geoq.constructions import hexagon
 from geoq.geometry import Pregeometry, flags_of_type, is_geometry
 from geoq.perms import CapExceeded, PermGroup, transitivity
@@ -162,7 +162,7 @@ def test_rank3_condition_trivial_g3():
     triv = Subgroup(s3, {s3.id})
     a = s3.subgroup_generated([1])
     b = s3.subgroup_generated([2])
-    assert rank3_ft_condition(s3, a, b, triv)
+    assert product_condition(s3, a, [b, triv])
 
 
 def test_rank3_condition_matches_transitivity():
@@ -181,7 +181,7 @@ def test_rank3_condition_matches_transitivity():
         tried += 1
         if tried > 12:
             break
-        cond = rank3_ft_condition(s4, g1, g2, g3)
+        cond = product_condition(s4, g1, [g2, g3])
         geom, cg = coset_pregeometry(
             s4, [g1.named("A"), g2.named("B"), g3.named("C")])
         act = cg.action_group()
@@ -331,7 +331,7 @@ def test_rank3_condition_agrees_with_intersection_formulation(rng):
         oracle = (set_product(G, inter12, inter13)
                   == frozenset(g1.members) & set_product(G, g2.members,
                                                          g3.members))
-        got = rank3_ft_condition(G, g1, g2, g3)
+        got = product_condition(G, g1, [g2, g3])
         assert got == oracle
         seen.add(got)
     assert seen == {True, False}

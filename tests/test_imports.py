@@ -1,8 +1,11 @@
 """Each command loads only the modules it runs, and the package exports
-every name it always had.  The loading tests run a fresh interpreter,
-since the test process itself has imported the whole package.  The
-records, now the stdlib's namedtuple and SimpleNamespace, keep the
-behaviour they had as dataclasses."""
+every name it had, less two deleted ones that repeated another:
+`axioms_report`, the dict form of `decider_rows`, and
+`rank3_ft_condition`, `product_condition` with two subgroups.  The
+loading tests run a fresh interpreter, since the test process itself
+has imported the whole package.  The records, now the stdlib's
+namedtuple and SimpleNamespace, keep the behaviour they had as
+dataclasses."""
 
 import json
 import os
@@ -20,7 +23,8 @@ from geoq.reproduce import Report
 SRC = Path(geoq.__file__).resolve().parent.parent
 DATA = SRC / "geoq" / "data"
 
-# every name the package exported when it imported all of its modules
+# every name the package exported when it imported all of its modules,
+# less the two deleted ones
 EXPORTS = {
     "geometry": ("Pregeometry", "validate", "flags_of_type", "is_geometry",
                  "is_firm", "residue", "truncation", "incidence_distance",
@@ -37,11 +41,10 @@ EXPORTS = {
               "is_semiregular", "automorphism_group", "multicover_array",
               "induced_quotient_group"),
     "axioms": ("OrbitQuotient", "check_TQ1", "check_TQ2prime",
-               "check_TQ2doubleprime", "check_TQ3", "axioms_report"),
+               "check_TQ2doubleprime", "check_TQ3"),
     "cosets": ("FiniteGroup", "Subgroup", "CosetGeometry",
                "coset_pregeometry", "rank2_connectivity",
-               "rank3_ft_condition", "product_condition", "coseteg_family",
-               "is_coset_pregeometry"),
+               "product_condition", "coseteg_family", "is_coset_pregeometry"),
     "diagram": ("Diagram", "basic_diagram", "is_pure", "direct_sum_check",
                 "place_tree_flag", "lift_chamber_forest",
                 "star_transitive_on_paths", "no_triangle_check"),

@@ -61,7 +61,8 @@ from geoq.geometry import (_TABLE, Pregeometry, _flag_table,
                            flags_of_type, is_connected, is_flag,
                            is_generalized_digon, is_geometry,
                            is_residually_connected, keep_flags, mask_of,
-                           non_incident_pair, residue, truncation)
+                           non_incident_pair, residue, same_type_incidence,
+                           truncation)
 from geoq.lemmas import (random_geometry, random_partition,
                          random_pregeometry, repair_to_geometry)
 from geoq.perms import Perm, is_automorphism, orbit_partition
@@ -354,12 +355,11 @@ def _set_total_order_flagslift(proj, adj, qadj, order):
 
 
 def _outcome(fn, *args):
-    """What fn(*args) returns, or "raised" for the error it raises: a
-    RuntimeError, or the ValueError of lift_flag on a quotient "flag"
-    with two blocks of one type."""
+    """What fn(*args) returns, or "raised" for the RuntimeError it
+    raises."""
     try:
         return fn(*args)
-    except (RuntimeError, ValueError):
+    except RuntimeError:
         return "raised"
 
 
@@ -511,11 +511,7 @@ def _check_projection(proj, reasons):
     src, q = proj.source, proj.quotient
     adj = _neighbours(src)
     for qflag in flags_by_rank_lex(q):
-        if is_flag(q, qflag):
-            assert lift_flag(proj, qflag) == _set_lift_flag(proj, adj, qflag)
-        else:  # two blocks of one type, on a same-type incidence
-            with pytest.raises(ValueError, match="not a flag"):
-                lift_flag(proj, qflag)
+        assert lift_flag(proj, qflag) == _set_lift_flag(proj, adj, qflag)
     for flag in flags_by_rank_lex(src):
         ext = extensions(src, flag)
         target = set(extensions(q, _project(proj, flag)))
@@ -590,13 +586,13 @@ def test_mask_layer_agrees_on_bundled_geometries(rng, bundled_geometries):
     assert seen == 16
 
 
-def test_projection_deciders_agree_with_same_type_incidences(rng):
+def test_projection_refuses_same_type_incidences(rng):
     # Pregeometry accepts incidences inside a type (validate refuses
-    # them), and the deciders stay exact there too: a block then meets
-    # its own neighbourhood, and a target can hold blocks of a flag's
-    # types.  A lift takes one member per block, never two incident
-    # members of one block, and lift_flag refuses a quotient "flag" with
-    # two blocks of one type
+    # them); a projection refuses such a source with same_type_incidence's
+    # report, as is_geometry does.  The draws given no such pair still
+    # go through the deciders and their oracles; they are too few for
+    # every decider to answer both ways, which the 520 draws of
+    # test_mask_layer_agrees_with_set_layer check
     reasons, decided, same = set(), {}, 0
     for _ in range(150):
         geom = random_pregeometry(rng, max_rank=3, max_per_type=4)
@@ -605,13 +601,20 @@ def test_projection_deciders_agree_with_same_type_incidences(rng):
         geom = Pregeometry(geom.type_names, geom.elem_names, geom.elem_type,
                            set(geom.pairs) | extra)
         same += bool(extra)
-        proj = Projection(geom, random_partition(rng, geom))
-        _check_projection(proj, reasons)
-        _check_deciders(proj, decided)
+        part = random_partition(rng, geom)
+        if extra:
+            with pytest.raises(ValueError) as refused:
+                Projection(geom, part)
+            assert str(refused.value) == ("projection: "
+                                          + same_type_incidence(geom))
+        else:
+            proj = Projection(geom, part)
+            _check_projection(proj, reasons)
+            _check_deciders(proj, decided)
         _check_automorphisms(geom, rng, decided)
-    assert same >= 100, same
-    assert decided.pop("total-order") <= BOTH | {"raised"}
-    assert decided == {name: BOTH for name in DECIDERS}, decided
+    assert 100 <= same < 150, same
+    assert decided.pop("total-order") <= BOTH
+    assert set(decided) == set(DECIDERS), decided
 
 
 def test_lifts_and_m_covers_agree_on_relabelled_projections():
