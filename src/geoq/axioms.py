@@ -10,27 +10,28 @@ flags themselves.  G keeps types, so x, y in the residue of F share a
 G_F-orbit exactly when F + {x} and F + {y} share a G-orbit.  The blocks
 are the G-orbits, so F and every gF project onto the same quotient
 flag, and every per-flag condition decided here -- (TQ1), (TQ2'),
-(TQ2''), and (PQ1) and (PQ2) in DECIDERS -- has the same verdict at F
-and at gF.  So each decider scans only the least flag of each orbit:
-the first failing one is the least failing flag, and the rest of a
-witness depends on that flag alone.  For the same reason the cover test
-and the block distance look at the least member of each block only: an
-OrbitQuotient's leaders and block_leaders.  The residually-surjective
-row is (PQ1), witness and all (quotient.residual_surjectivity), since a
+(TQ2''), and (PQ1), (PQ2) and covers in DECIDERS -- has one verdict at F
+and at gF.  So each decider scans only the rank slice it is about of
+an OrbitQuotient's leaders, the least flag of each orbit: the first
+failing one is the least failing flag, and the rest of a witness depends
+on that flag alone.  The rank-1 leaders, which the cover test scans,
+are the least member of each block.  The residually-surjective row is
+(PQ1), witness and all (quotient.residual_surjectivity), since a
 projection refuses a source with a same-type incidence.
 """
 
 from __future__ import annotations
 
-from .geometry import INF, _per_geometry, bfs, bits, flag_text
+from .geometry import INF, _per_geometry, _rank_slice, bfs, bits, flag_text
 from .perms import _flag_orbits, orbit_partition
 from .quotient import (Projection, _extensions, _residue_map_failure,
-                       check_flagslift, check_PQ1, check_PQ2, is_cover)
+                       check_flagslift, check_PQ1, check_PQ2, is_cover,
+                       is_m_cover)
 
 
 class OrbitQuotient(Projection):
     """Projection onto the quotient by the orbits of an automorphism
-    group; deciders scan one flag per G-orbit, one member per block."""
+    group; deciders scan one flag per G-orbit."""
 
     __slots__ = ("group",)
 
@@ -47,11 +48,6 @@ class OrbitQuotient(Projection):
     def leaders(self):
         """The least flag of each G-orbit, which the deciders scan."""
         return self.flag_orbits[0]
-
-    @property
-    def block_leaders(self):
-        """The least member of each block, which the cover test scans."""
-        return [block[0] for block in self.partition.blocks]
 
     @property
     @_per_geometry
@@ -113,8 +109,8 @@ def check_TQ2doubleprime(oq):
     so a scan of their orbit leaders finds the first failing pair."""
     masks, block_of = oq.source.masks, oq.block_of
     leaders, orbit_of = oq.flag_orbits
-    pair_orbits = [(k, pair) for k, pair in enumerate(leaders)
-                   if len(pair) == 2]
+    pair_orbits = [(orbit_of[pair], pair)
+                   for pair in _rank_slice(leaders, 2)]
     for flag in leaders:
         touch = (1 << len(masks)) - 1
         for x in flag:
@@ -155,18 +151,23 @@ def _pq1_text(q, w):
                               q.quotient.elem_names[w[1]])
 
 
+def _reason_text(q, w):
+    return "%s: %s" % (flag_text(q.source, w[0]), w[1])
+
+
 # The decider rows, in run order: name, decider and witness text.  A
 # decider reads one quotient, an OrbitQuotient or another Projection
 # (then only PROJECTION_ROWS run), and looks its function up by name
 # when it runs, so that a rebound name (perfbench's tracer) is called.
 # The text names a witness's elements; None for a row that gives none.
+# is-cover's witness, the least failing element, is read only when the
+# bool is_cover (a tracer target) is false.
 DECIDERS = (
     ("flagslift", lambda q: check_flagslift(q),
      lambda q, qflag: flag_text(q.quotient, qflag)),
     ("pq1", lambda q: check_PQ1(q), _pq1_text),
     ("pq2", lambda q: check_PQ2(q), lambda q, flag: flag_text(q.source, flag)),
-    ("tq1", lambda q: check_TQ1(q),
-     lambda q, w: "%s: %s" % (flag_text(q.source, w[0]), w[1])),
+    ("tq1", lambda q: check_TQ1(q), _reason_text),
     ("tq2prime", lambda q: check_TQ2prime(q),
      lambda q, w: "%s splits %s,%s" % (flag_text(q.source, w[0]),
                                        *q.source.flag_names(w[1:]))),
@@ -175,7 +176,8 @@ DECIDERS = (
                                         *q.source.flag_names(w[1:]))),
     ("tq3", lambda q: (check_TQ3(q), None), None),
     ("residually-surjective", lambda q: check_PQ1(q), _pq1_text),
-    ("is-cover", lambda q: (is_cover(q), None), None),
+    ("is-cover", lambda q: (True, None) if is_cover(q)
+     else is_m_cover(q, q.source.rank - 1), _reason_text),
 )
 PROJECTION_ROWS = ("flagslift", "pq1", "pq2", "is-cover")
 

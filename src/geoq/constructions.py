@@ -22,11 +22,12 @@ from __future__ import annotations
 from itertools import chain, combinations, product
 from math import comb
 
-from .geometry import (Pregeometry, bfs, components, flags_by_rank_lex,
-                       incident_pairs, is_connected, is_geometry, least)
+from .geometry import (Pregeometry, _rank_slice, bfs, components,
+                       flags_by_rank_lex, incident_pairs, is_connected,
+                       is_geometry, least)
 from .perms import (COUNT_CEILING, Perm, PermGroup, _cap_count,
                     _incidence_maps, _profile, automorphism_group)
-from .quotient import Partition, Projection, _rank_slice
+from .quotient import Partition, Projection
 
 
 class SimpleGraph(Pregeometry):

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from itertools import islice
 
 INF = math.inf
@@ -317,6 +318,13 @@ def flags_by_rank_lex(geom):
     return tuple(sorted(_flag_table(geom), key=len))
 
 
+def _rank_slice(flags, low, high=None):
+    """The flags of ranks low to high (default: low) of a list in (rank,
+    lex) order: flags_by_rank_lex, or a quotient's leaders."""
+    return flags[bisect_left(flags, low, key=len):
+                 bisect_right(flags, low if high is None else high, key=len)]
+
+
 def flags_of_type(geom, types):
     """All flags whose type set is exactly the given set of type ids, in
     lexicographic order."""
@@ -387,9 +395,7 @@ def is_firm(geom):
 def corank1_chambers_at_least(geom, bound):
     """Chamber-count test over corank-1 flags, usable on pregeometries;
     the witness flag is the lexicographically least failing one."""
-    for flag in flags_by_rank_lex(geom):
-        if len(flag) != geom.rank - 1:
-            continue
+    for flag in _rank_slice(flags_by_rank_lex(geom), geom.rank - 1):
         ext = extensions(geom, flag)
         if len(ext) < bound:
             witness = (flag, tuple(sorted(flag + (ext[0],))) if ext else None)
@@ -493,9 +499,7 @@ def is_residually_connected(geom):
     one search from its least member, confined to its members, reaches
     them all."""
     masks = geom.masks
-    for flag in flags_by_rank_lex(geom):
-        if geom.rank - len(flag) < 2:
-            continue
+    for flag in _rank_slice(flags_by_rank_lex(geom), 0, geom.rank - 2):
         members = extensions(geom, flag)
         inside = mask_of(members)
         if not inside or len(bfs(masks, members[:1], inside)) < len(members):

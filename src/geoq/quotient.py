@@ -9,21 +9,21 @@ is_geometry does, so residual surjectivity is (PQ1).  FlagsLift
 compares projected flag sets, rank by rank: a quotient flag lifts
 exactly when some source flag projects onto it (lift_flag walks
 all_flags for the least one).  Witnesses are minimal under (rank, lex)
-order.  check_flagslift, check_PQ1, check_PQ2 and is_cover take one
-quotient and scan its leaders (flags, in (rank, lex) order) and
-block_leaders (elements): all of them on a Projection, which never
-changes and keeps its verdicts; one per G-orbit on an orbit-quotient,
-the projection of its orbit partition.
+order.  A decider takes one quotient and scans a rank slice of its
+leaders (_rank_slice), flags in (rank, lex) order: every flag of a
+Projection, which never changes and keeps its verdicts; the least flag
+of each G-orbit of an orbit-quotient (the projection of its orbit
+partition), where every per-flag condition here is G-invariant.  So
+the cover and corank-1 tests, on rank 1, read the flag table too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from types import SimpleNamespace
 
-from .geometry import (INF, Pregeometry, _per_geometry, all_flags, as_flag,
-                       bfs, bits, flags_by_rank_lex, flags_of_type, least,
-                       mask_of, same_type_incidence)
+from .geometry import (INF, Pregeometry, _per_geometry, _rank_slice,
+                       all_flags, as_flag, bfs, bits, flags_by_rank_lex,
+                       flags_of_type, least, mask_of, same_type_incidence)
 
 
 class Partition:
@@ -126,11 +126,6 @@ class Projection:
         return flags_by_rank_lex(self.source)
 
     @property
-    def block_leaders(self):
-        """The elements the cover test scans: every source element."""
-        return range(self.source.size)
-
-    @property
     def block_distance(self):
         """min_block_distance of the partition."""
         return min_block_distance(self.source, self.partition)
@@ -172,12 +167,6 @@ def lift_flag(proj, qflag):
         if flag and flag[0] >= first:  # past the first block
             return None
     return None
-
-
-def _rank_slice(flags, r):
-    """The rank-r flags of a (rank, lex)-ordered flag list."""
-    return flags[bisect_left(flags, r, key=len):
-                 bisect_right(flags, r, key=len)]
 
 
 def _first_unlifted(proj, qflags, flags):
@@ -240,13 +229,15 @@ def residual_surjectivity(proj):
 
 def corank1_surjective(proj):
     """Residual surjectivity, so (PQ1), restricted to rank-1 flags."""
-    return _unextended(proj, [(x,) for x in range(proj.source.size)]) is None
+    return _unextended(proj, _rank_slice(proj.leaders, 1)) is None
 
 
 def corank1_injective(proj):
     """No two distinct elements of a rank-1 residue share a block."""
-    return all(len({proj.block_of[y] for y in bits(mask)}) == mask.bit_count()
-               for mask in proj.source.masks)
+    masks, block_of = proj.source.masks, proj.block_of
+    return all(len({block_of[y] for y in bits(masks[x])})
+               == masks[x].bit_count()
+               for (x,) in _rank_slice(proj.leaders, 1))
 
 
 def min_block_distance(geom, partition):
@@ -313,12 +304,15 @@ def _residue_isomorphic_onto(proj, flag):
 
 
 def is_m_cover(proj, m):
-    """True iff for every corank-m flag of the source the projection
-    restricts to an isomorphism of residues (both incidence directions)."""
+    """True iff for every corank-m flag of the source, 0 <= m < rank, the
+    projection restricts to an isomorphism of residues (both incidence
+    directions; m = 0 holds, with empty residues); the witness is the
+    least failing flag and why.  Scans the rank - m leaders, so it reads
+    the source's flag table, which every command has walked already."""
     rank = proj.source.rank
-    if not 1 <= m <= rank - 1:
-        raise ValueError("m must satisfy 1 <= m <= rank-1, got %r" % (m,))
-    for flag in _rank_slice(flags_by_rank_lex(proj.source), rank - m):
+    if not 0 <= m <= rank - 1:
+        raise ValueError("m must satisfy 0 <= m <= rank-1, got %r" % (m,))
+    for flag in _rank_slice(proj.leaders, rank - m):
         reason = _residue_isomorphic_onto(proj, flag)
         if reason is not None:
             return False, (flag, reason)
@@ -327,10 +321,9 @@ def is_m_cover(proj, m):
 
 @_per_geometry
 def is_cover(proj):
-    """A covering restricts to residue isomorphisms at every element;
-    the block leaders decide it."""
-    return all(_residue_isomorphic_onto(proj, (x,)) is None
-               for x in proj.block_leaders)
+    """A covering restricts to residue isomorphisms at every element:
+    is_m_cover at m = rank - 1, so it reads the flag table too."""
+    return is_m_cover(proj, proj.source.rank - 1)[0]
 
 
 def is_incidence_graph_cover(proj):
@@ -362,11 +355,10 @@ def check_PQ2(proj):
     """(PQ2): every rank-1 residue (of a corank-1 flag) meets at least
     two blocks of the partition: it is not empty, and not inside the
     block of its least member."""
-    for flag in proj.leaders:
-        if len(flag) == proj.source.rank - 1:
-            ext = _extensions(proj, flag)[0]
-            if not ext or not ext & ~proj.inside[proj.block_of[least(ext)]]:
-                return False, flag
+    for flag in _rank_slice(proj.leaders, proj.source.rank - 1):
+        ext = _extensions(proj, flag)[0]
+        if not ext or not ext & ~proj.inside[proj.block_of[least(ext)]]:
+            return False, flag
     return True, None
 
 
@@ -380,7 +372,7 @@ def total_order_flagslift(proj, order):
     if sorted(order) != list(range(src.rank)):
         raise ValueError("order must be a permutation of the type ids")
     pos = {t: i for i, t in enumerate(order)}
-    for x in range(src.size):
+    for (x,) in _rank_slice(proj.leaders, 1):
         px = pos[src.elem_type[x]]
         up = [(y,) for y in bits(src.masks[x]) if pos[src.elem_type[y]] > px]
         target = mask_of(k for k in bits(q.masks[proj.block_of[x]])

@@ -351,8 +351,8 @@ def test_tq1_and_tq2prime_agree_with_stabilizer_scans(rng):
 # flag-orbit index, kept as the oracle for the scans over one flag per
 # G-orbit: (TQ1) and (TQ2') on the G-orbits of incident (flag, residue
 # member) pairs, (TQ2'') on the G-orbits of incident pairs, and (PQ1),
-# (PQ2) and the cover test by their default full scan; the
-# residually-surjective row is (PQ1), witness included.
+# (PQ2) and the cover test (witness included) by their default full
+# scan; the residually-surjective row is (PQ1), witness included.
 
 def _member_image(g, item):
     flag, x = item
@@ -367,7 +367,7 @@ def _pair_image(g, pair):
 def _sweep_report(oq):
     from geoq.geometry import extensions, flags_by_rank_lex, mask_of
     from geoq.quotient import (Projection, _residue_map_failure, check_PQ1,
-                               check_PQ2, is_cover)
+                               check_PQ2, is_m_cover)
     from test_quotient import _search_flagslift
     proj = Projection(oq.source, oq.partition)  # names every flag
     geom, q, block_of = oq.source, proj.quotient, proj.block_of
@@ -431,7 +431,7 @@ def _sweep_report(oq):
         "tq2doubleprime": tq2doubleprime(),
         "tq3": (check_TQ3(oq), None),
         "residually-surjective": check_PQ1(proj),
-        "is-cover": (is_cover(proj), None),
+        "is-cover": is_m_cover(proj, geom.rank - 1),
     }
 
 
@@ -450,8 +450,8 @@ def _fixed_orbit_quotients():
 
 
 def test_orbit_representatives_agree_with_full_sweep(rng):
-    # the deciders scan what an orbit-quotient names (its orbit leaders
-    # and block leaders); a fresh projection onto the same partition names
+    # the deciders scan what an orbit-quotient names (rank slices of its
+    # orbit leaders); a fresh projection onto the same partition names
     # every flag and element, and gives the same projection rows, witness
     # texts included, and the same block distance
     from geoq.axioms import PROJECTION_ROWS

@@ -382,11 +382,38 @@ def test_is_m_cover():
     assert not is_cover(proj)
     s = ssg(4, 3)
     _, sproj = quotient(s, singleton_partition(s))
-    for m in (1, 2):
+    for m in (0, 1, 2):
         assert is_m_cover(sproj, m)[0]
     assert is_cover(sproj)
-    with pytest.raises(ValueError):
-        is_m_cover(sproj, 3)
+    for m in (3, -1):
+        with pytest.raises(ValueError):
+            is_m_cover(sproj, m)
+
+
+def test_m_cover_at_m_zero_on_a_rank_one_source(tmp_path, capsys):
+    # m = 0 scans the chambers, whose residues are empty, and is the cover
+    # test of a rank-1 source: two elements of one type, swapped
+    from geoq.axioms import OrbitQuotient
+    from geoq.cli import main
+    from geoq.perms import Perm, PermGroup
+    geom = Pregeometry(["A"], ["a", "b"], [0, 0], [])
+    for proj in (Projection(geom, singleton_partition(geom)),
+                 OrbitQuotient(geom, PermGroup([Perm((1, 0))]))):
+        assert is_m_cover(proj, 0) == (True, None)
+        assert is_cover(proj)
+        for m in (1, -1):
+            with pytest.raises(ValueError):
+                is_m_cover(proj, m)
+    (tmp_path / "r1.geo").write_text("type A\nelem a A\nelem b A\n")
+    (tmp_path / "r1.grp").write_text("gen (a b)\n")
+    geo, grp = str(tmp_path / "r1.geo"), str(tmp_path / "r1.grp")
+    for argv, row in ((["axioms", geo, grp], "is-cover"),
+                      (["quotient", geo, "--orbits", grp,
+                        "-o", str(tmp_path / "q.geo")], "cover")):
+        code = main(["--machine"] + argv)
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1  # pq2 fails: the empty flag's residue is one block
+        assert "%s=true" % row in out, out
 
 
 def test_cover_iff_graph_cover_plus_rank3_lift(rng):
@@ -584,7 +611,51 @@ def _residue_isomorphic_by_pairs(proj, flag):
     return True, None
 
 
+def test_cover_witness_is_the_least_failing_element(rng):
+    # the is-cover row (and quotient's cover row) names the least element
+    # whose residue map fails, and why, on every bundled input and on
+    # draws, half of them orbit-quotients, whose scan sees one element
+    # per block
+    from geoq.axioms import OrbitQuotient, decider_rows
+    from geoq.lemmas import random_pregeometry
+    from test_axioms import _bundled_orbit_quotients
+    data = Path(geoq.__file__).parent / "data"
+    projs = [OrbitQuotient(g, grp) for g, grp in _bundled_orbit_quotients()]
+    for path in sorted(data.glob("*.part")):
+        geom = gio.parse_geometry(path.with_suffix(".geo").read_text())
+        projs.append(Projection(geom, gio.parse_partition(path.read_text(),
+                                                          geom)))
+    draws = 0
+    while draws < 300:
+        if draws % 2:
+            geom = random_pregeometry(rng, max_rank=4, max_per_type=4)
+            proj = Projection(geom, random_partition(rng, geom))
+        else:
+            proj = random_orbit_quotient(rng)
+            if proj is None:
+                continue
+        projs.append(proj)
+        draws += 1
+    seen = set()
+    for proj in projs:
+        src = proj.source
+        failing = ((x, reason) for x in range(src.size)
+                   for ok, reason in [_residue_isomorphic_by_pairs(proj, (x,))]
+                   if not ok)
+        x, reason = next(failing, (None, None))
+        want = (True, None) if x is None else (
+            False, "{%s}: %s" % (src.elem_names[x], reason))
+        rows = {name: (verdict, text)
+                for name, verdict, text in decider_rows(proj)}
+        assert rows["is-cover"] == want, (src, want)
+        seen.add(reason)
+    assert seen == {None, "not injective", "not surjective",
+                    "incidence not matched"}, seen
+
+
 def _m_cover_by_pairs(proj, m):
+    # every corank-m flag, not the quotient's leaders: on an orbit-quotient
+    # this checks that one flag per G-orbit decides, witness included
     from geoq.geometry import flags_by_rank_lex
     for flag in flags_by_rank_lex(proj.source):
         if len(flag) == proj.source.rank - m:

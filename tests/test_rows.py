@@ -1,8 +1,9 @@
 """The decider rows of `axioms` and `quotient`, pinned as the commands
 printed them when the files under tests/data were made: the --machine
-rows of `axioms` and both `quotient` paths, and the human rows of
-`axioms` (elapsed line dropped).  `python tests/test_rows.py` rewrites
-the files from the library as it is."""
+rows of `axioms` and both `quotient` paths, and their human rows, which
+carry the witnesses (elapsed line dropped, the output directory read as
+$TMP).  `python tests/test_rows.py` rewrites the files from the library
+as it is."""
 
 import contextlib
 import io
@@ -31,7 +32,8 @@ def transcript(runs, out_dir):
                                                          ".part")) else a
                          for a in argv] + (["-o", str(out_dir / "q.geo")]
                                            if "quotient" in argv else []))
-        lines = [line for line in out.getvalue().splitlines()
+        lines = [line.replace(str(out_dir), "$TMP")
+                 for line in out.getvalue().splitlines()
                  if not line.startswith("elapsed: ")]
         text += ["$ geoq %s  [exit %d]" % (" ".join(argv), code)] + lines
     return "\n".join(text) + "\n"
@@ -49,7 +51,14 @@ def human_runs():
     return [["axioms", geo, grp] for geo, grp in ORBITS]
 
 
-PINNED = {"rows-machine.txt": machine_runs, "rows-axioms.txt": human_runs}
+def quotient_runs():
+    return ([["quotient", geo, "--orbits", grp] for geo, grp in ORBITS]
+            + [["quotient", geo, "--partition", part]
+               for geo, part in PARTITIONS])
+
+
+PINNED = {"rows-machine.txt": machine_runs, "rows-axioms.txt": human_runs,
+          "rows-quotient.txt": quotient_runs}
 
 
 def test_machine_rows_are_pinned(tmp_path):
@@ -60,6 +69,11 @@ def test_machine_rows_are_pinned(tmp_path):
 def test_axioms_human_rows_are_pinned(tmp_path):
     assert transcript(human_runs(), tmp_path) == (
         DATA / "rows-axioms.txt").read_text()
+
+
+def test_quotient_human_rows_are_pinned(tmp_path):
+    assert transcript(quotient_runs(), tmp_path) == (
+        DATA / "rows-quotient.txt").read_text()
 
 
 if __name__ == "__main__":

@@ -277,10 +277,11 @@ def test_only_gen_imports_pathlib():
 
 
 def test_deciders_take_one_quotient():
-    # a quotient names what its deciders scan (leaders, block_leaders) and
-    # keeps its block distance, so no decider takes a second argument
-    # naming flags or elements, the memo passes no argument through, and
-    # cli and lemmas compute no block distance of their own
+    # a quotient names what its deciders scan (its leaders, each decider
+    # reading the rank slice it is about) and keeps its block distance, so
+    # no decider takes a second argument naming flags or elements, the
+    # memo passes no argument through, and cli and lemmas compute no
+    # block distance of their own
     import inspect
     from geoq.axioms import (check_TQ1, check_TQ2doubleprime, check_TQ2prime,
                              decider_rows)
@@ -299,6 +300,24 @@ def test_deciders_take_one_quotient():
     assert "_block_distance" not in [
         fn.name for fn in ast.walk(ast.parse(_source("lemmas.py")))
         if isinstance(fn, ast.FunctionDef)]
+
+
+def test_one_rank_slicer():
+    # a decider scans a rank slice of its quotient's leaders or of the
+    # flag table, cut by geometry._rank_slice alone; no quotient names
+    # block leaders, and the cover test is is_m_cover at m = rank - 1
+    defined = [(path.name, node.lineno) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_rank_slice"]
+    assert [name for name, _ in defined] == ["geometry.py"], defined
+    hits = ["%s:%d" % (path.name, n) for path in SOURCES
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if "block_leaders" in line]
+    assert not hits, hits
+    quotient = [p for p in SOURCES if p.name == "quotient.py"][0]
+    assert [called for fn, called in _calls_by_function(quotient)
+            if fn == "is_cover"] == ["is_m_cover"]
 
 
 def test_an_orbit_quotient_is_a_projection():
@@ -419,21 +438,30 @@ def test_a_perm_is_its_images_tuple():
 
 def test_every_export_is_used_in_the_library_or_listed():
     # every public name that is not a type is referenced in src/geoq
-    # outside its own definition, or is on a named list: two library
-    # entry points, and five names that wait for a scenario or suite row
-    # stating the paper's result about them
-    entry_points = {"residue", "lift_flag"}
-    waiting = {"check_jflags_lift", "direct_sum_check", "is_m_cover",
-               "multicover_array", "no_triangle_check"}
+    # outside its own definition, by its name or read off a geoq module
+    # (gio.parse_geometry), not as another object's attribute of the same
+    # name, or is on a named list: three library entry points, and four
+    # names that wait for a scenario or suite row stating the paper's
+    # result about them
+    entry_points = {"residue", "lift_flag",
+                    "quotient"}  # the library builds a Projection instead
+    waiting = {"check_jflags_lift", "direct_sum_check", "multicover_array",
+               "no_triangle_check"}
     used = set()
     for path in SOURCES:
         if path.name == "__init__.py":
             continue  # it imports and lists every export
-        for stmt in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   and node.module is None for alias in node.names}
+        for stmt in tree.body:
             own = getattr(stmt, "name", None)
             used |= {node.id if isinstance(node, ast.Name) else node.attr
                      for node in ast.walk(stmt)
-                     if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+                     if isinstance(node, ast.Name)
+                     or isinstance(node, ast.Attribute)
+                     and getattr(node.value, "id", None) in modules} - {own}
     unused = {name for name in geoq.__all__
               if not isinstance(getattr(geoq, name), type)
               and name not in used}
