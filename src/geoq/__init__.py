@@ -18,13 +18,13 @@ from .geometry import (Pregeometry, validate, flags_of_type, is_geometry,
                        is_connected, is_residually_connected,
                        is_generalized_digon, INF)
 from .quotient import (Partition, Projection, quotient, singleton_partition,
-                       lift_flag, check_flagslift, check_jflags_lift,
-                       residual_surjectivity, corank1_surjective,
-                       corank1_injective, min_block_distance, is_m_cover,
-                       is_cover, check_PQ1, check_PQ2, total_order_flagslift)
+                       lift_flag, check_flagslift, residual_surjectivity,
+                       corank1_surjective, corank1_injective,
+                       min_block_distance, is_m_cover, is_cover, check_PQ1,
+                       check_PQ2, total_order_flagslift)
 from .perms import (Perm, PermGroup, CapExceeded, orbit_partition,
                     stabilizer, normal_closure, transitivity,
-                    is_semiregular, automorphism_group, multicover_array,
+                    is_semiregular, automorphism_group,
                     induced_quotient_group)
 from .axioms import (OrbitQuotient, check_TQ1, check_TQ2prime,
                      check_TQ2doubleprime, check_TQ3)
@@ -33,9 +33,7 @@ _LAZY = {
     "cosets": """FiniteGroup Subgroup CosetGeometry coset_pregeometry
         rank2_connectivity product_condition coseteg_family
         is_coset_pregeometry""",
-    "diagram": """Diagram basic_diagram is_pure direct_sum_check
-        place_tree_flag lift_chamber_forest star_transitive_on_paths
-        no_triangle_check""",
+    "diagram": """Diagram basic_diagram place_tree_flag lift_chamber_forest""",
     "constructions": """SimpleGraph ssg shadow is_shadowable blowup
         blowup_projection shadowable_lift affine_geometry fano_plane
         multipartite_geometry grid_complement hexagon eight_cycle

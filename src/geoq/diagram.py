@@ -1,10 +1,9 @@
 """
 Basic diagrams: the graph on the type set with an edge wherever some
-cotype-{i,j} residue fails to be a generalised digon.  Includes purity,
-the direct-sum cross-incidence check, and chamber lifting along forest
-diagrams.  Every total-incidence question here -- residue digons,
-direct sums, the path property -- goes to geometry.non_incident_pair on
-the masks; no residue pregeometry is built.
+cotype-{i,j} residue fails to be a generalised digon, and chamber
+lifting along forest diagrams.  A residue digon is a total-incidence
+question, and goes to geometry.non_incident_pair on the masks; no
+residue pregeometry is built.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from .geometry import (_per_geometry, bits, components, extensions,
+from .geometry import (_per_geometry, components, extensions,
                        flags_of_type, is_flag, is_geometry,
                        is_residually_connected, least, mask_of,
                        non_incident_pair)
@@ -78,44 +77,6 @@ def _residue_is_digon(geom, flag, i, j):
     et = geom.elem_type
     return non_incident_pair(geom, [x for x in members if et[x] == i],
                              [y for y in members if et[y] == j]) is None
-
-
-def is_pure(geom):
-    """For every diagram edge {i,j}, no cotype-{i,j} residue is a digon."""
-    diag = basic_diagram(geom)
-    for pair in diag.edges:
-        i, j = sorted(pair)
-        cotype = [t for t in range(geom.rank) if t not in (i, j)]
-        if any(_residue_is_digon(geom, flag, i, j)
-               for flag in flags_of_type(geom, cotype)):
-            return False
-    return True
-
-
-DirectSumResult = namedtuple("DirectSumResult", "applicable ok detail")
-
-
-def direct_sum_check(geom):
-    """Types in distinct diagram components must be totally incident in a
-    residually connected geometry; a violation would be a bug witness."""
-    ok, w = is_geometry(geom)
-    if not ok:
-        return DirectSumResult(False, True, "not a geometry")
-    rc, w = is_residually_connected(geom)
-    if not rc:
-        return DirectSumResult(False, True, "not residually connected")
-    diag = basic_diagram(geom)
-    comp_of = {}
-    for comp in diag.components():
-        for t in comp:
-            comp_of[t] = comp
-    for i, j in combinations(range(geom.rank), 2):
-        if comp_of[i] is comp_of[j] or comp_of[i] == comp_of[j]:
-            continue
-        pair = non_incident_pair(geom, geom.by_type[i], geom.by_type[j])
-        if pair is not None:
-            return DirectSumResult(True, False, pair)
-    return DirectSumResult(True, True, None)
 
 
 def place_tree_flag(proj, qflag, tree_edges, root_type, root_elem):
@@ -204,30 +165,3 @@ def lift_chamber_forest(proj, qchamber):
     if got != tuple(sorted(qchamber)):
         raise RuntimeError("lifted chamber projects incorrectly")
     return flag
-
-
-def star_transitive_on_paths(geom):
-    """For every diagram path i ~ j ~ k and incidence path a_i * a_j * a_k
-    of those types, a_i * a_k must hold."""
-    diag = basic_diagram(geom)
-    of_type = [mask_of(members) for members in geom.by_type]
-    for j in range(geom.rank):
-        for i, k in combinations(diag.neighbours(j), 2):
-            for aj in geom.by_type[j]:
-                near = geom.masks[aj]
-                if non_incident_pair(geom, bits(near & of_type[i]),
-                                     bits(near & of_type[k])) is not None:
-                    return False
-    return True
-
-
-def no_triangle_check(geom):
-    """A pure geometry with the path property cannot carry a diagram
-    triangle; vacuously true when the hypotheses fail."""
-    if not (is_pure(geom) and star_transitive_on_paths(geom)):
-        return True
-    diag = basic_diagram(geom)
-    for i, j, k in combinations(range(geom.rank), 3):
-        if diag.adjacent(i, j) and diag.adjacent(j, k) and diag.adjacent(i, k):
-            return False
-    return True

@@ -36,8 +36,8 @@ from bisect import bisect_right
 from itertools import chain, combinations
 from operator import itemgetter
 
-from .geometry import (_memo, bits, flags_by_rank_lex, flags_of_type,
-                       incident_pairs, mask_of, same_type_incidence)
+from .geometry import (_memo, bits, flags_by_rank_lex, incident_pairs,
+                       mask_of, same_type_incidence)
 from .quotient import Partition
 
 DEFAULT_CAP = 200_000
@@ -493,29 +493,22 @@ def _flag_orbits(geom, gens):
     return got
 
 
-def transitivity(group, geom, kind, types=None):
+def transitivity(group, geom, kind):
     """Transitivity of an automorphism group on a flag family.
 
     kind is one of 'vertex' (each type class), 'incidence' (every 2-subset
-    of types), 'jflags' (the given type set), 'chamber', or 'flag' (every
-    subset of types), each a list of type sets tested in turn.  Returns
-    (ok, witness): on the first type set with two flag orbits or more,
-    the least flags of its first two orbits, i.e. its first two orbit
-    leaders.  A type set with no flags passes; an unknown type id or a
-    same-type incidence raises ValueError."""
+    of types), 'chamber', or 'flag' (every subset of types), each a list
+    of type sets tested in turn.  Returns (ok, witness): on the first
+    type set with two flag orbits or more, the least flags of its first
+    two orbits, i.e. its first two orbit leaders.  A type set with no
+    flags passes; a same-type incidence raises ValueError."""
     check_automorphisms(geom, group)
     sizes = {"vertex": [1], "incidence": [2], "chamber": [geom.rank],
-             "flag": range(1, geom.rank + 1), "jflags": []}
+             "flag": range(1, geom.rank + 1)}
     if kind not in sizes:
         raise ValueError("unknown transitivity kind %r" % (kind,))
     sets = [mask_of(J) for r in sizes[kind]
             for J in combinations(range(geom.rank), r)]
-    if kind == "jflags":
-        if types is None:
-            raise ValueError("jflags requires a type set")
-        types = sorted(set(types))
-        flags_of_type(geom, types)  # raises on an unknown type id
-        sets = [mask_of(types)]
     leaders = {}  # type set mask -> its orbit leaders, in lex order
     for flag in _flag_orbits(geom, group.gens)[0]:
         leaders.setdefault(mask_of(geom.elem_type[x] for x in flag),
@@ -526,17 +519,11 @@ def transitivity(group, geom, kind, types=None):
     return True, None
 
 
-def is_semiregular(group, geom=None, types=None):
-    """True iff every point stabilizer (of an element of the given types,
-    if any) is trivial: as |orbit(x)| = |G : G_x|, iff every orbit
-    meeting the domain has length |G|.  The types are read from geom."""
-    if types is not None and geom is None:
-        raise ValueError("is_semiregular: types given without a geometry")
-    allowed = None if types is None else set(types)
+def is_semiregular(group):
+    """True iff every point stabilizer is trivial: as |orbit(x)| =
+    |G : G_x|, iff every orbit has length |G|."""
     order = group.order()
-    return all(len(orbit) == order for orbit in group.orbits()
-               if allowed is None
-               or any(geom.elem_type[x] in allowed for x in orbit))
+    return all(len(orbit) == order for orbit in group.orbits())
 
 
 def _profile(geom, x):
@@ -602,29 +589,6 @@ def automorphism_group(geom, cap=DEFAULT_CAP):
     group = PermGroup(gens, degree=geom.size, cap=cap)
     group._sims = chain
     return group
-
-
-def multicover_array(geom, group):
-    """For each incident type pair (i, j), the number of elements of the
-    group-orbit of b incident with a, for incident a of type i and b of
-    type j.  Raises ValueError with a witness when the count is not
-    constant over incident pairs (the uniformity hypothesis fails)."""
-    part = orbit_partition(group, geom)
-    first = {}  # (i, j) -> the first count and its pair
-    for a, b in incident_pairs(geom):
-        for x, y in ((a, b), (b, a)):
-            i, j = geom.elem_type[x], geom.elem_type[y]
-            orbit = mask_of(part.blocks[part.block_of[y]])
-            k = (geom.masks[x] & orbit).bit_count()
-            k0, pair = first.setdefault((i, j), (k, (x, y)))
-            if k0 != k:
-                raise ValueError(
-                    "count not constant on type pair (%d, %d): "
-                    "%d at %r vs %d at %r"
-                    % (i, j, k0, geom.flag_names(pair), k,
-                       geom.flag_names((x, y))))
-    return [[first.get((i, j), (None,))[0] for j in range(geom.rank)]
-            for i in range(geom.rank)]
 
 
 def induced_quotient_group(proj, group):

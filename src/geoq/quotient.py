@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 from .geometry import (INF, Pregeometry, _per_geometry, _rank_slice,
                        all_flags, as_flag, bfs, bits, flags_by_rank_lex,
-                       flags_of_type, least, mask_of, same_type_incidence)
+                       least, mask_of, same_type_incidence)
 
 
 class Partition:
@@ -198,13 +198,6 @@ def check_flagslift(proj):
         if missing is not None:
             return False, missing
     return True, None
-
-
-def check_jflags_lift(proj, types):
-    """FlagsLift restricted to quotient flags of the given type set."""
-    missing = _first_unlifted(proj, flags_of_type(proj.quotient, types),
-                              flags_of_type(proj.source, types))
-    return (True, None) if missing is None else (False, missing)
 
 
 def _extensions(proj, flag):

@@ -67,6 +67,9 @@ MUTANTS = (
     Mutant("tq2doubleprime-slice", "axioms",
            "for pair in _rank_slice(leaders, 2)]",
            "for pair in _rank_slice(leaders, 2)[:-1]]", (A,)),
+    Mutant("tq2doubleprime-first-pair-orbit", "axioms",
+           "for pair in _rank_slice(leaders, 2)]",
+           "for pair in _rank_slice(leaders, 2)[1:]]", (A,)),
     Mutant("tq2doubleprime-orbit-index", "axioms",
            "[(orbit_of[pair], pair)\n                   for pair in "
            "_rank_slice(leaders, 2)]",
@@ -122,9 +125,6 @@ MUTANTS = (
            "for k in bits(qext):\n            if not ext & proj.inside[k]:",
            "for k in bits(qext)[:-1]:\n            if not ext & proj.inside[k]:",
            (Q,)),
-    Mutant("jflags-last-flag", "quotient",
-           "flags_of_type(proj.source, types))",
-           "flags_of_type(proj.source, types)[:-1])", (Q,)),
     Mutant("total-order-downward", "quotient",
            "if pos[src.elem_type[y]] > px]",
            "if pos[src.elem_type[y]] < px]", (Q,)),
@@ -163,13 +163,21 @@ MUTANTS = (
            'ok, w = transitivity(group, geom, "incidence")',
            "ok, w = True, None", ("tests/test_cosets.py",)),
     # diagram
-    Mutant("direct-sum-skips-pairs", "diagram",
-           "if comp_of[i] is comp_of[j] or comp_of[i] == comp_of[j]:",
-           "if True:", ("tests/test_diagram.py", M)),
-    Mutant("pure-never-fails", "diagram",
-           "for flag in flags_of_type(geom, cotype)):\n            return False",
-           "for flag in flags_of_type(geom, cotype)):\n            pass",
-           ("tests/test_diagram.py", M)),
+    Mutant("digon-reads-type-i-twice", "diagram",
+           "[y for y in members if et[y] == j]",
+           "[y for y in members if et[y] == i]", ("tests/test_diagram.py", M)),
+    Mutant("forest-counts-cycles", "diagram",
+           "return len(self.edges) == self.rank - len(self.components())",
+           "return len(self.edges) >= self.rank - len(self.components())",
+           ("tests/test_diagram.py",)),
+    # lemmas
+    Mutant("distance4-cover-bound", "lemmas",
+           "nonvacuous = int(corank1_surjective(proj) and d >= 4)",
+           "nonvacuous = int(corank1_surjective(proj) and d > 4)",
+           ("tests/test_cli.py::test_lemma_suite_counts_are_pinned",)),
+    Mutant("orbit-quotient-geometry-unchecked", "lemmas",
+           "if need_geometry and not is_geometry(geom)[0]:",
+           "if False:", ("tests/test_properties.py",)),
 )
 
 

@@ -92,6 +92,21 @@ def test_witnesses_are_deterministic_and_rank_lex_minimal():
     assert check_TQ2doubleprime(hoq)[1] == ((0,), 1, 2)
 
 
+def test_tq2doubleprime_can_fail_first_at_the_first_pair_orbit():
+    # types A {0, 1}, B {2, 3}, C {4, 5} and G = <(0 1)(2 3)(4 5)>: the
+    # reflexive residue {0, 3, 4} of the flag {4} meets the blocks of 0
+    # and 2 but holds no pair of the first incident-pair orbit {0*2, 1*3}
+    from geoq.geometry import Pregeometry
+    geom = Pregeometry(["A", "B", "C"], list("012345"), [0, 0, 1, 1, 2, 2],
+                       [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5),
+                        (2, 5), (3, 4)])
+    oq = OrbitQuotient(geom, PermGroup([Perm.from_cycles(
+        6, [(0, 1), (2, 3), (4, 5)])]))
+    assert check_TQ2doubleprime(oq) == (False, ((4,), 0, 2))
+    rows = {name: (ok, text) for name, ok, text in decider_rows(oq)}
+    assert rows["tq2doubleprime"] == (False, "{4} vs pair 0*2")
+
+
 def test_counterexample_tq1_fails_but_residually_surjective():
     geom, group = tq1_counterexample()
     oq = OrbitQuotient(geom, group)

@@ -6,15 +6,15 @@ from geoq.axioms import OrbitQuotient
 from geoq.constructions import (affine_geometry, eight_cycle, grid_complement,
                                 hexagon, ssg, ssg_symmetric_action)
 from geoq.diagram import (Diagram, _forest_trees, basic_diagram,
-                          direct_sum_check, is_pure, lift_chamber_forest,
-                          no_triangle_check, place_tree_flag,
-                          star_transitive_on_paths)
+                          lift_chamber_forest, place_tree_flag)
 from geoq.geometry import (Pregeometry, bits, flags_of_type, is_flag,
                            is_geometry, is_residually_connected, residue)
 from geoq.lemmas import (_draw, random_geometry, random_orbit_quotient,
                          random_subgroup)
 from geoq.perms import Perm, PermGroup, normal_closure, orbit_partition, transitivity
 from geoq.quotient import Projection, lift_flag
+from test_masks import (_loop_direct_sum, _loop_star_transitive,
+                        _residue_is_pure)
 
 
 def double_cover(geom):
@@ -83,45 +83,61 @@ def test_digon_same_answer_both_paths(rng, bundled_geometries):
     assert seen == {True, False}
 
 
+def _is_pure(geom):
+    """No diagram edge {i, j} has a cotype-{i, j} residue that is a
+    digon (the residue-pregeometry oracle of tests/test_masks.py)."""
+    return _residue_is_pure(geom, basic_diagram(geom))
+
+
+def _direct_sum(geom):
+    """(applicable, ok, detail) of the direct-sum property on the basic
+    diagram: in a residually connected geometry, types in distinct
+    diagram components are totally incident."""
+    return _loop_direct_sum(geom, basic_diagram(geom))
+
+
 def test_is_pure():
-    assert is_pure(ssg(4, 3))
+    assert _is_pure(ssg(4, 3))
     one = Pregeometry(["A", "B"], ["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 2)])
-    assert is_pure(one)  # a generalised digon has an empty diagram
-    assert is_pure(grid_complement()[0])
+    assert _is_pure(one)  # a generalised digon has an empty diagram
+    assert _is_pure(grid_complement()[0])
 
 
 def test_direct_sum_k22():
     geom = Pregeometry(["P", "L"], ["p0", "p1", "l0", "l1"], [0, 0, 1, 1],
                        [(0, 2), (0, 3), (1, 2), (1, 3)])
-    res = direct_sum_check(geom)
-    assert res.applicable and res.ok
+    assert _direct_sum(geom) == (True, True, None)
 
 
 def test_direct_sum_affine_quotient():
     geom, trans = affine_geometry(3, 2)
     proj = Projection(geom, orbit_partition(trans, geom))
     q = proj.quotient
-    res = direct_sum_check(q)
-    assert res.applicable and res.ok
+    assert _direct_sum(q) == (True, True, None)
     diag = basic_diagram(q)
     assert not diag.adjacent(0, 1) and not diag.adjacent(0, 2)
     assert diag.adjacent(1, 2)
 
 
 def test_direct_sum_inapplicable():
+    # a geometry that is not residually connected
     from geoq.constructions import conneg_witness
-    res = direct_sum_check(conneg_witness())
-    assert not res.applicable and res.ok
+    assert _direct_sum(conneg_witness()) == (
+        False, True, "not residually connected")
 
 
 def test_direct_sum_random_never_violates(rng):
-    hits = 0
+    # on an edgeless diagram every type pair must be totally incident, so
+    # the oracle is seen to report a violation where there is one
+    hits = misses = 0
     for _ in range(40):
         geom = random_geometry(rng, max_rank=3, max_per_type=3)
-        res = direct_sum_check(geom)
-        assert res.ok
-        hits += res.applicable
-    assert hits >= 10
+        applicable, ok, _ = _direct_sum(geom)
+        assert ok
+        hits += applicable
+        edgeless = Diagram(geom.rank, frozenset(), {})
+        misses += not _loop_direct_sum(geom, edgeless)[1]
+    assert hits >= 10 and misses >= 10, (hits, misses)
 
 
 def test_place_tree_flag_rank1():
@@ -277,15 +293,32 @@ def test_every_incident_tree_placement_lifts_the_chamber(rng):
     assert placements > 1000
 
 
-def test_star_transitive_and_no_triangle():
-    assert star_transitive_on_paths(ssg(4, 3))
-    assert no_triangle_check(ssg(4, 3))
-    geom, _ = grid_complement()
-    assert not star_transitive_on_paths(geom)
-    assert no_triangle_check(geom)  # hypotheses fail, vacuously fine
+def _has_triangle(diag):
+    return any(diag.adjacent(i, j) and diag.adjacent(j, k)
+               and diag.adjacent(i, k)
+               for i, j, k in combinations(range(diag.rank), 3))
+
+
+def test_star_transitive_and_no_triangle(rng):
+    # the path property: for every diagram path i ~ j ~ k, the type-i and
+    # type-k elements incident with one type-j element are incident.  A
+    # pure geometry with it has no triangle in its diagram
+    def star(geom):
+        return _loop_star_transitive(geom, basic_diagram(geom))
+
     digon = Pregeometry(["A", "B"], ["a", "b"], [0, 1], [(0, 1)])
-    assert star_transitive_on_paths(digon)
-    assert no_triangle_check(digon)
+    assert star(ssg(4, 3)) and star(digon)
+    assert not star(grid_complement()[0])
+    seen = {"hypotheses": 0, "triangle": 0}
+    for geom in [ssg(4, 3), digon] + [
+            random_geometry(rng, max_rank=4, max_per_type=3)
+            for _ in range(100)]:
+        triangle = _has_triangle(basic_diagram(geom))
+        if _is_pure(geom) and star(geom):
+            assert not triangle
+            seen["hypotheses"] += 1
+        seen["triangle"] += triangle
+    assert min(seen.values()) >= 5, seen
 
 
 def test_two_cover_same_diagram(rng):

@@ -35,15 +35,15 @@ against the pregeometry the public constructor builds from the pair set
 the code made before (the same random draws, replayed), in everything a
 reader sees.  An orbit partition, taken from the union-find's orbits
 unchecked, and a random partition are checked against the public
-`Partition`, and `multicover_array`'s witnesses against its scan of
-the sorted pair set.
+`Partition`.
 
-The residue questions of the diagram layer -- digons, the basic diagram,
-purity, residual connectivity, direct sums and the path property -- are
-checked against their versions before they were decided on masks: each
-residue built as a `Pregeometry` by `residue` and asked
-`is_generalized_digon` or `is_connected`, and every total-incidence test
-an all-pairs loop over `incident`.
+The residue questions of the diagram layer -- digons, the basic diagram
+and residual connectivity -- are checked against their versions before
+they were decided on masks: each residue built as a `Pregeometry` by
+`residue` and asked `is_generalized_digon` or `is_connected`, and every
+total-incidence test an all-pairs loop over `incident`.  The purity,
+direct-sum and path-property oracles here are the ones
+`tests/test_diagram.py` states its diagram theorems on.
 """
 
 import random
@@ -51,11 +51,9 @@ from itertools import combinations
 
 import pytest
 
-from geoq import diagram
 from geoq.constructions import SimpleGraph, eight_cycle, hexagon, ssg
 from geoq.cosets import FiniteGroup, coseteg_family
-from geoq.diagram import (Diagram, DirectSumResult, basic_diagram,
-                          direct_sum_check, is_pure, star_transitive_on_paths)
+from geoq.diagram import basic_diagram
 from geoq.geometry import (_TABLE, Pregeometry, _flag_table,
                            all_flags, extensions, flags_by_rank_lex,
                            flags_of_type, is_connected, is_flag,
@@ -769,18 +767,21 @@ def _residue_residually_connected(geom):
 
 
 def _loop_direct_sum(geom, diag):
+    """(applicable, ok, detail): in a residually connected geometry,
+    types in distinct diagram components are totally incident; detail is
+    the first non-incident pair, or why the property does not apply."""
     if not is_geometry(geom)[0]:
-        return DirectSumResult(False, True, "not a geometry")
+        return False, True, "not a geometry"
     if not _residue_residually_connected(geom)[0]:
-        return DirectSumResult(False, True, "not residually connected")
+        return False, True, "not residually connected"
     comp_of = {t: comp for comp in diag.components() for t in comp}
     for i, j in combinations(range(geom.rank), 2):
         if comp_of[i] == comp_of[j]:
             continue
         pair = _loop_non_incident_pair(geom, geom.by_type[i], geom.by_type[j])
         if pair is not None:
-            return DirectSumResult(True, False, pair)
-    return DirectSumResult(True, True, None)
+            return True, False, pair
+    return True, True, None
 
 
 def _loop_star_transitive(geom, diag):
@@ -795,7 +796,7 @@ def _loop_star_transitive(geom, diag):
     return True
 
 
-def _check_residue_questions(geom, verdicts, monkeypatch):
+def _check_residue_questions(geom, verdicts):
     """Each residue question on geom against its oracle; verdicts maps
     each question to the set of answers seen."""
     def seen(name, value):
@@ -815,52 +816,37 @@ def _check_residue_questions(geom, verdicts, monkeypatch):
     assert rc == _residue_residually_connected(geom)
     seen("residually-connected", rc[0])
     if not is_geometry(geom)[0]:
-        assert direct_sum_check(geom) == _loop_direct_sum(geom, None)
         return
     diag = basic_diagram(geom)
     assert diag.evidence == _residue_diagram_evidence(geom)
     assert diag.edges == {frozenset(pair) for pair, (kind, _)
                           in diag.evidence.items() if kind == "edge"}
     seen("edge", bool(diag.edges))
-    assert is_pure(geom) == seen("pure", _residue_is_pure(geom, diag))
-    assert star_transitive_on_paths(geom) == seen(
-        "path", _loop_star_transitive(geom, diag))
-    got = direct_sum_check(geom)
-    assert got == _loop_direct_sum(geom, diag)
-    seen("direct-sum-applicable", got.applicable)
-    # with no diagram edges every type pair must be totally incident, so
-    # the cross-incidence test and its witness are exercised both ways
-    edgeless = Diagram(geom.rank, frozenset(), {})
-    with monkeypatch.context() as m:
-        m.setattr(diagram, "basic_diagram", lambda g: edgeless)
-        got = direct_sum_check(geom)
-    assert got == _loop_direct_sum(geom, edgeless)
-    seen("direct-sum", got.ok)
 
 
 BOTH = {True, False}
 
 
-def test_residue_questions_agree_with_residue_pregeometries(rng, monkeypatch):
+def test_residue_questions_agree_with_residue_pregeometries(rng):
     verdicts = {}
     for i in range(520):
         if i % 2:
             geom = random_geometry(rng, max_rank=4, max_per_type=3)
         else:
             geom = random_pregeometry(rng, max_rank=4, max_per_type=4)
-        _check_residue_questions(geom, verdicts, monkeypatch)
+        _check_residue_questions(geom, verdicts)
     assert verdicts == {name: BOTH for name in verdicts}, verdicts
-    assert len(verdicts) == 7
+    assert len(verdicts) == 3
 
 
 def test_residue_questions_agree_on_bundled_geometries_and_coseteg7(
-        bundled_geometries, monkeypatch):
+        bundled_geometries):
     verdicts = {}
     for geom in bundled_geometries + [
             coseteg_family(FiniteGroup.cyclic(7)).geometry]:
-        _check_residue_questions(geom, verdicts, monkeypatch)
+        _check_residue_questions(geom, verdicts)
     assert verdicts == {name: BOTH for name in verdicts}, verdicts
-    assert len(verdicts) == 7
+    assert len(verdicts) == 3
 
 
 def _pair_coset_geometry(cg):
@@ -979,52 +965,6 @@ def test_public_constructor_normalises_its_pairs():
     assert repr(one) == "Pregeometry(2 types, 3 elements, 1 incidences)"
     with pytest.raises(ValueError, match=r"out of range: \(0, 3\)"):
         Pregeometry(["A", "B"], ["a", "b", "c"], [0, 1, 1], [(0, 1), (0, 3)])
-
-
-def _pair_multicover_array(geom, group):
-    # multicover_array before masks: the pairs in sorted order
-    part = orbit_partition(group, geom)
-    first = {}
-    for a, b in sorted(geom.pairs):
-        for x, y in ((a, b), (b, a)):
-            i, j = geom.elem_type[x], geom.elem_type[y]
-            k = sum(1 for z in part.blocks[part.block_of[y]]
-                    if geom.incident(x, z))
-            k0, pair = first.setdefault((i, j), (k, (x, y)))
-            if k0 != k:
-                return ("raised", (i, j), k0, pair, k, (x, y))
-    return [[first.get((i, j), (None,))[0] for j in range(geom.rank)]
-            for i in range(geom.rank)]
-
-
-def test_multicover_array_agrees_with_sorted_pair_scan(rng):
-    # the witness of a count that is not constant is the first ordered
-    # pair of each type pair in sorted-pair order, as before
-    import re
-    from geoq.lemmas import random_orbit_quotient
-    from geoq.perms import multicover_array
-    outcomes = set()
-    draws = 0
-    while draws < 300:
-        oq = random_orbit_quotient(rng)
-        if oq is None:
-            continue
-        draws += 1
-        geom = oq.source
-        want = _pair_multicover_array(geom, oq.group)
-        try:
-            got = multicover_array(geom, oq.group)
-        except ValueError as exc:
-            i, j, k0, k = map(int, re.findall(r"\((\d+), (\d+)\): (\d+) at"
-                                              r".* vs (\d+) at", str(exc))[0])
-            assert want[0] == "raised" and want[1:3] == ((i, j), k0)
-            assert str(exc).endswith("%d at %r vs %d at %r" % (
-                k0, geom.flag_names(want[3]), k, geom.flag_names(want[5])))
-            outcomes.add("raised")
-        else:
-            assert got == want
-            outcomes.add("constant")
-    assert outcomes == {"raised", "constant"}
 
 
 def _checked_random_partition(rng, geom):

@@ -10,10 +10,9 @@ from geoq.lemmas import (random_geometry, random_orbit_quotient,
                          random_pregeometry)
 from geoq.perms import (CapExceeded, Perm, PermGroup, automorphism_group,
                         induced_quotient_group, is_automorphism,
-                        is_semiregular, mulclose, multicover_array,
-                        normal_closure, orbit_partition, orbits_on,
-                        stabilizer, transitivity)
-from geoq.quotient import Projection, check_jflags_lift
+                        is_semiregular, mulclose, normal_closure,
+                        orbit_partition, orbits_on, stabilizer, transitivity)
+from geoq.quotient import Projection, lift_flag
 
 
 def test_perm_basics():
@@ -397,7 +396,6 @@ def test_transitivity_kinds():
     assert transitivity(action, geom, "incidence")[0]
     assert transitivity(action, geom, "chamber")[0]
     assert transitivity(action, geom, "flag")[0]
-    assert transitivity(action, geom, "jflags", types=[0, 2])[0]
     with pytest.raises(ValueError):
         transitivity(action, geom, "nope")
 
@@ -407,7 +405,7 @@ def _flag_image(g, flag):
     return tuple(sorted(g[x] for x in flag))
 
 
-def _per_kind_transitivity(group, geom, kind, types=None):
+def _per_kind_transitivity(group, geom, kind):
     # the one-branch-per-kind version that the table of type sets replaced
     from itertools import combinations
 
@@ -423,10 +421,6 @@ def _per_kind_transitivity(group, geom, kind, types=None):
             return True, None
         return False, (orbits[0][0], orbits[1][0])
 
-    if kind == "jflags":
-        if types is None:
-            raise ValueError("jflags requires a type set")
-        return offor(types)
     if kind == "vertex":
         for t in range(geom.rank):
             ok, w = offor([t])
@@ -471,27 +465,15 @@ def test_transitivity_agrees_with_per_kind_branches(rng):
     seen = {}
     for group, geom in cases:
         J = sorted(rng.sample(range(geom.rank), rng.randint(1, geom.rank)))
-        for kind in ("vertex", "incidence", "jflags", "chamber", "flag"):
-            types = J if kind == "jflags" else None
-            got = transitivity(group, geom, kind, types)
-            assert got == _per_kind_transitivity(group, geom, kind, types)
+        for kind in ("vertex", "incidence", "chamber", "flag"):
+            got = transitivity(group, geom, kind)
+            assert got == _per_kind_transitivity(group, geom, kind)
             seen.setdefault(kind, set()).add(got[0])
     assert seen == {kind: {True, False} for kind in seen}, seen
-    assert len(seen) == 5
-    for kind, message in (("jflags", "requires a type set"),
-                          ("nope", "unknown transitivity")):
-        for check in (transitivity, _per_kind_transitivity):
-            with pytest.raises(ValueError, match=message):
-                check(group, geom, kind)
-
-
-def test_transitivity_refuses_unknown_type_ids():
-    # jflags checks its type set as flags_of_type does
-    geom, action = ssg_symmetric_action(4, 3)
-    for bad in ([0, 3], [-1], [1, 2, 7]):
-        for check in (transitivity, _per_kind_transitivity):
-            with pytest.raises(ValueError, match="unknown type id"):
-                check(action, geom, "jflags", bad)
+    assert len(seen) == 4
+    for check in (transitivity, _per_kind_transitivity):
+        with pytest.raises(ValueError, match="unknown transitivity"):
+            check(group, geom, "nope")
 
 
 def test_type_set_without_flags_is_transitive():
@@ -502,12 +484,9 @@ def test_type_set_without_flags_is_transitive():
                        [(0, 1), (1, 2)])
     trivial = PermGroup.trivial(3)
     assert flags_of_type(geom, [0, 2]) == []
-    for kind, types in (("jflags", [0, 2]), ("jflags", [2, 0, 2]),
-                        ("chamber", None), ("flag", None),
-                        ("vertex", None), ("incidence", None)):
-        assert transitivity(trivial, geom, kind, types) == (True, None)
-        assert _per_kind_transitivity(trivial, geom, kind, types) == (
-            True, None)
+    for kind in ("chamber", "flag", "vertex", "incidence"):
+        assert transitivity(trivial, geom, kind) == (True, None)
+        assert _per_kind_transitivity(trivial, geom, kind) == (True, None)
 
 
 def test_trivial_group_on_single_chamber():
@@ -542,26 +521,18 @@ def test_transitivity_refuses_a_same_type_incidence():
 
 def test_is_semiregular():
     geom, trans = affine_geometry(3, 2)
-    assert is_semiregular(trans, geom, types=[0])
-    assert not is_semiregular(trans, geom)
+    assert not is_semiregular(trans)  # t fixes the lines along t
     assert is_semiregular(PermGroup.trivial(geom.size))
-    # the types are read from a geometry: without one they are refused
-    with pytest.raises(ValueError, match="types given without a geometry"):
-        is_semiregular(trans, types=[0])
+    assert is_semiregular(PermGroup([Perm.from_cycles(4, [(0, 1), (2, 3)])]))
 
 
-def semiregular_by_elements(group, geom=None, types=None):
+def semiregular_by_elements(group):
     """The scan is_semiregular ran before it read orbit lengths: no
-    non-identity element fixes a point of the domain."""
-    if types is None:
-        domain = range(group.degree)
-    else:
-        allowed = set(types)
-        domain = [x for x in range(geom.size) if geom.elem_type[x] in allowed]
+    non-identity element fixes a point."""
     for g in group.elements():
         if g.is_identity():
             continue
-        if any(g[x] == x for x in domain):
+        if any(g[x] == x for x in range(group.degree)):
             return False
     return True
 
@@ -574,16 +545,10 @@ def test_is_semiregular_agrees_with_element_scan(rng):
         if oq is None:
             continue
         draws += 1
-        geom, group = oq.source, oq.group
-        got = is_semiregular(group)
-        assert got == semiregular_by_elements(group)
-        seen["all", got] = seen.get(("all", got), 0) + 1
-        for t in range(geom.rank):
-            got = is_semiregular(group, geom, [t])
-            assert got == semiregular_by_elements(group, geom, [t])
-            seen["type", got] = seen.get(("type", got), 0) + 1
-    keys = [(scope, ok) for scope in ("all", "type") for ok in (False, True)]
-    assert all(seen.get(key, 0) >= 30 for key in keys), seen
+        got = is_semiregular(oq.group)
+        assert got == semiregular_by_elements(oq.group)
+        seen[got] = seen.get(got, 0) + 1
+    assert all(seen.get(ok, 0) >= 30 for ok in (False, True)), seen
     print(seen)
 
 
@@ -662,30 +627,6 @@ def test_automorphism_group_cap(monkeypatch):
     assert 0 < len(drawn) < 60
 
 
-def test_multicover_array():
-    geom, trans = affine_geometry(3, 2)
-    K = multicover_array(geom, trans)
-    assert K[0][1] == 1  # one line per parallel class through a point
-    assert K[1][0] == 2  # both points of a line lie in the point orbit
-    assert K[0][0] is None
-    # trivial group: every count is 1
-    K = multicover_array(geom, PermGroup.trivial(geom.size))
-    assert all(K[i][j] == 1 for i in range(3) for j in range(3) if i != j)
-    geom, grp = hexagon()
-    K = multicover_array(geom, grp)
-    assert all(K[i][j] in (None, 1) for i in range(3) for j in range(3))
-
-
-def test_multicover_array_nonconstant_raises():
-    # two components with different block structure break uniformity
-    geom = Pregeometry(
-        ["A", "B"], ["a0", "a1", "a2", "b0", "b1", "b2"], [0, 0, 0, 1, 1, 1],
-        [(0, 3), (1, 4), (1, 5), (2, 4), (2, 5)])
-    group = PermGroup([Perm.from_cycles(6, [(1, 2), (4, 5)])])
-    with pytest.raises(ValueError):
-        multicover_array(geom, group)
-
-
 def test_induced_quotient_group_requires_invariance():
     geom, action = ssg_symmetric_action(3, 2)
     # a non-invariant partition: separate one point from the others
@@ -696,23 +637,50 @@ def test_induced_quotient_group_requires_invariance():
         induced_quotient_group(proj, action)
 
 
+def _leaders_of_type(oq, J):
+    """The G-orbits of the flags of type set J, by their least flags: G
+    is transitive on those flags iff there is at most one."""
+    et = oq.source.elem_type
+    return [f for f in oq.leaders if tuple(sorted(et[x] for x in f)) == J]
+
+
+def _jflag_chamber_without_lift():
+    """G = <(a1 a2)(b0 b2)(c0 c1)> is transitive on the two chambers
+    a1 b1 c1 and a2 b1 c0, but a1 * b0 * c0 * a2 makes the blocks of a1,
+    b0 and c0 a second quotient chamber, which does not lift."""
+    names = "a0 a1 a2 b0 b1 b2 c0 c1".split()
+    x = {name: k for k, name in enumerate(names)}
+    pairs = [(x[p], x[q]) for p, q in (
+        s.split("-") for s in "a0-b0 a0-b1 a0-b2 a1-b0 a1-b1 a1-c1 a2-b1 "
+                              "a2-b2 a2-c0 b0-c0 b1-c0 b1-c1 b2-c1".split())]
+    geom = Pregeometry(list("ABC"), names, [0, 0, 0, 1, 1, 1, 2, 2], pairs)
+    return geom, PermGroup([Perm.from_cycles(8, [(1, 2), (3, 5), (6, 7)])])
+
+
 def test_jflag_transitivity_descends_iff_jflags_lift(rng):
+    # for G transitive on the flags of type set J, the induced group is
+    # transitive on the quotient's J-flags iff each of them lifts
     from itertools import combinations
-    for _ in range(25):
+
+    from geoq.axioms import OrbitQuotient
+    cases = [OrbitQuotient(*_jflag_chamber_without_lift())]
+    while len(cases) < 26:
         oq = random_orbit_quotient(rng)
-        if oq is None:
-            continue
-        geom, group = oq.source, oq.group
-        induced = induced_quotient_group(oq, group)
+        if oq is not None:
+            cases.append(oq)
+    seen = set()
+    for oq in cases:
+        geom = oq.source
+        down = OrbitQuotient(oq.quotient, induced_quotient_group(oq, oq.group))
         for r in range(1, geom.rank + 1):
             for J in combinations(range(geom.rank), r):
-                if not flags_of_type(geom, J):
+                if len(_leaders_of_type(oq, J)) != 1:
                     continue
-                if not transitivity(group, geom, "jflags", types=J)[0]:
-                    continue
-                lifted = check_jflags_lift(oq, J)[0]
-                down = transitivity(induced, oq.quotient, "jflags", types=J)[0]
-                assert down == lifted
+                lifted = all(lift_flag(oq, f) is not None
+                             for f in flags_of_type(oq.quotient, J))
+                assert (len(_leaders_of_type(down, J)) <= 1) == lifted
+                seen.add(lifted)
+    assert seen == {True, False}
 
 
 def test_incidence_transitivity_descends(rng):

@@ -10,14 +10,14 @@ from geoq.constructions import (blowup_projection, eight_cycle,
                                 flnotpq1_witness, hexagon, isomorphic,
                                 SimpleGraph, ssg)
 from geoq.geometry import (INF, Pregeometry, all_flags, flags_by_rank_lex,
-                           flags_of_type, incidence_distance, is_connected,
+                           incidence_distance, is_connected,
                            is_generalized_digon, is_geometry)
 from geoq.lemmas import (random_geometry, random_orbit_quotient,
                          random_partition)
 from geoq.perms import orbit_partition
 from geoq.quotient import (Partition, Projection, check_flagslift,
-                           check_jflags_lift, check_PQ1, check_PQ2,
-                           corank1_injective, corank1_surjective, is_cover,
+                           check_PQ1, check_PQ2, corank1_injective,
+                           corank1_surjective, is_cover,
                            is_incidence_graph_cover, is_m_cover, lift_flag,
                            min_block_distance, quotient,
                            residual_surjectivity, singleton_partition,
@@ -168,13 +168,6 @@ def test_check_flagslift_singleton():
     assert check_flagslift(proj) == (True, None)
 
 
-def test_check_jflags_lift():
-    geom, proj = hexagon_projection()
-    assert check_jflags_lift(proj, [0, 1])[0]
-    ok, witness = check_jflags_lift(proj, [0, 1, 2])
-    assert not ok and witness == (0, 1, 2)
-
-
 def _search_flagslift(proj):
     """FlagsLift by one lift_flag search per quotient flag of rank >= 3,
     in (rank, lex) order: the oracle of check_flagslift."""
@@ -200,9 +193,9 @@ def test_flagslift_witness_past_rank_three():
                                              for t in range(4)]))
     assert check_flagslift(proj) == _search_flagslift(proj) == (
         False, (0, 1, 2, 3))
-    for types in combinations(range(4), 3):
-        assert check_jflags_lift(proj, types) == (True, None)
-    assert check_jflags_lift(proj, range(4)) == (False, (0, 1, 2, 3))
+    for qflag in combinations(range(4), 3):
+        assert lift_flag(proj, qflag) is not None
+    assert lift_flag(proj, (0, 1, 2, 3)) is None
 
 
 def _drawn_projection(rng):
@@ -233,8 +226,7 @@ def _drawn_projection(rng):
 
 def test_flagslift_agrees_with_lift_search(rng):
     # verdict and least witness of the projected-set decider match one
-    # lift search per quotient flag; check_jflags_lift matches lift_flag
-    # over the flags of every type set
+    # lift search per quotient flag
     seen = {True: 0, False: 0}
     drawn = 0
     while drawn < 1000:
@@ -246,14 +238,6 @@ def test_flagslift_agrees_with_lift_search(rng):
         assert check_flagslift.__wrapped__(proj) == want
         assert check_flagslift(proj) == want
         seen[want[0]] += 1
-        q = proj.quotient
-        for r in range(q.rank + 1):
-            for types in combinations(range(q.rank), r):
-                qflags = flags_of_type(q, types)
-                missing = next((f for f in qflags
-                                if lift_flag(proj, f) is None), None)
-                assert check_jflags_lift(proj, types) == (
-                    (True, None) if missing is None else (False, missing))
     assert min(seen.values()) >= 50, seen
 
 

@@ -440,13 +440,10 @@ def test_every_export_is_used_in_the_library_or_listed():
     # every public name that is not a type is referenced in src/geoq
     # outside its own definition, by its name or read off a geoq module
     # (gio.parse_geometry), not as another object's attribute of the same
-    # name, or is on a named list: three library entry points, and four
-    # names that wait for a scenario or suite row stating the paper's
-    # result about them
+    # name, or is one of three library entry points; a name that only
+    # tests reach is deleted, and its theorem kept as a test
     entry_points = {"residue", "lift_flag",
                     "quotient"}  # the library builds a Projection instead
-    waiting = {"check_jflags_lift", "direct_sum_check", "multicover_array",
-               "no_triangle_check"}
     used = set()
     for path in SOURCES:
         if path.name == "__init__.py":
@@ -465,7 +462,26 @@ def test_every_export_is_used_in_the_library_or_listed():
     unused = {name for name in geoq.__all__
               if not isinstance(getattr(geoq, name), type)
               and name not in used}
-    assert unused == entry_points | waiting, unused
+    assert unused == entry_points, unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a deletion takes its imports with it: every name a module binds by
+    # an import is read in it (`__init__.py` imports to export)
+    hits = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        hits += ["%s:%s" % (path.name, name) for name in sorted(bound - read)]
+    assert not hits, hits
 
 
 def test_same_type_incidence_is_refused_where_it_is_read():
